@@ -3,9 +3,9 @@
 Subcommands wire declarative scenario configs to the samplers, estimators and
 the transfer engine:
 
-    pathineq transfer --config scenario.yaml [--out DIR]
-    pathineq sample   --config scenario.yaml [--seed N] [--out DIR]
-    pathineq estimate --config scenario.yaml [--out DIR] [--threads N]
+    pathineq transfer --config PATH [--config PATH ...] [--out DIR] [--threads N]
+    pathineq sample   --config PATH [--config PATH ...] [--seed N] [--out DIR] [--threads N]
+    pathineq estimate --config PATH [--config PATH ...] [--out DIR] [--threads N]
     pathineq verify   SUITE [--out DIR]
 
 Exit codes: 0 all pass, 1 criterion failure, 2 config or I/O error.  The
@@ -72,7 +72,7 @@ def _out_dir(args):
 # transfer
 
 
-def _run_transfer_scenario(path, out_dir, seed_override=None):
+def _run_transfer_scenario(path, out_dir):
     from .config import Validator, load_config, validate_transfer
     from .pipeline import pipeline_report, run_transfer_pipeline
 
@@ -110,16 +110,6 @@ def _emit_profile_csv(out_dir, name, report):
                 fh.write(f"{s!r},{v!r}\n")
 
 
-def cmd_transfer(args):
-    t0 = time.time()
-    out_dir = _out_dir(args)
-    scenarios = _run_scenarios(args, _run_transfer_scenario, out_dir)
-    report = _report("transfer", scenarios, t0)
-    path = _write_report(report, out_dir, "transfer_report.json")
-    print(f"wrote {path}")
-    return EXIT_OK
-
-
 # ---------------------------------------------------------------------------
 # sample
 
@@ -137,7 +127,7 @@ def _build_sampler_config(data, seed_override=None):
     else:
         grid = TimeGrid.uniform(T, gspec["n_steps"])
 
-    def point(spec, dim_plus):
+    def point(spec):
         if spec is None or spec == "origin":
             return None
         return tuple(float(x) for x in spec)
@@ -147,8 +137,8 @@ def _build_sampler_config(data, seed_override=None):
         n_paths=int(data["n_paths"]),
         grid=grid,
         dim=int(data["dim"]),
-        x0=point(data.get("x0"), data["dim"]),
-        y0=point(data.get("y0"), data["dim"]),
+        x0=point(data.get("x0")),
+        y0=point(data.get("y0")),
         drift_cap=float(data.get("drift_cap", 4.0)),
     )
 
@@ -197,16 +187,6 @@ def _run_sample_scenario(path, out_dir, seed_override=None):
     }
 
 
-def cmd_sample(args):
-    t0 = time.time()
-    out_dir = _out_dir(args)
-    scenarios = _run_scenarios(args, _run_sample_scenario, out_dir)
-    report = _report("sample", scenarios, t0)
-    path = _write_report(report, out_dir, "sample_report.json")
-    print(f"wrote {path}")
-    return EXIT_OK
-
-
 # ---------------------------------------------------------------------------
 # estimate
 
@@ -218,18 +198,17 @@ def _build_functions(specs, T):
     for spec in specs:
         kind = spec["type"]
         t = float(spec.get("time", T))
+        kw = {"coord": int(spec.get("coord", 0)), "label": spec.get("label")}
         if kind == "coordinate":
-            out.append(coordinate_function(t, coord=int(spec.get("coord", 0)), label=spec.get("label")))
+            out.append(coordinate_function(t, **kw))
         elif kind == "hermite":
-            out.append(
-                hermite_function(int(spec["degree"]), t, coord=int(spec.get("coord", 0)), label=spec.get("label"))
-            )
+            out.append(hermite_function(int(spec["degree"]), t, **kw))
         elif kind == "exp_half":
-            out.append(exp_half_function(float(spec["lam"]), t, label=spec.get("label")))
+            out.append(exp_half_function(float(spec["lam"]), t, **kw))
     return out
 
 
-def _run_estimate_scenario(path, out_dir, seed_override=None):
+def _run_estimate_scenario(path, out_dir):
     from .config import ConfigError, Validator, load_config, validate_estimate
     from .estimators import (
         GreenKernel,
@@ -326,16 +305,6 @@ def _json_default(v):
     raise TypeError(f"not JSON serializable: {type(v)}")
 
 
-def cmd_estimate(args):
-    t0 = time.time()
-    out_dir = _out_dir(args)
-    scenarios = _run_scenarios(args, _run_estimate_scenario, out_dir)
-    report = _report("estimate", scenarios, t0)
-    path = _write_report(report, out_dir, "estimate_report.json")
-    print(f"wrote {path}")
-    return EXIT_OK
-
-
 # ---------------------------------------------------------------------------
 # verify
 
@@ -365,25 +334,27 @@ def cmd_verify(args):
 # shared plumbing
 
 
-def _run_scenarios(args, runner, out_dir):
-    configs = args.config
-    seed = getattr(args, "seed", None)
+def cmd_scenarios(args):
+    """Run each --config with the subcommand's runner and merge the reports by name."""
+    t0 = time.time()
+    out_dir = _out_dir(args)
+    kw = {"seed_override": args.seed} if "seed" in args else {}
     results = []
     errors = []
 
     def run_one(path):
-        return runner(path, out_dir, seed_override=seed)
+        return args.runner(path, out_dir, **kw)
 
-    if args.threads > 1 and len(configs) > 1:
+    if args.threads > 1 and len(args.config) > 1:
         with ThreadPoolExecutor(max_workers=args.threads) as ex:
-            futs = {ex.submit(run_one, p): p for p in configs}
+            futs = {ex.submit(run_one, p): p for p in args.config}
             for fut, p in futs.items():
                 try:
                     results.append(fut.result())
                 except Exception as exc:
                     errors.append((p, exc))
     else:
-        for p in configs:
+        for p in args.config:
             try:
                 results.append(run_one(p))
             except Exception as exc:
@@ -391,16 +362,22 @@ def _run_scenarios(args, runner, out_dir):
     if errors:
         for p, exc in errors:
             print(f"error: {exc}", file=sys.stderr)
-        raise _ScenarioFailure()
+        return EXIT_CONFIG
     names = [r["name"] for r in results]
     if len(set(names)) != len(names):
         print("error: duplicate scenario names across configs", file=sys.stderr)
-        raise _ScenarioFailure()
-    return results
+        return EXIT_CONFIG
+    report = _report(args.command, results, t0)
+    path = _write_report(report, out_dir, f"{args.command}_report.json")
+    print(f"wrote {path}")
+    return EXIT_OK
 
 
-class _ScenarioFailure(Exception):
-    pass
+SCENARIO_COMMANDS = {
+    "transfer": (_run_transfer_scenario, "run a chain of inequality transfers"),
+    "sample": (_run_sample_scenario, "sample a path ensemble to a file"),
+    "estimate": (_run_estimate_scenario, "run estimators over a stored ensemble"),
+}
 
 
 def make_parser():
@@ -409,33 +386,22 @@ def make_parser():
         description="functional-inequality transfers and path-space Monte Carlo",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp, needs_config=True):
-        if needs_config:
-            sp.add_argument(
-                "--config", action="append", required=True, metavar="PATH",
-                help="scenario config file (repeatable)",
-            )
-        sp.add_argument("--seed", type=int, default=None, help="override the config seed")
-        sp.add_argument("--out", default=None, metavar="DIR", help="output directory (default $PATHINEQ_OUT)")
+    for name, (runner, text) in SCENARIO_COMMANDS.items():
+        sp = sub.add_parser(name, help=text)
+        sp.add_argument(
+            "--config", action="append", required=True, metavar="PATH",
+            help="scenario config file (repeatable)",
+        )
+        if name == "sample":
+            sp.add_argument("--seed", type=int, default=None, help="override the config seed")
         sp.add_argument("--threads", type=int, default=1, metavar="N", help="scenario-level parallelism")
-
-    sp = sub.add_parser("transfer", help="run a chain of inequality transfers")
-    common(sp)
-    sp.set_defaults(fn=cmd_transfer)
-
-    sp = sub.add_parser("sample", help="sample a path ensemble to a file")
-    common(sp)
-    sp.set_defaults(fn=cmd_sample)
-
-    sp = sub.add_parser("estimate", help="run estimators over a stored ensemble")
-    common(sp)
-    sp.set_defaults(fn=cmd_estimate)
+        sp.set_defaults(fn=cmd_scenarios, runner=runner)
 
     sp = sub.add_parser("verify", help="run an acceptance suite")
     sp.add_argument("suite", help="suite name (e.g. gaussian, transfer, all)")
-    common(sp, needs_config=False)
     sp.set_defaults(fn=cmd_verify)
+    for sp in sub.choices.values():
+        sp.add_argument("--out", default=None, metavar="DIR", help="output directory (default $PATHINEQ_OUT)")
     return p
 
 
@@ -447,8 +413,6 @@ def main(argv=None):
     args = make_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except _ScenarioFailure:
-        return EXIT_CONFIG
     except (ConfigError, PipelineError, SamplerError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

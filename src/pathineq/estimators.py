@@ -272,6 +272,7 @@ def _jackknife(components, g, method="jackknife"):
         return EstimateWithCI(value=full, std_error=0.0, n_samples=n, method="plain")
     loo = g(*[(t - c) / (n - 1) for t, c in zip(totals, comps)])
     loo = np.asarray(loo, dtype=float)
+    loo.sort()  # both sums below then run in an order independent of the path order
     loo_mean = loo.mean()
     value = n * full - (n - 1) * loo_mean
     se = math.sqrt(max((n - 1) / n * np.sum((loo - loo_mean) ** 2), 0.0))
@@ -400,12 +401,7 @@ def sup_distance(ens: PathEnsemble, y0=None):
 
 def weight_tail(ens: PathEnsemble, y0=None, levels=None, confidence=0.99) -> TailBound:
     """Upper-confidence empirical tail of u = sup_t d(gamma_t, y0)."""
-    u = sup_distance(ens, y0)
-    if levels is None:
-        hi = float(u.max()) * 1.25 + 1e-9
-        lo = max(float(np.quantile(u, 0.02)), hi * 1e-4)
-        levels = np.concatenate([[0.0], np.geomspace(lo, hi, 64)])
-    return TailBound.from_samples(u, levels=levels, confidence=confidence)
+    return TailBound.from_samples(sup_distance(ens, y0), levels=levels, confidence=confidence)
 
 
 def exp_square_moment(u, c, max_share=0.5) -> EstimateWithCI:

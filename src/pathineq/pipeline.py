@@ -42,13 +42,7 @@ def _load_tail(spec, base_dir=None):
     import os
 
     if "levels" in spec:
-        return TailBound(
-            levels=tuple(spec["levels"]),
-            values=tuple(spec["values"]),
-            source=spec.get("source", "analytic"),
-            n_samples=spec.get("n_samples"),
-            confidence=spec.get("confidence"),
-        )
+        return TailBound.from_dict({"type": "tail_bound", **spec})
     if "file" in spec:
         path = spec["file"]
         if base_dir is not None and not os.path.isabs(path):
@@ -69,22 +63,15 @@ def _load_tail(spec, base_dir=None):
 
 def _load_beta(spec, prev):
     if spec is None:
-        if prev is None or not isinstance(prev.profile, BetaProfile):
-            raise PipelineError("stage needs a beta profile from a previous stage or inline")
+        if prev is None or prev.kind != "weak_lsi":
+            got = "no previous stage" if prev is None else f"a {prev.kind} result"
+            raise PipelineError(
+                f"stage needs a weak-LSI beta profile inline or from the previous stage, got {got}"
+            )
         return prev.profile
-    if "family" in spec:
-        return BetaProfile(
-            family=spec["family"],
-            r0=spec["r0"],
-            C=spec.get("C"),
-            s_grid=tuple(spec["s_grid"]) if "s_grid" in spec else None,
-            values=tuple(spec["values"]) if "values" in spec else None,
-            form=spec.get("form"),
-            params=spec.get("params"),
-        )
     # shorthand: {C: ..., r0: ...} means the logarithmic family
-    if "C" in spec and "r0" in spec:
-        return BetaProfile(family="c_log_inv_s", C=spec["C"], r0=spec["r0"])
+    if "family" in spec or ("C" in spec and "r0" in spec):
+        return BetaProfile.from_dict({"type": "beta_profile", "family": "c_log_inv_s", **spec})
     raise PipelineError(f"cannot interpret beta spec {spec!r}")
 
 

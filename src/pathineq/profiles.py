@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
+from scipy.optimize import brentq
 from scipy.stats import beta as _beta_dist
 
-_INV_E = 1.0 / math.e
+_CUTOFF_ADD = 1.0 / math.e + 1.0
 
 
 class ProfileError(ValueError):
@@ -41,8 +42,64 @@ def _as_float_tuple(xs):
     return tuple(float(x) for x in xs)
 
 
+def _elementwise(f, x):
+    """f applied to each element of the array x as a Python float.
+
+    Used for math.exp and math.log: numpy's exp and log differ from them in
+    the last bit on some inputs, and certificate constants and profile values
+    keep the scalar results.
+    """
+    return np.array([f(v) for v in np.ravel(x).tolist()]).reshape(np.shape(x))
+
+
+# ---------------------------------------------------------------------------
+# The cut-off estimate
+
+
+def cutoff_factor(a, r):
+    """Polynomial factor 4 a^2 r^2 + 1/e + 1 of the entropy cut-off estimate."""
+    return 4.0 * a * a * r * r + _CUTOFF_ADD
+
+
+def cutoff_levels(params, n):
+    """Cut-off levels of a weak-LSI construction at level n (a number or an array).
+
+    For a weighted LSI certificate (params a, C, M) these are
+    b(n) = cutoff_factor(a, n) M exp(-(C/2)(n-1)^2); for a tail bound m on the
+    weight root (params a, levels, m) they are q(n) = cutoff_factor(a, n)
+    sqrt(m(n-1)), since the estimate consumes sqrt(mu(u > n-1)).  beta(s) =
+    2 n(s)^2 for the smallest level n whose cut-off level is <= s.
+    """
+    c = cutoff_factor(params["a"], n)
+    if "m" in params:
+        return c * np.sqrt(_step_left(*_tail_arrays(params["levels"], params["m"]), n - 1.0))
+    z = -0.5 * params["C"] * (n - 1.0) ** 2
+    return c * params["M"] * (_elementwise(math.exp, z) if np.ndim(z) else math.exp(z))
+
+
 # ---------------------------------------------------------------------------
 # Tail bounds
+
+
+def _tail_arrays(levels, values):
+    """Validated float arrays of a tail bound's grid, values capped at 1."""
+    levels = np.array(levels, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if levels.ndim != 1 or levels.size < 2 or values.shape != levels.shape:
+        raise ProfileError("tail bound needs matching 1-d level/value grids")
+    if not np.all(np.diff(levels) > 0):
+        raise ProfileError("tail levels must be strictly increasing")
+    if np.any(values < 0) or np.any(values > 1 + 1e-12):
+        raise ProfileError("tail values must lie in [0, 1]")
+    if np.any(np.diff(values) > 1e-12):
+        raise ProfileError("tail values must be non-increasing")
+    return levels, np.minimum(values, 1.0)
+
+
+def _step_left(levels, values, s):
+    """values[i] for levels[i] <= s < levels[i+1], the trivial bound 1 below levels[0]."""
+    i = np.searchsorted(levels, s, side="right") - 1
+    return np.where(i < 0, 1.0, values[i])
 
 
 @dataclass(frozen=True)
@@ -64,28 +121,17 @@ class TailBound:
     confidence: float | None = None
 
     def __post_init__(self):
-        levels = np.asarray(self.levels, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if levels.ndim != 1 or levels.size < 2 or values.shape != levels.shape:
-            raise ProfileError("tail bound needs matching 1-d level/value grids")
-        if not np.all(np.diff(levels) > 0):
-            raise ProfileError("tail levels must be strictly increasing")
-        if np.any(values < 0) or np.any(values > 1 + 1e-12):
-            raise ProfileError("tail values must lie in [0, 1]")
-        if np.any(np.diff(values) > 1e-12):
-            raise ProfileError("tail values must be non-increasing")
+        levels, values = _tail_arrays(self.levels, self.values)
         if self.source not in ("analytic", "empirical"):
             raise ProfileError(f"unknown tail source {self.source!r}")
         object.__setattr__(self, "levels", _as_float_tuple(levels))
-        object.__setattr__(self, "values", _as_float_tuple(np.minimum(values, 1.0)))
+        object.__setattr__(self, "values", _as_float_tuple(values))
+        object.__setattr__(self, "_levels", levels)
+        object.__setattr__(self, "_values", values)
 
     def __call__(self, s):
-        s = float(s)
-        lv = np.asarray(self.levels)
-        i = int(np.searchsorted(lv, s, side="right")) - 1
-        if i < 0:
-            return 1.0
-        return self.values[i]
+        m = _step_left(self._levels, self._values, s)
+        return float(m) if m.ndim == 0 else m
 
     @classmethod
     def from_function(cls, m, levels):
@@ -102,7 +148,8 @@ class TailBound:
         Per grid point the Clopper-Pearson style upper bound at the given
         confidence is used, then monotonicity is enforced by a running
         maximum from the right.  A raw empirical tail would understate the
-        certificate, hence the adjustment.
+        certificate, hence the adjustment.  The default grid is 0 and 64
+        geometric levels from the 0.02 quantile to 1.25 times the maximum.
         """
         u = np.asarray(u, dtype=float).ravel()
         n = u.size
@@ -110,16 +157,12 @@ class TailBound:
             raise ProfileError("need at least two samples for an empirical tail")
         if levels is None:
             hi = float(u.max()) * 1.25 + 1e-9
-            lo = max(float(np.quantile(u, 0.05)), hi * 1e-4, 1e-6)
+            lo = max(float(np.quantile(u, 0.02)), hi * 1e-4)
             levels = np.concatenate([[0.0], np.geomspace(lo, hi, 64)])
         levels = np.asarray(levels, dtype=float)
         counts = (u[None, :] > levels[:, None]).sum(axis=1)
-        vals = np.empty_like(levels)
-        for i, k in enumerate(counts):
-            if k >= n:
-                vals[i] = 1.0
-            else:
-                vals[i] = float(_beta_dist.ppf(confidence, k + 1, n - k))
+        k = np.minimum(counts, n - 1)  # keeps ppf's n - k > 0; k = n gets the bound 1 below
+        vals = np.where(counts >= n, 1.0, _beta_dist.ppf(confidence, k + 1, n - k))
         vals = np.maximum.accumulate(vals[::-1])[::-1]  # running max from the right
         return cls(
             levels=tuple(levels),
@@ -148,103 +191,14 @@ class TailBound:
         return cls(
             levels=tuple(d["levels"]),
             values=tuple(d["values"]),
-            source=d["source"],
+            source=d.get("source", "analytic"),
             n_samples=d.get("n_samples"),
             confidence=d.get("confidence"),
         )
 
 
 # ---------------------------------------------------------------------------
-# Composed-profile evaluators (parameter dict -> value at s)
-
-
-def _eval_weighted_lsi_scan(params, s):
-    a = params["a"]
-    C = params["C"]
-    M = params["M"]
-    n = int(params["n_min"])
-    c0 = 4.0 * a * a
-    add = _INV_E + 1.0
-    while True:
-        b = (c0 * n * n + add) * M * math.exp(-0.5 * C * (n - 1.0) ** 2)
-        if b <= s:
-            return 2.0 * n * n
-        n += 1
-        if n > 10**7:  # unreachable: b underflows to 0 long before
-            raise DomainError(f"scan did not terminate at s={s}")
-
-
-def _eval_weighted_lsi_smooth(params, s):
-    # continuous variant: beta(s) = 2 r*^2 with b(r*) = s, r* >= n_min
-    from scipy.optimize import brentq
-
-    a, C, M = params["a"], params["C"], params["M"]
-    n_min = float(params["n_min"])
-    c0 = 4.0 * a * a
-    add = _INV_E + 1.0
-
-    def b(r):
-        return (c0 * r * r + add) * M * math.exp(-0.5 * C * (r - 1.0) ** 2)
-
-    if b(n_min) <= s:
-        return 2.0 * n_min * n_min
-    hi = n_min + 1.0
-    while b(hi) > s:
-        hi += max(1.0, hi)
-    r_star = brentq(lambda r: b(r) - s, n_min, hi, xtol=1e-12, rtol=1e-14)
-    return 2.0 * r_star * r_star
-
-
-def _eval_tail_scan(params, s):
-    a = params["a"]
-    cap = int(params["n_cap"])
-    tail = TailBound(
-        levels=tuple(params["levels"]),
-        values=tuple(params["m"]),
-        source=params.get("source", "analytic"),
-        n_samples=params.get("n_samples"),
-        confidence=params.get("confidence"),
-    )
-    c0 = 4.0 * a * a
-    add = _INV_E + 1.0
-    for n in range(1, cap + 1):
-        # sqrt: the entropy cut-off estimate consumes sqrt(mu(u > n-1))
-        if (c0 * n * n + add) * math.sqrt(tail(n - 1.0)) <= s:
-            return 2.0 * n * n
-    raise DomainError(
-        f"no weak-LSI derivable at s={s!r}: no qualifying level below cap {cap}"
-    )
-
-
-def _eval_weak_poincare_formula(params, s):
-    r1 = params.get("r1")
-    if r1 is not None and s >= r1:
-        raise DomainError(f"s={s} outside weak-Poincare domain (0, {r1})")
-    inner = BetaProfile.from_dict(params["beta"])
-    c1p = params["C1_prime"]
-    c2p = params["C2_prime"]
-    L = math.log(1.0 / s)
-    return inner(c2p * s * L) / (c1p * L)
-
-
-_BETA_FORMS = {
-    "weighted_lsi_scan": _eval_weighted_lsi_scan,
-    "weighted_lsi_smooth": _eval_weighted_lsi_smooth,
-    "tail_scan": _eval_tail_scan,
-}
-
-_ALPHA_FORMS = {
-    "weak_poincare_formula": _eval_weak_poincare_formula,
-}
-
-
-def _freeze(obj):
-    """Make nested params hashable-free but JSON-stable (lists -> lists)."""
-    if isinstance(obj, dict):
-        return {k: _freeze(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_freeze(v) for v in obj]
-    return obj
+# Rate profiles
 
 
 @dataclass(frozen=True)
@@ -259,7 +213,8 @@ class BetaProfile:
     form: str | None = None
     params: dict | None = None
 
-    _forms = _BETA_FORMS
+    _type = "beta_profile"
+    _forms = ("weighted_lsi_scan", "weighted_lsi_smooth", "tail_scan")
 
     def __post_init__(self):
         if not (self.r0 > 0):
@@ -285,9 +240,9 @@ class BetaProfile:
         elif self.family == "composed":
             if self.form not in self._forms:
                 raise ProfileError(f"unknown composed form {self.form!r}")
-            object.__setattr__(self, "params", _freeze(self.params))
         else:
             raise ProfileError(f"unknown profile family {self.family!r}")
+        object.__setattr__(self, "_cache", {})  # evaluation state built from the fields
 
     @property
     def eval_floor(self):
@@ -299,23 +254,80 @@ class BetaProfile:
         return 0.0
 
     def __call__(self, s):
-        s = float(s)
-        if not (s > 0) or not math.isfinite(s):
-            raise DomainError(f"profile argument must be a finite positive s, got {s}")
-        if s >= self.r0 and self.family == "c_log_inv_s":
-            raise DomainError(f"s={s} outside domain (0, {self.r0})")
-        if self.family == "c_log_inv_s":
-            return self.C * math.log(1.0 / s)
-        if self.family == "tabulated":
-            g = np.asarray(self.s_grid)
-            i = int(np.searchsorted(g, s, side="right")) - 1
-            if i < 0:
-                raise DomainError(f"s={s} below tabulated grid start {g[0]}")
-            return self.values[i]
-        return self._forms[self.form](self.params, s)
+        return float(self.tabulate([float(s)])[0])
 
     def tabulate(self, s_values):
-        return np.array([self(s) for s in np.asarray(s_values, dtype=float)])
+        s = np.asarray(s_values, dtype=float)
+        bad = ~((s > 0) & np.isfinite(s))
+        if bad.any():
+            raise DomainError(f"profile argument must be a finite positive s, got {s[bad][0]}")
+        return self._rate(s)
+
+    def _rate(self, s):
+        if self.family == "c_log_inv_s":
+            if np.any(s >= self.r0):
+                raise DomainError(f"s={s[s >= self.r0][0]} outside domain (0, {self.r0})")
+            return self.C * _elementwise(math.log, 1.0 / s)
+        if self.family == "tabulated":
+            i = np.searchsorted(self.s_grid, s, side="right") - 1
+            if np.any(i < 0):
+                raise DomainError(f"s={s[i < 0][0]} below tabulated grid start {self.s_grid[0]}")
+            return np.asarray(self.values)[i]
+        if self.form == "weighted_lsi_smooth":
+            return _elementwise(self._smooth_rate, s)
+        return self._scan_rate(s)
+
+    def _scan_rate(self, s):
+        """beta(s) = 2 n(s)^2 for the smallest level n with cut-off level <= s.
+
+        That n is the first index at which the running minimum of the levels
+        is <= s, a searchsorted on the negated (ascending) running minima.
+        Tail levels are computed once, up to the cap; weighted levels grow
+        only as far as the smallest s asked for so far needs.
+        """
+        p = self.params
+        if self.form == "tail_scan":
+            n0 = 1
+            if "min" not in self._cache:
+                q = cutoff_levels(p, np.arange(1.0, int(p["n_cap"]) + 1.0))
+                self._cache["min"] = np.minimum.accumulate(q)
+            running_min = self._cache["min"]
+        else:
+            n0 = int(p["n_min"])
+            running_min = self._cache.setdefault("min", [])
+            s_lo = s.min(initial=math.inf)
+            n = n0 + len(running_min)
+            while not running_min or running_min[-1] > s_lo:
+                if n > 10**7:  # unreachable: b underflows to 0 long before
+                    raise DomainError(f"scan did not terminate at s={s_lo}")
+                b = cutoff_levels(p, n)
+                running_min.append(min(b, running_min[-1]) if running_min else b)
+                n += 1
+            running_min = np.array(running_min)
+        k = np.searchsorted(-running_min, -s, side="left")
+        if np.any(k == running_min.size):
+            raise DomainError(
+                f"no weak-LSI derivable at s={float(s[k == running_min.size][0])!r}: "
+                f"no qualifying level below cap {running_min.size}"
+            )
+        n = n0 + k
+        return 2.0 * n * n
+
+    def _smooth_rate(self, s):
+        # continuous variant: beta(s) = 2 r*^2 with b(r*) = s, r* >= n_min
+        p = self.params
+        n_min = float(p["n_min"])
+
+        def b(r):
+            return cutoff_levels(p, r)
+
+        if b(n_min) <= s:
+            return 2.0 * n_min * n_min
+        hi = n_min + 1.0
+        while b(hi) > s:
+            hi += max(1.0, hi)
+        r_star = brentq(lambda r: b(r) - s, n_min, hi, xtol=1e-12, rtol=1e-14)
+        return 2.0 * r_star * r_star
 
     def check_monotone(self, n_points=1000, lo=None, hi=None):
         """Non-increase and positivity on a log grid; raises on violation."""
@@ -333,7 +345,10 @@ class BetaProfile:
         return vals
 
     def to_dict(self):
-        d = {"type": "beta_profile", "family": self.family, "r0": self.r0}
+        d = {"type": self._type, "family": self.family}
+        if self.family == "constant":
+            return d | {"is_constant": True, "value": self.value}
+        d["r0"] = self.r0
         if self.family == "c_log_inv_s":
             d["C"] = self.C
         elif self.family == "tabulated":
@@ -341,22 +356,19 @@ class BetaProfile:
             d["values"] = list(self.values)
         else:
             d["form"] = self.form
-            d["params"] = _freeze(self.params)
+            d["params"] = self.params
+        if hasattr(self, "is_constant"):
+            d["is_constant"] = False
         return d
 
     @classmethod
     def from_dict(cls, d):
-        if d.get("type") != "beta_profile":
-            raise ProfileError("not a serialized beta profile")
-        return cls(
-            family=d["family"],
-            r0=d["r0"],
-            C=d.get("C"),
-            s_grid=tuple(d["s_grid"]) if "s_grid" in d else None,
-            values=tuple(d["values"]) if "values" in d else None,
-            form=d.get("form"),
-            params=d.get("params"),
-        )
+        if d.get("type") != cls._type:
+            raise ProfileError(f"not a serialized {cls._type.replace('_', ' ')}")
+        names = {f.name for f in fields(cls)} - {"family", "r0"}
+        kw = {k: tuple(v) if k in ("s_grid", "values") else v for k, v in d.items() if k in names}
+        r0 = math.inf if d["family"] == "constant" else d["r0"]
+        return cls(family=d["family"], r0=r0, **kw)
 
 
 @dataclass(frozen=True)
@@ -366,7 +378,8 @@ class AlphaProfile(BetaProfile):
     is_constant: bool = False
     value: float | None = None
 
-    _forms = _ALPHA_FORMS
+    _type = "alpha_profile"
+    _forms = ("weak_poincare_formula",)
 
     def __post_init__(self):
         if self.family == "constant":
@@ -390,6 +403,21 @@ class AlphaProfile(BetaProfile):
             return float(self.params.get("s_lo", 0.0))
         return super().eval_floor
 
+    def _rate(self, s):
+        if self.family == "constant":
+            return np.full(s.shape, float(self.value))
+        if self.family != "composed":
+            return super()._rate(s)
+        # weak-Poincare formula alpha(s) = beta(C2' s L) / (C1' L), L = log(1/s)
+        p = self.params
+        r1 = p.get("r1")
+        if r1 is not None and np.any(s >= r1):
+            raise DomainError(f"s={s[s >= r1][0]} outside weak-Poincare domain (0, {r1})")
+        if "beta" not in self._cache:
+            self._cache["beta"] = BetaProfile.from_dict(p["beta"])
+        L = _elementwise(math.log, 1.0 / s)
+        return self._cache["beta"].tabulate(p["C2_prime"] * s * L) / (p["C1_prime"] * L)
+
     def tabulate_monotone(self, s_values=None, n_points=64):
         """Tabulated, valid, non-increasing view of the profile.
 
@@ -409,35 +437,6 @@ class AlphaProfile(BetaProfile):
         grid = np.asarray(s_values, dtype=float)
         vals = self.tabulate(grid)
         return grid, np.minimum.accumulate(vals)
-
-    def to_dict(self):
-        if self.family == "constant":
-            return {
-                "type": "alpha_profile",
-                "family": "constant",
-                "is_constant": True,
-                "value": self.value,
-            }
-        d = super().to_dict()
-        d["type"] = "alpha_profile"
-        d["is_constant"] = False
-        return d
-
-    @classmethod
-    def from_dict(cls, d):
-        if d.get("type") != "alpha_profile":
-            raise ProfileError("not a serialized alpha profile")
-        if d["family"] == "constant":
-            return cls(family="constant", r0=math.inf, is_constant=True, value=d["value"])
-        return cls(
-            family=d["family"],
-            r0=d["r0"],
-            C=d.get("C"),
-            s_grid=tuple(d["s_grid"]) if "s_grid" in d else None,
-            values=tuple(d["values"]) if "values" in d else None,
-            form=d.get("form"),
-            params=d.get("params"),
-        )
 
 
 def profile_from_dict(d):

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import polygamma
 
-from .profiles import AlphaProfile, BetaProfile, DomainError, TailBound
+from .profiles import AlphaProfile, BetaProfile, TailBound, cutoff_factor, cutoff_levels
 
 _INV_E = 1.0 / math.e
 _LOG2 = math.log(2.0)
@@ -228,31 +228,20 @@ class TransferResult:
 # Weighted LSI -> weak LSI
 
 
-def _b_of(cert: WeightedLSICertificate):
-    c0 = 4.0 * cert.a * cert.a
-    add = _INV_E + 1.0
-
-    def b(r):
-        return (c0 * r * r + add) * cert.M * math.exp(-0.5 * cert.C_exp * (r - 1.0) ** 2)
-
-    return b
-
-
 def _scan_start(cert: WeightedLSICertificate) -> int:
     """Smallest integer level beyond which b is strictly decreasing.
 
-    (log b)'(r) = T(r) - C(r-1) with T(r) = 8 a^2 r / (4 a^2 r^2 + 1/e + 1).
-    T peaks at r* = sqrt(1/e + 1)/(2a) with T(r*) = 2a/sqrt(1/e + 1), so for
-    r >= n the derivative is bounded by max(T(n), T(r*)) - C(n-1); once that
-    bound is negative, b decreases on all of [n, infinity).
+    With c(r) = cutoff_factor(a, r), (log b)'(r) = T(r) - C(r-1) where
+    T(r) = 8 a^2 r / c(r).  T peaks at r* = sqrt(c(0))/(2a) with
+    T(r*) = 2a/sqrt(c(0)), so for r >= n the derivative is bounded by
+    max(T(n), T(r*)) - C(n-1); once that bound is negative, b decreases on
+    all of [n, infinity).
     """
     a, C = cert.a, cert.C_exp
-    c0 = 4.0 * a * a
-    add = _INV_E + 1.0
-    r_star = math.sqrt(add) / (2.0 * a)
+    r_star = math.sqrt(cutoff_factor(a, 0.0)) / (2.0 * a)
 
     def T(r):
-        return 8.0 * a * a * r / (c0 * r * r + add)
+        return 8.0 * a * a * r / cutoff_factor(a, r)
 
     n = 1
     while T(max(n, r_star)) - C * (n - 1.0) >= 0:
@@ -264,21 +253,17 @@ def weighted_lsi_to_weak_lsi(cert: WeightedLSICertificate, smooth=False) -> Tran
     """Weak log-Sobolev rate from a weighted-LSI certificate.
 
     beta(s) = 2 n(s)^2 where n(s) is the smallest integer n >= n_min with
-    b(n) <= s and b(r) = (4 a^2 r^2 + 1/e + 1) M exp(-(C/2)(r-1)^2); the
-    moment factor M is kept explicit so the bound stays honest.  With
+    b(n) <= s, b the cut-off levels of :func:`~pathineq.profiles.cutoff_levels`
+    (the moment factor M is kept explicit so the bound stays honest).  With
     ``smooth=True`` the continuous variant beta(s) = 2 b^{-1}(s)^2 is used.
     Asymptotically beta(s) = Theta(|log s|).
     """
-    b = _b_of(cert)
     n_min = _scan_start(cert)
-    r0 = b(n_min)
+    params = {"a": cert.a, "C": cert.C_exp, "M": cert.M, "n_min": n_min}
+    b = cutoff_levels(params, np.arange(n_min, n_min + 16))
+    r0 = float(b[0])
     form = "weighted_lsi_smooth" if smooth else "weighted_lsi_scan"
-    profile = BetaProfile(
-        family="composed",
-        r0=r0,
-        form=form,
-        params={"a": cert.a, "C": cert.C_exp, "M": cert.M, "n_min": n_min},
-    )
+    profile = BetaProfile(family="composed", r0=r0, form=form, params=params)
     audit = [
         ("a", cert.a),
         ("C", cert.C_exp),
@@ -286,8 +271,7 @@ def weighted_lsi_to_weak_lsi(cert: WeightedLSICertificate, smooth=False) -> Tran
         ("n_min", n_min),
         ("r0", r0),
     ]
-    for n in range(n_min, n_min + 16):
-        audit.append((f"b({n})", b(n)))
+    audit += [(f"b({n_min + i})", v) for i, v in enumerate(b)]
     return TransferResult(kind="weak_lsi", profile=profile, audit=audit)
 
 
@@ -299,13 +283,11 @@ def tail_to_weak_lsi(a: float, tail: TailBound, n_cap: int = 1000) -> TransferRe
     """Weak log-Sobolev rate from a tail bound on the weight root u.
 
     The cut-off estimate consumes sqrt(mu(u > n-1)); with the survival-scale
-    bound m this gives level thresholds
-
-        q(n) = (4 a^2 n^2 + 1/e + 1) * sqrt(m(n-1)),
-
-    and beta(s) = 2 n(s)^2 for the smallest qualifying level n(s).  Tails that
-    do not decay on their grid (no level beats the first one) are rejected
-    outright rather than converted into a uselessly huge constant.
+    bound m this gives the level thresholds q(n) of
+    :func:`~pathineq.profiles.cutoff_levels`, and beta(s) = 2 n(s)^2 for the
+    smallest qualifying level n(s).  Tails that do not decay on their grid
+    (no level beats the first one) are rejected outright rather than
+    converted into a uselessly huge constant.
     """
     a = _require_finite("a", a)
     if not a > 0:
@@ -323,25 +305,23 @@ def tail_to_weak_lsi(a: float, tail: TailBound, n_cap: int = 1000) -> TransferRe
             "end of its grid"
         )
 
-    c0 = 4.0 * a * a
-    add = _INV_E + 1.0
-    q = np.array([(c0 * n * n + add) * math.sqrt(tail(n - 1.0)) for n in range(1, n_cap + 1)])
-    if not np.any(q[1:] < q[0]):
-        raise TransferError(
-            "no weak-LSI derivable: no level improves on the first below the cap"
-        )
-    s_min = float(q.min())
-
     params = {
         "a": a,
         "n_cap": int(n_cap),
-        "s_min": s_min,
+        "s_min": None,  # filled in below, keeping the key order of the serialized form
         "levels": list(tail.levels),
         "m": list(tail.values),
         "source": tail.source,
         "n_samples": tail.n_samples,
         "confidence": tail.confidence,
     }
+    q = cutoff_levels(params, np.arange(1.0, n_cap + 1.0))
+    if not np.any(q[1:] < q[0]):
+        raise TransferError(
+            "no weak-LSI derivable: no level improves on the first below the cap"
+        )
+    s_min = params["s_min"] = float(q.min())
+
     profile = BetaProfile(family="composed", r0=math.inf, form="tail_scan", params=params)
     audit = [("a", a), ("n_cap", n_cap), ("s_min", s_min)]
     n_report = min(n_cap, max(8, int(np.argmin(q)) + 4))
@@ -494,6 +474,23 @@ def optimize_dyadic_params(C: float, r0: float, budget: int = 10_000) -> DyadicP
 # Weak LSI (general beta) -> weak Poincare
 
 
+def _geometric_bisection(below, lo, hi):
+    """200 geometric bisection steps on [lo, hi]; returns the final (lo, hi)
+    with ``below`` true at lo and false at hi.
+
+    The product lo * hi underflows to 0 once it falls below the smallest
+    subnormal (from lo = 1e-300, once hi < 1e-24); only then is the midpoint
+    taken as sqrt(lo) sqrt(hi), which stays positive.
+    """
+    for _ in range(200):
+        mid = math.sqrt(lo * hi) or math.sqrt(lo) * math.sqrt(hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def weak_lsi_to_weak_poincare(
     beta: BetaProfile,
     delta: float = 1.02,
@@ -546,6 +543,8 @@ def weak_lsi_to_weak_poincare(
         r = 0.5 * r_hi
         if floor > 0:
             r = max(r, min(1.02 * floor, r_hi))
+            if r >= r_budget > floor:  # floor within 2% below the budget
+                r = 0.5 * (floor + r_budget)
     r = _require_finite("r", r)
     if not (0 < r < beta.r0):
         raise TransferError(f"infeasible: r = {r} outside beta domain (0, {beta.r0})")
@@ -569,16 +568,8 @@ def weak_lsi_to_weak_poincare(
         return C2p * s * math.log(1.0 / s)
 
     r1 = _INV_E * (1.0 - 1e-9)
-    if math.isfinite(beta.r0):
-        lo, hi = 1e-300, r1
-        if inner(hi) >= beta.r0:
-            for _ in range(200):
-                mid = math.sqrt(lo * hi)
-                if inner(mid) < beta.r0:
-                    lo = mid
-                else:
-                    hi = mid
-            r1 = lo
+    if math.isfinite(beta.r0) and inner(r1) >= beta.r0:
+        r1, _ = _geometric_bisection(lambda s: inner(s) < beta.r0, 1e-300, r1)
     s_lo = 0.0
     if floor > 0:
         if inner(r1) <= floor:
@@ -586,14 +577,7 @@ def weak_lsi_to_weak_poincare(
                 "infeasible: beta's derivable floor exceeds the construction's "
                 f"reachable arguments (floor {floor}, max argument {inner(r1)})"
             )
-        lo, hi = 1e-300, r1
-        for _ in range(200):
-            mid = math.sqrt(lo * hi)
-            if inner(mid) > floor:
-                hi = mid
-            else:
-                lo = mid
-        s_lo = hi
+        _, s_lo = _geometric_bisection(lambda s: inner(s) <= floor, 1e-300, r1)
 
     params = {
         "beta": beta.to_dict(),

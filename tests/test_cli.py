@@ -88,6 +88,47 @@ def test_seed_override_changes_output(tmp_path):
     ).read_bytes()
 
 
+def test_exp_half_keeps_its_coord(tmp_path):
+    sample = SAMPLE_YAML.replace("hyperbolic_bridge", "wiener").replace("dim: 3", "dim: 2")
+    estimate = """\
+name: exp-half
+ensemble: bridge.pens
+estimators: [variance]
+functions:
+  - {type: exp_half, lam: 1.0, coord: 0, label: c0}
+  - {type: exp_half, lam: 1.0, coord: 1, label: c1}
+out: exp_half.json
+"""
+    out = str(tmp_path / "out")
+    assert main(["sample", "--config", write(tmp_path, "s.yaml", sample), "--out", out]) == 0
+    assert main(["estimate", "--config", write(tmp_path, "e.yaml", estimate), "--out", out]) == 0
+    res = json.loads((tmp_path / "out" / "exp_half.json").read_text())["results"]["variance"]
+    assert res["c0"]["value"] != res["c1"]["value"]
+
+
+def test_transfer_chain_of_wrong_kind_is_config_error(tmp_path, capsys):
+    chain = TRANSFER_YAML + "  - op: weak_lsi_to_weak_poincare\n"
+    code = main(["transfer", "--config", write(tmp_path, "t.yaml", chain), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "stage 1 (weak_lsi_to_weak_poincare)" in capsys.readouterr().err
+
+
+def test_subcommand_flags():
+    from pathineq.cli import make_parser
+
+    sub = next(a for a in make_parser()._actions if a.dest == "command")
+    flags = {
+        name: {o for a in sp._actions for o in a.option_strings if o.startswith("--") and o != "--help"}
+        for name, sp in sub.choices.items()
+    }
+    assert flags == {
+        "transfer": {"--config", "--out", "--threads"},
+        "sample": {"--config", "--seed", "--out", "--threads"},
+        "estimate": {"--config", "--out", "--threads"},
+        "verify": {"--out"},
+    }
+
+
 def test_estimate_missing_ensemble_is_config_error(tmp_path, capsys):
     ecfg = write(tmp_path, "e.yaml", ESTIMATE_YAML)
     out = str(tmp_path / "out")

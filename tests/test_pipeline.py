@@ -67,6 +67,24 @@ def test_stage_error_names_stage():
         run_transfer_pipeline({"name": "x", "pipeline": [{"op": "bogus"}]})
 
 
+def test_beta_stage_needs_a_weak_lsi_stage():
+    # a Poincare constant or an alpha profile is not a beta profile
+    poincare = {
+        "op": "weak_lsi_to_poincare",
+        "beta": {"C": 1.0, "r0": 0.5},
+        "params": {"log2_delta": 0.5, "log2_delta0": 4.5, "epsilon": 0.125},
+    }
+    weak_lsi = {"op": "weighted_lsi_to_weak_lsi", "cert": {"a": 0.5, "C_exp": 1.0}}
+    weak_poincare = {"op": "weak_lsi_to_weak_poincare"}
+    for stages, got in (
+        ([poincare, weak_poincare], "poincare"),
+        ([weak_lsi, weak_poincare, weak_poincare], "weak_poincare"),
+    ):
+        named = rf"stage {len(stages) - 1} \(weak_lsi_to_weak_poincare\).* {got} result"
+        with pytest.raises(PipelineError, match=named):
+            run_transfer_pipeline({"name": "x", "pipeline": stages})
+
+
 def test_inline_tail_stage():
     levels = list(np.arange(0.0, 21.0))
     values = [math.exp(-(s * s) / 4.0) for s in np.arange(0.0, 21.0)]

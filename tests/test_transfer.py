@@ -36,6 +36,73 @@ def b_oracle(r, a, C, M):
 PAPER_PARAMS = DyadicParams.from_pow2(0.5, 4.5, 0.125)  # delta=sqrt2, delta0=2^{9/2}
 
 
+# Scalar reference scans, one s at a time: the array evaluation of composed
+# profiles must match them bit for bit.
+
+
+def weighted_scan_oracle(params, s):
+    a, C, M, n = params["a"], params["C"], params["M"], int(params["n_min"])
+    while True:
+        if (4.0 * a * a * n * n + (INV_E + 1.0)) * M * math.exp(-0.5 * C * (n - 1.0) ** 2) <= s:
+            return 2.0 * n * n
+        n += 1
+
+
+def weighted_smooth_oracle(params, s):
+    from scipy.optimize import brentq
+
+    a, C, M, n_min = params["a"], params["C"], params["M"], float(params["n_min"])
+
+    def b(r):
+        return (4.0 * a * a * r * r + (INV_E + 1.0)) * M * math.exp(-0.5 * C * (r - 1.0) ** 2)
+
+    if b(n_min) <= s:
+        return 2.0 * n_min * n_min
+    hi = n_min + 1.0
+    while b(hi) > s:
+        hi += max(1.0, hi)
+    r_star = brentq(lambda r: b(r) - s, n_min, hi, xtol=1e-12, rtol=1e-14)
+    return 2.0 * r_star * r_star
+
+
+def tail_scan_oracle(params, s):
+    a = params["a"]
+    tail = TailBound(levels=tuple(params["levels"]), values=tuple(params["m"]))
+    for n in range(1, int(params["n_cap"]) + 1):
+        if (4.0 * a * a * n * n + (INV_E + 1.0)) * math.sqrt(tail(n - 1.0)) <= s:
+            return 2.0 * n * n
+    raise DomainError(f"no qualifying level at s={s}")
+
+
+BETA_ORACLES = {
+    "weighted_lsi_scan": weighted_scan_oracle,
+    "weighted_lsi_smooth": weighted_smooth_oracle,
+    "tail_scan": tail_scan_oracle,
+}
+
+
+def weak_poincare_oracle(params, s):
+    beta = params["beta"]
+    L = math.log(1.0 / s)
+    inner = BETA_ORACLES[beta["form"]](beta["params"], params["C2_prime"] * s * L)
+    return inner / (params["C1_prime"] * L)
+
+
+def assert_matches_oracle(beta):
+    """beta and the weak-Poincare alpha over it, on 1000-point grids, against
+    the scalar scans: tabulate and every single-point call, bit for bit."""
+    alpha = weak_lsi_to_weak_poincare(beta).profile
+    cases = [
+        (beta, lambda s: BETA_ORACLES[beta.form](beta.params, s), beta.eval_floor, min(beta.r0, 10.0)),
+        (alpha, lambda s: weak_poincare_oracle(alpha.params, s), alpha.eval_floor, alpha.r0),
+    ]
+    for prof, oracle, lo, hi in cases:
+        grid = np.geomspace(max(lo * 1.0001, 1e-300), hi * 0.999, 1000)
+        want = np.array([oracle(s) for s in grid])
+        assert np.array_equal(prof.tabulate(grid), want)
+        assert [prof(s) for s in grid] == want.tolist()
+
+
 # ---------------------------------------------------------------------------
 # weighted LSI -> weak LSI
 
@@ -59,6 +126,8 @@ def test_weighted_scan_against_bruteforce():
     qualifying = [n for n in range(n_min, 101) if b_oracle(n, 1.0, 1.0, 2.0) <= s]
     assert qualifying, "oracle found no level"
     assert res.profile(s) == 2.0 * qualifying[0] ** 2
+    assert_matches_oracle(res.profile)
+    assert_matches_oracle(weighted_lsi_to_weak_lsi(cert, smooth=True).profile)
 
 
 def test_weighted_rejects_bad_certs():
@@ -114,6 +183,9 @@ def test_tail_scan_against_bruteforce():
             if (4 * n * n + INV_E + 1) * math.sqrt(tail(n - 1.0)) <= s
         ]
         assert res.profile(s) == 2.0 * ns[0] ** 2
+    assert_matches_oracle(res.profile)
+    u = 0.4 * np.abs(np.random.default_rng(11).normal(size=20_000))
+    assert_matches_oracle(tail_to_weak_lsi(0.5, TailBound.from_samples(u)).profile)
 
 
 def test_tail_no_decay_is_an_error():
@@ -348,6 +420,37 @@ def test_weak_poincare_audit_records_construction():
     from pathineq.transfer import remark_level_count
 
     assert remark_level_count(res, 1e-6) >= 1
+
+
+def test_weak_poincare_default_r_with_floor_just_below_budget():
+    # the default r = min(1.02 floor, r_budget) used to land on r_budget itself
+    # when beta's floor lay within 2% below it, and was then rejected
+    slack = weak_lsi_to_weak_poincare(BetaProfile(family="c_log_inv_s", C=1.0, r0=0.5)).audit_value(
+        "slack_levels"
+    )
+    r_budget = (0.9 - slack) * math.log(2.0) / (1.25 * 1.02) ** 2
+    grid = 0.985 * r_budget * np.array([1.0, 1.2, 1.5])
+    beta = BetaProfile(family="tabulated", r0=0.5, s_grid=tuple(grid), values=(30.0, 20.0, 10.0))
+    res = weak_lsi_to_weak_poincare(beta)
+    assert beta.eval_floor < res.audit_value("r") < r_budget
+    assert res.audit_value("sigma") < 0.9
+    _, alpha = res.profile.tabulate_monotone(n_points=32)
+    assert np.all(alpha > 0)
+
+
+def test_weak_poincare_floor_below_1e_146():
+    # the bisections for the domain used to underflow sqrt(lo * hi) to 0 and
+    # divide by zero once beta's floor fell below about 1e-146
+    tail = TailBound.from_function(lambda s: math.exp(-0.8 * s * s), np.arange(0.0, 31.0))
+    for a in (0.25, 0.5, 1.0):
+        beta = tail_to_weak_lsi(a, tail).profile
+        assert 0 < beta.eval_floor < 1e-146
+        res = weak_lsi_to_weak_poincare(beta)
+        s_lo = res.audit_value("s_lo")
+        assert 0 < s_lo < res.profile.r0
+        assert res.audit_value("C2_prime") * s_lo * math.log(1.0 / s_lo) > beta.eval_floor
+        _, alpha = res.profile.tabulate_monotone(n_points=64)
+        assert np.all(np.isfinite(alpha)) and np.all(alpha > 0)
 
 
 def test_weak_poincare_infeasible_sigma():
