@@ -105,9 +105,9 @@ def _jsonable(v):
 def _criterion(cid):
     def wrap(fn):
         def run(out_dir=None):
-            t0 = time.time()
+            t0 = time.perf_counter()
             passed, details = fn(out_dir)
-            return CriterionResult(cid=cid, passed=bool(passed), seconds=time.time() - t0, details=details)
+            return CriterionResult(cid=cid, passed=bool(passed), seconds=time.perf_counter() - t0, details=details)
 
         run.cid = cid
         return run
@@ -136,10 +136,6 @@ def _bridge_100k():
         cfg = SamplerConfig(seed=2024, n_paths=100_000, grid=grid, dim=3)
         _CACHE[key] = sample_hyperbolic_bridge(cfg)
     return _CACHE[key]
-
-
-def clear_cache():
-    _CACHE.clear()
 
 
 # ---------------------------------------------------------------------------

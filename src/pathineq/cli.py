@@ -26,11 +26,17 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from .config import ConfigError
+
 REPORT_SCHEMA_VERSION = "pathineq.runreport.v1"
 
 EXIT_OK = 0
 EXIT_CRITERION = 1
 EXIT_CONFIG = 2
+
+# Bad input exits with EXIT_CONFIG: every domain error subclasses ValueError.
+# Anything else (TypeError, KeyError, ...) is a program bug and propagates.
+INPUT_ERRORS = (ConfigError, ValueError, OSError)
 
 
 def _versions():
@@ -52,7 +58,7 @@ def _report(command, scenarios, t0):
         "command": command,
         "scenarios": sorted(scenarios, key=lambda s: s["name"]),
         "versions": _versions(),
-        "elapsed_s": time.time() - t0,
+        "elapsed_s": time.perf_counter() - t0,
     }
 
 
@@ -78,7 +84,7 @@ def _run_transfer_scenario(path, out_dir):
 
     data, linemap = load_config(path)
     validate_transfer(Validator(data, linemap, str(path)))
-    t0 = time.time()
+    t0 = time.perf_counter()
     results = run_transfer_pipeline(data, base_dir=os.path.dirname(os.path.abspath(path)))
     report = pipeline_report(results, grid_points=data.get("profile_grid", {}).get("points", 48))
     name = data["name"]
@@ -91,7 +97,7 @@ def _run_transfer_scenario(path, out_dir):
         "name": name,
         "status": "ok",
         "outputs": [out_json],
-        "elapsed_s": time.time() - t0,
+        "elapsed_s": time.perf_counter() - t0,
         "final_kind": results[-1].kind,
     }
 
@@ -157,7 +163,7 @@ def _run_sample_scenario(path, out_dir, seed_override=None):
     data, linemap = load_config(path)
     validate_sample(Validator(data, linemap, str(path)))
     cfg = _build_sampler_config(data, seed_override)
-    t0 = time.time()
+    t0 = time.perf_counter()
     sampler = {
         "wiener": sample_wiener,
         "flat_bridge": sample_flat_bridge,
@@ -175,7 +181,7 @@ def _run_sample_scenario(path, out_dir, seed_override=None):
         "name": data["name"],
         "status": "ok",
         "outputs": [out_path],
-        "elapsed_s": time.time() - t0,
+        "elapsed_s": time.perf_counter() - t0,
         "seed": cfg.seed,
         "config_hash": cfg.config_hash,
         "measure_tag": ens.measure_tag,
@@ -209,7 +215,7 @@ def _build_functions(specs, T):
 
 
 def _run_estimate_scenario(path, out_dir):
-    from .config import ConfigError, Validator, load_config, validate_estimate
+    from .config import Validator, load_config, validate_estimate
     from .estimators import (
         GreenKernel,
         entropy,
@@ -231,7 +237,7 @@ def _run_estimate_scenario(path, out_dir):
         ens_path = candidate if os.path.exists(candidate) else os.path.join(out_dir, ens_path)
     if not os.path.exists(ens_path):
         raise ConfigError(f"ensemble file not found: {ens_path}", file=str(path), path="ensemble")
-    t0 = time.time()
+    t0 = time.perf_counter()
     ens = load_ensemble(ens_path)
     T = ens.grid.T
     kernel = None
@@ -287,7 +293,7 @@ def _run_estimate_scenario(path, out_dir):
         "name": data["name"],
         "status": "ok",
         "outputs": outputs,
-        "elapsed_s": time.time() - t0,
+        "elapsed_s": time.perf_counter() - t0,
         "seed": ens.config.seed,
         "config_hash": ens.config.config_hash,
     }
@@ -312,7 +318,7 @@ def _json_default(v):
 def cmd_verify(args):
     from .acceptance import SUITES, run_suite
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     if args.suite not in SUITES:
         print(f"error: unknown suite {args.suite!r}; choose from {sorted(SUITES)}", file=sys.stderr)
         return EXIT_CONFIG
@@ -336,7 +342,7 @@ def cmd_verify(args):
 
 def cmd_scenarios(args):
     """Run each --config with the subcommand's runner and merge the reports by name."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     out_dir = _out_dir(args)
     kw = {"seed_override": args.seed} if "seed" in args else {}
     results = []
@@ -351,13 +357,13 @@ def cmd_scenarios(args):
             for fut, p in futs.items():
                 try:
                     results.append(fut.result())
-                except Exception as exc:
+                except INPUT_ERRORS as exc:
                     errors.append((p, exc))
     else:
         for p in args.config:
             try:
                 results.append(run_one(p))
-            except Exception as exc:
+            except INPUT_ERRORS as exc:
                 errors.append((p, exc))
     if errors:
         for p, exc in errors:
@@ -406,14 +412,10 @@ def make_parser():
 
 
 def main(argv=None):
-    from .config import ConfigError
-    from .pipeline import PipelineError
-    from .samplers import SamplerError
-
     args = make_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, PipelineError, SamplerError, OSError) as exc:
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import yaml
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     def __init__(self, message, file=None, line=None, path=None):
         self.file = file
         self.line = line
@@ -66,7 +66,12 @@ class Validator:
         self.file = file
 
     def fail(self, path, message):
-        raise ConfigError(message, file=self.file, line=self.linemap.get(path), path=path)
+        # a missing key has no line of its own: name its nearest enclosing entry's
+        line, parent = self.linemap.get(path), path
+        while line is None and parent:
+            parent = parent[: max(parent.rfind("."), parent.rfind("["), 0)]
+            line = self.linemap.get(parent)
+        raise ConfigError(message, file=self.file, line=line, path=path)
 
     def get(self, path, expected=None, required=True, default=None, choices=None):
         cur = self.data
@@ -152,5 +157,9 @@ def validate_estimate(v: Validator):
             v.fail(f"estimators[{i}]", f"expected one of {sorted(ESTIMATOR_NAMES)}, got {e!r}")
     funcs = v.get("functions", expected=list, required=False, default=[])
     for i in range(len(funcs)):
-        v.get(f"functions[{i}].type", expected=str, choices=FUNCTION_TYPES)
+        kind = v.get(f"functions[{i}].type", expected=str, choices=FUNCTION_TYPES)
+        if kind == "hermite" and v.get(f"functions[{i}].degree", expected=int) < 0:
+            v.fail(f"functions[{i}].degree", "degree must be >= 0")
+        if kind == "exp_half":
+            v.get(f"functions[{i}].lam", expected=_NUM)
     v.get("out", expected=str)

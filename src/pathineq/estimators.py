@@ -41,12 +41,6 @@ class EstimatorError(ValueError):
     pass
 
 
-def cmean(x):
-    """Compensated mean (exact fsum total), independent of reduction order."""
-    x = np.asarray(x, dtype=float).ravel()
-    return math.fsum(x) / x.size
-
-
 # ---------------------------------------------------------------------------
 # Cylindrical functions and Green kernels
 
@@ -63,7 +57,6 @@ class CylindricalFunction:
     times: tuple
     fn: object
     partials: object | None = None
-    sup_bound: float | None = None
     label: str = "F"
     fd_rel: float = 1e-6
 
@@ -194,14 +187,13 @@ def _check_kernel_measure(kernel: GreenKernel, ens: PathEnsemble):
         raise EstimatorError("kernel horizon does not match the ensemble grid")
 
 
-def h_gradient_energy(F: CylindricalFunction, ens: PathEnsemble, kernel: GreenKernel,
-                      force_transport=False):
+def h_gradient_energy(F: CylindricalFunction, ens: PathEnsemble, kernel: GreenKernel):
     """Per-path squared H-gradient |grad F|_H^2, shape (n_paths,).
 
     Flat ensembles pair the Euclidean partials directly; hyperbolic ensembles
-    (or ``force_transport=True``) project the ambient partials to tangent
-    vectors and parallel-transport them back to the base point along the
-    path's nodes before pairing.  Both routes use the same Green Gram matrix.
+    project the ambient partials to tangent vectors and parallel-transport
+    them back to the base point along the path's nodes before pairing.  Both
+    routes use the same Green Gram matrix.
     """
     _check_kernel_measure(kernel, ens)
     idx = [ens.grid.index_of(t) for t in F.times]
@@ -209,31 +201,24 @@ def h_gradient_energy(F: CylindricalFunction, ens: PathEnsemble, kernel: GreenKe
     V = F.partial_values(X)
     G = kernel.gram(F.times)
 
-    hyperbolic = ens.measure_tag == "hyperbolic_bridge"
-    if not hyperbolic and not force_transport:
+    if ens.measure_tag != "hyperbolic_bridge":
         return np.einsum("ij,mic,mjc->m", G, V, V)
 
-    base = ens.points[:, 0, :]
     paired = []
     for a, i in enumerate(idx):
-        v = V[:, a, :]
-        if hyperbolic:
-            x = ens.points[:, i, :]
-            # ambient gradient -> Riemannian gradient in the tangent space
-            eta_v = v.copy()
-            eta_v[:, -1] *= -1.0
-            v = hyp.tangent_project(x, eta_v)
-            for k in range(i, 0, -1):
-                v = hyp.parallel_transport(v, ens.points[:, k, :], ens.points[:, k - 1, :])
+        # ambient gradient -> Riemannian gradient in the tangent space
+        eta_v = V[:, a, :].copy()
+        eta_v[:, -1] *= -1.0
+        v = hyp.tangent_project(ens.points[:, i, :], eta_v)
+        for k in range(i, 0, -1):
+            v = hyp.parallel_transport(v, ens.points[:, k, :], ens.points[:, k - 1, :])
         paired.append(v)
     W = np.stack(paired, axis=1)
-    if hyperbolic:
-        # Minkowski pairing at the base point (positive definite on tangents)
-        prod = np.einsum("mic,mjc->mij", W[..., :-1], W[..., :-1]) - np.einsum(
-            "mi,mj->mij", W[..., -1], W[..., -1]
-        )
-        return np.einsum("ij,mij->m", G, prod)
-    return np.einsum("ij,mic,mjc->m", G, W, W)
+    # Minkowski pairing at the base point (positive definite on tangents)
+    prod = np.einsum("mic,mjc->mij", W[..., :-1], W[..., :-1]) - np.einsum(
+        "mi,mj->mij", W[..., -1], W[..., -1]
+    )
+    return np.einsum("ij,mij->m", G, prod)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +238,7 @@ class EstimateWithCI:
             raise EstimatorError("std_error must be nonnegative")
 
 
-def _jackknife(components, g, method="jackknife"):
+def _jackknife(components, g):
     """Estimate g(mean of components) with leave-one-out bias/SE.
 
     ``components`` is a list of 1-d arrays (same length N); ``g`` takes one
@@ -268,8 +253,6 @@ def _jackknife(components, g, method="jackknife"):
         raise EstimatorError("degenerate ensemble: need at least two paths")
     totals = [math.fsum(c) for c in comps]
     full = float(g(*[t / n for t in totals]))
-    if method == "plain":
-        return EstimateWithCI(value=full, std_error=0.0, n_samples=n, method="plain")
     loo = g(*[(t - c) / (n - 1) for t, c in zip(totals, comps)])
     loo = np.asarray(loo, dtype=float)
     loo.sort()  # both sums below then run in an order independent of the path order
@@ -284,31 +267,27 @@ def _function_values(F, ens):
     return F.values(ens.points[:, idx, :])
 
 
-def variance(F: CylindricalFunction, ens: PathEnsemble, method="jackknife") -> EstimateWithCI:
+def variance(F: CylindricalFunction, ens: PathEnsemble) -> EstimateWithCI:
     x = _function_values(F, ens)
     if x.size < 2:
         raise EstimatorError("degenerate ensemble: need at least two paths")
     if np.all(x == x[0]):  # constants have variance exactly 0
-        return EstimateWithCI(value=0.0, std_error=0.0, n_samples=x.size, method=method)
-    return _jackknife([x, x * x], lambda m1, m2: m2 - m1 * m1, method=method)
+        return EstimateWithCI(value=0.0, std_error=0.0, n_samples=x.size)
+    return _jackknife([x, x * x], lambda m1, m2: m2 - m1 * m1)
 
 
-def entropy(F: CylindricalFunction, ens: PathEnsemble, method="jackknife") -> EstimateWithCI:
+def entropy(F: CylindricalFunction, ens: PathEnsemble) -> EstimateWithCI:
     """Ent(F^2) = E[F^2 log(F^2 / E F^2)] with the convention 0 log 0 = 0."""
     x = _function_values(F, ens)
     if x.size < 2:
         raise EstimatorError("degenerate ensemble: need at least two paths")
     w = x * x
     if np.all(w == w[0]):  # constants have entropy exactly 0
-        return EstimateWithCI(value=0.0, std_error=0.0, n_samples=w.size, method=method)
+        return EstimateWithCI(value=0.0, std_error=0.0, n_samples=w.size)
     if not np.any(w > 0):
         raise EstimatorError("entropy needs F^2 not almost surely 0")
     wlw = np.where(w > 0, w * np.log(np.where(w > 0, w, 1.0)), 0.0)
-    return _jackknife(
-        [w, wlw],
-        lambda mw, mwl: mwl - mw * np.log(np.maximum(mw, 1e-300)),
-        method=method,
-    )
+    return _jackknife([w, wlw], lambda mw, mwl: mwl - mw * np.log(np.maximum(mw, 1e-300)))
 
 
 def lsi_ratio(F: CylindricalFunction, ens: PathEnsemble, kernel: GreenKernel) -> EstimateWithCI:

@@ -17,10 +17,11 @@ endpoint singularity.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 
 SHEET_TOL = 1e-10
 _TANGENT_TOL = 1e-10
@@ -107,14 +108,7 @@ def frame_at(x, n):
     """Orthonormal tangent frame at x, transported from the canonical frame
     at the origin; shape (..., n, n+1)."""
     x = np.asarray(x, dtype=float)
-    o = origin(n)
-    frame = []
-    for i in range(n):
-        e = np.zeros(n + 1)
-        e[i] = 1.0
-        ei = np.broadcast_to(e, x.shape).copy()
-        frame.append(parallel_transport(ei, np.broadcast_to(o, x.shape), x))
-    return np.stack(frame, axis=-2)
+    return parallel_transport(np.eye(n, n + 1), origin(n), x[..., None, :])
 
 
 def gram_schmidt_tangent(x, frame):
@@ -233,18 +227,6 @@ def _h2_integrals(tau, r, want_derivative=False):
             return 2.0
         return 2.0 * sv * math.exp(rr4 - sv * sv / (4.0 * tau)) / math.sinh(sv)
 
-    import warnings
-    from scipy.integrate import IntegrationWarning
-
-    kw = dict(epsabs=1e-14, epsrel=5e-13, limit=200)
-    with warnings.catch_warnings():
-        # requested accuracy sits at machine precision on purpose; the
-        # achieved accuracy is cross-checked against finite differences
-        warnings.simplefilter("ignore", IntegrationWarning)
-        J0 = quad(f0, 0.0, u_mid, **kw)[0] + quad(f0, u_mid, u_max, **kw)[0]
-    if not want_derivative:
-        return J0
-
     sh_r = math.sinh(r)
 
     def f1(u):
@@ -259,10 +241,17 @@ def _h2_integrals(tau, r, want_derivative=False):
         )
         return h * sh_r / math.sinh(sv)
 
+    kw = dict(epsabs=1e-14, epsrel=5e-13, limit=200)
+
+    def integrate(f):
+        return quad(f, 0.0, u_mid, **kw)[0] + quad(f, u_mid, u_max, **kw)[0]
+
     with warnings.catch_warnings():
+        # requested accuracy sits at machine precision on purpose; the
+        # achieved accuracy is cross-checked against finite differences
         warnings.simplefilter("ignore", IntegrationWarning)
-        J1 = quad(f1, 0.0, u_mid, **kw)[0] + quad(f1, u_mid, u_max, **kw)[0]
-    return J0, J1
+        J0 = integrate(f0)
+        return (J0, integrate(f1)) if want_derivative else J0
 
 
 def _p2_lap(tau, r):
@@ -280,32 +269,36 @@ def _dlogp2_dr_lap(tau, r):
     return J1 / J0
 
 
-def heat_kernel(t, r, params: HeatKernelParams):
-    """Kernel value p_t(x, y) as a function of r = d(x, y); vectorized in r
-    for n = 3, scalar quadrature per point for n = 2."""
+def _per_radius(t, r, params, closed_form, scalar):
+    # internal formulas use the Laplacian convention at tau = t * tau_factor;
+    # n = 3 is vectorized in r, n = 2 runs one scalar quadrature per radius
     if not t > 0:
         raise GeometryError("heat kernel needs t > 0")
     tau = t * params.tau_factor
     if params.n == 3:
-        return _p3_lap(tau, r)
+        return closed_form(tau, r)
     r_arr = np.asarray(r, dtype=float)
     if r_arr.ndim == 0:
-        return _p2_lap(tau, float(r_arr))
-    return np.array([_p2_lap(tau, float(x)) for x in r_arr.ravel()]).reshape(r_arr.shape)
+        return scalar(tau, float(r_arr))
+    return np.array([scalar(tau, float(x)) for x in r_arr.ravel()]).reshape(r_arr.shape)
+
+
+def heat_kernel(t, r, params: HeatKernelParams):
+    """Kernel value p_t(x, y) as a function of r = d(x, y)."""
+    return _per_radius(t, r, params, _p3_lap, _p2_lap)
 
 
 def dlog_heat_kernel_dr(t, r, params: HeatKernelParams):
-    """Radial derivative of log p_t; negative (the kernel decreases in r)."""
-    if not t > 0:
-        raise GeometryError("heat kernel needs t > 0")
-    tau = t * params.tau_factor
-    # d/dr log p^{half}(t) = d/dr log p^{lap}(t/2): chain rule only rescales time
-    if params.n == 3:
-        return _dlogp3_dr_lap(tau, r)
-    r_arr = np.asarray(r, dtype=float)
-    if r_arr.ndim == 0:
-        return _dlogp2_dr_lap(tau, float(r_arr))
-    return np.array([_dlogp2_dr_lap(tau, float(x)) for x in r_arr.ravel()]).reshape(r_arr.shape)
+    """Radial derivative of log p_t; negative (the kernel decreases in r).
+    d/dr log p^{half}(t) = d/dr log p^{lap}(t/2): the chain rule only
+    rescales time."""
+    return _per_radius(t, r, params, _dlogp3_dr_lap, _dlogp2_dr_lap)
+
+
+def radial_coef(dlog, r):
+    """Coefficient c with grad log p = c log_x(y0), given dlog = d/dr log p
+    at r = d(x, y0): grad_x d(x, y0) = -log_x(y0)/r; 0 at the pole."""
+    return np.where(r > 1e-12, -dlog / np.where(r > 0, r, 1.0), 0.0)
 
 
 def grad_log_heat_kernel(t, x, y0, params: HeatKernelParams):
@@ -314,14 +307,7 @@ def grad_log_heat_kernel(t, x, y0, params: HeatKernelParams):
     x = np.asarray(x, dtype=float)
     y0 = np.asarray(y0, dtype=float)
     r = dist(x, y0)
-    # grad_x d(x, y0) = -log_x(y0)/r, so grad log p = (-dlogp/r) log_x(y0)
-    coef = np.where(r > 1e-12, -_safe_div(dlog_heat_kernel_dr(t, r, params), r), 0.0)
-    return coef[..., None] * log_map(x, y0)
-
-
-def _safe_div(a, b):
-    b = np.where(b == 0.0, 1.0, b)
-    return a / b
+    return radial_coef(dlog_heat_kernel_dr(t, r, params), r)[..., None] * log_map(x, y0)
 
 
 def radial_integral(f, n, r_max, **quad_kw):

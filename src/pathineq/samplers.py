@@ -13,10 +13,12 @@ The drift blows up like d/(T-t) + 1/sqrt(T-t) near the terminal time, so the
 grid is refined geometrically toward T and the last node is snapped to the
 endpoint with the pre-snap gap recorded as a diagnostic.
 
-Noise is counter-based (Philox keyed by seed, counter blocks indexed by step),
-so ensembles are bit-reproducible for a given config and independent of any
-worker schedule: the value consumed for (path i, step j) sits at a fixed
-counter offset.
+Noise is counter-based: each (seed, stream, step) has its own Philox stream,
+so ensembles are bit-reproducible for a given config and a step's draws do
+not depend on which steps were drawn before it.  Within a step, path i's
+normals follow those of paths 0..i-1, so the first paths of a run match a
+run with fewer paths.  The ziggurat consumes a variable number of counter
+words per normal, so a given (path, step) does not sit at a fixed offset.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -118,11 +121,15 @@ class TimeGrid:
 
 
 def step_normals(seed, step, shape, stream=0):
-    """Standard normals from a Philox block keyed by (seed; stream, step).
+    """Standard normals from a Philox stream keyed by seed, counter (stream, step).
 
-    Counter blocks for distinct (stream, step) pairs are disjoint (the low
-    64-bit word would have to overflow to collide), which makes draws for
-    (path, step) reproducible and schedule-independent.
+    Streams for distinct (stream, step) pairs are disjoint (the low 64-bit
+    counter word would have to overflow to collide).  Normals fill ``shape``
+    in C order, so the leading rows match a call with fewer rows:
+    ``step_normals(9, 3, (1000, 3))[:400]`` equals
+    ``step_normals(9, 3, (400, 3))``.  The ziggurat takes a variable number
+    of counter words per normal, so a row's position in the stream depends on
+    the draws before it.
     """
     bg = np.random.Philox(key=np.uint64(seed), counter=[0, stream, step, 0])
     return np.random.Generator(bg).standard_normal(shape)
@@ -202,22 +209,6 @@ class PathEnsemble:
     def n_paths(self):
         return self.points.shape[0]
 
-    def path(self, i):
-        return DiscretePath(
-            grid=self.grid,
-            points=self.points[i],
-            measure_tag=self.measure_tag,
-            frames=self.frames[i] if self.frames is not None else None,
-        )
-
-
-@dataclass
-class DiscretePath:
-    grid: TimeGrid
-    points: np.ndarray
-    measure_tag: str
-    frames: np.ndarray | None = None
-
 
 # ---------------------------------------------------------------------------
 # Flat samplers
@@ -246,8 +237,8 @@ def sample_flat_bridge(cfg: SamplerConfig) -> PathEnsemble:
     return PathEnsemble(config=cfg, measure_tag="flat_bridge", points=points)
 
 
-def sample_ou(cfg: SamplerConfig, start="stationary", scheme="exact") -> PathEnsemble:
-    """Langevin dynamics du = dW - (1/2) u dt.
+def sample_ou(cfg: SamplerConfig, scheme="exact") -> PathEnsemble:
+    """Langevin dynamics du = dW - (1/2) u dt, started from its stationary law.
 
     ``exact`` uses the Gaussian transition u_{t+h} = e^{-h/2} u_t +
     sqrt(1 - e^{-h}) xi (stationary law = standard normal); ``euler`` is the
@@ -256,10 +247,7 @@ def sample_ou(cfg: SamplerConfig, start="stationary", scheme="exact") -> PathEns
     nodes = cfg.grid.array()
     n_steps = nodes.size - 1
     points = np.empty((cfg.n_paths, nodes.size, cfg.dim))
-    if start == "stationary":
-        points[:, 0, :] = step_normals(cfg.seed, 0, (cfg.n_paths, cfg.dim), stream=1)
-    else:
-        points[:, 0, :] = np.asarray(cfg.x0 if cfg.x0 is not None else 0.0)
+    points[:, 0, :] = step_normals(cfg.seed, 0, (cfg.n_paths, cfg.dim), stream=1)
     for k in range(n_steps):
         h = nodes[k + 1] - nodes[k]
         xi = step_normals(cfg.seed, k, (cfg.n_paths, cfg.dim))
@@ -298,7 +286,7 @@ def sample_hyperbolic_bridge(cfg: SamplerConfig, store_frames=False) -> PathEnse
             raise SamplerError(f"{name} must be a point on the hyperboloid sheet of H^{n}")
 
     m = cfg.n_paths
-    drift_eval = _make_drift(params, T, nodes)
+    dlog_dr = _make_drift(params, T, nodes)
 
     y = np.broadcast_to(x0, (m, n + 1)).copy()
     F = np.broadcast_to(hyp.frame_at(x0, n), (m, n, n + 1)).copy()
@@ -315,9 +303,9 @@ def sample_hyperbolic_bridge(cfg: SamplerConfig, store_frames=False) -> PathEnse
         t = nodes[k]
         h = nodes[k + 1] - t
         t_rem = T - t
-        drift = drift_eval(t_rem, y, y0)
-        # mirror of the gradient bound: |drift| <= cap (d/(T-t) + 1/sqrt(T-t))
         r = hyp.dist(y, y0)
+        drift = hyp.radial_coef(dlog_dr(t_rem, r), r)[:, None] * hyp.log_map(y, y0)
+        # mirror of the gradient bound: |drift| <= cap (d/(T-t) + 1/sqrt(T-t))
         cap = cfg.drift_cap * (r / t_rem + 1.0 / math.sqrt(t_rem))
         mag = np.sqrt(np.maximum(hyp.minkowski_dot(drift, drift), 0.0))
         over = mag > cap
@@ -329,9 +317,7 @@ def sample_hyperbolic_bridge(cfg: SamplerConfig, store_frames=False) -> PathEnse
         xi = step_normals(cfg.seed, k, (m, n))
         dv = math.sqrt(h) * np.einsum("pj,pjc->pc", xi, F) + h * drift
         y_new = hyp.exp_map(y, dv)
-        F = np.stack(
-            [hyp.parallel_transport(F[:, j, :], y, y_new) for j in range(n)], axis=1
-        )
+        F = hyp.parallel_transport(F, y[:, None, :], y_new[:, None, :])
         if (k + 1) % 16 == 0:
             F = hyp.gram_schmidt_tangent(y_new, F)
         y = y_new
@@ -356,11 +342,9 @@ def sample_hyperbolic_bridge(cfg: SamplerConfig, store_frames=False) -> PathEnse
 
 
 def _make_drift(params: HeatKernelParams, T, nodes):
+    """The radial derivative d/dr log p_{t_rem}(r) as a function of (t_rem, r)."""
     if params.n == 3:
-        def drift_eval(t_rem, y, y0):
-            return hyp.grad_log_heat_kernel(t_rem, y, y0, params)
-
-        return drift_eval
+        return lambda t_rem, r: hyp.dlog_heat_kernel_dr(t_rem, r, params)
 
     # n = 2: the radial derivative needs quadrature, so interpolate the
     # regular part g(t', r) = d/dr log p_{t'}(r) + r/t' on a (t', r) grid
@@ -375,15 +359,7 @@ def _make_drift(params: HeatKernelParams, T, nodes):
         vals[i, 1:] = dl + r_grid[1:] / tp  # regular part: the -r/t' pole removed
         vals[i, 0] = 0.0
     spline = RectBivariateSpline(np.log(t_grid), r_grid, vals, kx=3, ky=3)
-
-    def drift_eval(t_rem, y, y0):
-        r = hyp.dist(y, y0)
-        reg = spline(math.log(np.clip(t_rem, t_lo, T)), r, grid=False)
-        dlog = reg - r / t_rem
-        coef = np.where(r > 1e-12, -dlog / np.where(r > 0, r, 1.0), 0.0)
-        return coef[:, None] * hyp.log_map(y, y0)
-
-    return drift_eval
+    return lambda t_rem, r: spline(math.log(np.clip(t_rem, t_lo, T)), r, grid=False) - r / t_rem
 
 
 def continuity_diagnostic(ens: PathEnsemble):
@@ -435,19 +411,28 @@ def load_ensemble(path) -> PathEnsemble:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise SamplerError(f"{path}: not a pathineq ensemble file")
-        (hlen,) = (int.from_bytes(fh.read(8), "little"),)
-        header = json.loads(fh.read(hlen))
-        shape = tuple(header["shape"])
-        count = int(np.prod(shape))
-        points = np.frombuffer(fh.read(count * 8), dtype="<f8").reshape(shape).copy()
-        diagnostics = dict(header.get("diag_scalars", {}))
-        for k, shp in header.get("diag_arrays", []):
-            cnt = int(np.prod(shp))
-            diagnostics[k] = np.frombuffer(fh.read(cnt * 8), dtype="<f8").reshape(shp).copy()
-    cfg = SamplerConfig.from_dict(header["config"])
-    return PathEnsemble(
-        config=cfg, measure_tag=header["measure_tag"], points=points, diagnostics=diagnostics
-    )
+        hlen = int.from_bytes(fh.read(8), "little")
+        try:
+            header = json.loads(fh.read(hlen))
+            cfg = SamplerConfig.from_dict(header["config"])
+            tag = header["measure_tag"]
+            shape = tuple(header["shape"])
+            arrays = [("points", shape)] + [(k, tuple(shp)) for k, shp in header.get("diag_arrays", [])]
+            nbytes = sum(8 * math.prod(shp) for _, shp in arrays)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise SamplerError(f"{path}: malformed ensemble header: {exc}") from exc
+        if header.get("config_hash") != cfg.config_hash:
+            raise SamplerError(f"{path}: config_hash does not match the header's config")
+        coords = cfg.dim + (tag == "hyperbolic_bridge")
+        want = (cfg.n_paths, cfg.grid.n_nodes, coords)
+        if shape != want:
+            raise SamplerError(f"{path}: shape {list(shape)} does not match the config's {list(want)}")
+        if os.fstat(fh.fileno()).st_size != fh.tell() + nbytes:
+            raise SamplerError(f"{path}: file length does not match the header (truncated?)")
+        data = {k: np.fromfile(fh, dtype="<f8", count=math.prod(shp)).reshape(shp) for k, shp in arrays}
+    points = data.pop("points")
+    diagnostics = dict(header.get("diag_scalars", {})) | data
+    return PathEnsemble(config=cfg, measure_tag=tag, points=points, diagnostics=diagnostics)
 
 
 def ensemble_to_csv(path, ens: PathEnsemble, max_paths=10_000):

@@ -147,6 +147,38 @@ def test_config_error_reports_line_number(tmp_path, capsys):
     assert "bad.yaml:2" in err and "sampler" in err
 
 
+def test_missing_hermite_degree_names_file_and_line(tmp_path, capsys):
+    estimate = """\
+name: he
+ensemble: bridge.pens
+estimators: [variance]
+functions:
+  - {type: coordinate}
+  - {type: hermite, time: 1.0}
+out: he.json
+"""
+    cfg = write(tmp_path, "he.yaml", estimate)
+    assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "he.yaml:6" in err and "functions[1].degree" in err
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_program_bug_is_not_a_config_error(tmp_path, monkeypatch, threads):
+    import pathineq.estimators
+
+    def broken(*args, **kwargs):
+        raise TypeError("unexpected keyword 'x'")
+
+    out = str(tmp_path / "out")
+    assert main(["sample", "--config", write(tmp_path, "s.yaml", SAMPLE_YAML), "--out", out]) == 0
+    e2 = ESTIMATE_YAML.replace("bridge-tail", "other").replace("tail_estimates", "other")
+    configs = ["--config", write(tmp_path, "e1.yaml", ESTIMATE_YAML), "--config", write(tmp_path, "e2.yaml", e2)]
+    monkeypatch.setattr(pathineq.estimators, "weight_tail", broken)
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        main(["estimate", *configs, "--out", out, "--threads", threads])
+
+
 def test_config_validator_paths():
     data, linemap = (
         {"name": "x", "sampler": "wiener", "seed": 1, "n_paths": 0, "dim": 1, "T": 1.0,

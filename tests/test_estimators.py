@@ -121,19 +121,6 @@ def test_fd_partials_match_analytic():
     assert rel.max() < 1e-4
 
 
-def test_flat_through_transport_code_path_agrees():
-    cfg = SamplerConfig(seed=9, n_paths=100, grid=TimeGrid.uniform(1.0, 8), dim=2)
-    ens = sample_wiener(cfg)
-
-    def fn(X):
-        return X[:, 0, 0] * X[:, 1, 1] + np.cos(X[:, 0, 1])
-
-    F = CylindricalFunction(times=(0.5, 1.0), fn=fn)
-    direct = h_gradient_energy(F, ens, BASED)
-    transported = h_gradient_energy(F, ens, BASED, force_transport=True)
-    assert np.max(np.abs(direct - transported)) < 1e-10
-
-
 def test_hyperbolic_energy_single_time_norm():
     # one evaluation time: energy = G(t,t) |v|^2 with v the tangent gradient;
     # transport back to base preserves the Minkowski norm, so the pairing

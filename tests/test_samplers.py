@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -61,6 +63,17 @@ def test_sampler_determinism_bit_identical():
     cfg3 = SamplerConfig(seed=7, n_paths=20, grid=TimeGrid.with_geometric_tail(1.0, 8), dim=3)
     h1, h2 = sample_hyperbolic_bridge(cfg3), sample_hyperbolic_bridge(cfg3)
     assert np.array_equal(h1.points, h2.points)
+    assert _digest(h1.points) == "6f5a3007c58b150f9895be012f6c934a57b75f59f74848c11a7400beb2b4767c"
+    assert _digest(h1.diagnostics["presnap_gap"]) == (
+        "4ee86a7522aeb3182f15f6e8ee041cf38e0ba2a182cfebffc323941311507c69"
+    )
+
+
+def _digest(a):
+    # SHA-256 of the little-endian float64 bytes.  The pinned digests were
+    # recorded with numpy 2.4.6 and scipy 1.17.1; a refactor of the bridge
+    # step must reproduce them bit for bit.
+    return hashlib.sha256(np.ascontiguousarray(a, dtype="<f8").tobytes()).hexdigest()
 
 
 def test_wiener_scaling():
@@ -170,6 +183,10 @@ def test_hyperbolic_bridge_n2_smoke():
     ens = sample_hyperbolic_bridge(cfg)
     assert np.max(np.abs(hyp.minkowski_dot(ens.points, ens.points) + 1.0)) < 1e-10
     assert ens.diagnostics["presnap_gap_median"] < 0.5
+    assert _digest(ens.points) == "590b127d38dd4a40731b98f6c8bb9a3e4473cfdda77f3553eed2b0d5eb8b7b20"
+    assert _digest(ens.diagnostics["presnap_gap"]) == (
+        "d0c3496715779471dd524823ae0e41bd6153304e0f0c66da2af02f37fa9867b5"
+    )
 
 
 def test_drift_cap_policy_counts_events():
@@ -217,3 +234,31 @@ def test_load_rejects_garbage(tmp_path):
     p.write_bytes(b"not an ensemble")
     with pytest.raises(SamplerError, match="not a pathineq ensemble"):
         load_ensemble(p)
+
+    cfg = SamplerConfig(seed=3, n_paths=5, grid=TimeGrid.with_geometric_tail(1.0, 4), dim=3)
+    good = tmp_path / "good.pens"
+    save_ensemble(good, sample_hyperbolic_bridge(cfg))
+    blob = good.read_bytes()
+    hlen = int.from_bytes(blob[10:18], "little")
+    header = json.loads(blob[18 : 18 + hlen])
+
+    def with_header(name, **changes):
+        h = json.dumps(header | changes, sort_keys=True).encode()
+        out = tmp_path / name
+        out.write_bytes(blob[:10] + len(h).to_bytes(8, "little") + h + blob[18 + hlen :])
+        return out
+
+    assert np.array_equal(load_ensemble(with_header("same.pens")).points, load_ensemble(good).points)
+    truncated = tmp_path / "truncated.pens"
+    truncated.write_bytes(blob[:-12])
+    with pytest.raises(SamplerError, match="truncated.pens.*length"):
+        load_ensemble(truncated)
+    edited = with_header("edited.pens", config=header["config"] | {"seed": 4})
+    with pytest.raises(SamplerError, match="edited.pens.*config_hash"):
+        load_ensemble(edited)
+    wrong_dim = with_header("dim.pens", shape=[5, header["shape"][1], 3])
+    with pytest.raises(SamplerError, match="dim.pens.*shape"):
+        load_ensemble(wrong_dim)
+    flat_tag = with_header("tag.pens", measure_tag="wiener")
+    with pytest.raises(SamplerError, match="tag.pens.*shape"):
+        load_ensemble(flat_tag)
