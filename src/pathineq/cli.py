@@ -26,7 +26,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .config import ConfigError
+from .config import ConfigError, Validator, load_config, present
+from .config import validate_estimate, validate_sample, validate_transfer
 
 REPORT_SCHEMA_VERSION = "pathineq.runreport.v1"
 
@@ -62,8 +63,7 @@ def _report(command, scenarios, t0):
     }
 
 
-def _write_report(report, out_dir, name="report.json"):
-    os.makedirs(out_dir, exist_ok=True)
+def _write_report(report, out_dir, name):
     path = os.path.join(out_dir, name)
     with open(path, "w") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
@@ -78,28 +78,18 @@ def _out_dir(args):
 # transfer
 
 
-def _run_transfer_scenario(path, out_dir):
-    from .config import Validator, load_config, validate_transfer
+def _run_transfer_scenario(data, path, out_dir):
     from .pipeline import pipeline_report, run_transfer_pipeline
 
-    data, linemap = load_config(path)
-    validate_transfer(Validator(data, linemap, str(path)))
-    t0 = time.perf_counter()
     results = run_transfer_pipeline(data, base_dir=os.path.dirname(os.path.abspath(path)))
-    report = pipeline_report(results, grid_points=data.get("profile_grid", {}).get("points", 48))
+    grid = data.get("profile_grid", {})
+    report = pipeline_report(results, **({"grid_points": grid["points"]} if "points" in grid else {}))
     name = data["name"]
     out_json = os.path.join(out_dir, f"{name}.transfer.json")
-    os.makedirs(out_dir, exist_ok=True)
     with open(out_json, "w") as fh:
         json.dump({"name": name, "stages": report}, fh, indent=1)
     _emit_profile_csv(out_dir, name, report)
-    return {
-        "name": name,
-        "status": "ok",
-        "outputs": [out_json],
-        "elapsed_s": time.perf_counter() - t0,
-        "final_kind": results[-1].kind,
-    }
+    return {"outputs": [out_json], "final_kind": results[-1].kind}
 
 
 def _emit_profile_csv(out_dir, name, report):
@@ -126,10 +116,8 @@ def _build_sampler_config(data, seed_override=None):
     T = float(data["T"])
     gspec = data["grid"]
     if data["sampler"] == "hyperbolic_bridge" or "tail" in gspec:
-        tail = gspec.get("tail", {})
-        grid = TimeGrid.with_geometric_tail(
-            T, gspec["n_steps"], lam=tail.get("lam", 0.5), floor=tail.get("floor", 1e-6)
-        )
+        tail = present(gspec.get("tail", {}), ("lam", "floor"))
+        grid = TimeGrid.with_geometric_tail(T, gspec["n_steps"], **tail)
     else:
         grid = TimeGrid.uniform(T, gspec["n_steps"])
 
@@ -145,12 +133,11 @@ def _build_sampler_config(data, seed_override=None):
         dim=int(data["dim"]),
         x0=point(data.get("x0")),
         y0=point(data.get("y0")),
-        drift_cap=float(data.get("drift_cap", 4.0)),
+        **{k: float(v) for k, v in present(data, ("drift_cap",)).items()},
     )
 
 
-def _run_sample_scenario(path, out_dir, seed_override=None):
-    from .config import Validator, load_config, validate_sample
+def _run_sample_scenario(data, path, out_dir, seed_override=None):
     from .samplers import (
         ensemble_to_csv,
         sample_flat_bridge,
@@ -160,10 +147,7 @@ def _run_sample_scenario(path, out_dir, seed_override=None):
         save_ensemble,
     )
 
-    data, linemap = load_config(path)
-    validate_sample(Validator(data, linemap, str(path)))
     cfg = _build_sampler_config(data, seed_override)
-    t0 = time.perf_counter()
     sampler = {
         "wiener": sample_wiener,
         "flat_bridge": sample_flat_bridge,
@@ -171,17 +155,13 @@ def _run_sample_scenario(path, out_dir, seed_override=None):
         "hyperbolic_bridge": sample_hyperbolic_bridge,
     }[data["sampler"]]
     ens = sampler(cfg)
-    os.makedirs(out_dir, exist_ok=True)
     out_path = os.path.join(out_dir, data["out"])
     if data.get("format", "binary") == "csv":
         ensemble_to_csv(out_path, ens)
     else:
         save_ensemble(out_path, ens)
     return {
-        "name": data["name"],
-        "status": "ok",
         "outputs": [out_path],
-        "elapsed_s": time.perf_counter() - t0,
         "seed": cfg.seed,
         "config_hash": cfg.config_hash,
         "measure_tag": ens.measure_tag,
@@ -214,8 +194,7 @@ def _build_functions(specs, T):
     return out
 
 
-def _run_estimate_scenario(path, out_dir):
-    from .config import Validator, load_config, validate_estimate
+def _run_estimate_scenario(data, path, out_dir):
     from .estimators import (
         GreenKernel,
         entropy,
@@ -228,16 +207,12 @@ def _run_estimate_scenario(path, out_dir):
     )
     from .samplers import load_ensemble
 
-    data, linemap = load_config(path)
-    v = Validator(data, linemap, str(path))
-    validate_estimate(v)
     ens_path = data["ensemble"]
     if not os.path.isabs(ens_path):
         candidate = os.path.join(os.path.dirname(os.path.abspath(path)), ens_path)
         ens_path = candidate if os.path.exists(candidate) else os.path.join(out_dir, ens_path)
     if not os.path.exists(ens_path):
         raise ConfigError(f"ensemble file not found: {ens_path}", file=str(path), path="ensemble")
-    t0 = time.perf_counter()
     ens = load_ensemble(ens_path)
     T = ens.grid.T
     kernel = None
@@ -258,24 +233,20 @@ def _run_estimate_scenario(path, out_dir):
             results["rayleigh"] = scan.to_dict()
             csv_rows = scan.rows
         elif est_name == "variance":
-            results["variance"] = {F.label: _est_dict(variance(F, ens)) for F in family}
+            results["variance"] = {F.label: variance(F, ens).to_dict() for F in family}
         elif est_name == "entropy":
-            results["entropy"] = {F.label: _est_dict(entropy(F, ens)) for F in family}
+            results["entropy"] = {F.label: entropy(F, ens).to_dict() for F in family}
         elif est_name == "lsi_ratio":
-            results["lsi_ratio"] = {
-                F.label: _est_dict(lsi_ratio(F, ens, kernel)) for F in family
-            }
+            results["lsi_ratio"] = {F.label: lsi_ratio(F, ens, kernel).to_dict() for F in family}
         elif est_name == "weight_tail":
             results["weight_tail"] = weight_tail(ens).to_dict()
         elif est_name == "exp_square_moment":
-            u = sup_distance(ens)
-            est = exp_square_moment(u, float(data.get("exp_square_c", 0.25)))
-            results["exp_square_moment"] = _est_dict(est)
+            est = exp_square_moment(sup_distance(ens), float(data.get("exp_square_c", 0.25)))
+            results["exp_square_moment"] = est.to_dict()
 
-    os.makedirs(out_dir, exist_ok=True)
     out_json = os.path.join(out_dir, data["out"])
     with open(out_json, "w") as fh:
-        json.dump({"name": data["name"], "provenance": records, "results": results}, fh, indent=1, default=_json_default)
+        json.dump({"name": data["name"], "provenance": records, "results": results}, fh, indent=1)
     outputs = [out_json]
     if csv_rows is not None:
         csv_path = os.path.join(out_dir, f"{data['name']}.rayleigh.csv")
@@ -289,26 +260,7 @@ def _run_estimate_scenario(path, out_dir):
                     f"{records['seed']},{records['config_hash']}\n"
                 )
         outputs.append(csv_path)
-    return {
-        "name": data["name"],
-        "status": "ok",
-        "outputs": outputs,
-        "elapsed_s": time.perf_counter() - t0,
-        "seed": ens.config.seed,
-        "config_hash": ens.config.config_hash,
-    }
-
-
-def _est_dict(est):
-    return vars(est) | {"flags": list(est.flags)}
-
-
-def _json_default(v):
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    if isinstance(v, tuple):
-        return list(v)
-    raise TypeError(f"not JSON serializable: {type(v)}")
+    return {"outputs": outputs, **records}
 
 
 # ---------------------------------------------------------------------------
@@ -341,33 +293,32 @@ def cmd_verify(args):
 
 
 def cmd_scenarios(args):
-    """Run each --config with the subcommand's runner and merge the reports by name."""
+    """Run each --config with the subcommand's runner and merge the reports by name.
+
+    A runner takes a validated config as ``(data, path, out_dir[, seed_override])``
+    and returns only its own fields of the scenario record."""
     t0 = time.perf_counter()
     out_dir = _out_dir(args)
+    os.makedirs(out_dir, exist_ok=True)
     kw = {"seed_override": args.seed} if "seed" in args else {}
-    results = []
-    errors = []
 
     def run_one(path):
-        return args.runner(path, out_dir, **kw)
+        data, linemap = load_config(path)
+        args.validator(Validator(data, linemap, str(path)))
+        t = time.perf_counter()
+        record = args.runner(data, path, out_dir, **kw)
+        return {"name": data["name"], "status": "ok", "elapsed_s": time.perf_counter() - t, **record}
 
-    if args.threads > 1 and len(args.config) > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as ex:
-            futs = {ex.submit(run_one, p): p for p in args.config}
-            for fut, p in futs.items():
-                try:
-                    results.append(fut.result())
-                except INPUT_ERRORS as exc:
-                    errors.append((p, exc))
-    else:
-        for p in args.config:
-            try:
-                results.append(run_one(p))
-            except INPUT_ERRORS as exc:
-                errors.append((p, exc))
-    if errors:
-        for p, exc in errors:
-            print(f"error: {exc}", file=sys.stderr)
+    with ThreadPoolExecutor(max_workers=max(args.threads, 1)) as ex:
+        futs = [(p, ex.submit(run_one, p)) for p in args.config]
+    results = []
+    for p, fut in futs:
+        try:
+            results.append(fut.result())
+        except INPUT_ERRORS as exc:
+            named = isinstance(exc, ConfigError) and exc.file is not None
+            print(f"error: {exc}" if named else f"error: {p}: {exc}", file=sys.stderr)
+    if len(results) < len(futs):
         return EXIT_CONFIG
     names = [r["name"] for r in results]
     if len(set(names)) != len(names):
@@ -380,9 +331,9 @@ def cmd_scenarios(args):
 
 
 SCENARIO_COMMANDS = {
-    "transfer": (_run_transfer_scenario, "run a chain of inequality transfers"),
-    "sample": (_run_sample_scenario, "sample a path ensemble to a file"),
-    "estimate": (_run_estimate_scenario, "run estimators over a stored ensemble"),
+    "transfer": (_run_transfer_scenario, validate_transfer, "run a chain of inequality transfers"),
+    "sample": (_run_sample_scenario, validate_sample, "sample a path ensemble to a file"),
+    "estimate": (_run_estimate_scenario, validate_estimate, "run estimators over a stored ensemble"),
 }
 
 
@@ -392,7 +343,7 @@ def make_parser():
         description="functional-inequality transfers and path-space Monte Carlo",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    for name, (runner, text) in SCENARIO_COMMANDS.items():
+    for name, (runner, validator, text) in SCENARIO_COMMANDS.items():
         sp = sub.add_parser(name, help=text)
         sp.add_argument(
             "--config", action="append", required=True, metavar="PATH",
@@ -401,7 +352,7 @@ def make_parser():
         if name == "sample":
             sp.add_argument("--seed", type=int, default=None, help="override the config seed")
         sp.add_argument("--threads", type=int, default=1, metavar="N", help="scenario-level parallelism")
-        sp.set_defaults(fn=cmd_scenarios, runner=runner)
+        sp.set_defaults(fn=cmd_scenarios, runner=runner, validator=validator)
 
     sp = sub.add_parser("verify", help="run an acceptance suite")
     sp.add_argument("suite", help="suite name (e.g. gaussian, transfer, all)")

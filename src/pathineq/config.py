@@ -94,6 +94,12 @@ class Validator:
         return cur
 
 
+def present(spec, keys):
+    """The optional ``keys`` that ``spec`` sets, so a default lives only in the
+    signature of the function that takes them."""
+    return {k: spec[k] for k in keys if k in spec}
+
+
 def _split(path):
     parts = []
     for token in path.split("."):
@@ -129,6 +135,8 @@ def validate_transfer(v: Validator):
         v.fail("pipeline", "no stages")
     for i in range(len(stages)):
         v.get(f"pipeline[{i}].op", expected=str, choices=TRANSFER_OPS)
+    v.get("profile_grid", expected=dict, required=False)
+    v.get("profile_grid.points", expected=int, required=False)
 
 
 def validate_sample(v: Validator):
@@ -143,6 +151,10 @@ def validate_sample(v: Validator):
     if not T > 0:
         v.fail("T", "horizon T must be positive")
     v.get("grid.n_steps", expected=int)
+    v.get("grid.tail", expected=dict, required=False)
+    v.get("grid.tail.lam", expected=_NUM, required=False)
+    v.get("grid.tail.floor", expected=_NUM, required=False)
+    v.get("drift_cap", expected=_NUM, required=False)
     v.get("format", expected=str, required=False, default="binary", choices={"binary", "csv"})
     v.get("out", expected=str)
 
@@ -162,4 +174,5 @@ def validate_estimate(v: Validator):
             v.fail(f"functions[{i}].degree", "degree must be >= 0")
         if kind == "exp_half":
             v.get(f"functions[{i}].lam", expected=_NUM)
+    v.get("exp_square_c", expected=_NUM, required=False)
     v.get("out", expected=str)

@@ -237,6 +237,9 @@ class EstimateWithCI:
         if self.std_error < 0:
             raise EstimatorError("std_error must be nonnegative")
 
+    def to_dict(self):
+        return vars(self) | {"flags": list(self.flags)}
+
 
 def _jackknife(components, g):
     """Estimate g(mean of components) with leave-one-out bias/SE.
@@ -324,9 +327,9 @@ class RayleighScan:
             "rows": [
                 {
                     "label": r.label,
-                    "variance": vars(r.variance) | {"flags": list(r.variance.flags)},
-                    "energy": vars(r.energy) | {"flags": list(r.energy.flags)},
-                    "ratio": vars(r.ratio) | {"flags": list(r.ratio.flags)},
+                    "variance": r.variance.to_dict(),
+                    "energy": r.energy.to_dict(),
+                    "ratio": r.ratio.to_dict(),
                 }
                 for r in self.rows
             ],
@@ -366,21 +369,18 @@ def rayleigh_scan(family, ens: PathEnsemble, kernel: GreenKernel) -> RayleighSca
 # Weight tails on hyperbolic ensembles
 
 
-def sup_distance(ens: PathEnsemble, y0=None):
-    """u(gamma) = max over grid nodes of d(gamma_t, y0)."""
+def sup_distance(ens: PathEnsemble):
+    """u(gamma) = max over grid nodes of d(gamma_t, y0), y0 the config's pole
+    (the origin when it has none)."""
     if ens.measure_tag != "hyperbolic_bridge":
         raise EstimatorError("sup_distance expects a hyperbolic ensemble")
-    n = ens.config.dim
-    y0 = np.asarray(y0, dtype=float) if y0 is not None else (
-        np.asarray(ens.config.y0) if ens.config.y0 is not None else hyp.origin(n)
-    )
-    d = hyp.dist(ens.points, y0)
-    return d.max(axis=1)
+    y0 = np.asarray(ens.config.y0) if ens.config.y0 is not None else hyp.origin(ens.config.dim)
+    return hyp.dist(ens.points, y0).max(axis=1)
 
 
-def weight_tail(ens: PathEnsemble, y0=None, levels=None, confidence=0.99) -> TailBound:
+def weight_tail(ens: PathEnsemble, confidence=0.99) -> TailBound:
     """Upper-confidence empirical tail of u = sup_t d(gamma_t, y0)."""
-    return TailBound.from_samples(sup_distance(ens, y0), levels=levels, confidence=confidence)
+    return TailBound.from_samples(sup_distance(ens), confidence=confidence)
 
 
 def exp_square_moment(u, c, max_share=0.5) -> EstimateWithCI:

@@ -21,6 +21,7 @@ import math
 
 import numpy as np
 
+from .config import present
 from .profiles import BetaProfile, TailBound
 from .transfer import (
     DyadicParams,
@@ -43,22 +44,17 @@ def _load_tail(spec, base_dir=None):
 
     if "levels" in spec:
         return TailBound.from_dict({"type": "tail_bound", **spec})
-    if "file" in spec:
-        path = spec["file"]
-        if base_dir is not None and not os.path.isabs(path):
-            path = os.path.join(base_dir, path)
+    key = next((k for k in ("file", "from_ensemble") if k in spec), None)
+    if key is None:
+        raise PipelineError("tail spec needs 'levels', 'file' or 'from_ensemble'")
+    path = os.path.join(base_dir or "", spec[key])
+    if key == "file":
         with open(path) as fh:
             return TailBound.from_dict(json.load(fh))
-    if "from_ensemble" in spec:
-        from .estimators import weight_tail
-        from .samplers import load_ensemble
+    from .estimators import weight_tail
+    from .samplers import load_ensemble
 
-        path = spec["from_ensemble"]
-        if base_dir is not None and not os.path.isabs(path):
-            path = os.path.join(base_dir, path)
-        ens = load_ensemble(path)
-        return weight_tail(ens, confidence=spec.get("confidence", 0.99))
-    raise PipelineError("tail spec needs 'levels', 'file' or 'from_ensemble'")
+    return weight_tail(load_ensemble(path), **present(spec, ("confidence",)))
 
 
 def _load_beta(spec, prev):
@@ -98,29 +94,19 @@ def run_transfer_pipeline(spec, base_dir=None):
         op = stage.get("op")
         try:
             if op == "weighted_lsi_to_weak_lsi":
-                cert = WeightedLSICertificate(
-                    a=stage["cert"]["a"],
-                    C_exp=stage["cert"]["C_exp"],
-                    M=stage["cert"].get("M", 1.0),
-                )
-                res = weighted_lsi_to_weak_lsi(cert, smooth=stage.get("smooth", False))
+                c = stage["cert"]
+                cert = WeightedLSICertificate(a=c["a"], C_exp=c["C_exp"], **present(c, ("M",)))
+                res = weighted_lsi_to_weak_lsi(cert, **present(stage, ("smooth",)))
             elif op == "tail_to_weak_lsi":
                 tail = _load_tail(stage["tail"], base_dir)
-                res = tail_to_weak_lsi(
-                    stage["a"], tail, n_cap=stage.get("n_cap", 1000)
-                )
+                res = tail_to_weak_lsi(stage["a"], tail, **present(stage, ("n_cap",)))
             elif op == "weak_lsi_to_poincare":
                 beta = _load_beta(stage.get("beta"), prev)
                 params = _load_params(stage.get("params"))
-                res = weak_lsi_to_poincare(
-                    beta, params, budget=stage.get("budget", 10_000)
-                )
+                res = weak_lsi_to_poincare(beta, params, **present(stage, ("budget",)))
             elif op == "weak_lsi_to_weak_poincare":
                 beta = _load_beta(stage.get("beta"), prev)
-                kw = {}
-                for key in ("delta", "delta0", "r", "sigma_cap"):
-                    if key in stage:
-                        kw[key] = stage[key]
+                kw = present(stage, ("delta", "delta0", "r", "sigma_cap"))
                 res = weak_lsi_to_weak_poincare(beta, **kw)
             else:
                 raise PipelineError(f"unknown op {op!r}")

@@ -181,8 +181,8 @@ class SamplerConfig:
             dim=d["dim"],
             x0=tuple(d["x0"]) if d.get("x0") else None,
             y0=tuple(d["y0"]) if d.get("y0") else None,
-            drift_cap=d.get("drift_cap", 4.0),
-            generator_convention=d.get("generator_convention", "half_laplacian"),
+            drift_cap=d["drift_cap"],
+            generator_convention=d["generator_convention"],
         )
 
     @property

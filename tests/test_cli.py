@@ -163,6 +163,37 @@ out: he.json
     assert "he.yaml:6" in err and "functions[1].degree" in err
 
 
+def test_domain_error_names_its_scenario_file(tmp_path, capsys):
+    sample = SAMPLE_YAML.replace("hyperbolic_bridge", "wiener").replace("n_paths: 300", "n_paths: 1")
+    estimate = ESTIMATE_YAML.replace(
+        "[weight_tail, exp_square_moment]", "[variance]\nfunctions: [{type: coordinate}]"
+    )
+    out = str(tmp_path / "out")
+    assert main(["sample", "--config", write(tmp_path, "s.yaml", sample), "--out", out]) == 0
+    capsys.readouterr()
+    ecfg = write(tmp_path, "e.yaml", estimate)
+    assert main(["estimate", "--config", ecfg, "--out", out]) == 2
+    assert f"error: {ecfg}: degenerate ensemble: need at least two paths" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, old, new, line, key",
+    [
+        ("sample", "lam: 0.5", "lam: abc", 9, "grid.tail.lam"),
+        ("sample", "floor: 1.0e-6", "floor: abc", 9, "grid.tail.floor"),
+        ("sample", "x0: origin", "drift_cap: abc\nx0: origin", 10, "drift_cap"),
+        ("estimate", "exp_square_c: 0.25", "exp_square_c: abc", 4, "exp_square_c"),
+        ("transfer", "epsilon: 0.125}\n", "epsilon: 0.125}\nprofile_grid: {points: abc}\n", 6, "profile_grid.points"),
+    ],
+    ids=["lam", "floor", "drift_cap", "exp_square_c", "points"],
+)
+def test_non_numeric_option_names_file_and_line(tmp_path, capsys, command, old, new, line, key):
+    text = {"sample": SAMPLE_YAML, "estimate": ESTIMATE_YAML, "transfer": TRANSFER_YAML}[command]
+    cfg = write(tmp_path, "bad.yaml", text.replace(old, new))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"bad.yaml:{line}: {key}: expected " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_program_bug_is_not_a_config_error(tmp_path, monkeypatch, threads):
     import pathineq.estimators
@@ -206,6 +237,65 @@ def test_threads_flag_merges_deterministically(tmp_path):
     report = json.loads((tmp_path / "o" / "sample_report.json").read_text())
     names = [s["name"] for s in report["scenarios"]]
     assert names == sorted(names)  # merged by scenario name
+
+
+def test_thread_count_does_not_change_outputs(tmp_path):
+    other = SAMPLE_YAML.replace("tiny-bridge", "other").replace("bridge.pens", "other.pens")
+    samples = [write(tmp_path, "s1.yaml", SAMPLE_YAML), write(tmp_path, "s2.yaml", other.replace("99", "7"))]
+    e2 = ESTIMATE_YAML.replace("bridge-tail", "other-tail").replace("bridge.pens", "other.pens")
+    estimates = [write(tmp_path, "e1.yaml", ESTIMATE_YAML), write(tmp_path, "e2.yaml", e2.replace("tail_estimates", "other"))]
+    runs = {}
+    for threads in ("1", "2"):
+        out = str(tmp_path / f"o{threads}")
+        for command, cfgs in (("sample", samples), ("estimate", estimates)):
+            configs = [a for c in cfgs for a in ("--config", c)]
+            assert main([command, *configs, "--out", out, "--threads", threads]) == 0
+        runs[threads] = {f: (tmp_path / f"o{threads}" / f).read_bytes() for f in sorted(os.listdir(out))}
+
+    def strip(obj):
+        if isinstance(obj, dict):
+            return {k: strip(v) for k, v in obj.items() if k != "elapsed_s"}
+        return [strip(v) for v in obj] if isinstance(obj, list) else obj
+
+    assert runs["1"].keys() == runs["2"].keys()
+    for f, b1 in runs["1"].items():
+        if f.endswith("_report.json"):
+            r1, r2 = (json.loads(r[f].decode().replace(str(tmp_path / f"o{t}"), "OUT")) for t, r in runs.items())
+            assert strip(r1) == strip(r2)
+        else:
+            assert b1 == runs["2"][f], f
+
+
+DEFAULTS_YAML = """\
+name: defaults
+pipeline:
+  - op: weak_lsi_to_poincare
+    beta: {family: c_log_inv_s, C: 1.0, r0: 0.5}
+    budget: 10000
+  - op: tail_to_weak_lsi
+    a: 0.5
+    n_cap: 1000
+    tail: {from_ensemble: bridge.pens, confidence: 0.99}
+  - op: weighted_lsi_to_weak_lsi
+    cert: {a: 1.0, C_exp: 0.5, M: 1.0}
+    smooth: false
+  - op: weak_lsi_to_weak_poincare
+profile_grid: {points: 48}
+"""
+
+
+def test_spelled_out_defaults_are_the_defaults(tmp_path):
+    assert main(["sample", "--config", write(tmp_path, "s.yaml", SAMPLE_YAML), "--out", str(tmp_path)]) == 0
+    bare = DEFAULTS_YAML
+    for spelled in ("    budget: 10000\n", "    n_cap: 1000\n", ", confidence: 0.99", ", M: 1.0",
+                    "    smooth: false\n", "profile_grid: {points: 48}\n"):
+        assert spelled in bare
+        bare = bare.replace(spelled, "")
+    outputs = []
+    for name, text in (("spelled", DEFAULTS_YAML), ("bare", bare)):
+        assert main(["transfer", "--config", write(tmp_path, "t.yaml", text), "--out", str(tmp_path / name)]) == 0
+        outputs.append((tmp_path / name / "defaults.transfer.json").read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_verify_unknown_suite(capsys):

@@ -262,3 +262,7 @@ def test_load_rejects_garbage(tmp_path):
     flat_tag = with_header("tag.pens", measure_tag="wiener")
     with pytest.raises(SamplerError, match="tag.pens.*shape"):
         load_ensemble(flat_tag)
+    for key in ("drift_cap", "generator_convention"):
+        config = {k: v for k, v in header["config"].items() if k != key}
+        with pytest.raises(SamplerError, match=f"{key}.pens.*malformed ensemble header"):
+            load_ensemble(with_header(f"{key}.pens", config=config))
