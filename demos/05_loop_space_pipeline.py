@@ -57,7 +57,7 @@ print(f"log-survival vs s^2 slope: {slope:.3f} +- {se:.3f} (Gaussian-type tail <
 est = exp_square_moment(u, 0.25)
 print(f"E exp(u^2/4) = {est.value:.3f} +- {est.std_error:.3f} flags={list(est.flags)}\n")
 
-tail = weight_tail(ens, confidence=0.99)
+tail = weight_tail(u, confidence=0.99)
 a_lip = math.sqrt(grid.T) / 2.0  # sup_t sqrt(G(t,t)) for the pinned kernel
 res_wl = tail_to_weak_lsi(a_lip, tail)
 print(f"tail -> weak log-Sobolev: derivable for s >= {res_wl.audit_value('s_min'):.4f}")

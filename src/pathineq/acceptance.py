@@ -427,7 +427,7 @@ def criterion_a10(out_dir=None):
     slope, se = tail_slope_vs_square(u)
     slope_ok = slope < 0 and slope + 2.326 * se < 0  # one-sided 99%
 
-    tail = weight_tail(ens)
+    tail = weight_tail(u)
     # |grad u|_H <= sup_t sqrt(G(t,t)) = sqrt(T)/2 for the pinned kernel:
     # the sup-distance is a max of 1-Lipschitz functions of single path values
     a_lip = math.sqrt(ens.grid.T) / 2.0

@@ -378,9 +378,10 @@ def sup_distance(ens: PathEnsemble):
     return hyp.dist(ens.points, y0).max(axis=1)
 
 
-def weight_tail(ens: PathEnsemble, confidence=0.99) -> TailBound:
-    """Upper-confidence empirical tail of u = sup_t d(gamma_t, y0)."""
-    return TailBound.from_samples(sup_distance(ens), confidence=confidence)
+def weight_tail(u, confidence=0.99) -> TailBound:
+    """Upper-confidence empirical tail of the sup distances
+    u = sup_t d(gamma_t, y0) (see ``sup_distance``)."""
+    return TailBound.from_samples(u, confidence=confidence)
 
 
 def exp_square_moment(u, c, max_share=0.5) -> EstimateWithCI:

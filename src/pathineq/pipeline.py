@@ -51,10 +51,10 @@ def _load_tail(spec, base_dir=None):
     if key == "file":
         with open(path) as fh:
             return TailBound.from_dict(json.load(fh))
-    from .estimators import weight_tail
+    from .estimators import sup_distance, weight_tail
     from .samplers import load_ensemble
 
-    return weight_tail(load_ensemble(path), **present(spec, ("confidence",)))
+    return weight_tail(sup_distance(load_ensemble(path)), **present(spec, ("confidence",)))
 
 
 def _load_beta(spec, prev):

@@ -19,6 +19,12 @@ not depend on which steps were drawn before it.  Within a step, path i's
 normals follow those of paths 0..i-1, so the first paths of a run match a
 run with fewer paths.  The ziggurat consumes a variable number of counter
 words per normal, so a given (path, step) does not sit at a fixed offset.
+
+The hyperbolic bridge draws each step's noise for all paths, then runs the
+step on chunks of ``_CHUNK`` paths on one process-wide pool with a thread per
+available CPU, shared by concurrent scenarios (the CLI's ``--threads`` only
+runs scenarios side by side).  The step works path by path, so the bits
+depend on neither the chunk size nor the number of threads.
 """
 
 from __future__ import annotations
@@ -27,7 +33,10 @@ import hashlib
 import json
 import math
 import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -264,6 +273,31 @@ def sample_ou(cfg: SamplerConfig, scheme="exact") -> PathEnsemble:
 # ---------------------------------------------------------------------------
 # Hyperbolic bridge
 
+_CHUNK = 8192  # paths per task; the bits do not depend on it
+_POOL = None
+_POOL_LOCK = threading.Lock()
+
+
+def _chunk_pool():
+    """The process-wide pool the bridge's path chunks run on, created on first
+    use with one thread per CPU this process may run on."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+            _POOL = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="pathineq-bridge")
+        return _POOL
+
+
+def _forget_pool():
+    # a forked child has none of the parent's threads and may copy a held lock
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
 
 def sample_hyperbolic_bridge(cfg: SamplerConfig, store_frames=False) -> PathEnsemble:
     """Geodesic Euler-Maruyama for the bridge SDE on H^n, n = cfg.dim.
@@ -297,40 +331,46 @@ def sample_hyperbolic_bridge(cfg: SamplerConfig, store_frames=False) -> PathEnse
         frames = np.empty((m, nodes.size, n, n + 1))
         frames[:, 0] = F
 
-    cap_events = 0
-    total_steps = 0
-    for k in range(nodes.size - 1):
+    def advance(rows, k, xi):
+        # one step for the paths in `rows`, in place; returns the clip count
         t = nodes[k]
         h = nodes[k + 1] - t
         t_rem = T - t
-        r = hyp.dist(y, y0)
-        drift = hyp.radial_coef(dlog_dr(t_rem, r), r)[:, None] * hyp.log_map(y, y0)
+        yk, Fk = y[rows], F[rows]
+        r = hyp.dist(yk, y0)
+        drift = hyp.radial_coef(dlog_dr(t_rem, r), r)[:, None] * hyp.log_map(yk, y0)
         # mirror of the gradient bound: |drift| <= cap (d/(T-t) + 1/sqrt(T-t))
         cap = cfg.drift_cap * (r / t_rem + 1.0 / math.sqrt(t_rem))
         mag = np.sqrt(np.maximum(hyp.minkowski_dot(drift, drift), 0.0))
         over = mag > cap
         if np.any(over):
-            cap_events += int(over.sum())
             scale = np.where(over, cap / np.where(mag > 0, mag, 1.0), 1.0)
             drift = drift * scale[:, None]
-        total_steps += m
-        xi = step_normals(cfg.seed, k, (m, n))
-        dv = math.sqrt(h) * np.einsum("pj,pjc->pc", xi, F) + h * drift
-        y_new = hyp.exp_map(y, dv)
-        F = hyp.parallel_transport(F, y[:, None, :], y_new[:, None, :])
+        dv = math.sqrt(h) * np.einsum("pj,pjc->pc", xi[rows], Fk) + h * drift
+        y_new = hyp.exp_map(yk, dv)
+        F_new = hyp.parallel_transport(Fk, yk[:, None, :], y_new[:, None, :])
         if (k + 1) % 16 == 0:
-            F = hyp.gram_schmidt_tangent(y_new, F)
-        y = y_new
-        points[:, k + 1, :] = y
+            F_new = hyp.gram_schmidt_tangent(y_new, F_new)
+        y[rows] = y_new
+        F[rows] = F_new
+        points[rows, k + 1, :] = y_new
         if store_frames:
-            frames[:, k + 1] = hyp.gram_schmidt_tangent(y, F)
+            frames[rows, k + 1] = hyp.gram_schmidt_tangent(y_new, F_new)
+        return int(over.sum())
+
+    chunks = [slice(i, i + _CHUNK) for i in range(0, m, _CHUNK)]
+    pool = _chunk_pool()
+    cap_events = 0
+    for k in range(nodes.size - 1):
+        xi = step_normals(cfg.seed, k, (m, n))
+        cap_events += sum(pool.map(partial(advance, k=k, xi=xi), chunks))
 
     presnap = hyp.dist(points[:, -1, :], y0)
     points[:, -1, :] = y0
     diagnostics = {
         "presnap_gap": presnap,
         "presnap_gap_median": float(np.median(presnap)),
-        "cap_event_fraction": cap_events / max(total_steps, 1),
+        "cap_event_fraction": cap_events / (m * (nodes.size - 1)),
     }
     return PathEnsemble(
         config=cfg,
@@ -362,19 +402,6 @@ def _make_drift(params: HeatKernelParams, T, nodes):
     return lambda t_rem, r: spline(math.log(np.clip(t_rem, t_lo, T)), r, grid=False) - r / t_rem
 
 
-def continuity_diagnostic(ens: PathEnsemble):
-    """max over steps of jump / sqrt(h log(1/h)): a qualitative modulus-of-
-    continuity check (no hard exponent asserted)."""
-    nodes = ens.grid.array()
-    dts = np.diff(nodes)
-    scale = np.sqrt(dts * np.log(1.0 / np.minimum(dts, 0.5)))
-    if ens.measure_tag == "hyperbolic_bridge":
-        jumps = hyp.dist(ens.points[:, 1:, :], ens.points[:, :-1, :])
-    else:
-        jumps = np.linalg.norm(np.diff(ens.points, axis=1), axis=-1)
-    return float((jumps / scale[None, :]).max())
-
-
 # ---------------------------------------------------------------------------
 # Serialization: columnar binary (header JSON + little-endian float64,
 # path-major) and CSV for small runs
@@ -401,9 +428,10 @@ def save_ensemble(path, ens: PathEnsemble):
         fh.write(MAGIC)
         fh.write(len(blob).to_bytes(8, "little"))
         fh.write(blob)
-        fh.write(np.ascontiguousarray(ens.points, dtype="<f8").tobytes())
+        # write each array's buffer as it is: no bytes copy of a large ensemble
+        fh.write(np.ascontiguousarray(ens.points, dtype="<f8").data)
         for k, _ in header.get("diag_arrays", []):
-            fh.write(np.ascontiguousarray(diag_arrays[k], dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(diag_arrays[k], dtype="<f8").data)
 
 
 def load_ensemble(path) -> PathEnsemble:

@@ -613,12 +613,6 @@ def weak_lsi_to_weak_poincare(
     return TransferResult(kind="weak_poincare", profile=profile, audit=audit)
 
 
-def remark_level_count(result: TransferResult, s: float) -> int:
-    """Truncation depth N(s) = ceil(log(1/s) / (4 log delta)) used at query s."""
-    delta = result.audit_value("delta")
-    return math.ceil(math.log(1.0 / s) / (4.0 * math.log(delta)))
-
-
 # ---------------------------------------------------------------------------
 # The entropy inequality behind the dyadic proof, as a sample-level self-test
 

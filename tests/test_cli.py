@@ -240,8 +240,15 @@ def test_threads_flag_merges_deterministically(tmp_path):
 
 
 def test_thread_count_does_not_change_outputs(tmp_path):
+    from pathineq.samplers import _CHUNK
+
     other = SAMPLE_YAML.replace("tiny-bridge", "other").replace("bridge.pens", "other.pens")
     samples = [write(tmp_path, "s1.yaml", SAMPLE_YAML), write(tmp_path, "s2.yaml", other.replace("99", "7"))]
+    # two bridges of more than one path chunk each: under --threads 2 they share the chunk pool
+    for name, seed in (("big-a", 3), ("big-b", 4)):
+        big = SAMPLE_YAML.replace("tiny-bridge", name).replace("bridge.pens", f"{name}.pens")
+        big = big.replace("seed: 99", f"seed: {seed}").replace("n_paths: 300", f"n_paths: {_CHUNK + 1000}")
+        samples.append(write(tmp_path, f"{name}.yaml", big))
     e2 = ESTIMATE_YAML.replace("bridge-tail", "other-tail").replace("bridge.pens", "other.pens")
     estimates = [write(tmp_path, "e1.yaml", ESTIMATE_YAML), write(tmp_path, "e2.yaml", e2.replace("tail_estimates", "other"))]
     runs = {}

@@ -292,7 +292,7 @@ def small_bridge():
 
 
 def test_weight_tail_basics(small_bridge):
-    tb = weight_tail(small_bridge)
+    tb = weight_tail(sup_distance(small_bridge))
     assert tb(0.0) == 1.0  # u >= 0 always
     vals = np.array(tb.values)
     assert np.all(np.diff(vals) <= 1e-15)

@@ -20,6 +20,37 @@ def rand_tangent(x, rng):
     return hyp.tangent_project(x, w)
 
 
+def on_sheet(x, tol=1e-10):
+    return np.all(np.abs(hyp.minkowski_dot(x, x) + 1.0) <= tol)
+
+
+def is_tangent(x, v, tol):
+    return np.all(np.abs(hyp.minkowski_dot(v, x)) <= tol)
+
+
+def lorentz_boost(n, axis, rapidity):
+    """Boost mixing spatial axis with the timelike coordinate."""
+    B = np.eye(n + 1)
+    c, s = math.cosh(rapidity), math.sinh(rapidity)
+    B[axis, axis] = c
+    B[-1, -1] = c
+    B[axis, -1] = s
+    B[-1, axis] = s
+    return B
+
+
+def random_isometry(n, rng):
+    """Random orientation-preserving Lorentz map (rotation boost rotation)."""
+    from scipy.stats import special_ortho_group
+
+    R1 = np.eye(n + 1)
+    R1[:n, :n] = special_ortho_group.rvs(n, random_state=rng)
+    R2 = np.eye(n + 1)
+    R2[:n, :n] = special_ortho_group.rvs(n, random_state=rng)
+    B = lorentz_boost(n, 0, rng.uniform(-1.5, 1.5))
+    return R1 @ B @ R2
+
+
 # ---------------------------------------------------------------------------
 # point / tangent basics
 
@@ -37,7 +68,36 @@ def test_exp_dist_consistency():
     v = np.array([1.5, 0.0, 0.0])
     p = hyp.exp_map(o, v)
     assert hyp.dist(o, p) == pytest.approx(1.5, abs=1e-12)
-    assert hyp.on_sheet(p)
+    assert on_sheet(p)
+
+
+def minkowski_dot_oracle(x, y):
+    # the form as a numpy sum over the spatial axis, which minkowski_dot unrolls
+    return np.sum(x[..., :-1] * y[..., :-1], axis=-1) - x[..., -1] * y[..., -1]
+
+
+@pytest.mark.parametrize(
+    "x_shape,y_shape",
+    [((4,), (4,)), ((500, 3), (500, 3)), ((500, 4), (500, 4)), ((500, 3, 4), (500, 1, 4)), ((500, 141, 4), (4,))],
+)
+def test_minkowski_dot_matches_sum_oracle_bit_for_bit(x_shape, y_shape):
+    rng = np.random.default_rng(11)
+
+    def draw(shape):
+        a = rng.normal(size=shape) * np.exp(rng.normal(scale=4.0, size=shape))
+        a[rng.random(shape) < 0.3] = 0.0
+        a[rng.random(shape) < 0.3] = -0.0
+        return a
+
+    # every spatial product -0 and the last one +0: the oracle gives +0, a sum
+    # that did not start from +0 would give -0
+    ones = np.ones(y_shape)
+    ones[..., -1] = -1.0
+    for x, y in [(draw(x_shape), draw(y_shape)), (np.full(x_shape, -0.0), ones)]:
+        got = np.asarray(hyp.minkowski_dot(x, y))
+        want = np.asarray(minkowski_dot_oracle(x, y))
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()  # signed zeros included
 
 
 def test_exp_zero_vector():
@@ -61,7 +121,7 @@ def test_dist_boost_invariant():
         x, y = rand_point(n, rng), rand_point(n, rng)
         d0 = hyp.dist(x, y)
         for _ in range(5):
-            L = hyp.random_isometry(n, rng)
+            L = random_isometry(n, rng)
             assert abs(hyp.dist(x @ L.T, y @ L.T) - d0) < 1e-8
 
 
@@ -91,7 +151,7 @@ def test_transport_preserves_norm_and_angle():
         u, v = rand_tangent(x, rng), rand_tangent(x, rng)
         tu = hyp.parallel_transport(u, x, y)
         tv = hyp.parallel_transport(v, x, y)
-        assert hyp.is_tangent(y, tu, tol=1e-9)
+        assert is_tangent(y, tu, tol=1e-9)
         assert hyp.minkowski_dot(tu, tu) == pytest.approx(hyp.minkowski_dot(u, u), abs=1e-9)
         assert hyp.minkowski_dot(tu, tv) == pytest.approx(hyp.minkowski_dot(u, v), abs=1e-9)
 
@@ -149,7 +209,7 @@ def test_frame_at_is_orthonormal():
         G = np.array([[hyp.minkowski_dot(F[i], F[j]) for j in range(n)] for i in range(n)])
         assert np.allclose(G, np.eye(n), atol=1e-10)
         for i in range(n):
-            assert hyp.is_tangent(x, F[i], tol=1e-9)
+            assert is_tangent(x, F[i], tol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +261,7 @@ def test_grad_log_vector_points_toward_center():
     o = hyp.origin(3)
     x = hyp.exp_map(o, np.array([1.2, 0.0, 0.0, 0.0]))
     g = hyp.grad_log_heat_kernel(0.5, x, o, params)
-    assert hyp.is_tangent(x, g, tol=1e-9)
+    assert is_tangent(x, g, tol=1e-9)
     toward = hyp.log_map(x, o)
     cos = hyp.minkowski_dot(g, toward) / math.sqrt(
         hyp.minkowski_dot(g, g) * hyp.minkowski_dot(toward, toward)

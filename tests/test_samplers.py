@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -12,7 +14,6 @@ from pathineq.samplers import (
     SamplerConfig,
     SamplerError,
     TimeGrid,
-    continuity_diagnostic,
     ensemble_to_csv,
     load_ensemble,
     sample_flat_bridge,
@@ -22,6 +23,26 @@ from pathineq.samplers import (
     save_ensemble,
     step_normals,
 )
+
+
+_DRIFTS = {}
+
+
+@pytest.fixture
+def drift_once(monkeypatch):
+    """Build each bridge drift once per module: the n=2 table takes seconds,
+    and it depends only on the kernel params, T and the grid's last step."""
+    from pathineq import samplers
+
+    make = samplers._make_drift
+
+    def cached(params, T, nodes):
+        key = (params, T, nodes[-2])
+        if key not in _DRIFTS:
+            _DRIFTS[key] = make(params, T, nodes)
+        return _DRIFTS[key]
+
+    monkeypatch.setattr(samplers, "_make_drift", cached)
 
 
 def test_time_grid_validation():
@@ -147,7 +168,7 @@ def test_hyperbolic_bridge_points_on_sheet_and_snap():
     assert 0.0 <= ens.diagnostics["cap_event_fraction"] <= 1.0
 
 
-def test_hyperbolic_bridge_frames_orthonormal():
+def test_hyperbolic_bridge_frames_orthonormal(drift_once):
     grid = TimeGrid.with_geometric_tail(0.5, 8)
     cfg = SamplerConfig(seed=31, n_paths=16, grid=grid, dim=2)
     ens = sample_hyperbolic_bridge(cfg, store_frames=True)
@@ -177,7 +198,7 @@ def test_hyperbolic_bridge_refinement_shrinks_endpoint_gap():
     assert caps[0] >= caps[1] >= caps[2]
 
 
-def test_hyperbolic_bridge_n2_smoke():
+def test_hyperbolic_bridge_n2_smoke(drift_once):
     grid = TimeGrid.with_geometric_tail(0.5, 8)
     cfg = SamplerConfig(seed=41, n_paths=64, grid=grid, dim=2)
     ens = sample_hyperbolic_bridge(cfg)
@@ -189,11 +210,85 @@ def test_hyperbolic_bridge_n2_smoke():
     )
 
 
+# n=2 takes the grid of the other n=2 tests, so drift_once builds its table once
+@pytest.mark.parametrize(
+    "dim,grid",
+    [(3, TimeGrid.with_geometric_tail(1.0, 16)), (2, TimeGrid.with_geometric_tail(0.5, 8))],
+    ids=["n3", "n2"],
+)
+def test_bridge_bits_do_not_depend_on_chunks_or_workers(monkeypatch, drift_once, dim, grid):
+    from concurrent.futures import ThreadPoolExecutor
+
+    from pathineq import samplers
+
+    # drift_cap=0.5 makes the clip branch fire in most steps
+    cfg = SamplerConfig(seed=5, n_paths=300, grid=grid, dim=dim, drift_cap=0.5)
+    full = samplers._CHUNK  # more than n_paths: one chunk, the whole step at once
+
+    def run(chunk, workers):
+        with ThreadPoolExecutor(workers) as pool:
+            monkeypatch.setattr(samplers, "_CHUNK", chunk)
+            monkeypatch.setattr(samplers, "_POOL", pool)
+            ens = sample_hyperbolic_bridge(cfg, store_frames=True)
+        d = ens.diagnostics
+        return ens.points.tobytes(), ens.frames.tobytes(), d["presnap_gap"].tobytes(), d["cap_event_fraction"]
+
+    # 300 = 42 * 7 + 6 = 4 * 64 + 44: ragged last chunks
+    runs = {(chunk, workers): run(chunk, workers) for chunk in (full, 64, 7) for workers in (1, 2)}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)  # four workers, switching often
+    try:
+        runs[7, 4] = run(7, 4)
+    finally:
+        sys.setswitchinterval(interval)
+    ref = runs[full, 1]
+    assert ref[3] > 0.5
+    for key, got in runs.items():
+        assert got == ref, key
+
+
+def _sample_in_child(cfg, q):
+    q.put(sample_hyperbolic_bridge(cfg).points.tobytes())
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_bridge_runs_in_a_forked_child():
+    import multiprocessing
+
+    cfg = SamplerConfig(seed=1, n_paths=50, grid=TimeGrid.uniform(1.0, 4), dim=3)
+    want = sample_hyperbolic_bridge(cfg).points.tobytes()  # the parent's pool now exists
+    ctx = multiprocessing.get_context("fork")
+    q = ctx.Queue()
+    child = ctx.Process(target=_sample_in_child, args=(cfg, q))
+    child.start()
+    try:
+        assert q.get(timeout=30) == want
+    finally:
+        child.join(timeout=10)
+        if child.is_alive():
+            child.terminate()
+            child.join()
+    assert child.exitcode == 0
+
+
 def test_drift_cap_policy_counts_events():
     grid = TimeGrid.with_geometric_tail(1.0, 8)
     cfg = SamplerConfig(seed=43, n_paths=64, grid=grid, dim=3, drift_cap=1e-4)
     ens = sample_hyperbolic_bridge(cfg)
     assert ens.diagnostics["cap_event_fraction"] > 0.5  # tiny cap clips nearly always
+
+
+def continuity_diagnostic(ens: PathEnsemble):
+    """max over steps of jump / sqrt(h log(1/h)): a qualitative modulus-of-
+    continuity check (no hard exponent asserted)."""
+    nodes = ens.grid.array()
+    dts = np.diff(nodes)
+    scale = np.sqrt(dts * np.log(1.0 / np.minimum(dts, 0.5)))
+    if ens.measure_tag == "hyperbolic_bridge":
+        jumps = hyp.dist(ens.points[:, 1:, :], ens.points[:, :-1, :])
+    else:
+        jumps = np.linalg.norm(np.diff(ens.points, axis=1), axis=-1)
+    return float((jumps / scale[None, :]).max())
 
 
 def test_continuity_diagnostic_is_moderate():

