@@ -21,10 +21,10 @@ run with fewer paths.  The ziggurat consumes a variable number of counter
 words per normal, so a given (path, step) does not sit at a fixed offset.
 
 The hyperbolic bridge draws each step's noise for all paths, then runs the
-step on chunks of ``_CHUNK`` paths on one process-wide pool with a thread per
-available CPU, shared by concurrent scenarios (the CLI's ``--threads`` only
-runs scenarios side by side).  The step works path by path, so the bits
-depend on neither the chunk size nor the number of threads.
+step on chunks of ``_CHUNK`` paths on a pool of ``_WORKERS`` threads, one per
+available CPU, that lives for the call (the CLI's ``--threads`` only runs
+scenarios side by side).  The step works path by path, so the bits depend on
+neither the chunk size nor the number of threads.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import hashlib
 import json
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -274,29 +273,8 @@ def sample_ou(cfg: SamplerConfig, scheme="exact") -> PathEnsemble:
 # Hyperbolic bridge
 
 _CHUNK = 8192  # paths per task; the bits do not depend on it
-_POOL = None
-_POOL_LOCK = threading.Lock()
-
-
-def _chunk_pool():
-    """The process-wide pool the bridge's path chunks run on, created on first
-    use with one thread per CPU this process may run on."""
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is None:
-            workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-            _POOL = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="pathineq-bridge")
-        return _POOL
-
-
-def _forget_pool():
-    # a forked child has none of the parent's threads and may copy a held lock
-    global _POOL, _POOL_LOCK
-    _POOL, _POOL_LOCK = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
+# one bridge thread per CPU this process may run on; the bits do not depend on it
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def sample_hyperbolic_bridge(cfg: SamplerConfig, store_frames=False) -> PathEnsemble:
@@ -359,11 +337,11 @@ def sample_hyperbolic_bridge(cfg: SamplerConfig, store_frames=False) -> PathEnse
         return int(over.sum())
 
     chunks = [slice(i, i + _CHUNK) for i in range(0, m, _CHUNK)]
-    pool = _chunk_pool()
     cap_events = 0
-    for k in range(nodes.size - 1):
-        xi = step_normals(cfg.seed, k, (m, n))
-        cap_events += sum(pool.map(partial(advance, k=k, xi=xi), chunks))
+    with ThreadPoolExecutor(_WORKERS) as pool:
+        for k in range(nodes.size - 1):
+            xi = step_normals(cfg.seed, k, (m, n))
+            cap_events += sum(pool.map(partial(advance, k=k, xi=xi), chunks))
 
     presnap = hyp.dist(points[:, -1, :], y0)
     points[:, -1, :] = y0

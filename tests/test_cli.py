@@ -244,7 +244,7 @@ def test_thread_count_does_not_change_outputs(tmp_path):
 
     other = SAMPLE_YAML.replace("tiny-bridge", "other").replace("bridge.pens", "other.pens")
     samples = [write(tmp_path, "s1.yaml", SAMPLE_YAML), write(tmp_path, "s2.yaml", other.replace("99", "7"))]
-    # two bridges of more than one path chunk each: under --threads 2 they share the chunk pool
+    # two bridges of more than one path chunk each: under --threads 2 their chunk pools run side by side
     for name, seed in (("big-a", 3), ("big-b", 4)):
         big = SAMPLE_YAML.replace("tiny-bridge", name).replace("bridge.pens", f"{name}.pens")
         big = big.replace("seed: 99", f"seed: {seed}").replace("n_paths: 300", f"n_paths: {_CHUNK + 1000}")
