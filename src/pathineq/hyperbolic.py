@@ -9,19 +9,18 @@ leading axes: shape (..., n+1).
 Heat kernel conventions: ``half_laplacian`` solves dp/dt = (1/2) Lap p (the
 generator of Brownian motion driven by an orthonormal frame), ``laplacian``
 solves dp/dt = Lap p; the two are related by t -> t/2.  For n = 3 the kernel
-is in closed form; for n = 2 the classical integral formula is evaluated by
-quadrature after the substitution u^2 = cosh s - cosh r that removes the
-endpoint singularity.
+is in closed form; for n = 2 the classical integral formula is evaluated over
+arrays of radii by fixed-node Gauss-Legendre quadrature, after the
+substitution u^2 = cosh s - cosh r that removes the endpoint singularity.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
+from scipy.integrate import quad
 
 
 class GeometryError(ValueError):
@@ -176,83 +175,59 @@ def _dlogp3_dr_lap(tau, r):
     return core - r / (2.0 * tau)
 
 
-def _h2_integrals(tau, r, want_derivative=False):
+# Gauss-Legendre nodes and weights on [-1, 1] for the n = 2 integrals
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(256)
+
+
+def _h2_integrals(tau, r):
     # shifted by exp(+r^2/(4 tau)) so nothing underflows for small tau:
     # J0(r) = int_0^inf 2 s(u) e^{-(s^2-r^2)/(4 tau)} / sinh s(u) du
     # J1(r) = int_0^inf h'(s(u)) e^{+r^2/(4 tau)} sinh r / sinh s(u) du
     # with s(u) = arccosh(cosh r + u^2); s >= r keeps the exponent <= 0,
-    # and the ratio J1/J0 equals the unshifted I'/I
-    r = float(r)
-    ch_r = math.cosh(r)
+    # and the ratio J1/J0 equals the unshifted I'/I.  Fixed nodes on two
+    # u-pieces, the first holding the kernel's bulk, the second its tail;
+    # no node sits at u = 0, so s > 0 at every node even for r = 0
+    r = np.asarray(r, dtype=float)[..., None]
+    ch_r = np.cosh(r)
+    sh_r = np.sinh(r)
     rr4 = r * r / (4.0 * tau)
 
     def u_of_s(s):
-        return math.sqrt(max(math.cosh(s) - ch_r, 0.0))
+        return np.sqrt(np.maximum(np.cosh(s) - ch_r, 0.0))
 
-    s_cut = math.sqrt(r * r + 200.0 * tau) + 3.0
-    u_mid = u_of_s(math.sqrt(r * r + 30.0 * tau) + 0.5)
-    u_max = u_of_s(s_cut)
-
-    def f0(u):
-        sv = np.arccosh(ch_r + u * u)
-        if sv <= 0:
-            return 2.0
-        return 2.0 * sv * math.exp(rr4 - sv * sv / (4.0 * tau)) / math.sinh(sv)
-
-    sh_r = math.sinh(r)
-
-    def f1(u):
-        sv = np.arccosh(ch_r + u * u)
-        if sv <= 0 or sh_r == 0.0:
-            return 0.0
-        h = (
-            2.0
-            * math.exp(rr4 - sv * sv / (4.0 * tau))
-            * (1.0 - sv / math.tanh(sv) - sv * sv / (2.0 * tau))
-            / math.sinh(sv)
-        )
-        return h * sh_r / math.sinh(sv)
-
-    kw = dict(epsabs=1e-14, epsrel=5e-13, limit=200)
-
-    def integrate(f):
-        return quad(f, 0.0, u_mid, **kw)[0] + quad(f, u_mid, u_max, **kw)[0]
-
-    with warnings.catch_warnings():
-        # requested accuracy sits at machine precision on purpose; the
-        # achieved accuracy is cross-checked against finite differences
-        warnings.simplefilter("ignore", IntegrationWarning)
-        J0 = integrate(f0)
-        return (J0, integrate(f1)) if want_derivative else J0
+    u_mid = u_of_s(np.sqrt(r * r + 30.0 * tau) + 0.5)
+    u_max = u_of_s(np.sqrt(r * r + 200.0 * tau) + 3.0)
+    J0 = J1 = 0.0
+    for a, b in ((0.0, u_mid), (u_mid, u_max)):
+        half = 0.5 * (b - a)
+        u = a + half * (1.0 + _GL_X)
+        s = np.arccosh(ch_r + u * u)
+        sh_s = np.sinh(s)
+        e = 2.0 * np.exp(rr4 - s * s / (4.0 * tau)) / sh_s
+        dh = e * (1.0 - s / np.tanh(s) - s * s / (2.0 * tau))  # h(s) = e s
+        J0 = J0 + half[..., 0] * ((e * s) @ _GL_W)
+        J1 = J1 + half[..., 0] * ((dh * sh_r / sh_s) @ _GL_W)
+    return J0, J1
 
 
 def _p2_lap(tau, r):
-    J0 = _h2_integrals(tau, float(r))
-    log_pref = -float(r) ** 2 / (4.0 * tau) - tau / 4.0
-    if log_pref < -740.0:
-        return 0.0
-    return math.sqrt(2.0) * (4.0 * math.pi * tau) ** -1.5 * math.exp(log_pref) * J0
+    r = np.asarray(r, dtype=float)
+    J0, _ = _h2_integrals(tau, r)
+    pref = math.sqrt(2.0) * (4.0 * math.pi * tau) ** -1.5
+    return pref * np.exp(-r * r / (4.0 * tau) - tau / 4.0) * J0
 
 
 def _dlogp2_dr_lap(tau, r):
-    if r == 0.0:
-        return 0.0
-    J0, J1 = _h2_integrals(tau, float(r), want_derivative=True)
+    J0, J1 = _h2_integrals(tau, r)
     return J1 / J0
 
 
-def _per_radius(t, r, params, closed_form, scalar):
-    # internal formulas use the Laplacian convention at tau = t * tau_factor;
-    # n = 3 is vectorized in r, n = 2 runs one scalar quadrature per radius
+def _per_radius(t, r, params, formula3, formula2):
+    # internal formulas use the Laplacian convention at tau = t * tau_factor
     if not t > 0:
         raise GeometryError("heat kernel needs t > 0")
-    tau = t * params.tau_factor
-    if params.n == 3:
-        return closed_form(tau, r)
-    r_arr = np.asarray(r, dtype=float)
-    if r_arr.ndim == 0:
-        return scalar(tau, float(r_arr))
-    return np.array([scalar(tau, float(x)) for x in r_arr.ravel()]).reshape(r_arr.shape)
+    formula = formula3 if params.n == 3 else formula2
+    return formula(t * params.tau_factor, r)
 
 
 def heat_kernel(t, r, params: HeatKernelParams):

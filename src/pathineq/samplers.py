@@ -364,18 +364,16 @@ def _make_drift(params: HeatKernelParams, T, nodes):
     if params.n == 3:
         return lambda t_rem, r: hyp.dlog_heat_kernel_dr(t_rem, r, params)
 
-    # n = 2: the radial derivative needs quadrature, so interpolate the
-    # regular part g(t', r) = d/dr log p_{t'}(r) + r/t' on a (t', r) grid
+    # n = 2: the radial derivative is a 512-node quadrature per radius, too
+    # dear for every path and step, so interpolate its regular part
+    # g(t', r) = d/dr log p_{t'}(r) + r/t' (the -r/t' pole removed, 0 at
+    # r = 0) on a (t', r) grid, one array call per t'
     from scipy.interpolate import RectBivariateSpline
 
     t_lo = max(T - nodes[-2], 1e-9) * 0.5
     t_grid = np.geomspace(t_lo, T, 48)
     r_grid = np.linspace(0.0, 6.0 * math.sqrt(T) + 4.0, 96)
-    vals = np.empty((t_grid.size, r_grid.size))
-    for i, tp in enumerate(t_grid):
-        dl = hyp.dlog_heat_kernel_dr(tp, r_grid[1:], params)
-        vals[i, 1:] = dl + r_grid[1:] / tp  # regular part: the -r/t' pole removed
-        vals[i, 0] = 0.0
+    vals = np.array([hyp.dlog_heat_kernel_dr(tp, r_grid, params) + r_grid / tp for tp in t_grid])
     spline = RectBivariateSpline(np.log(t_grid), r_grid, vals, kx=3, ky=3)
     return lambda t_rem, r: spline(math.log(np.clip(t_rem, t_lo, T)), r, grid=False) - r / t_rem
 

@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import IntegrationWarning, quad
 
 from pathineq import hyperbolic as hyp
 from pathineq.hyperbolic import HeatKernelParams
@@ -254,6 +256,84 @@ def test_grad_log_matches_finite_difference(n):
             ) / (2 * h)
             an = float(hyp.dlog_heat_kernel_dr(t, r, params))
             assert abs(an - fd) / abs(fd) < 1e-5
+
+
+def h2_integrals_oracle(tau, r):
+    # the n = 2 integrals (J0, J1) of hyperbolic._h2_integrals for one radius,
+    # by adaptive quad on the same two u-pieces with the same integrands
+    ch_r = math.cosh(r)
+    rr4 = r * r / (4.0 * tau)
+
+    def u_of_s(s):
+        return math.sqrt(max(math.cosh(s) - ch_r, 0.0))
+
+    u_mid = u_of_s(math.sqrt(r * r + 30.0 * tau) + 0.5)
+    u_max = u_of_s(math.sqrt(r * r + 200.0 * tau) + 3.0)
+
+    def f0(u):
+        sv = np.arccosh(ch_r + u * u)
+        if sv <= 0:
+            return 2.0
+        return 2.0 * sv * math.exp(rr4 - sv * sv / (4.0 * tau)) / math.sinh(sv)
+
+    sh_r = math.sinh(r)
+
+    def f1(u):
+        sv = np.arccosh(ch_r + u * u)
+        if sv <= 0 or sh_r == 0.0:
+            return 0.0
+        h = (
+            2.0
+            * math.exp(rr4 - sv * sv / (4.0 * tau))
+            * (1.0 - sv / math.tanh(sv) - sv * sv / (2.0 * tau))
+            / math.sinh(sv)
+        )
+        return h * sh_r / math.sinh(sv)
+
+    kw = dict(epsabs=1e-14, epsrel=5e-13, limit=200)
+
+    def integrate(f):
+        return quad(f, 0.0, u_mid, **kw)[0] + quad(f, u_mid, u_max, **kw)[0]
+
+    with warnings.catch_warnings():
+        # requested accuracy sits at machine precision on purpose
+        warnings.simplefilter("ignore", IntegrationWarning)
+        return integrate(f0), integrate(f1)
+
+
+def test_h2_integrals_match_quad_oracle():
+    # g = d/dr log p + r/t' is what the n = 2 drift table stores; for t' >= 1e-3
+    # adaptive quad is accurate, so the fixed-node array path must agree with it
+    params = HeatKernelParams(n=2)
+    r = np.array([0.0, 1e-3, 0.3, 1.0, 2.5, 5.0, 9.368421052631579])
+    for tp in (1e-3, 0.01, 0.1, 0.5, 1.0, 2.0):
+        tau = tp * params.tau_factor
+        g = hyp.dlog_heat_kernel_dr(tp, r, params) + r / tp
+        J0, _ = hyp._h2_integrals(tau, r)
+        for i, ri in enumerate(r):
+            J0_q, J1_q = h2_integrals_oracle(tau, float(ri))
+            assert abs(g[i] - (J1_q / J0_q + ri / tp)) < 1e-8, (tp, ri)
+            assert abs(J0[i] / J0_q - 1.0) < 1e-10, (tp, ri)
+
+
+@pytest.mark.parametrize(
+    "tp,r,g_ref,tol",
+    [
+        # t' = 2^-20, the smallest t' in the drift table of a 64-step grid on [0, 1]
+        (9.5367431640625e-07, 2.0, -0.26865735472045525513, 1e-4),
+        (9.5367431640625e-07, 9.368421052631579, -0.44662921970428334895, 1e-4),
+        (1e-3, 5.0, -0.40004239713779181529, 1e-10),
+        (1.0, 1e-3, -0.00016196717321632983375, 1e-10),
+        (1.0, 9.368421052631579, -0.44552734090488367239, 1e-10),
+    ],
+    ids=["tmin-r2", "tmin-r9.37", "t1e-3-r5", "t1-r1e-3", "t1-r9.37"],
+)
+def test_h2_dlog_matches_reference(tp, r, g_ref, tol):
+    # g = d/dr log p_{t'} + r/t' for the n = 2 half-Laplacian kernel; g_ref is
+    # the same pair of u-integrals by mpmath quadrature at 40 digits (checked
+    # against mpmath's numerical d/dr of log p where t' >= 1e-3)
+    g = float(hyp.dlog_heat_kernel_dr(tp, r, HeatKernelParams(n=2))) + r / tp
+    assert abs(g - g_ref) < tol
 
 
 def test_grad_log_vector_points_toward_center():

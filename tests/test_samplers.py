@@ -24,26 +24,6 @@ from pathineq.samplers import (
 )
 
 
-_DRIFTS = {}
-
-
-@pytest.fixture
-def drift_once(monkeypatch):
-    """Build each bridge drift once per module: the n=2 table takes seconds,
-    and the n=2 tests that use this share one grid."""
-    from pathineq import samplers
-
-    make = samplers._make_drift
-
-    def cached(params, T, nodes):
-        key = (params, T, tuple(nodes))
-        if key not in _DRIFTS:
-            _DRIFTS[key] = make(params, T, nodes)
-        return _DRIFTS[key]
-
-    monkeypatch.setattr(samplers, "_make_drift", cached)
-
-
 def test_time_grid_validation():
     with pytest.raises(SamplerError):
         TimeGrid((0.0, 0.5, 0.5, 1.0))
@@ -167,7 +147,7 @@ def test_hyperbolic_bridge_points_on_sheet_and_snap():
     assert 0.0 <= ens.diagnostics["cap_event_fraction"] <= 1.0
 
 
-def test_hyperbolic_bridge_frames_orthonormal(drift_once):
+def test_hyperbolic_bridge_frames_orthonormal():
     grid = TimeGrid.with_geometric_tail(0.5, 8)
     cfg = SamplerConfig(seed=31, n_paths=16, grid=grid, dim=2)
     ens = sample_hyperbolic_bridge(cfg, store_frames=True)
@@ -197,28 +177,24 @@ def test_hyperbolic_bridge_refinement_shrinks_endpoint_gap():
     assert caps[0] >= caps[1] >= caps[2]
 
 
-def test_hyperbolic_bridge_n2_smoke(drift_once):
+def test_hyperbolic_bridge_n2_smoke():
     grid = TimeGrid.with_geometric_tail(0.5, 8)
     cfg = SamplerConfig(seed=41, n_paths=64, grid=grid, dim=2)
     ens = sample_hyperbolic_bridge(cfg)
     assert np.max(np.abs(hyp.minkowski_dot(ens.points, ens.points) + 1.0)) < 1e-10
     assert ens.diagnostics["presnap_gap_median"] < 0.5
-    assert _digest(ens.points) == "590b127d38dd4a40731b98f6c8bb9a3e4473cfdda77f3553eed2b0d5eb8b7b20"
+    assert _digest(ens.points) == "1384f29689420bd3d8dd598e268668082e32b317d3f514e735199322e4cbafe3"
     assert _digest(ens.diagnostics["presnap_gap"]) == (
-        "d0c3496715779471dd524823ae0e41bd6153304e0f0c66da2af02f37fa9867b5"
+        "e5b07b5e6b1fee5164247b2c13c954d1d2e9736f1e672f9e6a46eed568ce59e5"
     )
 
 
-# n=2 takes the grid of the other n=2 tests, so drift_once builds its table once
-@pytest.mark.parametrize(
-    "dim,grid",
-    [(3, TimeGrid.with_geometric_tail(1.0, 16)), (2, TimeGrid.with_geometric_tail(0.5, 8))],
-    ids=["n3", "n2"],
-)
-def test_bridge_bits_do_not_depend_on_chunks_or_workers(monkeypatch, drift_once, dim, grid):
+@pytest.mark.parametrize("dim", [3, 2], ids=["n3", "n2"])
+def test_bridge_bits_do_not_depend_on_chunks_or_workers(monkeypatch, dim):
     from pathineq import samplers
 
     # drift_cap=0.5 makes the clip branch fire in most steps
+    grid = TimeGrid.with_geometric_tail(1.0, 16)
     cfg = SamplerConfig(seed=5, n_paths=300, grid=grid, dim=dim, drift_cap=0.5)
     full = samplers._CHUNK  # more than n_paths: one chunk, the whole step at once
 
