@@ -177,14 +177,19 @@ def _run_sample_scenario(data, path, out_dir, seed_override=None):
 # estimate
 
 
-def _build_functions(specs, T):
+def _build_functions(specs, ens, path):
     from .estimators import coordinate_function, exp_half_function, hermite_function
 
+    width = ens.points.shape[-1]
     out = []
-    for spec in specs:
+    for i, spec in enumerate(specs):
         kind = spec["type"]
-        t = float(spec.get("time", T))
-        kw = {"coord": int(spec.get("coord", 0)), "label": spec.get("label")}
+        t = float(spec.get("time", ens.grid.T))
+        kw = {"coord": spec.get("coord", 0), "label": spec.get("label")}
+        if kw["coord"] >= width:
+            raise ConfigError(
+                f"coord must be < {width}, the points' width", file=str(path), path=f"functions[{i}].coord"
+            )
         if kind == "coordinate":
             out.append(coordinate_function(t, **kw))
         elif kind == "hermite":
@@ -196,13 +201,12 @@ def _build_functions(specs, T):
 
 def _run_estimate_scenario(data, path, out_dir):
     from .estimators import (
+        RAYLEIGH_ESTIMATES,
         GreenKernel,
-        entropy,
+        RayleighScan,
         exp_square_moment,
-        lsi_ratio,
-        rayleigh_scan,
+        function_estimates,
         sup_distance,
-        variance,
         weight_tail,
     )
     from .samplers import load_ensemble
@@ -214,32 +218,27 @@ def _run_estimate_scenario(data, path, out_dir):
     if not os.path.exists(ens_path):
         raise ConfigError(f"ensemble file not found: {ens_path}", file=str(path), path="ensemble")
     ens = load_ensemble(ens_path)
-    T = ens.grid.T
-    kernel = None
-    if data.get("kernel"):
-        kernel = GreenKernel(variant=data["kernel"], T=T)
-    family = _build_functions(data.get("functions", []), T)
+    kernel = GreenKernel(variant=data["kernel"], T=ens.grid.T) if data.get("kernel") else None
+    family = _build_functions(data.get("functions", []), ens, path)
+    estimators = data["estimators"]
 
     records = {"seed": ens.config.seed, "config_hash": ens.config.config_hash}
+    # the per-function estimates behind each estimator; one pass per function
+    # serves them all, and only the estimates outlive it
+    wants = {"rayleigh": RAYLEIGH_ESTIMATES, **{e: (e,) for e in ("variance", "entropy", "lsi_ratio")}}
+    names = list(dict.fromkeys(n for e in estimators for n in wants.get(e, ())))
+    per_function = [(F.label, function_estimates(F, ens, names, kernel)) for F in family] if names else []
     results = {}
     # the sup distances feed both weight-tail estimators, so take them once
-    u = sup_distance(ens) if {"weight_tail", "exp_square_moment"} & set(data["estimators"]) else None
+    u = sup_distance(ens) if {"weight_tail", "exp_square_moment"} & set(estimators) else None
     csv_rows = None
-    for est_name in data["estimators"]:
-        if est_name in ("rayleigh", "lsi_ratio") and kernel is None:
-            raise ConfigError(
-                f"estimator {est_name!r} needs a 'kernel' entry", file=str(path), path="kernel"
-            )
+    for est_name in estimators:
         if est_name == "rayleigh":
-            scan = rayleigh_scan(family, ens, kernel)
+            scan = RayleighScan.from_rows(per_function)
             results["rayleigh"] = scan.to_dict()
             csv_rows = scan.rows
-        elif est_name == "variance":
-            results["variance"] = {F.label: variance(F, ens).to_dict() for F in family}
-        elif est_name == "entropy":
-            results["entropy"] = {F.label: entropy(F, ens).to_dict() for F in family}
-        elif est_name == "lsi_ratio":
-            results["lsi_ratio"] = {F.label: lsi_ratio(F, ens, kernel).to_dict() for F in family}
+        elif est_name in wants:
+            results[est_name] = {label: est[est_name].to_dict() for label, est in per_function}
         elif est_name == "weight_tail":
             results["weight_tail"] = weight_tail(u).to_dict()
         elif est_name == "exp_square_moment":

@@ -162,11 +162,13 @@ def validate_sample(v: Validator):
 def validate_estimate(v: Validator):
     v.get("name", expected=str)
     v.get("ensemble", expected=str)
-    v.get("kernel", expected=str, required=False, choices=KERNELS)
+    kernel = v.get("kernel", expected=str, required=False, choices=KERNELS)
     ests = v.get("estimators", expected=list)
     for i, e in enumerate(ests):
         if e not in ESTIMATOR_NAMES:
             v.fail(f"estimators[{i}]", f"expected one of {sorted(ESTIMATOR_NAMES)}, got {e!r}")
+        if e in ("rayleigh", "lsi_ratio") and not kernel:
+            v.fail("kernel", f"estimator {e!r} needs a 'kernel' entry")
     funcs = v.get("functions", expected=list, required=False, default=[])
     for i in range(len(funcs)):
         kind = v.get(f"functions[{i}].type", expected=str, choices=FUNCTION_TYPES)
@@ -174,5 +176,8 @@ def validate_estimate(v: Validator):
             v.fail(f"functions[{i}].degree", "degree must be >= 0")
         if kind == "exp_half":
             v.get(f"functions[{i}].lam", expected=_NUM)
+        if v.get(f"functions[{i}].coord", expected=int, required=False, default=0) < 0:
+            v.fail(f"functions[{i}].coord", "coord must be >= 0")
+        v.get(f"functions[{i}].time", expected=_NUM, required=False)
     v.get("exp_square_c", expected=_NUM, required=False)
     v.get("out", expected=str)

@@ -15,7 +15,10 @@ which is the trivialization the Bismut tangent space provides.
 
 Estimator values are computed from compensated (fsum) totals, so parallel or
 reordered reductions reproduce the serial result; standard errors and bias
-corrections come from a vectorized leave-one-out jackknife.
+corrections come from a vectorized leave-one-out jackknife.  A function's
+variance, entropy, energy, Rayleigh and log-Sobolev estimates share its
+per-path components (F, F^2, F^2 log F^2, |grad F|_H^2) and their totals:
+``function_estimates`` builds each component and takes each total once.
 """
 
 from __future__ import annotations
@@ -45,6 +48,9 @@ class EstimatorError(ValueError):
 # Cylindrical functions and Green kernels
 
 
+_FD_REL = 1e-6  # central-difference step, relative to max(1, |coordinate|)
+
+
 @dataclass
 class CylindricalFunction:
     """F(sigma) = f(sigma_{t_1}, ..., sigma_{t_k}).
@@ -58,7 +64,6 @@ class CylindricalFunction:
     fn: object
     partials: object | None = None
     label: str = "F"
-    fd_rel: float = 1e-6
 
     def __post_init__(self):
         self.times = tuple(float(t) for t in self.times)
@@ -84,7 +89,7 @@ class CylindricalFunction:
         out = np.empty_like(X)
         for i in range(k):
             for j in range(d):
-                h = self.fd_rel * np.maximum(1.0, np.abs(X[:, i, j]))
+                h = _FD_REL * np.maximum(1.0, np.abs(X[:, i, j]))
                 Xp = X.copy()
                 Xm = X.copy()
                 Xp[:, i, j] += h
@@ -95,18 +100,19 @@ class CylindricalFunction:
         return out
 
 
-def coordinate_function(time, coord=0, label=None):
-    def fn(X):
-        return X[:, 0, coord]
+def _of_one_coordinate(f, df, time, coord, label):
+    """F = f(x), x the path's coordinate ``coord`` at ``time``, with dF/dx = df(x)."""
 
     def partials(X):
         out = np.zeros_like(X)
-        out[:, 0, coord] = 1.0
+        out[:, 0, coord] = df(X[:, 0, coord])
         return out
 
-    return CylindricalFunction(
-        times=(time,), fn=fn, partials=partials, label=label or f"x{coord}(t={time})"
-    )
+    return CylindricalFunction(times=(time,), fn=lambda X: f(X[:, 0, coord]), partials=partials, label=label)
+
+
+def coordinate_function(time, coord=0, label=None):
+    return _of_one_coordinate(lambda x: x, np.ones_like, time, coord, label or f"x{coord}(t={time})")
 
 
 def hermite_function(degree, time, coord=0, label=None):
@@ -116,33 +122,17 @@ def hermite_function(degree, time, coord=0, label=None):
     c = np.zeros(degree + 1)
     c[degree] = 1.0
     dc = hermite_e.hermeder(c)
-
-    def fn(X):
-        return hermite_e.hermeval(X[:, 0, coord], c)
-
-    def partials(X):
-        out = np.zeros_like(X)
-        out[:, 0, coord] = hermite_e.hermeval(X[:, 0, coord], dc)
-        return out
-
-    return CylindricalFunction(
-        times=(time,), fn=fn, partials=partials, label=label or f"He{degree}(t={time})"
+    return _of_one_coordinate(
+        lambda x: hermite_e.hermeval(x, c), lambda x: hermite_e.hermeval(x, dc),
+        time, coord, label or f"He{degree}(t={time})",
     )
 
 
 def exp_half_function(lam, time, coord=0, label=None):
     """F = exp(lam x / 2): the log-Sobolev test family."""
-
-    def fn(X):
-        return np.exp(0.5 * lam * X[:, 0, coord])
-
-    def partials(X):
-        out = np.zeros_like(X)
-        out[:, 0, coord] = 0.5 * lam * np.exp(0.5 * lam * X[:, 0, coord])
-        return out
-
-    return CylindricalFunction(
-        times=(time,), fn=fn, partials=partials, label=label or f"exp({lam}x/2)"
+    return _of_one_coordinate(
+        lambda x: np.exp(0.5 * lam * x), lambda x: 0.5 * lam * np.exp(0.5 * lam * x),
+        time, coord, label or f"exp({lam}x/2)",
     )
 
 
@@ -241,23 +231,21 @@ class EstimateWithCI:
         return vars(self) | {"flags": list(self.flags)}
 
 
-def _jackknife(components, g):
-    """Estimate g(mean of components) with leave-one-out bias/SE.
-
-    ``components`` is a list of 1-d arrays (same length N); ``g`` takes one
-    mean per component (scalars or numpy arrays, vectorized).  The value is
-    computed from fsum totals, so it is independent of summation order.
-    """
-    comps = [np.asarray(c, dtype=float).ravel() for c in components]
-    n = comps[0].size
-    if any(c.size != n for c in comps):
-        raise EstimatorError("component arrays must share a length")
+def _need_two_paths(n):
     if n < 2:
         raise EstimatorError("degenerate ensemble: need at least two paths")
-    totals = [math.fsum(c) for c in comps]
+
+
+def _jackknife(components, totals, g):
+    """Estimate g(mean of components) with leave-one-out bias/SE.
+
+    ``components`` is a list of 1-d arrays of one length N >= 2, ``totals``
+    their fsum totals, so the value is independent of summation order; ``g``
+    takes one mean per component (scalars or numpy arrays, vectorized).
+    """
+    n = components[0].size
     full = float(g(*[t / n for t in totals]))
-    loo = g(*[(t - c) / (n - 1) for t, c in zip(totals, comps)])
-    loo = np.asarray(loo, dtype=float)
+    loo = np.asarray(g(*[(t - c) / (n - 1) for t, c in zip(totals, components)]), dtype=float)
     loo.sort()  # both sums below then run in an order independent of the path order
     loo_mean = loo.mean()
     value = n * full - (n - 1) * loo_mean
@@ -265,44 +253,77 @@ def _jackknife(components, g):
     return EstimateWithCI(value=value, std_error=se, n_samples=n, method="jackknife")
 
 
-def _function_values(F, ens):
-    idx = [ens.grid.index_of(t) for t in F.times]
-    return F.values(ens.points[:, idx, :])
+def _variance(m1, m2):
+    return m2 - m1 * m1
+
+
+def _entropy(mw, mwl):
+    """Ent(F^2) = E[F^2 log F^2] - E F^2 log E F^2 from the means of F^2 and F^2 log F^2."""
+    return mwl - mw * np.log(np.maximum(mw, 1e-300))
+
+
+# estimate -> (the per-path components it averages, g of their means).  The
+# components are x = F, xx = F^2, wlw = F^2 log F^2 (0 log 0 = 0) and
+# e = |grad F|_H^2.
+_ESTIMATES = {
+    "variance": (("x", "xx"), _variance),
+    "entropy": (("xx", "wlw"), _entropy),
+    "energy": (("e",), lambda me: me),
+    "ratio": (("x", "xx", "e"), lambda m1, m2, me: _variance(m1, m2) / me),
+    "lsi_ratio": (("xx", "wlw", "e"), lambda mw, mwl, me: _entropy(mw, mwl) / me),
+}
+RAYLEIGH_ESTIMATES = ("variance", "energy", "ratio")
+
+
+def function_estimates(F: CylindricalFunction, ens: PathEnsemble, names, kernel=None):
+    """The named estimates of F (keys of ``_ESTIMATES``, ``kernel`` needed with an ``e``)
+    in ``names`` order, with each component built and each fsum total taken once.
+
+    A constant F has variance 0 and a constant F^2 entropy 0, exactly; a
+    "ratio" whose energy estimate is not positive is 0, flagged ``zero_energy``.
+    """
+    used = {c for name in names for c in _ESTIMATES[name][0]}
+    x = F.values(ens.points[:, [ens.grid.index_of(t) for t in F.times], :])
+    n = x.size
+    _need_two_paths(n)
+    xx = x * x if used & {"xx", "wlw"} else None
+    comps = {"x": x, "xx": xx}
+    if "wlw" in used:
+        comps["wlw"] = np.where(xx > 0, xx * np.log(np.where(xx > 0, xx, 1.0)), 0.0)
+    if "e" in used:
+        comps["e"] = h_gradient_energy(F, ens, kernel)
+    totals = {c: math.fsum(comps[c]) for c in used}
+
+    def jackknife(name):
+        keys, g = _ESTIMATES[name]
+        return _jackknife([comps[c] for c in keys], [totals[c] for c in keys], g)
+
+    out = {}
+    for name in names:
+        first = comps[_ESTIMATES[name][0][0]]  # F for the variance, F^2 for the entropy
+        if name in ("variance", "entropy") and np.all(first == first[0]):
+            out[name] = EstimateWithCI(value=0.0, std_error=0.0, n_samples=n)
+        elif name == "entropy" and not np.any(xx > 0):
+            raise EstimatorError("entropy needs F^2 not almost surely 0")
+        elif name == "ratio" and not (out["energy"] if "energy" in out else jackknife("energy")).value > 0:
+            out[name] = EstimateWithCI(value=0.0, std_error=0.0, n_samples=n, flags=("zero_energy",))
+        else:
+            out[name] = jackknife(name)
+    return out
 
 
 def variance(F: CylindricalFunction, ens: PathEnsemble) -> EstimateWithCI:
-    x = _function_values(F, ens)
-    if x.size < 2:
-        raise EstimatorError("degenerate ensemble: need at least two paths")
-    if np.all(x == x[0]):  # constants have variance exactly 0
-        return EstimateWithCI(value=0.0, std_error=0.0, n_samples=x.size)
-    return _jackknife([x, x * x], lambda m1, m2: m2 - m1 * m1)
+    return function_estimates(F, ens, ("variance",))["variance"]
 
 
 def entropy(F: CylindricalFunction, ens: PathEnsemble) -> EstimateWithCI:
     """Ent(F^2) = E[F^2 log(F^2 / E F^2)] with the convention 0 log 0 = 0."""
-    x = _function_values(F, ens)
-    if x.size < 2:
-        raise EstimatorError("degenerate ensemble: need at least two paths")
-    w = x * x
-    if np.all(w == w[0]):  # constants have entropy exactly 0
-        return EstimateWithCI(value=0.0, std_error=0.0, n_samples=w.size)
-    if not np.any(w > 0):
-        raise EstimatorError("entropy needs F^2 not almost surely 0")
-    wlw = np.where(w > 0, w * np.log(np.where(w > 0, w, 1.0)), 0.0)
-    return _jackknife([w, wlw], lambda mw, mwl: mwl - mw * np.log(np.maximum(mw, 1e-300)))
+    return function_estimates(F, ens, ("entropy",))["entropy"]
 
 
 def lsi_ratio(F: CylindricalFunction, ens: PathEnsemble, kernel: GreenKernel) -> EstimateWithCI:
     """Ent(F^2) / E|grad F|_H^2 with a jackknife CI (2 for a Gaussian LSI)."""
-    x = _function_values(F, ens)
-    w = x * x
-    wlw = np.where(w > 0, w * np.log(np.where(w > 0, w, 1.0)), 0.0)
-    e = h_gradient_energy(F, ens, kernel)
-    return _jackknife(
-        [w, wlw, e],
-        lambda mw, mwl, me: (mwl - mw * np.log(np.maximum(mw, 1e-300))) / me,
-    )
+    return function_estimates(F, ens, ("lsi_ratio",), kernel)["lsi_ratio"]
 
 
 @dataclass
@@ -318,51 +339,32 @@ class RayleighScan:
     rows: list
     best_index: int
 
+    @classmethod
+    def from_rows(cls, rows):
+        """The scan of (label, ``function_estimates`` with ``RAYLEIGH_ESTIMATES``) rows."""
+        if not rows:
+            raise EstimatorError("empty function family")
+        rows = [RayleighRow(label, *(est[name] for name in RAYLEIGH_ESTIMATES)) for label, est in rows]
+        if not any(r.energy.value > 0 for r in rows):
+            raise EstimatorError("all functions in the family have zero estimated energy")
+        return cls(rows=rows, best_index=int(np.argmax([r.ratio.value for r in rows])))
+
     @property
     def best_ratio(self) -> EstimateWithCI:
         return self.rows[self.best_index].ratio
 
     def to_dict(self):
-        return {
-            "rows": [
-                {
-                    "label": r.label,
-                    "variance": r.variance.to_dict(),
-                    "energy": r.energy.to_dict(),
-                    "ratio": r.ratio.to_dict(),
-                }
-                for r in self.rows
-            ],
-            "best_index": self.best_index,
-        }
+        rows = [{"label": r.label, **{k: getattr(r, k).to_dict() for k in RAYLEIGH_ESTIMATES}}
+                for r in self.rows]
+        return {"rows": rows, "best_index": self.best_index}
 
 
 def rayleigh_scan(family, ens: PathEnsemble, kernel: GreenKernel) -> RayleighScan:
     """Var(F) / E|grad F|_H^2 per function; the max over the family is an
     empirical lower bound on the Poincare constant."""
-    if not family:
-        raise EstimatorError("empty function family")
-    rows = []
-    any_energy = False
-    for F in family:
-        x = _function_values(F, ens)
-        e = h_gradient_energy(F, ens, kernel)
-        var_est = variance(F, ens)
-        energy_est = _jackknife([e], lambda me: me)
-        if energy_est.value > 0:
-            any_energy = True
-            ratio_est = _jackknife(
-                [x, x * x, e], lambda m1, m2, me: (m2 - m1 * m1) / me
-            )
-        else:
-            ratio_est = EstimateWithCI(
-                value=0.0, std_error=0.0, n_samples=x.size, flags=("zero_energy",)
-            )
-        rows.append(RayleighRow(F.label, var_est, energy_est, ratio_est))
-    if not any_energy:
-        raise EstimatorError("all functions in the family have zero estimated energy")
-    best = int(np.argmax([r.ratio.value for r in rows]))
-    return RayleighScan(rows=rows, best_index=best)
+    return RayleighScan.from_rows(
+        [(F.label, function_estimates(F, ens, RAYLEIGH_ESTIMATES, kernel)) for F in family]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +393,7 @@ def exp_square_moment(u, c, max_share=0.5) -> EstimateWithCI:
     that is reported via the ``max_dominated`` flag instead of being hidden.
     """
     u = np.asarray(u, dtype=float).ravel()
-    if u.size < 2:
-        raise EstimatorError("degenerate ensemble: need at least two paths")
+    _need_two_paths(u.size)
     z = c * u * u
     flags = []
     if z.max() > 700.0:
@@ -400,7 +401,10 @@ def exp_square_moment(u, c, max_share=0.5) -> EstimateWithCI:
         w = np.exp(np.minimum(z, 700.0))
     else:
         w = np.exp(z)
-    total = math.fsum(w)
+    try:
+        total = math.fsum(w)
+    except OverflowError:  # enough terms near exp(700) sum past the largest float
+        return EstimateWithCI(math.inf, math.inf, u.size, method="plain", flags=("overflow",))
     w_max = w.max()
     if w_max / total > max_share:
         flags.append("max_dominated")
@@ -415,7 +419,7 @@ def exp_square_moment(u, c, max_share=0.5) -> EstimateWithCI:
     )
 
 
-def tail_slope_vs_square(u, levels=None, min_survival=None):
+def tail_slope_vs_square(u):
     """OLS slope of log survival against s^2 over the informative range.
 
     Gaussian-type tails exp(-c s^2) show up as a negative slope; returns
@@ -423,9 +427,7 @@ def tail_slope_vs_square(u, levels=None, min_survival=None):
     ones here (the regression is a diagnostic, not a certificate).
     """
     u = np.asarray(u, dtype=float).ravel()
-    n = u.size
-    if levels is None:
-        levels = np.linspace(np.quantile(u, 0.5), np.quantile(u, 1.0 - 20.0 / n), 24)
+    levels = np.linspace(np.quantile(u, 0.5), np.quantile(u, 1.0 - 20.0 / u.size), 24)
     surv = np.array([(u > s).mean() for s in levels])
     keep = (surv > 0) & (surv < 1)
     xs = levels[keep] ** 2

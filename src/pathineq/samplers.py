@@ -245,13 +245,10 @@ def sample_flat_bridge(cfg: SamplerConfig) -> PathEnsemble:
     return PathEnsemble(config=cfg, measure_tag="flat_bridge", points=points)
 
 
-def sample_ou(cfg: SamplerConfig, scheme="exact") -> PathEnsemble:
-    """Langevin dynamics du = dW - (1/2) u dt, started from its stationary law.
-
-    ``exact`` uses the Gaussian transition u_{t+h} = e^{-h/2} u_t +
-    sqrt(1 - e^{-h}) xi (stationary law = standard normal); ``euler`` is the
-    plain Euler-Maruyama discretization, kept for scheme cross-checks.
-    """
+def sample_ou(cfg: SamplerConfig) -> PathEnsemble:
+    """Langevin dynamics du = dW - (1/2) u dt, started from its stationary law,
+    by the exact Gaussian transition u_{t+h} = e^{-h/2} u_t + sqrt(1 - e^{-h}) xi
+    (stationary law = standard normal)."""
     nodes = cfg.grid.array()
     n_steps = nodes.size - 1
     points = np.empty((cfg.n_paths, nodes.size, cfg.dim))
@@ -259,13 +256,7 @@ def sample_ou(cfg: SamplerConfig, scheme="exact") -> PathEnsemble:
     for k in range(n_steps):
         h = nodes[k + 1] - nodes[k]
         xi = step_normals(cfg.seed, k, (cfg.n_paths, cfg.dim))
-        u = points[:, k, :]
-        if scheme == "exact":
-            points[:, k + 1, :] = math.exp(-h / 2.0) * u + math.sqrt(1.0 - math.exp(-h)) * xi
-        elif scheme == "euler":
-            points[:, k + 1, :] = u - 0.5 * h * u + math.sqrt(h) * xi
-        else:
-            raise SamplerError(f"unknown OU scheme {scheme!r}")
+        points[:, k + 1, :] = math.exp(-h / 2.0) * points[:, k, :] + math.sqrt(1.0 - math.exp(-h)) * xi
     return PathEnsemble(config=cfg, measure_tag="ou", points=points)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -184,14 +185,31 @@ def test_domain_error_names_its_scenario_file(tmp_path, capsys):
         ("sample", "x0: origin", "drift_cap: abc\nx0: origin", 10, "drift_cap"),
         ("estimate", "exp_square_c: 0.25", "exp_square_c: abc", 4, "exp_square_c"),
         ("transfer", "epsilon: 0.125}\n", "epsilon: 0.125}\nprofile_grid: {points: abc}\n", 6, "profile_grid.points"),
+        ("estimate", "out:", "functions: [{type: coordinate, coord: abc}]\nout:", 5, "functions[0].coord"),
+        ("estimate", "out:", "functions: [{type: coordinate, time: abc}]\nout:", 5, "functions[0].time"),
     ],
-    ids=["lam", "floor", "drift_cap", "exp_square_c", "points"],
+    ids=["lam", "floor", "drift_cap", "exp_square_c", "points", "coord", "time"],
 )
 def test_non_numeric_option_names_file_and_line(tmp_path, capsys, command, old, new, line, key):
     text = {"sample": SAMPLE_YAML, "estimate": ESTIMATE_YAML, "transfer": TRANSFER_YAML}[command]
     cfg = write(tmp_path, "bad.yaml", text.replace(old, new))
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert f"bad.yaml:{line}: {key}: expected " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("coord, line", [(3, None), (-1, 4)], ids=["out_of_range", "negative"])
+def test_bad_coord_names_file_and_key(tmp_path, capsys, coord, line):
+    # a 3-d Wiener ensemble has coordinates 0, 1 and 2
+    sample = SAMPLE_YAML.replace("hyperbolic_bridge", "wiener")
+    estimate = ESTIMATE_YAML.replace(
+        "[weight_tail, exp_square_moment]", f"[variance]\nfunctions: [{{type: coordinate, coord: {coord}}}]"
+    )
+    out = str(tmp_path / "out")
+    assert main(["sample", "--config", write(tmp_path, "s.yaml", sample), "--out", out]) == 0
+    capsys.readouterr()
+    assert main(["estimate", "--config", write(tmp_path, "bad.yaml", estimate), "--out", out]) == 2
+    where = "bad.yaml" if line is None else f"bad.yaml:{line}"
+    assert f"{where}: functions[0].coord: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -271,6 +289,95 @@ def test_thread_count_does_not_change_outputs(tmp_path):
             assert strip(r1) == strip(r2)
         else:
             assert b1 == runs["2"][f], f
+
+
+GAUSS_SAMPLE_YAML = """\
+name: gauss
+sampler: wiener
+seed: 5
+n_paths: 2000
+dim: 1
+T: 1.0
+grid: {n_steps: 1}
+out: gauss.pens
+"""
+
+GAUSS_ESTIMATE_YAML = """\
+name: est-gauss
+ensemble: gauss.pens
+kernel: based_path
+estimators: [rayleigh, lsi_ratio, variance, entropy]
+functions:
+  - {type: hermite, degree: 1, label: He1}
+  - {type: hermite, degree: 2, label: He2}
+  - {type: hermite, degree: 3, label: He3}
+  - {type: exp_half, lam: 0.5, label: exp0.5}
+out: est-gauss.json
+"""
+
+H3_ESTIMATE_YAML = """\
+name: est-h3
+ensemble: bridge.pens
+kernel: bridge
+estimators: [rayleigh, variance, entropy]
+functions:
+  - {type: coordinate, coord: 0, time: 0.25}
+  - {type: coordinate, coord: 0, time: 0.5}
+  - {type: coordinate, coord: 1, time: 0.75}
+out: est-h3.json
+"""
+
+
+def run_estimate_digest_scenarios(tmp_path, estimates=(GAUSS_ESTIMATE_YAML, H3_ESTIMATE_YAML)):
+    out = str(tmp_path / "out")
+    samples = [write(tmp_path, "gauss.yaml", GAUSS_SAMPLE_YAML), write(tmp_path, "bridge.yaml", SAMPLE_YAML)]
+    assert main(["sample", *(a for c in samples for a in ("--config", c)), "--out", out]) == 0
+    configs = [write(tmp_path, f"e{i}.yaml", text) for i, text in enumerate(estimates)]
+    assert main(["estimate", *(a for c in configs for a in ("--config", c)), "--out", out]) == 0
+    return tmp_path / "out"
+
+
+def test_estimate_outputs_pinned_digests(tmp_path):
+    # SHA-256 of the estimate JSON and Rayleigh CSV bytes, recorded with numpy
+    # 2.4.6 and scipy 1.17.1; a refactor of the estimators must reproduce them
+    out = run_estimate_digest_scenarios(tmp_path)
+    digests = {
+        f: hashlib.sha256((out / f).read_bytes()).hexdigest()
+        for f in ("est-gauss.json", "est-gauss.rayleigh.csv", "est-h3.json", "est-h3.rayleigh.csv")
+    }
+    assert digests == {
+        "est-gauss.json": "dc7282920179ff867c5bf64a93caebf57f424926b06861e794dc3136f5894a60",
+        "est-gauss.rayleigh.csv": "9b64a7a7255071dfd75ab8dd86a23e4e74e15ed1021c6793eb166a1e687e9743",
+        "est-h3.json": "6981049bb083e6ab434039f6b0d291858d6e4bf4ab675d8642f81a869a043b93",
+        "est-h3.rayleigh.csv": "30ad348c6ae1524834db400857168d856ab451b27b43e6fc4b7381e25e0e6a50",
+    }
+
+
+def test_estimate_takes_each_total_once(tmp_path, monkeypatch):
+    # rayleigh, lsi_ratio, variance and entropy of one function share four
+    # components (F, F^2, F^2 log F^2, |grad F|_H^2): at most four fsum totals
+    # and one energy computation per function
+    import math
+
+    import pathineq.estimators
+
+    calls = {"fsum": 0, "energy": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(math, "fsum", counted("fsum", math.fsum))
+    monkeypatch.setattr(
+        pathineq.estimators, "h_gradient_energy", counted("energy", pathineq.estimators.h_gradient_energy)
+    )
+    run_estimate_digest_scenarios(tmp_path, estimates=(GAUSS_ESTIMATE_YAML,))
+    n_functions = GAUSS_ESTIMATE_YAML.count("{type:")
+    assert calls["fsum"] <= 4 * n_functions
+    assert calls["energy"] == n_functions
 
 
 DEFAULTS_YAML = """\

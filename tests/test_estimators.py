@@ -210,7 +210,7 @@ def test_jackknife_matches_closed_form_for_mean():
     x = rng.normal(size=4000)
     from pathineq.estimators import _jackknife
 
-    est = _jackknife([x], lambda m: m)
+    est = _jackknife([x], [math.fsum(x)], lambda m: m)
     assert est.value == pytest.approx(x.mean(), rel=1e-12)
     assert est.std_error == pytest.approx(x.std(ddof=1) / math.sqrt(x.size), rel=1e-10)
 
@@ -321,6 +321,15 @@ def test_exp_square_moment_flags():
     assert "max_dominated" not in est.flags
     est_hot = exp_square_moment(u, 20.0)
     assert "max_dominated" in est_hot.flags
+
+
+@pytest.mark.parametrize("u, c", [(np.full(20000, 3.0), 1000.0), (np.full(100_000, 1.0), 699.9)],
+                         ids=["clipped", "unclipped"])
+def test_exp_square_moment_total_overflow_is_flagged(u, c):
+    # every term is near exp(700): the sum passes the largest float either way
+    est = exp_square_moment(u, c)
+    assert est.value == math.inf and est.std_error == math.inf
+    assert est.flags == ("overflow",)
 
 
 def test_estimator_reduction_order_insensitive():
