@@ -10,6 +10,7 @@ involved; hard tolerances come from closed-form or quadrature oracles.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -102,6 +103,9 @@ def _jsonable(v):
     return v
 
 
+CRITERIA = {}  # id -> run(out_dir=None), filled by @_criterion in definition order
+
+
 def _criterion(cid):
     def wrap(fn):
         def run(out_dir=None):
@@ -109,7 +113,7 @@ def _criterion(cid):
             passed, details = fn(out_dir)
             return CriterionResult(cid=cid, passed=bool(passed), seconds=time.perf_counter() - t0, details=details)
 
-        run.cid = cid
+        CRITERIA[cid] = run
         return run
 
     return wrap
@@ -118,24 +122,17 @@ def _criterion(cid):
 # ---------------------------------------------------------------------------
 # shared ensembles (criteria reuse the same big runs)
 
-_CACHE = {}
 
-
+@functools.cache
 def _gaussian_1m():
-    key = "gauss1m"
-    if key not in _CACHE:
-        cfg = SamplerConfig(seed=777, n_paths=1_000_000, grid=TimeGrid.uniform(1.0, 1), dim=1)
-        _CACHE[key] = sample_wiener(cfg)
-    return _CACHE[key]
+    cfg = SamplerConfig(seed=777, n_paths=1_000_000, grid=TimeGrid.uniform(1.0, 1), dim=1)
+    return sample_wiener(cfg)
 
 
+@functools.cache
 def _bridge_100k():
-    key = "hyp100k"
-    if key not in _CACHE:
-        grid = TimeGrid.with_geometric_tail(1.0, 128)
-        cfg = SamplerConfig(seed=2024, n_paths=100_000, grid=grid, dim=3)
-        _CACHE[key] = sample_hyperbolic_bridge(cfg)
-    return _CACHE[key]
+    grid = TimeGrid.with_geometric_tail(1.0, 128)
+    return sample_hyperbolic_bridge(SamplerConfig(seed=2024, n_paths=100_000, grid=grid, dim=3))
 
 
 # ---------------------------------------------------------------------------
@@ -462,24 +459,8 @@ def criterion_a10(out_dir=None):
 
 
 # ---------------------------------------------------------------------------
-# registry
+# suites
 
-
-CRITERIA = {
-    f.cid: f
-    for f in (
-        criterion_a1,
-        criterion_a2,
-        criterion_a3,
-        criterion_a4,
-        criterion_a5,
-        criterion_a6,
-        criterion_a7,
-        criterion_a8,
-        criterion_a9,
-        criterion_a10,
-    )
-}
 
 SUITES = {
     "transfer": ["A1", "A2", "A3"],
@@ -489,7 +470,7 @@ SUITES = {
     "heat-kernel": ["A8"],
     "hyperbolic-bridge": ["A9"],
     "aida": ["A10"],
-    "all": [f"A{i}" for i in range(1, 11)],
+    "all": list(CRITERIA),
 }
 
 RUNTIME_BUDGETS = {"A1": 1.0, "A2": 10.0, "A4": 30.0, "A6": 60.0, "A9": 300.0}

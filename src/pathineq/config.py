@@ -84,7 +84,8 @@ class Validator:
                     self.fail(path, "missing required key")
                 return default
             cur = cur[part]
-        if expected is not None and not isinstance(cur, expected):
+        # bool subclasses int, but no key here takes a YAML true/false
+        if expected is not None and (not isinstance(cur, expected) or isinstance(cur, bool)):
             names = getattr(expected, "__name__", None) or "/".join(
                 t.__name__ for t in expected
             )

@@ -280,7 +280,8 @@ def function_estimates(F: CylindricalFunction, ens: PathEnsemble, names, kernel=
     in ``names`` order, with each component built and each fsum total taken once.
 
     A constant F has variance 0 and a constant F^2 entropy 0, exactly; a
-    "ratio" whose energy estimate is not positive is 0, flagged ``zero_energy``.
+    "ratio" or "lsi_ratio" whose energy estimate is not positive is 0,
+    flagged ``zero_energy``.
     """
     used = {c for name in names for c in _ESTIMATES[name][0]}
     x = F.values(ens.points[:, [ens.grid.index_of(t) for t in F.times], :])
@@ -305,7 +306,7 @@ def function_estimates(F: CylindricalFunction, ens: PathEnsemble, names, kernel=
             out[name] = EstimateWithCI(value=0.0, std_error=0.0, n_samples=n)
         elif name == "entropy" and not np.any(xx > 0):
             raise EstimatorError("entropy needs F^2 not almost surely 0")
-        elif name == "ratio" and not (out["energy"] if "energy" in out else jackknife("energy")).value > 0:
+        elif name in ("ratio", "lsi_ratio") and not (out.get("energy") or jackknife("energy")).value > 0:
             out[name] = EstimateWithCI(value=0.0, std_error=0.0, n_samples=n, flags=("zero_energy",))
         else:
             out[name] = jackknife(name)
@@ -380,17 +381,19 @@ def sup_distance(ens: PathEnsemble):
     return hyp.dist(ens.points, y0).max(axis=1)
 
 
-def weight_tail(u, confidence=0.99) -> TailBound:
+def weight_tail(u, **kw) -> TailBound:
     """Upper-confidence empirical tail of the sup distances
-    u = sup_t d(gamma_t, y0) (see ``sup_distance``)."""
-    return TailBound.from_samples(u, confidence=confidence)
+    u = sup_t d(gamma_t, y0) (see ``sup_distance``); ``kw`` (the
+    ``confidence``) as in ``TailBound.from_samples``."""
+    return TailBound.from_samples(u, **kw)
 
 
-def exp_square_moment(u, c, max_share=0.5) -> EstimateWithCI:
+def exp_square_moment(u, c) -> EstimateWithCI:
     """Estimate E exp(c u^2); flags estimates dominated by the sample max.
 
-    A heavy right tail shows up as one path carrying most of the sample mean;
-    that is reported via the ``max_dominated`` flag instead of being hidden.
+    A heavy right tail shows up as one path carrying most (over half) of the
+    sample mean; that is reported via the ``max_dominated`` flag instead of
+    being hidden.
     """
     u = np.asarray(u, dtype=float).ravel()
     _need_two_paths(u.size)
@@ -406,7 +409,7 @@ def exp_square_moment(u, c, max_share=0.5) -> EstimateWithCI:
     except OverflowError:  # enough terms near exp(700) sum past the largest float
         return EstimateWithCI(math.inf, math.inf, u.size, method="plain", flags=("overflow",))
     w_max = w.max()
-    if w_max / total > max_share:
+    if w_max / total > 0.5:
         flags.append("max_dominated")
     value = total / u.size
     if "overflow" in flags:

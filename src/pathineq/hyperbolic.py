@@ -257,19 +257,18 @@ def grad_log_heat_kernel(t, x, y0, params: HeatKernelParams):
     return radial_coef(dlog_heat_kernel_dr(t, r, params), r)[..., None] * log_map(x, y0)
 
 
-def radial_integral(f, n, r_max, **quad_kw):
+def radial_integral(f, n, r_max):
     """int_{H^n} f(d(o, y)) dy = int_0^{r_max} f(r) area(r) dr by quadrature."""
-    kw = dict(epsabs=1e-12, epsrel=1e-12, limit=300)
-    kw.update(quad_kw)
-    val, _ = quad(lambda r: float(f(r)) * float(sphere_area(n, r)), 0.0, r_max, **kw)
+    val, _ = quad(
+        lambda r: float(f(r)) * float(sphere_area(n, r)), 0.0, r_max, epsabs=1e-12, epsrel=1e-12, limit=300
+    )
     return val
 
 
-def kernel_mass(t, params: HeatKernelParams, r_max=None):
+def kernel_mass(t, params: HeatKernelParams):
     """Total mass of the kernel (stochastic completeness check -> 1)."""
     tau = t * params.tau_factor
-    if r_max is None:
-        r_max = 4.0 * tau + 16.0 * math.sqrt(tau) + 10.0
+    r_max = 4.0 * tau + 16.0 * math.sqrt(tau) + 10.0
     return radial_integral(lambda r: heat_kernel(t, r, params), params.n, r_max)
 
 

@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .config import present
-from .profiles import BetaProfile, TailBound
+from .profiles import BetaProfile, DomainError, TailBound
 from .transfer import (
     DyadicParams,
     TransferError,
@@ -138,7 +138,7 @@ def pipeline_report(results, grid_points=48):
                 if lo < hi:
                     g = np.geomspace(lo, hi, grid_points)
                     entry["tabulated"] = {"s": list(g), "beta": list(prof.tabulate(g))}
-        except Exception as exc:  # tabulation is best-effort reporting
+        except DomainError as exc:  # a profile with no evaluable range is reported, not fatal
             entry["tabulated"] = {"error": str(exc)}
         out.append(entry)
     return out

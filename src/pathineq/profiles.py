@@ -4,9 +4,9 @@ A weak log-Sobolev inequality reads  Ent(f^2) <= beta(s) E|grad f|^2 + s |f|_inf
 and a weak Poincare inequality reads  Var(f) <= alpha(s) E|grad f|^2 + s |f|_inf^2,
 each for s in (0, r0) with a non-increasing positive rate function.  This module
 holds the rate-function objects (``BetaProfile`` / ``AlphaProfile``), the tail
-bound object fed into the tail-to-weak-LSI transfer, and their JSON round-trip.
+bound object fed into the tail-to-weak-LSI transfer, and their dict (JSON) form.
 
-Profiles come in three families:
+Profiles come in three families, and alpha profiles in a fourth:
 
 * ``c_log_inv_s``  -- beta(s) = C * log(1/s), the borderline rate that still
   upgrades to a true Poincare inequality;
@@ -14,12 +14,12 @@ Profiles come in three families:
   function (conservative: a certificate at s' <= s is also one at s);
 * ``composed``     -- a closed-form construction described by parameters and
   re-evaluated from them (scan constructions, the weak-Poincare formula).
-  Keeping parameters instead of closures is what makes serialization lossless.
+  Keeping parameters instead of closures is what makes serialization lossless;
+* ``constant``     -- alpha(s) = value for every s, a true Poincare constant.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, fields
 
@@ -142,24 +142,22 @@ class TailBound:
         return cls(levels=tuple(levels), values=tuple(vals), source="analytic")
 
     @classmethod
-    def from_samples(cls, u, levels=None, confidence=0.99):
+    def from_samples(cls, u, confidence=0.99):
         """One-sided upper confidence bound on the survival function.
 
         Per grid point the Clopper-Pearson style upper bound at the given
         confidence is used, then monotonicity is enforced by a running
         maximum from the right.  A raw empirical tail would understate the
-        certificate, hence the adjustment.  The default grid is 0 and 64
-        geometric levels from the 0.02 quantile to 1.25 times the maximum.
+        certificate, hence the adjustment.  The grid is 0 and 64 geometric
+        levels from the 0.02 quantile to 1.25 times the maximum.
         """
         u = np.asarray(u, dtype=float).ravel()
         n = u.size
         if n < 2:
             raise ProfileError("need at least two samples for an empirical tail")
-        if levels is None:
-            hi = float(u.max()) * 1.25 + 1e-9
-            lo = max(float(np.quantile(u, 0.02)), hi * 1e-4)
-            levels = np.concatenate([[0.0], np.geomspace(lo, hi, 64)])
-        levels = np.asarray(levels, dtype=float)
+        hi = float(u.max()) * 1.25 + 1e-9
+        lo = max(float(np.quantile(u, 0.02)), hi * 1e-4)
+        levels = np.concatenate([[0.0], np.geomspace(lo, hi, 64)])
         counts = (u[None, :] > levels[:, None]).sum(axis=1)
         k = np.minimum(counts, n - 1)  # keeps ppf's n - k > 0; k = n gets the bound 1 below
         vals = np.where(counts >= n, 1.0, _beta_dist.ppf(confidence, k + 1, n - k))
@@ -357,7 +355,7 @@ class BetaProfile:
         else:
             d["form"] = self.form
             d["params"] = self.params
-        if hasattr(self, "is_constant"):
+        if isinstance(self, AlphaProfile):
             d["is_constant"] = False
         return d
 
@@ -373,9 +371,9 @@ class BetaProfile:
 
 @dataclass(frozen=True)
 class AlphaProfile(BetaProfile):
-    """Weak Poincare rate; ``is_constant`` marks a true Poincare constant."""
+    """Weak Poincare rate; family ``constant`` is a true Poincare constant ``value``.
+    The dict form's ``is_constant`` key follows from the family and is not read back."""
 
-    is_constant: bool = False
     value: float | None = None
 
     _type = "alpha_profile"
@@ -383,11 +381,9 @@ class AlphaProfile(BetaProfile):
 
     def __post_init__(self):
         if self.family == "constant":
-            if not self.is_constant or self.value is None or not (self.value > 0):
+            if self.value is None or not (self.value > 0):
                 raise ProfileError("constant alpha profile needs a positive value")
             return
-        if self.is_constant:
-            raise ProfileError("is_constant only valid with family='constant'")
         super().__post_init__()
 
     def __call__(self, s):
@@ -418,25 +414,23 @@ class AlphaProfile(BetaProfile):
         L = _elementwise(math.log, 1.0 / s)
         return self._cache["beta"].tabulate(p["C2_prime"] * s * L) / (p["C1_prime"] * L)
 
-    def tabulate_monotone(self, s_values=None, n_points=64):
-        """Tabulated, valid, non-increasing view of the profile.
+    def tabulate_monotone(self, n_points=64):
+        """Tabulated, valid, non-increasing view of the profile on n_points
+        geometric points of its evaluable range.
 
         alpha_bar(s) = min over s' <= s of alpha(s') is again a weak-Poincare
         rate (a certificate at smaller s is also one at larger s), so the raw
         formula values may be monotonized by a running minimum.
         """
         if self.family == "constant":
-            grid = np.asarray(s_values if s_values is not None else [1e-6, 1.0])
+            grid = np.array([1e-6, 1.0])
             return grid, np.full(grid.shape, self.value)
-        if s_values is None:
-            lo = max(self.eval_floor * 1.001, 1e-300)
-            hi = self.r0 * 0.999
-            if not lo < hi:
-                raise DomainError("empty evaluable range")
-            s_values = np.geomspace(lo, hi, n_points)
-        grid = np.asarray(s_values, dtype=float)
-        vals = self.tabulate(grid)
-        return grid, np.minimum.accumulate(vals)
+        lo = max(self.eval_floor * 1.001, 1e-300)
+        hi = self.r0 * 0.999
+        if not lo < hi:
+            raise DomainError("empty evaluable range")
+        grid = np.geomspace(lo, hi, n_points)
+        return grid, np.minimum.accumulate(self.tabulate(grid))
 
 
 def profile_from_dict(d):
@@ -446,11 +440,3 @@ def profile_from_dict(d):
     if t == "alpha_profile":
         return AlphaProfile.from_dict(d)
     raise ProfileError(f"unknown serialized profile type {t!r}")
-
-
-def profile_to_json(p, **kw):
-    return json.dumps(p.to_dict(), **kw)
-
-
-def profile_from_json(s):
-    return profile_from_dict(json.loads(s))

@@ -116,10 +116,10 @@ class TimeGrid:
         out[1::2] = mids
         return TimeGrid(tuple(out))
 
-    def index_of(self, t, tol=1e-12):
+    def index_of(self, t):
         nodes = self.array()
         i = int(np.argmin(np.abs(nodes - t)))
-        if abs(nodes[i] - t) > tol * max(1.0, self.T):
+        if abs(nodes[i] - t) > 1e-12 * max(1.0, self.T):
             raise SamplerError(f"time {t} is not a grid node")
         return i
 
@@ -430,11 +430,9 @@ def load_ensemble(path) -> PathEnsemble:
     return PathEnsemble(config=cfg, measure_tag=tag, points=points, diagnostics=diagnostics)
 
 
-def ensemble_to_csv(path, ens: PathEnsemble, max_paths=10_000):
-    if ens.n_paths > max_paths:
-        raise SamplerError(
-            f"CSV export is for small runs (n_paths <= {max_paths}); use the binary format"
-        )
+def ensemble_to_csv(path, ens: PathEnsemble):
+    if ens.n_paths > 10_000:
+        raise SamplerError("CSV export is for small runs (n_paths <= 10000); use the binary format")
     nodes = ens.grid.array()
     d = ens.points.shape[-1]
     with open(path, "w", newline="") as fh:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import polygamma
 
-from .profiles import AlphaProfile, BetaProfile, TailBound, cutoff_factor, cutoff_levels
+from .profiles import AlphaProfile, BetaProfile, TailBound, cutoff_factor, cutoff_levels, profile_from_dict
 
 _INV_E = 1.0 / math.e
 _LOG2 = math.log(2.0)
@@ -138,14 +138,6 @@ class DyadicParams:
                 )
         return self
 
-    def to_dict(self):
-        return {
-            "delta0": self.delta0,
-            "delta": self.delta,
-            "epsilon": self.epsilon,
-            "A": self.A,
-        }
-
 
 # ---------------------------------------------------------------------------
 # The three dyadic constants
@@ -170,11 +162,10 @@ def c2(params: DyadicParams, C: float) -> float:
 def c3(params: DyadicParams) -> float:
     """Sup-norm leak: (delta^2-1)/(4 log delta) / (A-1)^2 + epsilon/log 2.
 
-    Independent of C; the construction is feasible iff C3 < 1.
+    Independent of C; the construction is feasible iff C3 < 1 (A > 1 holds
+    for every ``DyadicParams``).
     """
     d, A = params.delta, params.A
-    if not A > 1:
-        raise TransferError("c3 requires A > 1")
     return (d * d - 1.0) / (4.0 * math.log(d)) / (A - 1.0) ** 2 + params.epsilon / _LOG2
 
 
@@ -215,8 +206,6 @@ class TransferResult:
     def from_dict(cls, d):
         if d.get("type") != "transfer_result":
             raise TransferError("not a serialized transfer result")
-        from .profiles import profile_from_dict
-
         return cls(
             kind=d["kind"],
             profile=profile_from_dict(d["profile"]),
@@ -357,7 +346,7 @@ def weak_lsi_to_poincare(
     C1 = c1(params, C)
     C2 = c2(params, C)
     C3 = c3(params)
-    alpha = (C1 + C2) / (1.0 - C3)
+    alpha = poincare_objective(params, C)
 
     audit = [
         ("C", C),
@@ -379,16 +368,17 @@ def weak_lsi_to_poincare(
     audit.append(("r_n_sup", params.r_n(0)))
     audit.append(("r_n_sup_below_r0", 1.0 if params.r_n(0) < r0 else 0.0))
 
-    profile = AlphaProfile(family="constant", r0=math.inf, is_constant=True, value=alpha)
+    profile = AlphaProfile(family="constant", r0=math.inf, value=alpha)
     return TransferResult(kind="poincare", profile=profile, audit=audit)
 
 
 def poincare_objective(params: DyadicParams, C: float = 1.0) -> float:
     """(C1 + C2) / (1 - C3); exactly linear in C since C3 carries no C."""
-    v3 = c3(params)
-    if v3 >= 1:
-        raise TransferError(f"infeasible: C3 = {v3} >= 1")
-    return (c1(params, C) + c2(params, C)) / (1.0 - v3)
+    C3 = c3(params)
+    if C3 >= 1:
+        raise TransferError(f"infeasible: C3 = {C3} >= 1")
+    C1, C2 = c1(params, C), c2(params, C)
+    return (C1 + C2) / (1.0 - C3)
 
 
 def optimize_dyadic_params(C: float, r0: float, budget: int = 10_000) -> DyadicParams:
@@ -422,9 +412,7 @@ def optimize_dyadic_params(C: float, r0: float, budget: int = 10_000) -> DyadicP
         if not (d < d0 <= 2.0**20):
             return math.inf
         try:
-            p = DyadicParams(delta0=d0, delta=d, epsilon=eps, A=A)
-            p.validate(r0)
-            return poincare_objective(p, 1.0)
+            return poincare_objective(DyadicParams(delta0=d0, delta=d, epsilon=eps, A=A).validate(r0))
         except TransferError:
             return math.inf
 
@@ -465,9 +453,7 @@ def optimize_dyadic_params(C: float, r0: float, budget: int = 10_000) -> DyadicP
             widths[i] *= 0.5
 
     ld, A, le = x
-    params = DyadicParams(delta0=math.exp(ld) ** A, delta=math.exp(ld), epsilon=math.exp(le), A=A)
-    params.validate(r0)
-    return params
+    return DyadicParams(delta0=math.exp(ld) ** A, delta=math.exp(ld), epsilon=math.exp(le), A=A).validate(r0)
 
 
 # ---------------------------------------------------------------------------
@@ -617,13 +603,13 @@ def weak_lsi_to_weak_poincare(
 # The entropy inequality behind the dyadic proof, as a sample-level self-test
 
 
-def entropy_inequality_check(G, level_c, support, slack=0.0):
+def entropy_inequality_check(G, level_c, support):
     """Check  E[G^2 phi] <= Ent(G^2)  on an empirical measure.
 
     phi equals log(level_c) on ``support`` and -inf off it; the hypothesis
     E e^phi <= 1 and the finiteness of phi on the support of G are verified
-    first.  The inequality is exact for any measure (entropy duality), so the
-    default slack is 0 up to floating-point guard.
+    first.  The inequality is exact for any measure (entropy duality), so it
+    is checked with no slack beyond a floating-point guard.
     """
     G = np.asarray(G, dtype=float).ravel()
     support = np.asarray(support, dtype=bool).ravel()
@@ -646,7 +632,7 @@ def entropy_inequality_check(G, level_c, support, slack=0.0):
     else:
         nz = w > 0
         ent = math.fsum(w[nz] * (np.log(w[nz]) - math.log(mean_w))) / n
-    return bool(lhs <= ent + slack + 1e-12 * max(1.0, abs(ent)))
+    return bool(lhs <= ent + 1e-12 * max(1.0, abs(ent)))
 
 
 # ---------------------------------------------------------------------------
@@ -657,15 +643,16 @@ def replay_profile(result: TransferResult):
     """Rebuild the output profile from the audit/serialized parameters alone.
 
     Used to enforce the contract that recomputing from the audit reproduces
-    the profile bit-identically.
+    the profile bit-identically.  Poincare and weighted-LSI results rerun
+    their transfer on the audited inputs, so a changed input replays to a
+    different profile; tail-scan and weak-Poincare profiles are rebuilt from
+    their serialized parameters.
     """
     if result.kind == "poincare":
-        C1 = result.audit_value("C1")
-        C2 = result.audit_value("C2")
-        C3 = result.audit_value("C3")
-        return AlphaProfile(
-            family="constant", r0=math.inf, is_constant=True, value=(C1 + C2) / (1.0 - C3)
-        )
+        a = result.audit_value
+        beta = BetaProfile(family="c_log_inv_s", C=a("C"), r0=a("r0"))
+        params = DyadicParams(delta0=a("delta0"), delta=a("delta"), epsilon=a("epsilon"), A=a("A"))
+        return weak_lsi_to_poincare(beta, params).profile
     if result.kind == "weak_lsi":
         prof = result.profile
         if prof.form == "tail_scan":

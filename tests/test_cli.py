@@ -107,6 +107,26 @@ out: exp_half.json
     assert res["c0"]["value"] != res["c1"]["value"]
 
 
+def test_lsi_ratio_zero_energy_is_written_flagged_zero(tmp_path):
+    # a function of a bridge's pinned endpoint has no H-energy: no NaN in the JSON
+    sample = SAMPLE_YAML.replace("hyperbolic_bridge", "flat_bridge").replace("dim: 3", "dim: 1")
+    estimate = """\
+name: pinned
+ensemble: bridge.pens
+estimators: [lsi_ratio]
+kernel: bridge
+functions: [{type: exp_half, lam: 0.5, label: end}]
+out: pinned.json
+"""
+    out = str(tmp_path / "out")
+    assert main(["sample", "--config", write(tmp_path, "s.yaml", sample), "--out", out]) == 0
+    assert main(["estimate", "--config", write(tmp_path, "e.yaml", estimate), "--out", out]) == 0
+    text = (tmp_path / "out" / "pinned.json").read_text()
+    assert "NaN" not in text
+    est = json.loads(text)["results"]["lsi_ratio"]["end"]
+    assert (est["value"], est["std_error"], est["flags"]) == (0.0, 0.0, ["zero_energy"])
+
+
 def test_transfer_chain_of_wrong_kind_is_config_error(tmp_path, capsys):
     chain = TRANSFER_YAML + "  - op: weak_lsi_to_weak_poincare\n"
     code = main(["transfer", "--config", write(tmp_path, "t.yaml", chain), "--out", str(tmp_path / "o")])
@@ -187,8 +207,14 @@ def test_domain_error_names_its_scenario_file(tmp_path, capsys):
         ("transfer", "epsilon: 0.125}\n", "epsilon: 0.125}\nprofile_grid: {points: abc}\n", 6, "profile_grid.points"),
         ("estimate", "out:", "functions: [{type: coordinate, coord: abc}]\nout:", 5, "functions[0].coord"),
         ("estimate", "out:", "functions: [{type: coordinate, time: abc}]\nout:", 5, "functions[0].time"),
+        # YAML booleans are not numbers, though bool subclasses int
+        ("estimate", "out:", "functions: [{type: coordinate, coord: true}]\nout:", 5, "functions[0].coord"),
+        ("sample", "n_paths: 300", "n_paths: true", 4, "n_paths"),
+        ("sample", "seed: 99", "seed: false", 3, "seed"),
+        ("sample", "T: 1.0", "T: true", 6, "T"),
     ],
-    ids=["lam", "floor", "drift_cap", "exp_square_c", "points", "coord", "time"],
+    ids=["lam", "floor", "drift_cap", "exp_square_c", "points", "coord", "time",
+         "coord_bool", "n_paths_bool", "seed_bool", "T_bool"],
 )
 def test_non_numeric_option_names_file_and_line(tmp_path, capsys, command, old, new, line, key):
     text = {"sample": SAMPLE_YAML, "estimate": ESTIMATE_YAML, "transfer": TRANSFER_YAML}[command]

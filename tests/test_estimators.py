@@ -204,6 +204,14 @@ def test_gaussian_lsi_ratio_is_two():
         assert est.std_error < 0.05
 
 
+def test_lsi_ratio_zero_energy_is_flagged_zero():
+    # on a bridge G(T, T) = 0, so a function of the pinned endpoint has no
+    # H-energy; its entropy/energy ratio is 0 with a flag, as for the Rayleigh ratio
+    ens = sample_flat_bridge(SamplerConfig(seed=5, n_paths=200, grid=TimeGrid.uniform(1.0, 8), dim=1))
+    est = lsi_ratio(exp_half_function(0.5, 1.0), ens, BRIDGE)
+    assert (est.value, est.std_error, est.flags) == (0.0, 0.0, ("zero_energy",))
+
+
 def test_jackknife_matches_closed_form_for_mean():
     # jackknife of the identity functional reduces to the classical SE
     rng = np.random.default_rng(17)

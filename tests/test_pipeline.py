@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pathineq.pipeline import PipelineError, pipeline_report, run_transfer_pipeline
+from pathineq.profiles import BetaProfile, DomainError
 
 
 def test_empty_pipeline_is_an_error():
@@ -113,3 +114,20 @@ def test_pipeline_report_shapes():
     assert "alpha" in report[1]["tabulated"]
     alphas = report[1]["tabulated"]["alpha"]
     assert all(b <= a * (1 + 1e-12) for a, b in zip(alphas, alphas[1:]))
+
+
+@pytest.mark.parametrize("error", [TypeError, DomainError])
+def test_pipeline_report_records_only_domain_errors(monkeypatch, error):
+    # a profile without an evaluable range is reported; a program bug is not hidden
+    spec = {"name": "wl", "pipeline": [{"op": "weighted_lsi_to_weak_lsi", "cert": {"a": 0.5, "C_exp": 1.0}}]}
+    results = run_transfer_pipeline(spec)
+
+    def broken(self, s_values):
+        raise error("tabulation failed")
+
+    monkeypatch.setattr(BetaProfile, "tabulate", broken)
+    if error is DomainError:
+        assert pipeline_report(results)[0]["tabulated"] == {"error": "tabulation failed"}
+    else:
+        with pytest.raises(TypeError, match="tabulation failed"):
+            pipeline_report(results)

@@ -330,6 +330,32 @@ def test_transfer_result_roundtrip():
     assert back.profile.value == res.profile.value
 
 
+def test_replay_of_every_kind_from_json_is_bit_identical():
+    beta = BetaProfile(family="c_log_inv_s", C=1.0, r0=0.5)
+    cert = WeightedLSICertificate(a=0.4, C_exp=0.9, M=1.2)
+    u = np.abs(np.random.default_rng(11).normal(size=50_000)) * 0.5
+    tail_wl = tail_to_weak_lsi(0.5, TailBound.from_samples(u))
+    results = {
+        "weighted_lsi_scan": weighted_lsi_to_weak_lsi(cert),
+        "weighted_lsi_smooth": weighted_lsi_to_weak_lsi(cert, smooth=True),
+        "tail_scan": tail_wl,
+        "poincare": weak_lsi_to_poincare(beta, PAPER_PARAMS),
+        "poincare_optimized": weak_lsi_to_poincare(beta, budget=2000),
+        "weak_poincare": weak_lsi_to_weak_poincare(tail_wl.profile),
+    }
+    for name, res in results.items():
+        back = TransferResult.from_dict(json.loads(json.dumps(res.to_dict())))
+        assert replay_profile(back).to_dict() == res.profile.to_dict(), name
+
+
+def test_poincare_replay_recomputes_from_the_audit():
+    # replay reruns the transfer on the audited inputs, so a changed input shows
+    res = weak_lsi_to_poincare(BetaProfile(family="c_log_inv_s", C=1.0, r0=0.5), PAPER_PARAMS)
+    d = res.to_dict()
+    d["audit"] = [[k, v * 1.01 if k == "epsilon" else v] for k, v in d["audit"]]
+    assert replay_profile(TransferResult.from_dict(d)).to_dict() != res.profile.to_dict()
+
+
 # ---------------------------------------------------------------------------
 # optimizer
 
