@@ -17,16 +17,16 @@ import math
 
 import numpy as np
 
-from pathineq import (
-    BetaProfile,
+from pathineq.profiles import BetaProfile
+from pathineq.transfer import (
     DyadicParams,
     WeightedLSICertificate,
     entropy_inequality_check,
     optimize_dyadic_params,
+    poincare_objective,
     weak_lsi_to_poincare,
     weighted_lsi_to_weak_lsi,
 )
-from pathineq.transfer import poincare_objective
 
 print("=" * 72)
 print("1. weighted log-Sobolev  ->  weak log-Sobolev")

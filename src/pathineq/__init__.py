@@ -10,44 +10,8 @@ Two halves, meant to be used together:
   ensembles (Gaussian, Ornstein-Uhlenbeck, flat and hyperbolic Brownian
   bridges) and estimate variances, entropies, Dirichlet energies and
   tail bounds on them, so the inequalities can be checked at desk scale.
+
+The API lives in those modules; the package imports none of them.
 """
 
-from .profiles import AlphaProfile, BetaProfile, DomainError, ProfileError, TailBound
-from .transfer import (
-    DyadicParams,
-    TransferError,
-    TransferResult,
-    WeightedLSICertificate,
-    c1,
-    c2,
-    c3,
-    entropy_inequality_check,
-    optimize_dyadic_params,
-    tail_to_weak_lsi,
-    weak_lsi_to_poincare,
-    weak_lsi_to_weak_poincare,
-    weighted_lsi_to_weak_lsi,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AlphaProfile",
-    "BetaProfile",
-    "DomainError",
-    "DyadicParams",
-    "ProfileError",
-    "TailBound",
-    "TransferError",
-    "TransferResult",
-    "WeightedLSICertificate",
-    "c1",
-    "c2",
-    "c3",
-    "entropy_inequality_check",
-    "optimize_dyadic_params",
-    "tail_to_weak_lsi",
-    "weak_lsi_to_poincare",
-    "weak_lsi_to_weak_poincare",
-    "weighted_lsi_to_weak_lsi",
-]

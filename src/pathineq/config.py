@@ -84,8 +84,10 @@ class Validator:
                     self.fail(path, "missing required key")
                 return default
             cur = cur[part]
-        # bool subclasses int, but no key here takes a YAML true/false
-        if expected is not None and (not isinstance(cur, expected) or isinstance(cur, bool)):
+        # bool subclasses int, but only a key that expects a bool takes a YAML true/false
+        if expected is not None and (
+            not isinstance(cur, expected) or (isinstance(cur, bool) and expected is not bool)
+        ):
             names = getattr(expected, "__name__", None) or "/".join(
                 t.__name__ for t in expected
             )
@@ -129,15 +131,42 @@ TRANSFER_OPS = {
 }
 
 
+# each op's stage keys and their types, (required, optional); a stage with
+# no beta takes the previous stage's profile
+_BETA = {"beta": dict, "beta.C": _NUM, "beta.r0": _NUM}
+STAGE_KEYS = {
+    "weighted_lsi_to_weak_lsi": (
+        {"cert": dict, "cert.a": _NUM, "cert.C_exp": _NUM},
+        {"cert.M": _NUM, "smooth": bool},
+    ),
+    "tail_to_weak_lsi": ({"a": _NUM, "tail": dict}, {"tail.confidence": _NUM, "n_cap": int}),
+    "weak_lsi_to_poincare": ({}, {**_BETA, "params": (str, dict), "budget": int}),
+    "weak_lsi_to_weak_poincare": ({}, {**_BETA, "delta": _NUM, "delta0": _NUM, "r": _NUM, "sigma_cap": _NUM}),
+}
+
+
 def validate_transfer(v: Validator):
     v.get("name", expected=str)
     stages = v.get("pipeline", expected=list)
     if not stages:
         v.fail("pipeline", "no stages")
     for i in range(len(stages)):
-        v.get(f"pipeline[{i}].op", expected=str, choices=TRANSFER_OPS)
+        stage = f"pipeline[{i}]"
+        op = v.get(f"{stage}.op", expected=str, choices=TRANSFER_OPS)
+        required, optional = STAGE_KEYS[op]
+        for key, expected in required.items():
+            v.get(f"{stage}.{key}", expected=expected)
+        for key, expected in optional.items():
+            v.get(f"{stage}.{key}", expected=expected, required=False)
+        if op == "weak_lsi_to_poincare":
+            params = v.get(f"{stage}.params", required=False, default="auto")
+            if isinstance(params, str) and params != "auto":
+                v.fail(f"{stage}.params", f"expected 'auto' or a mapping, got {params!r}")
+            for key in params if isinstance(params, dict) else ():
+                v.get(f"{stage}.params.{key}", expected=_NUM)
     v.get("profile_grid", expected=dict, required=False)
-    v.get("profile_grid.points", expected=int, required=False)
+    if v.get("profile_grid.points", expected=int, required=False, default=1) < 1:
+        v.fail("profile_grid.points", "points must be >= 1")
 
 
 def validate_sample(v: Validator):

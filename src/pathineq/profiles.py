@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.stats import beta as _beta_dist
+from scipy.special import betaincinv
 
 _CUTOFF_ADD = 1.0 / math.e + 1.0
 
@@ -159,8 +159,9 @@ class TailBound:
         lo = max(float(np.quantile(u, 0.02)), hi * 1e-4)
         levels = np.concatenate([[0.0], np.geomspace(lo, hi, 64)])
         counts = (u[None, :] > levels[:, None]).sum(axis=1)
-        k = np.minimum(counts, n - 1)  # keeps ppf's n - k > 0; k = n gets the bound 1 below
-        vals = np.where(counts >= n, 1.0, _beta_dist.ppf(confidence, k + 1, n - k))
+        k = np.minimum(counts, n - 1)  # keeps n - k > 0; k = n gets the bound 1 below
+        # the c-quantile of Beta(k + 1, n - k); bit for bit scipy.stats' beta.ppf
+        vals = np.where(counts >= n, 1.0, betaincinv(k + 1, n - k, confidence))
         vals = np.maximum.accumulate(vals[::-1])[::-1]  # running max from the right
         return cls(
             levels=tuple(levels),

@@ -504,10 +504,13 @@ def weak_lsi_to_weak_poincare(
     """
     delta = _require_finite("delta", delta)
     delta0 = _require_finite("delta0", delta0)
+    sigma_cap = _require_finite("sigma_cap", sigma_cap)
     if not delta > 1:
         raise TransferError("delta must exceed 1")
     if not delta0 > delta:
         raise TransferError("delta0 must exceed delta (need A > 1)")
+    if not 0 < sigma_cap <= 1:  # sigma < sigma_cap <= 1 keeps 1 - sigma positive
+        raise TransferError(f"sigma_cap must lie in (0, 1], got {sigma_cap}")
 
     logd = math.log(delta)
     A = math.log(delta0) / logd
@@ -640,32 +643,28 @@ def entropy_inequality_check(G, level_c, support):
 
 
 def replay_profile(result: TransferResult):
-    """Rebuild the output profile from the audit/serialized parameters alone.
+    """Rebuild the output profile by rerunning its transfer on the audited inputs.
 
-    Used to enforce the contract that recomputing from the audit reproduces
-    the profile bit-identically.  Poincare and weighted-LSI results rerun
-    their transfer on the audited inputs, so a changed input replays to a
-    different profile; tail-scan and weak-Poincare profiles are rebuilt from
-    their serialized parameters.
+    Enforces the contract that recomputing from the audit reproduces the
+    profile bit-identically, so a changed input or profile parameter replays
+    different.  Inputs the audit does not hold come from the profile: the
+    tail grid of a tail scan, the beta of a weak Poincare result.  The weak
+    Poincare rerun takes ``sigma_cap=1``, the largest accepted: with ``r``
+    given, the cap only gates feasibility and enters no value.
     """
+    a = result.audit_value
     if result.kind == "poincare":
-        a = result.audit_value
         beta = BetaProfile(family="c_log_inv_s", C=a("C"), r0=a("r0"))
         params = DyadicParams(delta0=a("delta0"), delta=a("delta"), epsilon=a("epsilon"), A=a("A"))
         return weak_lsi_to_poincare(beta, params).profile
+    p = result.profile.params
     if result.kind == "weak_lsi":
-        prof = result.profile
-        if prof.form == "tail_scan":
-            return BetaProfile(family="composed", r0=math.inf, form="tail_scan", params=prof.params)
-        cert = WeightedLSICertificate(
-            a=result.audit_value("a"), C_exp=result.audit_value("C"), M=result.audit_value("M")
-        )
-        return weighted_lsi_to_weak_lsi(cert, smooth=(prof.form == "weighted_lsi_smooth")).profile
+        if result.profile.form == "tail_scan":
+            tail = TailBound(tuple(p["levels"]), tuple(p["m"]), p["source"], p["n_samples"], p["confidence"])
+            return tail_to_weak_lsi(a("a"), tail, n_cap=int(a("n_cap"))).profile
+        cert = WeightedLSICertificate(a=a("a"), C_exp=a("C"), M=a("M"))
+        return weighted_lsi_to_weak_lsi(cert, smooth=(result.profile.form == "weighted_lsi_smooth")).profile
     if result.kind == "weak_poincare":
-        return AlphaProfile(
-            family="composed",
-            r0=result.audit_value("r1"),
-            form="weak_poincare_formula",
-            params=result.profile.params,
-        )
+        beta = BetaProfile.from_dict(p["beta"])
+        return weak_lsi_to_weak_poincare(beta, a("delta"), a("delta0"), r=a("r"), sigma_cap=1.0).profile
     raise TransferError(f"cannot replay kind {result.kind!r}")

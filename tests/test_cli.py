@@ -41,6 +41,14 @@ out: tail_estimates.json
 """
 
 
+OP = "op: weak_lsi_to_poincare"
+
+
+def first_stage(op, *keys):
+    """What replaces TRANSFER_YAML's ``OP`` line: another op and its stage keys."""
+    return "\n    ".join((f"op: {op}", *keys))
+
+
 def write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
@@ -212,15 +220,54 @@ def test_domain_error_names_its_scenario_file(tmp_path, capsys):
         ("sample", "n_paths: 300", "n_paths: true", 4, "n_paths"),
         ("sample", "seed: 99", "seed: false", 3, "seed"),
         ("sample", "T: 1.0", "T: true", 6, "T"),
+        # transfer stage inputs are checked by op before any transfer runs
+        ("transfer", OP, first_stage("weighted_lsi_to_weak_lsi", "cert: {a: abc, C_exp: 1.0}"), 4,
+         "pipeline[0].cert.a"),
+        ("transfer", OP, first_stage("tail_to_weak_lsi", "a: 0.5", "tail: {levels: [0, 1], values: [1, 0.1]}",
+                                     "n_cap: abc"), 6, "pipeline[0].n_cap"),
     ],
     ids=["lam", "floor", "drift_cap", "exp_square_c", "points", "coord", "time",
-         "coord_bool", "n_paths_bool", "seed_bool", "T_bool"],
+         "coord_bool", "n_paths_bool", "seed_bool", "T_bool", "cert_a", "n_cap"],
 )
 def test_non_numeric_option_names_file_and_line(tmp_path, capsys, command, old, new, line, key):
     text = {"sample": SAMPLE_YAML, "estimate": ESTIMATE_YAML, "transfer": TRANSFER_YAML}[command]
     cfg = write(tmp_path, "bad.yaml", text.replace(old, new))
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert f"bad.yaml:{line}: {key}: expected " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "old, new, line, key, message",
+    [
+        ("epsilon: 0.125}\n", "epsilon: 0.125}\nprofile_grid: {points: 0}\n", 6, "profile_grid.points", ">= 1"),
+        ("epsilon: 0.125}", "epsilon: abc}", 5, "pipeline[0].params.epsilon", "expected "),
+        ("params: {log2_delta: 0.5, log2_delta0: 4.5, epsilon: 0.125}", "params: manual", 5,
+         "pipeline[0].params", "'auto'"),
+        ("beta: {family: c_log_inv_s, C: 1.0, r0: 0.5}", "beta: {C: one, r0: 0.5}", 4, "pipeline[0].beta.C",
+         "expected "),
+        (OP, first_stage("weighted_lsi_to_weak_lsi", "cert: {a: 1.0, C_exp: 1.0}", "smooth: 1"), 5,
+         "pipeline[0].smooth", "expected bool"),
+        (OP, first_stage("weak_lsi_to_weak_poincare", "sigma_cap: high"), 4, "pipeline[0].sigma_cap", "expected "),
+        (OP, first_stage("tail_to_weak_lsi", "a: 0.5", "tail: {levels: [0, 1], values: [1, 0.1], confidence: abc}"),
+         5, "pipeline[0].tail.confidence", "expected "),
+    ],
+    ids=["points_zero", "params_value", "params_word", "beta_C", "smooth", "sigma_cap", "confidence"],
+)
+def test_bad_transfer_input_names_file_and_line(tmp_path, capsys, old, new, line, key, message):
+    cfg = write(tmp_path, "bad.yaml", TRANSFER_YAML.replace(old, new))
+    assert main(["transfer", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"bad.yaml:{line}: {key}: " in err and message in err
+
+
+def test_sigma_cap_above_one_is_rejected_by_its_stage(tmp_path, capsys):
+    # with sigma_cap 3 the stage used to exit 0 with negative C1' and alpha
+    chain = TRANSFER_YAML + "  - " + first_stage(
+        "weak_lsi_to_weak_poincare", "beta: {C: 1.0, r0: 0.5}", "r: 0.45", "sigma_cap: 3.0\n"
+    )
+    code = main(["transfer", "--config", write(tmp_path, "t.yaml", chain), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "stage 1 (weak_lsi_to_weak_poincare): sigma_cap must lie in (0, 1]" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("coord, line", [(3, None), (-1, 4)], ids=["out_of_range", "negative"])

@@ -1,0 +1,76 @@
+"""Fresh-process checks: what a command imports, and that the demos run."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import pathineq
+
+SRC = Path(pathineq.__file__).resolve().parents[1]
+DEMOS = sorted((SRC.parent / "demos").glob("*.py"))
+
+
+def run_python(args, cwd):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True)
+
+
+TRANSFER_YAML = """\
+name: small-chain
+pipeline:
+  - op: tail_to_weak_lsi
+    a: 0.5
+    tail: {levels: [0.0, 1.0, 2.0, 3.0, 4.0], values: [1.0, 0.4, 0.02, 1.0e-4, 1.0e-7]}
+  - op: weak_lsi_to_weak_poincare
+"""
+
+SAMPLE_YAML = """\
+name: small-bridge
+sampler: hyperbolic_bridge
+seed: 5
+n_paths: 100
+dim: 3
+T: 1.0
+grid: {n_steps: 8}
+out: bridge.pens
+"""
+
+ESTIMATE_YAML = """\
+name: small-tail
+ensemble: bridge.pens
+estimators: [weight_tail]
+out: tail.json
+"""
+
+# runs each command in one process and records, after each, whether
+# scipy.stats has been imported; a bare `import pathineq` comes first
+PROBE = """\
+import json, sys
+import pathineq
+bare = sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"})
+from pathineq.cli import main
+stats = {}
+for command in ("transfer", "sample", "estimate"):
+    assert main([command, "--config", command + ".yaml", "--out", "out"]) == 0, command
+    stats[command] = "scipy.stats" in sys.modules
+print(json.dumps({"bare": bare, "scipy.stats": stats}))
+"""
+
+
+def test_commands_import_only_what_they_run(tmp_path):
+    for command, text in (("transfer", TRANSFER_YAML), ("sample", SAMPLE_YAML), ("estimate", ESTIMATE_YAML)):
+        (tmp_path / f"{command}.yaml").write_text(text)
+    proc = run_python(["-c", PROBE], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded == {"bare": [], "scipy.stats": {"transfer": False, "sample": False, "estimate": False}}
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_runs(demo, tmp_path):
+    proc = run_python([str(demo)], tmp_path)
+    assert proc.returncode == 0, proc.stderr

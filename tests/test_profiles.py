@@ -62,6 +62,20 @@ def test_empirical_tail_floor_is_positive_beyond_data():
     assert floor == pytest.approx(1.0 - 0.01 ** (1.0 / 1000.0), rel=1e-6)
 
 
+@pytest.mark.parametrize("n", [2, 3, 1000, 50_000])
+@pytest.mark.parametrize("c", [0.99, 0.95])
+def test_clopper_pearson_quantile_matches_scipy_stats_bit_for_bit(n, c):
+    # from_samples takes betaincinv(k + 1, n - k, c); scipy.stats, kept out of
+    # the package, is the oracle for the quantile it replaced
+    from scipy.special import betaincinv
+    from scipy.stats import beta
+
+    k = np.arange(n)
+    got = betaincinv(k + 1, n - k, c)
+    want = beta.ppf(c, k + 1, n - k)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_tail_bound_roundtrip():
     tb = TailBound.from_samples(np.random.default_rng(3).exponential(size=500))
     tb2 = TailBound.from_dict(json.loads(json.dumps(tb.to_dict())))

@@ -356,6 +356,18 @@ def test_poincare_replay_recomputes_from_the_audit():
     assert replay_profile(TransferResult.from_dict(d)).to_dict() != res.profile.to_dict()
 
 
+def test_tail_scan_and_weak_poincare_replays_recompute_their_parameters():
+    # a profile parameter that disagrees with the audit no longer replays equal
+    levels = [float(s) for s in range(11)]
+    tail = TailBound(levels=tuple(levels), values=tuple(math.exp(-s * s) for s in levels))
+    tail_wl = tail_to_weak_lsi(0.5, tail)
+    for res, key in ((tail_wl, "a"), (weak_lsi_to_weak_poincare(tail_wl.profile), "C1_prime")):
+        d = json.loads(json.dumps(res.to_dict()))
+        assert replay_profile(TransferResult.from_dict(d)).to_dict() == res.profile.to_dict()
+        d["profile"]["params"][key] *= 1.01
+        assert replay_profile(TransferResult.from_dict(d)).to_dict() != d["profile"], key
+
+
 # ---------------------------------------------------------------------------
 # optimizer
 
@@ -487,6 +499,14 @@ def test_weak_poincare_infeasible_sigma():
     beta = BetaProfile(family="c_log_inv_s", C=1.0, r0=0.5)
     with pytest.raises(TransferError, match="slack|infeasible"):
         weak_lsi_to_weak_poincare(beta, delta=2.0, delta0=4.0)
+
+
+@pytest.mark.parametrize("cap", [3.0, 1.0 + 1e-12, 0.0, -0.5, math.nan, math.inf])
+def test_weak_poincare_rejects_sigma_cap_outside_unit_interval(cap):
+    # a cap above 1 let sigma reach past 1 and gave negative C1' and alpha
+    beta = BetaProfile(family="c_log_inv_s", C=1.0, r0=0.5)
+    with pytest.raises(TransferError, match="sigma_cap"):
+        weak_lsi_to_weak_poincare(beta, r=0.45, sigma_cap=cap)
 
 
 # ---------------------------------------------------------------------------
