@@ -158,6 +158,9 @@ def validate_transfer(v: Validator):
             v.get(f"{stage}.{key}", expected=expected)
         for key, expected in optional.items():
             v.get(f"{stage}.{key}", expected=expected, required=False)
+        if op == "tail_to_weak_lsi":
+            if not 0 < v.get(f"{stage}.tail.confidence", required=False, default=0.5) < 1:
+                v.fail(f"{stage}.tail.confidence", "confidence must lie in (0, 1)")
         if op == "weak_lsi_to_poincare":
             params = v.get(f"{stage}.params", required=False, default="auto")
             if isinstance(params, str) and params != "auto":

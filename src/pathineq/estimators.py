@@ -13,9 +13,10 @@ partial gradients are tangent vectors at sigma_{t_i}; they are parallel-
 transported back to the base point along the discretized path before pairing,
 which is the trivialization the Bismut tangent space provides.
 
-Estimator values are computed from compensated (fsum) totals, so parallel or
-reordered reductions reproduce the serial result; standard errors and bias
-corrections come from a vectorized leave-one-out jackknife.  A function's
+Estimator values are computed from exact, correctly rounded totals
+(``exact_sum``, bit for bit ``math.fsum``), so parallel or reordered
+reductions reproduce the serial result; standard errors and bias corrections
+come from a vectorized leave-one-out jackknife.  A function's
 variance, entropy, energy, Rayleigh and log-Sobolev estimates share its
 per-path components (F, F^2, F^2 log F^2, |grad F|_H^2) and their totals:
 ``function_estimates`` builds each component and takes each total once.
@@ -212,6 +213,56 @@ def h_gradient_energy(F: CylindricalFunction, ens: PathEnsemble, kernel: GreenKe
 
 
 # ---------------------------------------------------------------------------
+# Exact sums
+
+
+_EXACT_SUM_MAX_N = 1 << 26  # with fewer values, each float64 bin sum of 26-bit pieces is exact
+_LOW26 = (1 << 26) - 1
+
+
+def exact_sum(a):
+    """``math.fsum(a)`` bit for bit, from exact integer bins in a few numpy passes.
+
+    Each value's bits are binned by sign and binary exponent (a "small
+    superaccumulator", Neal 2015).  Per bin, one count supplies the implicit
+    leading bit and two float64 bin sums take the mantissa's low 26 bits and
+    its high 26 bits (kept in place, so a multiple of 2^26); with fewer than
+    2^26 values every partial sum is exact.  The bins are combined as Python
+    ints and divided once by 2^1075, which rounds half to even like ``fsum``.
+    Empty, huge (>= 2^26 values), non-finite or near-overflowing input and an
+    exact total of 0 (whose sign ``fsum`` decides) go to ``math.fsum`` itself,
+    so its ``OverflowError`` on intermediate overflow is kept.
+    """
+    a = np.asarray(a, dtype=float).ravel()
+    n = a.size
+    if n == 0 or n >= _EXACT_SUM_MAX_N:
+        return math.fsum(a)
+    bits = a.view(np.int64)
+    idx = bits >> 52
+    idx += 2048  # 0..2047 negative, 2048..4095 positive, by exponent field
+    counts = np.bincount(idx, minlength=4096)
+    nz = np.flatnonzero(counts)
+    exps = nz & 2047
+    # exponent field 2047 holds inf and nan; otherwise n * max|a| < 2^(exps.max() + n.bit_length() - 1022),
+    # so below the cut fsum's partial sums cannot overflow and neither can the division
+    if exps.max() + n.bit_length() > 2040:
+        return math.fsum(a)
+    w = np.empty(n)
+    np.bitwise_and(bits, _LOW26, out=w, casting="unsafe")
+    lo = np.bincount(idx, w, minlength=4096)[nz].tolist()
+    np.bitwise_and(bits, _LOW26 << 26, out=w, casting="unsafe")
+    hi = np.bincount(idx, w, minlength=4096)[nz].tolist()
+    total = 0
+    for b, e, c, h, l in zip(nz.tolist(), exps.tolist(), counts[nz].tolist(), hi, lo):
+        # a value in bin e is (implicit bit + mantissa) * 2^(max(e, 1) - 1075)
+        m = ((c << 52 if e else 0) + int(h) + int(l)) << max(e, 1)
+        total += m if b >= 2048 else -m
+    if total == 0:
+        return math.fsum(a)
+    return total / (1 << 1075)
+
+
+# ---------------------------------------------------------------------------
 # Jackknife machinery
 
 
@@ -240,8 +291,9 @@ def _jackknife(components, totals, g):
     """Estimate g(mean of components) with leave-one-out bias/SE.
 
     ``components`` is a list of 1-d arrays of one length N >= 2, ``totals``
-    their fsum totals, so the value is independent of summation order; ``g``
-    takes one mean per component (scalars or numpy arrays, vectorized).
+    their exact, correctly rounded ``exact_sum`` totals, so the value is
+    independent of summation order; ``g`` takes one mean per component
+    (scalars or numpy arrays, vectorized).
     """
     n = components[0].size
     full = float(g(*[t / n for t in totals]))
@@ -277,7 +329,7 @@ RAYLEIGH_ESTIMATES = ("variance", "energy", "ratio")
 
 def function_estimates(F: CylindricalFunction, ens: PathEnsemble, names, kernel=None):
     """The named estimates of F (keys of ``_ESTIMATES``, ``kernel`` needed with an ``e``)
-    in ``names`` order, with each component built and each fsum total taken once.
+    in ``names`` order, with each component built and each ``exact_sum`` total taken once.
 
     A constant F has variance 0 and a constant F^2 entropy 0, exactly; a
     "ratio" or "lsi_ratio" whose energy estimate is not positive is 0,
@@ -293,7 +345,7 @@ def function_estimates(F: CylindricalFunction, ens: PathEnsemble, names, kernel=
         comps["wlw"] = np.where(xx > 0, xx * np.log(np.where(xx > 0, xx, 1.0)), 0.0)
     if "e" in used:
         comps["e"] = h_gradient_energy(F, ens, kernel)
-    totals = {c: math.fsum(comps[c]) for c in used}
+    totals = {c: exact_sum(comps[c]) for c in used}
 
     def jackknife(name):
         keys, g = _ESTIMATES[name]
@@ -405,7 +457,7 @@ def exp_square_moment(u, c) -> EstimateWithCI:
     else:
         w = np.exp(z)
     try:
-        total = math.fsum(w)
+        total = exact_sum(w)
     except OverflowError:  # enough terms near exp(700) sum past the largest float
         return EstimateWithCI(math.inf, math.inf, u.size, method="plain", flags=("overflow",))
     w_max = w.max()

@@ -87,6 +87,8 @@ def _tail_arrays(levels, values):
     values = np.asarray(values, dtype=float)
     if levels.ndim != 1 or levels.size < 2 or values.shape != levels.shape:
         raise ProfileError("tail bound needs matching 1-d level/value grids")
+    if not (np.all(np.isfinite(levels)) and np.all(np.isfinite(values))):
+        raise ProfileError("tail levels and values must be finite")
     if not np.all(np.diff(levels) > 0):
         raise ProfileError("tail levels must be strictly increasing")
     if np.any(values < 0) or np.any(values > 1 + 1e-12):
@@ -151,6 +153,8 @@ class TailBound:
         certificate, hence the adjustment.  The grid is 0 and 64 geometric
         levels from the 0.02 quantile to 1.25 times the maximum.
         """
+        if not 0 < confidence < 1:
+            raise ProfileError(f"confidence must lie in (0, 1), got {confidence!r}")
         u = np.asarray(u, dtype=float).ravel()
         n = u.size
         if n < 2:

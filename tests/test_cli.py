@@ -250,14 +250,31 @@ def test_non_numeric_option_names_file_and_line(tmp_path, capsys, command, old, 
         (OP, first_stage("weak_lsi_to_weak_poincare", "sigma_cap: high"), 4, "pipeline[0].sigma_cap", "expected "),
         (OP, first_stage("tail_to_weak_lsi", "a: 0.5", "tail: {levels: [0, 1], values: [1, 0.1], confidence: abc}"),
          5, "pipeline[0].tail.confidence", "expected "),
+        # a confidence of 0 used to certify s_min = 0, and 1.5 a tail of NaNs
+        (OP, first_stage("tail_to_weak_lsi", "a: 0.5", "tail: {from_ensemble: b.pens, confidence: 0}"),
+         5, "pipeline[0].tail.confidence", "must lie in (0, 1)"),
+        (OP, first_stage("tail_to_weak_lsi", "a: 0.5", "tail: {from_ensemble: b.pens, confidence: 1.5}"),
+         5, "pipeline[0].tail.confidence", "must lie in (0, 1)"),
     ],
-    ids=["points_zero", "params_value", "params_word", "beta_C", "smooth", "sigma_cap", "confidence"],
+    ids=["points_zero", "params_value", "params_word", "beta_C", "smooth", "sigma_cap", "confidence",
+         "confidence_zero", "confidence_above_one"],
 )
 def test_bad_transfer_input_names_file_and_line(tmp_path, capsys, old, new, line, key, message):
     cfg = write(tmp_path, "bad.yaml", TRANSFER_YAML.replace(old, new))
     assert main(["transfer", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert f"bad.yaml:{line}: {key}: " in err and message in err
+
+
+def test_nan_tail_file_is_rejected_by_its_stage(tmp_path, capsys):
+    (tmp_path / "tail.json").write_text(
+        '{"type": "tail_bound", "levels": [0.0, 1.0, 2.0], "values": [1.0, NaN, 0.01]}'
+    )
+    stage = first_stage("tail_to_weak_lsi", "a: 0.5", "tail: {file: tail.json}")
+    code = main(["transfer", "--config", write(tmp_path, "t.yaml", TRANSFER_YAML.replace(OP, stage)),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "stage 0 (tail_to_weak_lsi): tail levels and values must be finite" in capsys.readouterr().err
 
 
 def test_sigma_cap_above_one_is_rejected_by_its_stage(tmp_path, capsys):
@@ -428,13 +445,13 @@ def test_estimate_outputs_pinned_digests(tmp_path):
 
 def test_estimate_takes_each_total_once(tmp_path, monkeypatch):
     # rayleigh, lsi_ratio, variance and entropy of one function share four
-    # components (F, F^2, F^2 log F^2, |grad F|_H^2): at most four fsum totals
-    # and one energy computation per function
+    # components (F, F^2, F^2 log F^2, |grad F|_H^2): at most four exact_sum
+    # totals and one energy computation per function; no total falls back to fsum
     import math
 
     import pathineq.estimators
 
-    calls = {"fsum": 0, "energy": 0}
+    calls = {"exact_sum": 0, "fsum": 0, "energy": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -444,12 +461,14 @@ def test_estimate_takes_each_total_once(tmp_path, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(math, "fsum", counted("fsum", math.fsum))
+    monkeypatch.setattr(pathineq.estimators, "exact_sum", counted("exact_sum", pathineq.estimators.exact_sum))
     monkeypatch.setattr(
         pathineq.estimators, "h_gradient_energy", counted("energy", pathineq.estimators.h_gradient_energy)
     )
     run_estimate_digest_scenarios(tmp_path, estimates=(GAUSS_ESTIMATE_YAML,))
     n_functions = GAUSS_ESTIMATE_YAML.count("{type:")
-    assert calls["fsum"] <= 4 * n_functions
+    assert 0 < calls["exact_sum"] <= 4 * n_functions
+    assert calls["fsum"] == 0
     assert calls["energy"] == n_functions
 
 

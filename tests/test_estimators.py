@@ -1,17 +1,24 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import pathineq.estimators
 from pathineq import hyperbolic as hyp
 from pathineq.estimators import (
+    _ESTIMATES,
     CylindricalFunction,
     EstimatorError,
     GreenKernel,
     coordinate_function,
     entropy,
+    exact_sum,
     exp_half_function,
     exp_square_moment,
+    function_estimates,
     h_gradient_energy,
     hermite_function,
     lsi_ratio,
@@ -224,6 +231,57 @@ def test_jackknife_matches_closed_form_for_mean():
 
 
 # ---------------------------------------------------------------------------
+# Exact sums
+
+
+def _outcome(total, a):
+    """The bytes of total(a) (the sign of zero included), or the error it raises."""
+    try:
+        return struct.pack("<d", total(a))
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+_SCALED = st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1100, 1000))  # subnormals to 2^1000
+_SUMMANDS = st.one_of(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40),
+    st.lists(_SCALED, min_size=1, max_size=40),
+    st.lists(_SCALED, max_size=40).map(lambda a: a + [-x for x in a]),  # exact total 0
+    st.tuples(st.lists(_SCALED, max_size=40), _SCALED).map(lambda t: t[0] + [t[1]] + [-x for x in t[0]]),
+    st.integers(1, 40).map(lambda n: [-0.0] * n),
+    st.lists(st.floats(), min_size=1, max_size=40),  # inf and nan
+    st.lists(st.floats(1e307, 1.7e308) | st.floats(-1.7e308, -1e307), min_size=2, max_size=20),  # overflow
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_SUMMANDS)
+def test_exact_sum_is_fsum_bit_for_bit(a):
+    assert _outcome(exact_sum, a) == _outcome(math.fsum, a)
+
+
+def test_exact_sum_of_a_million_values_needs_no_fsum(monkeypatch):
+    x = np.random.default_rng(29).standard_normal(1_000_000)
+    xx = x * x
+    arrays = (x, xx * np.log(xx))
+    expected = [_outcome(math.fsum, a) for a in arrays]
+
+    def no_fsum(a):
+        raise AssertionError("fell back to math.fsum")
+
+    monkeypatch.setattr(math, "fsum", no_fsum)
+    assert [_outcome(exact_sum, a) for a in arrays] == expected
+
+
+def test_exact_sum_defers_to_fsum_from_its_size_limit(monkeypatch):
+    fsum, sizes = math.fsum, []
+    monkeypatch.setattr(math, "fsum", lambda a: sizes.append(len(a)) or fsum(a))
+    monkeypatch.setattr(pathineq.estimators, "_EXACT_SUM_MAX_N", 4)
+    assert exact_sum([0.1, 0.2, 0.3]) == fsum([0.1, 0.2, 0.3]) and sizes == []
+    assert exact_sum([0.1, 0.2, 0.3, 0.4]) == fsum([0.1, 0.2, 0.3, 0.4]) and sizes == [4]
+
+
+# ---------------------------------------------------------------------------
 # Rayleigh scans
 
 
@@ -341,11 +399,19 @@ def test_exp_square_moment_total_overflow_is_flagged(u, c):
 
 
 def test_estimator_reduction_order_insensitive():
-    # fsum-based totals: shuffling the paths leaves the value bit-identical
+    # exact totals and sorted leave-one-out values: shuffling the paths leaves
+    # every function estimate bit-identical, and the E exp(c u^2) value too
     ens = gaussian_ensemble(10_000, seed=23)
     F = exp_half_function(0.5, 1.0)
-    v1 = entropy(F, ens).value
+    u = np.abs(ens.points[:, -1, 0])
+    before = function_estimates(F, ens, tuple(_ESTIMATES), BASED)
+    moment = exp_square_moment(u, 0.3)
     perm = np.random.default_rng(0).permutation(ens.n_paths)
     ens.points = ens.points[perm]
-    v2 = entropy(F, ens).value
-    assert v1 == v2
+    after = function_estimates(F, ens, tuple(_ESTIMATES), BASED)
+    for name in _ESTIMATES:
+        assert after[name].to_dict() == before[name].to_dict()
+    permuted = exp_square_moment(u[perm], 0.3)
+    assert permuted.value == moment.value
+    # its std_error is numpy's pairwise std, which moves in the last bits
+    assert permuted.std_error == pytest.approx(moment.std_error, rel=1e-12)

@@ -36,6 +36,21 @@ def test_tail_bound_rejects_bad_grids():
         TailBound(levels=(0.0, 1.0), values=(1.5, 0.5))  # above 1
 
 
+@pytest.mark.parametrize("levels, values", [((0.0, math.nan), (1.0, 0.5)), ((0.0, math.inf), (1.0, 0.5)),
+                                            ((0.0, 1.0), (1.0, math.nan))], ids=["nan_level", "inf_level", "nan_value"])
+def test_tail_bound_rejects_non_finite_grids(levels, values):
+    with pytest.raises(ProfileError, match="finite"):
+        TailBound(levels=levels, values=values)
+
+
+@pytest.mark.parametrize("confidence", [0.0, 1.0, 1.5, -1.0, math.nan])
+def test_empirical_tail_rejects_confidence_outside_unit_interval(confidence):
+    # 1.5 and -1 made every value NaN; 0 made the bound 0 past level 0
+    u = np.abs(np.random.default_rng(0).normal(size=2000))
+    with pytest.raises(ProfileError, match=r"confidence must lie in \(0, 1\)"):
+        TailBound.from_samples(u, confidence=confidence)
+
+
 def test_empirical_tail_upper_confidence_covers_truth():
     # exponential samples: survival exp(-s); the 99% upper bound should
     # dominate the true survival at (almost) every level

@@ -1,0 +1,146 @@
+"""Measurements for the BENCH_*.json files at the repository root.
+
+Run from the repository root:
+
+    python3 tools/bench_pairs.py exact-sum --repeats 15 --into BENCH_exact_sum.json
+    python3 tools/bench_pairs.py pairs --base ../parent --workload estimate --seed 20090 \\
+        --pairs 10 --into BENCH_exact_sum.json
+
+``exact-sum`` times ``estimators.exact_sum`` against ``math.fsum`` on 1M
+standard normals and on 1M values of x^2 log x^2 (the entropy component), and
+checks that the two agree bit for bit.  ``pairs`` runs ``perfbench/run.py
+--trace 0 --seconds S``, S being ``run_seconds`` in ``BENCHMARK.json``, in the
+``--base`` checkout and in this one, pair by pair, with the side that runs
+first alternating.  It records every run's end-to-end metrics with their
+medians and quartiles.  Each command stores its record under its own key in
+``--into`` (created if missing), together with the command line, the machine
+and the package versions.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import platform
+import statistics
+import struct
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+END_TO_END = ("wall_s", "items_per_s", "setup_s", "peak_rss_mb")
+
+
+def _commit(checkout):
+    try:
+        out = subprocess.run(["git", "-C", str(checkout), "describe", "--always", "--dirty", "--abbrev=7"],
+                             capture_output=True, text=True, check=True)
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return out.stdout.strip()
+
+
+def _machine():
+    import numpy
+    import scipy
+
+    cpu = platform.processor()
+    try:
+        with open("/proc/cpuinfo") as fh:
+            cpu = next((line.split(":", 1)[1].strip() for line in fh if line.startswith("model name")), cpu)
+    except OSError:
+        pass
+    return {"nproc": len(os.sched_getaffinity(0)), "cpu": cpu, "python": platform.python_version(),
+            "numpy": numpy.__version__, "scipy": scipy.__version__}
+
+
+def _summary(xs):
+    xs = [round(x, 4) for x in xs]
+    q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive") if len(xs) > 1 else xs * 3
+    return {"median": med, "q1": q1, "q3": q3, "runs": xs}
+
+
+def exact_sum_layer(repeats):
+    import numpy as np
+
+    sys.path.insert(0, str(ROOT / "src"))
+    from pathineq.estimators import exact_sum
+
+    x = np.random.default_rng(20090).standard_normal(1_000_000)
+    xx = x * x
+    out = {}
+    for name, a in (("normals_1M", x), ("x2logx2_1M", xx * np.log(xx))):
+        if struct.pack("<d", exact_sum(a)) != struct.pack("<d", math.fsum(a)):
+            raise SystemExit(f"exact_sum differs from math.fsum on {name}")
+        ms = {"exact_sum": [], "math.fsum": []}
+        for _ in range(repeats):  # interleaved, so drift of the machine hits both alike
+            for key, f in (("exact_sum", exact_sum), ("math.fsum", math.fsum)):
+                t = time.perf_counter()
+                f(a)
+                ms[key].append(1e3 * (time.perf_counter() - t))
+        out[name] = {key: _summary(v) for key, v in ms.items()}
+    return {"unit": "ms", "samples": repeats, "results": out}
+
+
+def _run(checkout, workload, seed, seconds):
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
+    record = json.loads(out.stdout.strip().splitlines()[-1])
+    return {**{m: record["metrics"][m]["value"] for m in END_TO_END}, "failed": record["failed"],
+            "attempted": record["attempted"]}
+
+
+def pairs(base, workload, seed, n_pairs, seconds):
+    runs = {"base": [], "change": []}
+    sides = (("base", base), ("change", ROOT))
+    for i in range(n_pairs):
+        for side, checkout in sides if i % 2 == 0 else sides[::-1]:
+            runs[side].append(_run(checkout, workload, seed, seconds))
+    wins = sum(c["wall_s"] < b["wall_s"] for b, c in zip(runs["base"], runs["change"]))
+    return {
+        "workload": workload, "seed": seed, "seconds": seconds, "pairs": n_pairs,
+        "commits": {"base": _commit(base), "change": _commit(ROOT)},
+        "wall_s_wins": wins,
+        "failed": {side: sum(r["failed"] for r in rs) for side, rs in runs.items()},
+        "metrics": {side: {m: _summary([r[m] for r in rs]) for m in END_TO_END} for side, rs in runs.items()},
+    }
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = p.add_subparsers(dest="command", required=True)
+    layer = sub.add_parser("exact-sum", help="exact_sum against math.fsum on 1M values")
+    layer.add_argument("--repeats", type=int, default=15)
+    pair = sub.add_parser("pairs", help="alternating perfbench runs, base checkout and this one")
+    pair.add_argument("--base", required=True, help="checkout of the commit to compare against")
+    pair.add_argument("--workload", required=True)
+    pair.add_argument("--seed", type=int, default=20090)
+    pair.add_argument("--pairs", type=int, default=10)
+    for sp in (layer, pair):
+        sp.add_argument("--into", required=True, metavar="JSON", help="file to store the record in")
+    argv = sys.argv[1:] if argv is None else argv
+    args = p.parse_args(argv)
+
+    if args.command == "exact-sum":
+        key, record = "exact_sum_vs_fsum", exact_sum_layer(args.repeats)
+    else:
+        key = f"{args.workload}_pairs_seed{args.seed}"
+        seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+        record = pairs(Path(args.base).resolve(), args.workload, args.seed, args.pairs, seconds)
+    # the base checkout is named by its commit, not by where it lies
+    shown = ["BASE" if prev == "--base" else a for prev, a in zip([None, *argv], argv)]
+    record = {"command": "python3 tools/bench_pairs.py " + " ".join(shown), "machine": _machine(), **record}
+    path = Path(args.into)
+    data = json.loads(path.read_text()) if path.exists() else {}
+    data[key] = record
+    path.write_text(json.dumps(data, indent=1) + "\n")
+    print(json.dumps({key: {k: v for k, v in record.items() if k != "metrics"}}, indent=1))
+
+
+if __name__ == "__main__":
+    main()
