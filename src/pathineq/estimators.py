@@ -426,9 +426,13 @@ def rayleigh_scan(family, ens: PathEnsemble, kernel: GreenKernel) -> RayleighSca
 
 def sup_distance(ens: PathEnsemble):
     """u(gamma) = max over grid nodes of d(gamma_t, y0), y0 the config's pole
-    (the origin when it has none)."""
+    (the origin when it has none).  The sampler records it as the diagnostic
+    array ``sup_distance``, which is returned when present; it is recomputed
+    from the points only for older files and ensembles built by hand."""
     if ens.measure_tag != "hyperbolic_bridge":
         raise EstimatorError("sup_distance expects a hyperbolic ensemble")
+    if "sup_distance" in ens.diagnostics:
+        return ens.diagnostics["sup_distance"]
     y0 = np.asarray(ens.config.y0) if ens.config.y0 is not None else hyp.origin(ens.config.dim)
     return hyp.dist(ens.points, y0).max(axis=1)
 
@@ -467,8 +471,11 @@ def exp_square_moment(u, c) -> EstimateWithCI:
     if "overflow" in flags:
         se = math.inf
     else:
-        # scale by the max before squaring so the SE itself cannot overflow
-        se = float((w / w_max).std(ddof=1) * w_max / math.sqrt(u.size))
+        # scale by the max before squaring so the SE itself cannot overflow;
+        # exact sums make it independent of the path order
+        q = w / w_max
+        dev = q - exact_sum(q) / u.size
+        se = float(math.sqrt(exact_sum(dev * dev) / (u.size - 1)) * w_max / math.sqrt(u.size))
     return EstimateWithCI(
         value=value, std_error=se, n_samples=u.size, method="plain", flags=tuple(flags)
     )

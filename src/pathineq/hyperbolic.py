@@ -76,11 +76,12 @@ def exp_map(x, v):
     return project_to_sheet(out)
 
 
-def log_map(x, y):
-    """Tangent vector at x pointing to y with |log_x(y)| = dist(x, y)."""
+def log_map(x, y, r=None):
+    """Tangent vector at x pointing to y with |log_x(y)| = dist(x, y); a
+    caller that has r = dist(x, y) already passes it."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    r = dist(x, y)[..., None]
+    r = (dist(x, y) if r is None else np.asarray(r, dtype=float))[..., None]
     w = y - np.cosh(r) * x
     nw = np.sqrt(np.maximum(minkowski_dot(w, w), 0.0))[..., None]
     safe = nw > 1e-300
@@ -254,7 +255,7 @@ def grad_log_heat_kernel(t, x, y0, params: HeatKernelParams):
     x = np.asarray(x, dtype=float)
     y0 = np.asarray(y0, dtype=float)
     r = dist(x, y0)
-    return radial_coef(dlog_heat_kernel_dr(t, r, params), r)[..., None] * log_map(x, y0)
+    return radial_coef(dlog_heat_kernel_dr(t, r, params), r)[..., None] * log_map(x, y0, r)
 
 
 def radial_integral(f, n, r_max):

@@ -20,19 +20,24 @@ normals follow those of paths 0..i-1, so the first paths of a run match a
 run with fewer paths.  The ziggurat consumes a variable number of counter
 words per normal, so a given (path, step) does not sit at a fixed offset.
 
-The hyperbolic bridge draws each step's noise for all paths, then runs the
-step on chunks of ``_CHUNK`` paths on a pool of ``_WORKERS`` threads, one per
-available CPU, that lives for the call (the CLI's ``--threads`` only runs
-scenarios side by side).  The step works path by path, so the bits depend on
-neither the chunk size nor the number of threads.
+The hyperbolic bridge runs each step on chunks of ``_CHUNK`` paths on a pool
+of ``_WORKERS`` threads, one per available CPU, that lives for the call (the
+CLI's ``--threads`` only runs scenarios side by side).  While a step's chunks
+run, the next step's noise is drawn for all paths as one more task on that
+pool.  The step works path by path, so the bits depend on neither the chunk
+size nor the number of threads.  It records each path's sup distance
+u = max over nodes of d(y_t, y0) from the distances it computes anyway, as
+the diagnostic array ``sup_distance``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -274,7 +279,8 @@ def sample_hyperbolic_bridge(cfg: SamplerConfig, store_frames=False) -> PathEnse
     Per step: tangent increment sqrt(h) F xi + h grad log p_{T-t}(y, y0),
     exponential-map move, frame transport.  The drift is clipped at
     drift_cap * (d(y, y0)/(T-t) + 1/sqrt(T-t)) with clip events counted.
-    The final node is snapped to y0; pre-snap distances are recorded.
+    The final node is snapped to y0; pre-snap distances are recorded, and
+    so is each path's max over nodes of d(y_t, y0) (``sup_distance``).
     """
     n = cfg.dim
     if n not in (2, 3):
@@ -295,6 +301,7 @@ def sample_hyperbolic_bridge(cfg: SamplerConfig, store_frames=False) -> PathEnse
     F = np.broadcast_to(hyp.frame_at(x0, n), (m, n, n + 1)).copy()
     points = np.empty((m, nodes.size, n + 1))
     points[:, 0, :] = y
+    sup = np.zeros(m)  # running max over nodes of d(y_t, y0); every distance is >= +0
     frames = None
     if store_frames:
         frames = np.empty((m, nodes.size, n, n + 1))
@@ -307,7 +314,8 @@ def sample_hyperbolic_bridge(cfg: SamplerConfig, store_frames=False) -> PathEnse
         t_rem = T - t
         yk, Fk = y[rows], F[rows]
         r = hyp.dist(yk, y0)
-        drift = hyp.radial_coef(dlog_dr(t_rem, r), r)[:, None] * hyp.log_map(yk, y0)
+        np.maximum(sup[rows], r, out=sup[rows])  # rows is a slice: sup[rows] is a view
+        drift = hyp.radial_coef(dlog_dr(t_rem, r), r)[:, None] * hyp.log_map(yk, y0, r)
         # mirror of the gradient bound: |drift| <= cap (d/(T-t) + 1/sqrt(T-t))
         cap = cfg.drift_cap * (r / t_rem + 1.0 / math.sqrt(t_rem))
         mag = np.sqrt(np.maximum(hyp.minkowski_dot(drift, drift), 0.0))
@@ -329,17 +337,23 @@ def sample_hyperbolic_bridge(cfg: SamplerConfig, store_frames=False) -> PathEnse
 
     chunks = [slice(i, i + _CHUNK) for i in range(0, m, _CHUNK)]
     cap_events = 0
+    n_steps = nodes.size - 1
     with ThreadPoolExecutor(_WORKERS) as pool:
-        for k in range(nodes.size - 1):
-            xi = step_normals(cfg.seed, k, (m, n))
+        noise = pool.submit(step_normals, cfg.seed, 0, (m, n))
+        for k in range(n_steps):
+            xi = noise.result()
+            if k + 1 < n_steps:  # queued ahead of step k's chunks
+                noise = pool.submit(step_normals, cfg.seed, k + 1, (m, n))
             cap_events += sum(pool.map(partial(advance, k=k, xi=xi), chunks))
 
     presnap = hyp.dist(points[:, -1, :], y0)
     points[:, -1, :] = y0
+    np.maximum(sup, hyp.dist(y0, y0), out=sup)  # the snapped last node
     diagnostics = {
         "presnap_gap": presnap,
+        "sup_distance": sup,
         "presnap_gap_median": float(np.median(presnap)),
-        "cap_event_fraction": cap_events / (m * (nodes.size - 1)),
+        "cap_event_fraction": cap_events / (m * n_steps),
     }
     return PathEnsemble(
         config=cfg,
@@ -391,17 +405,29 @@ def save_ensemble(path, ens: PathEnsemble):
         else:
             header.setdefault("diag_scalars", {})[k] = v
     blob = json.dumps(header, sort_keys=True).encode()
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(len(blob).to_bytes(8, "little"))
-        fh.write(blob)
-        # write each array's buffer as it is: no bytes copy of a large ensemble
-        fh.write(np.ascontiguousarray(ens.points, dtype="<f8").data)
-        for k, _ in header.get("diag_arrays", []):
-            fh.write(np.ascontiguousarray(diag_arrays[k], dtype="<f8").data)
+    # written beside the target, then renamed over it: truncating a file in
+    # place would fault the pages of any loaded ensemble still mapping it,
+    # and an interrupted write would leave a truncated file at the target
+    tmp = f"{os.fspath(path)}.{os.getpid()}-{threading.get_ident()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(len(blob).to_bytes(8, "little"))
+            fh.write(blob)
+            # write each array's buffer as it is: no bytes copy of a large ensemble
+            fh.write(np.ascontiguousarray(ens.points, dtype="<f8").data)
+            for k, _ in header.get("diag_arrays", []):
+                fh.write(np.ascontiguousarray(diag_arrays[k], dtype="<f8").data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def load_ensemble(path) -> PathEnsemble:
+    """The ensemble in ``path``, its arrays read-only and mapped from the file,
+    so a page is read only when it is used."""
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
@@ -422,9 +448,18 @@ def load_ensemble(path) -> PathEnsemble:
         want = (cfg.n_paths, cfg.grid.n_nodes, coords)
         if shape != want:
             raise SamplerError(f"{path}: shape {list(shape)} does not match the config's {list(want)}")
-        if os.fstat(fh.fileno()).st_size != fh.tell() + nbytes:
+        for k, shp in arrays[1:]:
+            if k in ("presnap_gap", "sup_distance") and shp != (cfg.n_paths,):  # one value per path
+                raise SamplerError(f"{path}: diagnostic {k} has shape {list(shp)}, not [{cfg.n_paths}]")
+        start = fh.tell()
+        if os.fstat(fh.fileno()).st_size != start + nbytes:
             raise SamplerError(f"{path}: file length does not match the header (truncated?)")
-        data = {k: np.fromfile(fh, dtype="<f8", count=math.prod(shp)).reshape(shp) for k, shp in arrays}
+        buf = np.memmap(fh, dtype=np.uint8, mode="r", offset=start, shape=(nbytes,))
+    data, offset = {}, 0
+    for k, shp in arrays:
+        count = math.prod(shp)
+        data[k] = np.frombuffer(buf, dtype="<f8", count=count, offset=offset).reshape(shp)
+        offset += 8 * count
     points = data.pop("points")
     diagnostics = dict(header.get("diag_scalars", {})) | data
     return PathEnsemble(config=cfg, measure_tag=tag, points=points, diagnostics=diagnostics)

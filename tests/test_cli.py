@@ -77,6 +77,37 @@ def test_sample_estimate_roundtrip(tmp_path):
     assert est["results"]["weight_tail"]["values"][0] == 1.0
 
 
+def test_estimate_of_a_file_without_sup_distance_is_byte_identical(tmp_path):
+    # files written before the sampler recorded u hold only presnap_gap; u is recomputed from the points
+    from pathineq.samplers import load_ensemble, save_ensemble
+
+    ecfg = write(tmp_path, "e.yaml", ESTIMATE_YAML)
+    new, old = tmp_path / "new", tmp_path / "old"
+    assert main(["sample", "--config", write(tmp_path, "s.yaml", SAMPLE_YAML), "--out", str(new)]) == 0
+    ens = load_ensemble(new / "bridge.pens")
+    del ens.diagnostics["sup_distance"]
+    old.mkdir()
+    save_ensemble(old / "bridge.pens", ens)
+    assert b"sup_distance" not in (old / "bridge.pens").read_bytes()
+    for out in (new, old):
+        assert main(["estimate", "--config", ecfg, "--out", str(out)]) == 0
+    assert (old / "tail_estimates.json").read_bytes() == (new / "tail_estimates.json").read_bytes()
+
+
+def test_bad_diagnostic_shape_names_the_ensemble(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["sample", "--config", write(tmp_path, "s.yaml", SAMPLE_YAML), "--out", str(out)]) == 0
+    blob = (out / "bridge.pens").read_bytes()
+    hlen = int.from_bytes(blob[10:18], "little")
+    header = json.loads(blob[18 : 18 + hlen])
+    header["diag_arrays"] = [[k, [299] if k == "sup_distance" else shp] for k, shp in header["diag_arrays"]]
+    h = json.dumps(header, sort_keys=True).encode()
+    (out / "bridge.pens").write_bytes(blob[:10] + len(h).to_bytes(8, "little") + h + blob[18 + hlen :])
+    capsys.readouterr()
+    assert main(["estimate", "--config", write(tmp_path, "e.yaml", ESTIMATE_YAML), "--out", str(out)]) == 2
+    assert "bridge.pens: diagnostic sup_distance has shape [299], not [300]" in capsys.readouterr().err
+
+
 def test_sample_determinism_byte_identical(tmp_path):
     cfg = write(tmp_path, "s.yaml", SAMPLE_YAML)
     out1, out2 = str(tmp_path / "o1"), str(tmp_path / "o2")
@@ -409,11 +440,12 @@ H3_ESTIMATE_YAML = """\
 name: est-h3
 ensemble: bridge.pens
 kernel: bridge
-estimators: [rayleigh, variance, entropy]
+estimators: [rayleigh, variance, entropy, weight_tail, exp_square_moment]
 functions:
   - {type: coordinate, coord: 0, time: 0.25}
   - {type: coordinate, coord: 0, time: 0.5}
   - {type: coordinate, coord: 1, time: 0.75}
+exp_square_c: 0.25
 out: est-h3.json
 """
 
@@ -438,7 +470,7 @@ def test_estimate_outputs_pinned_digests(tmp_path):
     assert digests == {
         "est-gauss.json": "dc7282920179ff867c5bf64a93caebf57f424926b06861e794dc3136f5894a60",
         "est-gauss.rayleigh.csv": "9b64a7a7255071dfd75ab8dd86a23e4e74e15ed1021c6793eb166a1e687e9743",
-        "est-h3.json": "6981049bb083e6ab434039f6b0d291858d6e4bf4ab675d8642f81a869a043b93",
+        "est-h3.json": "a07a26ed8dcd40c24b3eb48b7349c3e836ffe4c90ecc53d62fc13290b1d35b0b",
         "est-h3.rayleigh.csv": "30ad348c6ae1524834db400857168d856ab451b27b43e6fc4b7381e25e0e6a50",
     }
 

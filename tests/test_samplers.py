@@ -213,9 +213,11 @@ def test_bridge_bits_do_not_depend_on_chunks_or_workers(monkeypatch, dim):
         monkeypatch.setattr(samplers, "_WORKERS", workers)
         ens = sample_hyperbolic_bridge(cfg, store_frames=True)
         d = ens.diagnostics
-        return ens.points.tobytes(), ens.frames.tobytes(), d["presnap_gap"].tobytes(), d["cap_event_fraction"]
+        return (ens.points.tobytes(), ens.frames.tobytes(), d["presnap_gap"].tobytes(), d["cap_event_fraction"],
+                d["sup_distance"].tobytes())
 
-    # 300 = 42 * 7 + 6 = 4 * 64 + 44: ragged last chunks
+    # 300 = 42 * 7 + 6 = 4 * 64 + 44: ragged last chunks; one worker runs the
+    # noise prefetch and the chunks in turn
     runs = {(chunk, workers): run(chunk, workers) for chunk in (full, 64, 7) for workers in (1, 2)}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-4)  # four workers, switching often
@@ -227,6 +229,31 @@ def test_bridge_bits_do_not_depend_on_chunks_or_workers(monkeypatch, dim):
     assert ref[3] > 0.5
     for key, got in runs.items():
         assert got == ref, key
+
+
+def _off_origin(n, a, b):
+    p = np.zeros(n + 1)
+    p[0], p[1] = a, b
+    p[-1] = math.sqrt(1.0 + a * a + b * b)
+    return tuple(p)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("ends", ["origin", "y0_off_origin", "x0_ne_y0"])
+def test_recorded_sup_distance_is_the_recomputed_one(dim, ends):
+    # the sampler's running max of each step's distance, with the snapped
+    # last node, is bit for bit the max over the stored nodes
+    x0, y0 = {
+        "origin": (None, None),
+        "y0_off_origin": (None, _off_origin(dim, 0.7, -0.3)),
+        "x0_ne_y0": (_off_origin(dim, -0.4, 0.9), _off_origin(dim, 0.7, -0.3)),
+    }[ends]
+    cfg = SamplerConfig(seed=61, n_paths=200, grid=TimeGrid.with_geometric_tail(1.0, 8), dim=dim, x0=x0, y0=y0)
+    ens = sample_hyperbolic_bridge(cfg)
+    pole = np.asarray(y0) if y0 is not None else hyp.origin(dim)
+    u = ens.diagnostics["sup_distance"]
+    assert u.shape == (cfg.n_paths,)
+    assert u.tobytes() == hyp.dist(ens.points, pole).max(axis=1).tobytes()
 
 
 def test_drift_cap_policy_counts_events():
@@ -268,6 +295,25 @@ def test_binary_roundtrip_and_byte_identity(tmp_path):
     assert back.measure_tag == ens.measure_tag
     assert back.config == ens.config
     assert np.array_equal(back.diagnostics["presnap_gap"], ens.diagnostics["presnap_gap"])
+    assert np.array_equal(back.diagnostics["sup_distance"], ens.diagnostics["sup_distance"])
+    # loaded arrays are read-only, so no code path may depend on writing them
+    for a in (back.points, back.diagnostics["presnap_gap"], back.diagnostics["sup_distance"]):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+
+
+def test_saving_over_a_loaded_ensemble_keeps_it_readable(tmp_path):
+    # the save replaces the file, so the pages the loaded ensemble maps stay valid
+    grid = TimeGrid.with_geometric_tail(1.0, 4)
+    p = tmp_path / "a.pens"
+    first = sample_hyperbolic_bridge(SamplerConfig(seed=67, n_paths=64, grid=grid, dim=3))
+    save_ensemble(p, first)
+    loaded = load_ensemble(p)
+    second = sample_hyperbolic_bridge(SamplerConfig(seed=68, n_paths=16, grid=grid, dim=3))
+    save_ensemble(p, second)
+    assert np.array_equal(loaded.points, first.points)
+    assert np.array_equal(load_ensemble(p).points, second.points)
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["a.pens"]  # no temporary left behind
 
 
 def test_csv_export(tmp_path):
@@ -315,6 +361,11 @@ def test_load_rejects_garbage(tmp_path):
     flat_tag = with_header("tag.pens", measure_tag="wiener")
     with pytest.raises(SamplerError, match="tag.pens.*shape"):
         load_ensemble(flat_tag)
+    n = header["shape"][0]
+    for shape in ([n + 1], [n, 1], []):
+        diag = [[k, shape if k == "sup_distance" else shp] for k, shp in header["diag_arrays"]]
+        with pytest.raises(SamplerError, match=r"diag.pens.*sup_distance has shape"):
+            load_ensemble(with_header("diag.pens", diag_arrays=diag))
     for key in ("drift_cap", "generator_convention"):
         config = {k: v for k, v in header["config"].items() if k != key}
         with pytest.raises(SamplerError, match=f"{key}.pens.*malformed ensemble header"):
