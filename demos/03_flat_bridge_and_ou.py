@@ -14,7 +14,7 @@ import math
 import numpy as np
 from scipy import stats
 
-from pathineq.estimators import GreenKernel, coordinate_function, rayleigh_scan
+from pathineq.estimators import coordinate_function, green_gram, rayleigh_scan
 from pathineq.samplers import SamplerConfig, TimeGrid, sample_flat_bridge, sample_ou
 
 print("flat Brownian bridge, T = 1, 64 intervals, 50k paths")
@@ -22,17 +22,15 @@ cfg = SamplerConfig(seed=11, n_paths=50_000, grid=TimeGrid.uniform(1.0, 64), dim
 ens = sample_flat_bridge(cfg)
 print(f"endpoint exact: {bool(np.all(ens.points[:, -1, :] == 0.0))}")
 
-nodes = ens.grid.array()
 X = ens.points[:, :, 0]
 C = (X.T @ X) / cfg.n_paths
-S, T = np.meshgrid(nodes, nodes, indexing="ij")
-theory = np.minimum(S, T) - S * T
+theory = green_gram(ens, ens.grid.nodes)  # the bridge covariance is its pinned kernel
 se = np.sqrt((np.outer(np.diag(theory), np.diag(theory)) + theory**2) / cfg.n_paths)
 inner = slice(1, -1)
 z = np.abs(C - theory)[inner, inner] / np.maximum(se[inner, inner], 1e-300)
 print(f"covariance vs s^t - st/T: max |z| = {z.max():.2f} standard errors")
 
-scan = rayleigh_scan([coordinate_function(0.5)], ens, GreenKernel(variant="bridge", T=1.0))
+scan = rayleigh_scan([coordinate_function(0.5)], ens)
 r = scan.best_ratio
 print(f"midpoint Rayleigh ratio = {r.value:.4f} +- {r.std_error:.4f} (bridge Poincare constant 1)\n")
 

@@ -22,9 +22,9 @@ from scipy import stats
 
 from . import hyperbolic as hyp
 from .estimators import (
-    GreenKernel,
     coordinate_function,
     exp_half_function,
+    green_gram,
     hermite_function,
     lsi_ratio,
     rayleigh_scan,
@@ -244,8 +244,7 @@ def criterion_a3(out_dir=None):
 @_criterion("A4")
 def criterion_a4(out_dir=None):
     ens = _gaussian_1m()
-    kern = GreenKernel(variant="based_path", T=1.0)
-    scan = rayleigh_scan([hermite_function(k, 1.0) for k in (1, 2, 3)], ens, kern)
+    scan = rayleigh_scan([hermite_function(k, 1.0) for k in (1, 2, 3)], ens)
     targets = (1.0, 0.5, 1.0 / 3.0)
     ok = True
     zs, ses = [], []
@@ -271,11 +270,10 @@ def criterion_a4(out_dir=None):
 @_criterion("A5")
 def criterion_a5(out_dir=None):
     ens = _gaussian_1m()
-    kern = GreenKernel(variant="based_path", T=1.0)
     ok = True
     vals, zs = [], []
     for lam in (0.25, 0.5, 1.0):
-        est = lsi_ratio(exp_half_function(lam, 1.0), ens, kern)
+        est = lsi_ratio(exp_half_function(lam, 1.0), ens)
         z = abs(est.value - 2.0) / est.std_error
         vals.append(est.value)
         zs.append(z)
@@ -292,19 +290,15 @@ def criterion_a6(out_dir=None):
     cfg = SamplerConfig(seed=555, n_paths=100_000, grid=TimeGrid.uniform(1.0, 64), dim=1)
     ens = sample_flat_bridge(cfg)
     endpoint_exact = bool(np.all(ens.points[:, -1, :] == 0.0))
-    nodes = ens.grid.array()
     X = ens.points[:, :, 0]
     C = (X.T @ X) / cfg.n_paths
-    S, Tm = np.meshgrid(nodes, nodes, indexing="ij")
-    theory = np.minimum(S, Tm) - S * Tm / nodes[-1]
+    theory = green_gram(ens, ens.grid.nodes)  # the bridge covariance is its Cameron-Martin kernel
     se = np.sqrt((np.outer(np.diag(theory), np.diag(theory)) + theory**2) / cfg.n_paths)
     inner = slice(1, -1)
     zmax = float(
         (np.abs(C - theory)[inner, inner] / np.maximum(se[inner, inner], 1e-300)).max()
     )
-    ratio = rayleigh_scan(
-        [coordinate_function(0.5)], ens, GreenKernel(variant="bridge", T=1.0)
-    ).best_ratio
+    ratio = rayleigh_scan([coordinate_function(0.5)], ens).best_ratio
     z_ratio = abs(ratio.value - 1.0) / ratio.std_error
     ok = endpoint_exact and zmax < 4.0 and z_ratio <= 3.0
     return ok, {

@@ -201,8 +201,8 @@ def _build_functions(specs, ens, path):
 
 def _run_estimate_scenario(data, path, out_dir):
     from .estimators import (
+        MEASURE_KERNEL,
         RAYLEIGH_ESTIMATES,
-        GreenKernel,
         RayleighScan,
         exp_square_moment,
         function_estimates,
@@ -218,7 +218,9 @@ def _run_estimate_scenario(data, path, out_dir):
     if not os.path.exists(ens_path):
         raise ConfigError(f"ensemble file not found: {ens_path}", file=str(path), path="ensemble")
     ens = load_ensemble(ens_path)
-    kernel = GreenKernel(variant=data["kernel"], T=ens.grid.T) if data.get("kernel") else None
+    kernel = MEASURE_KERNEL[ens.measure_tag]  # the pairing follows from the measure; a stated one must agree
+    if data.get("kernel", kernel) != kernel:
+        raise ConfigError(f"a {ens.measure_tag} ensemble takes the {kernel} kernel", file=str(path), path="kernel")
     family = _build_functions(data.get("functions", []), ens, path)
     estimators = data["estimators"]
 
@@ -227,7 +229,7 @@ def _run_estimate_scenario(data, path, out_dir):
     # serves them all, and only the estimates outlive it
     wants = {"rayleigh": RAYLEIGH_ESTIMATES, **{e: (e,) for e in ("variance", "entropy", "lsi_ratio")}}
     names = list(dict.fromkeys(n for e in estimators for n in wants.get(e, ())))
-    per_function = [(F.label, function_estimates(F, ens, names, kernel)) for F in family] if names else []
+    per_function = [(F.label, function_estimates(F, ens, names)) for F in family] if names else []
     results = {}
     # the sup distances feed both weight-tail estimators, so take them once
     u = sup_distance(ens) if {"weight_tail", "exp_square_moment"} & set(estimators) else None

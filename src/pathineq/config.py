@@ -195,13 +195,11 @@ def validate_sample(v: Validator):
 def validate_estimate(v: Validator):
     v.get("name", expected=str)
     v.get("ensemble", expected=str)
-    kernel = v.get("kernel", expected=str, required=False, choices=KERNELS)
+    v.get("kernel", expected=str, required=False, choices=KERNELS)
     ests = v.get("estimators", expected=list)
     for i, e in enumerate(ests):
         if e not in ESTIMATOR_NAMES:
             v.fail(f"estimators[{i}]", f"expected one of {sorted(ESTIMATOR_NAMES)}, got {e!r}")
-        if e in ("rayleigh", "lsi_ratio") and not kernel:
-            v.fail("kernel", f"estimator {e!r} needs a 'kernel' entry")
     funcs = v.get("functions", expected=list, required=False, default=[])
     for i in range(len(funcs)):
         kind = v.get(f"functions[{i}].type", expected=str, choices=FUNCTION_TYPES)

@@ -33,7 +33,7 @@ from . import hyperbolic as hyp
 from .profiles import TailBound
 from .samplers import PathEnsemble
 
-_MEASURE_KERNEL = {
+MEASURE_KERNEL = {  # the Cameron-Martin kernel of each measure
     "wiener": "based_path",
     "ou": "based_path",
     "flat_bridge": "bridge",
@@ -46,7 +46,7 @@ class EstimatorError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Cylindrical functions and Green kernels
+# Cylindrical functions
 
 
 _FD_REL = 1e-6  # central-difference step, relative to max(1, |coordinate|)
@@ -137,48 +137,20 @@ def exp_half_function(lam, time, coord=0, label=None):
     )
 
 
-@dataclass(frozen=True)
-class GreenKernel:
-    """Cameron-Martin pairing kernel on [0, T]."""
-
-    variant: str  # "based_path" | "bridge"
-    T: float
-
-    def __post_init__(self):
-        if self.variant not in ("based_path", "bridge"):
-            raise EstimatorError(f"unknown kernel variant {self.variant!r}")
-        if not self.T > 0:
-            raise EstimatorError("T must be positive")
-
-    def __call__(self, s, t):
-        s = np.asarray(s, dtype=float)
-        t = np.asarray(t, dtype=float)
-        m = np.minimum(s, t)
-        if self.variant == "based_path":
-            return m
-        return m - s * t / self.T
-
-    def gram(self, times):
-        times = np.asarray(times, dtype=float)
-        return self(times[:, None], times[None, :])
-
-
 # ---------------------------------------------------------------------------
 # H-gradient energy
 
 
-def _check_kernel_measure(kernel: GreenKernel, ens: PathEnsemble):
-    want = _MEASURE_KERNEL[ens.measure_tag]
-    if kernel.variant != want:
-        raise EstimatorError(
-            f"{ens.measure_tag} ensembles must use the {want} kernel, "
-            f"got {kernel.variant}"
-        )
-    if abs(kernel.T - ens.grid.T) > 1e-12 * max(1.0, ens.grid.T):
-        raise EstimatorError("kernel horizon does not match the ensemble grid")
+def green_gram(ens: PathEnsemble, times):
+    """Gram matrix G(t_i, t_j) of the Cameron-Martin kernel that the ensemble's
+    measure fixes on [0, T]: s ^ t, minus s t / T on pinned measures."""
+    times = np.asarray(times, dtype=float)
+    s, t = times[:, None], times[None, :]
+    m = np.minimum(s, t)
+    return m - s * t / ens.grid.T if MEASURE_KERNEL[ens.measure_tag] == "bridge" else m
 
 
-def h_gradient_energy(F: CylindricalFunction, ens: PathEnsemble, kernel: GreenKernel):
+def h_gradient_energy(F: CylindricalFunction, ens: PathEnsemble):
     """Per-path squared H-gradient |grad F|_H^2, shape (n_paths,).
 
     Flat ensembles pair the Euclidean partials directly; hyperbolic ensembles
@@ -186,11 +158,10 @@ def h_gradient_energy(F: CylindricalFunction, ens: PathEnsemble, kernel: GreenKe
     them back to the base point along the path's nodes before pairing.  Both
     routes use the same Green Gram matrix.
     """
-    _check_kernel_measure(kernel, ens)
     idx = [ens.grid.index_of(t) for t in F.times]
     X = ens.points[:, idx, :]
     V = F.partial_values(X)
-    G = kernel.gram(F.times)
+    G = green_gram(ens, F.times)
 
     if ens.measure_tag != "hyperbolic_bridge":
         return np.einsum("ij,mic,mjc->m", G, V, V)
@@ -327,9 +298,9 @@ _ESTIMATES = {
 RAYLEIGH_ESTIMATES = ("variance", "energy", "ratio")
 
 
-def function_estimates(F: CylindricalFunction, ens: PathEnsemble, names, kernel=None):
-    """The named estimates of F (keys of ``_ESTIMATES``, ``kernel`` needed with an ``e``)
-    in ``names`` order, with each component built and each ``exact_sum`` total taken once.
+def function_estimates(F: CylindricalFunction, ens: PathEnsemble, names):
+    """The named estimates of F (keys of ``_ESTIMATES``) in ``names`` order, with
+    each component built and each ``exact_sum`` total taken once.
 
     A constant F has variance 0 and a constant F^2 entropy 0, exactly; a
     "ratio" or "lsi_ratio" whose energy estimate is not positive is 0,
@@ -344,7 +315,7 @@ def function_estimates(F: CylindricalFunction, ens: PathEnsemble, names, kernel=
     if "wlw" in used:
         comps["wlw"] = np.where(xx > 0, xx * np.log(np.where(xx > 0, xx, 1.0)), 0.0)
     if "e" in used:
-        comps["e"] = h_gradient_energy(F, ens, kernel)
+        comps["e"] = h_gradient_energy(F, ens)
     totals = {c: exact_sum(comps[c]) for c in used}
 
     def jackknife(name):
@@ -374,9 +345,9 @@ def entropy(F: CylindricalFunction, ens: PathEnsemble) -> EstimateWithCI:
     return function_estimates(F, ens, ("entropy",))["entropy"]
 
 
-def lsi_ratio(F: CylindricalFunction, ens: PathEnsemble, kernel: GreenKernel) -> EstimateWithCI:
+def lsi_ratio(F: CylindricalFunction, ens: PathEnsemble) -> EstimateWithCI:
     """Ent(F^2) / E|grad F|_H^2 with a jackknife CI (2 for a Gaussian LSI)."""
-    return function_estimates(F, ens, ("lsi_ratio",), kernel)["lsi_ratio"]
+    return function_estimates(F, ens, ("lsi_ratio",))["lsi_ratio"]
 
 
 @dataclass
@@ -412,11 +383,11 @@ class RayleighScan:
         return {"rows": rows, "best_index": self.best_index}
 
 
-def rayleigh_scan(family, ens: PathEnsemble, kernel: GreenKernel) -> RayleighScan:
+def rayleigh_scan(family, ens: PathEnsemble) -> RayleighScan:
     """Var(F) / E|grad F|_H^2 per function; the max over the family is an
     empirical lower bound on the Poincare constant."""
     return RayleighScan.from_rows(
-        [(F.label, function_estimates(F, ens, RAYLEIGH_ESTIMATES, kernel)) for F in family]
+        [(F.label, function_estimates(F, ens, RAYLEIGH_ESTIMATES)) for F in family]
     )
 
 

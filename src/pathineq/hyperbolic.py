@@ -59,8 +59,11 @@ def tangent_project(x, w):
 
 
 def dist(x, y):
-    """Geodesic distance arccosh(-<x,y>); the product is clamped below -1
-    so coincident points return exactly 0 instead of NaN."""
+    """Geodesic distance arccosh(-<x,y>); the product is clamped below -1,
+    so the result is never NaN and is >= 0.  Coincident points give exactly 0
+    only where -<x,x> rounds to <= 1 (the origin, for one); elsewhere its
+    rounding error eps becomes arccosh(1 + eps) ~ sqrt(2 eps): about 3e-8,
+    growing with the point's last coordinate (below 5e-8 x_n)."""
     c = np.maximum(-minkowski_dot(x, y), 1.0)
     return np.arccosh(c)
 

@@ -14,11 +14,15 @@ grid is refined geometrically toward T and the last node is snapped to the
 endpoint with the pre-snap gap recorded as a diagnostic.
 
 Noise is counter-based: each (seed, stream, step) has its own Philox stream,
-so ensembles are bit-reproducible for a given config and a step's draws do
-not depend on which steps were drawn before it.  Within a step, path i's
-normals follow those of paths 0..i-1, so the first paths of a run match a
-run with fewer paths.  The ziggurat consumes a variable number of counter
-words per normal, so a given (path, step) does not sit at a fixed offset.
+so ensembles are bit-reproducible for a given config.  Ornstein-Uhlenbeck and
+the hyperbolic bridge draw each step from its own stream, so a step's draws
+do not depend on which steps were drawn before it.  The Wiener sampler (and
+the flat bridge built on it) draws one (paths, steps, dim) block from
+(seed, 0, 0), so its draws depend on the grid's step count.  In every
+sampler path i's normals follow those of paths 0..i-1, so the first paths of
+a run match a run with fewer paths.  The ziggurat consumes a variable number
+of counter words per normal, so a given (path, step) does not sit at a fixed
+offset.
 
 The hyperbolic bridge runs each step on chunks of ``_CHUNK`` paths on a pool
 of ``_WORKERS`` threads, one per available CPU, that lives for the call (the
@@ -81,10 +85,6 @@ class TimeGrid:
     @property
     def n_nodes(self):
         return len(self.nodes)
-
-    @property
-    def max_step(self):
-        return float(np.max(np.diff(self.nodes)))
 
     def array(self):
         return np.asarray(self.nodes)

@@ -475,6 +475,38 @@ def test_estimate_outputs_pinned_digests(tmp_path):
     }
 
 
+def test_estimate_kernel_follows_from_the_ensemble(tmp_path):
+    # the estimates without their kernel lines: the ensembles' measures give
+    # the same kernels, so the pinned digests hold
+    out = run_estimate_digest_scenarios(
+        tmp_path, estimates=[y.replace("kernel: based_path\n", "").replace("kernel: bridge\n", "")
+                             for y in (GAUSS_ESTIMATE_YAML, H3_ESTIMATE_YAML)]
+    )
+    digests = {
+        f: hashlib.sha256((out / f).read_bytes()).hexdigest()
+        for f in ("est-gauss.json", "est-gauss.rayleigh.csv", "est-h3.json", "est-h3.rayleigh.csv")
+    }
+    assert digests == {
+        "est-gauss.json": "dc7282920179ff867c5bf64a93caebf57f424926b06861e794dc3136f5894a60",
+        "est-gauss.rayleigh.csv": "9b64a7a7255071dfd75ab8dd86a23e4e74e15ed1021c6793eb166a1e687e9743",
+        "est-h3.json": "a07a26ed8dcd40c24b3eb48b7349c3e836ffe4c90ecc53d62fc13290b1d35b0b",
+        "est-h3.rayleigh.csv": "30ad348c6ae1524834db400857168d856ab451b27b43e6fc4b7381e25e0e6a50",
+    }
+
+
+def test_estimate_kernel_measure_mismatch_is_config_error(tmp_path, capsys):
+    sample = SAMPLE_YAML.replace("hyperbolic_bridge", "flat_bridge").replace("dim: 3", "dim: 1")
+    estimate = ESTIMATE_YAML.replace(
+        "[weight_tail, exp_square_moment]", "[variance]\nkernel: based_path\nfunctions: [{type: coordinate}]"
+    )
+    out = str(tmp_path / "out")
+    assert main(["sample", "--config", write(tmp_path, "s.yaml", sample), "--out", out]) == 0
+    capsys.readouterr()
+    assert main(["estimate", "--config", write(tmp_path, "bad.yaml", estimate), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "bad.yaml: kernel: a flat_bridge ensemble takes the bridge kernel" in err
+
+
 def test_estimate_takes_each_total_once(tmp_path, monkeypatch):
     # rayleigh, lsi_ratio, variance and entropy of one function share four
     # components (F, F^2, F^2 log F^2, |grad F|_H^2): at most four exact_sum

@@ -12,13 +12,13 @@ from pathineq.estimators import (
     _ESTIMATES,
     CylindricalFunction,
     EstimatorError,
-    GreenKernel,
     coordinate_function,
     entropy,
     exact_sum,
     exp_half_function,
     exp_square_moment,
     function_estimates,
+    green_gram,
     h_gradient_energy,
     hermite_function,
     lsi_ratio,
@@ -45,8 +45,9 @@ def gaussian_ensemble(n_paths, seed=1):
     return sample_wiener(cfg)
 
 
-BASED = GreenKernel(variant="based_path", T=1.0)
-BRIDGE = GreenKernel(variant="bridge", T=1.0)
+def one_path(sampler, T=1.0):
+    # green_gram reads only the measure and the horizon
+    return sampler(SamplerConfig(seed=0, n_paths=1, grid=TimeGrid.uniform(T, 1), dim=1))
 
 
 # ---------------------------------------------------------------------------
@@ -54,18 +55,20 @@ BRIDGE = GreenKernel(variant="bridge", T=1.0)
 
 
 def test_green_kernel_values():
-    assert BASED(0.3, 0.7) == 0.3
-    assert BRIDGE(0.5, 0.5) == 0.25
-    assert BRIDGE(1.0, 0.5) == 0.0
+    assert green_gram(one_path(sample_wiener), (0.3, 0.7))[0, 1] == 0.3
+    assert green_gram(one_path(sample_ou), (0.3, 0.7))[0, 1] == 0.3
+    bridge = green_gram(one_path(sample_flat_bridge), (0.5, 1.0))
+    assert bridge[0, 0] == 0.25
+    assert bridge[1, 0] == 0.0
 
 
 def test_green_gram_psd_on_random_subsets():
     rng = np.random.default_rng(0)
-    for variant in ("based_path", "bridge"):
-        K = GreenKernel(variant=variant, T=2.0)
+    for sampler in (sample_wiener, sample_flat_bridge):
+        ens = one_path(sampler, T=2.0)
         for _ in range(25):
             times = np.sort(rng.uniform(0.01, 2.0, size=rng.integers(2, 9)))
-            w = np.linalg.eigvalsh(K.gram(times))
+            w = np.linalg.eigvalsh(green_gram(ens, times))
             assert w.min() >= -1e-10
 
 
@@ -77,14 +80,14 @@ def test_energy_bridge_midpoint_exact():
     cfg = SamplerConfig(seed=3, n_paths=10, grid=TimeGrid.uniform(1.0, 4), dim=1)
     ens = sample_flat_bridge(cfg)
     F = coordinate_function(0.5)
-    e = h_gradient_energy(F, ens, BRIDGE)
+    e = h_gradient_energy(F, ens)
     assert np.all(e == 0.25)  # G(T/2, T/2) = T/4 exactly
 
 
 def test_energy_based_endpoint_exact():
     ens = gaussian_ensemble(10, seed=4)
     F = coordinate_function(1.0)
-    e = h_gradient_energy(F, ens, BASED)
+    e = h_gradient_energy(F, ens)
     assert np.all(e == 1.0)  # G(T, T) = T
 
 
@@ -95,14 +98,7 @@ def test_energy_constant_function_zero():
         fn=lambda X: np.full(X.shape[0], 3.5),
         partials=lambda X: np.zeros_like(X),
     )
-    assert np.all(h_gradient_energy(F, ens, BASED) == 0.0)
-
-
-def test_energy_kernel_measure_mismatch():
-    cfg = SamplerConfig(seed=6, n_paths=5, grid=TimeGrid.uniform(1.0, 4), dim=1)
-    ens = sample_flat_bridge(cfg)
-    with pytest.raises(EstimatorError, match="bridge"):
-        h_gradient_energy(coordinate_function(0.5), ens, BASED)
+    assert np.all(h_gradient_energy(F, ens) == 0.0)
 
 
 def test_fd_partials_match_analytic():
@@ -123,8 +119,8 @@ def test_fd_partials_match_analytic():
     F_fd = CylindricalFunction(times=times, fn=fn)
     cfg = SamplerConfig(seed=8, n_paths=200, grid=TimeGrid.uniform(1.0, 4), dim=1)
     ens = sample_wiener(cfg)
-    e_an = h_gradient_energy(F_an, ens, BASED)
-    e_fd = h_gradient_energy(F_fd, ens, BASED)
+    e_an = h_gradient_energy(F_an, ens)
+    e_fd = h_gradient_energy(F_fd, ens)
     rel = np.abs(e_an - e_fd) / np.maximum(np.abs(e_an), 1e-10)
     assert rel.max() < 1e-4
 
@@ -148,13 +144,12 @@ def test_hyperbolic_energy_single_time_norm():
         return out
 
     F = CylindricalFunction(times=(t,), fn=fn, partials=partials)
-    kern = GreenKernel(variant="bridge", T=1.0)
-    e = h_gradient_energy(F, ens, kern)
+    e = h_gradient_energy(F, ens)
     x = ens.points[:, 4, :]
     eta_c = c.copy()
     eta_c[-1] *= -1
     v = hyp.tangent_project(x, np.broadcast_to(eta_c, x.shape))
-    expect = kern(t, t) * hyp.minkowski_dot(v, v)
+    expect = green_gram(ens, [t])[0, 0] * hyp.minkowski_dot(v, v)
     assert np.max(np.abs(e - expect)) < 1e-10
     assert np.all(e >= 0)
 
@@ -207,7 +202,7 @@ def test_degenerate_ensemble_rejected():
 def test_gaussian_lsi_ratio_is_two():
     ens = gaussian_ensemble(200_000, seed=16)
     for lam in (0.25, 0.5, 1.0):
-        est = lsi_ratio(exp_half_function(lam, 1.0), ens, BASED)
+        est = lsi_ratio(exp_half_function(lam, 1.0), ens)
         assert abs(est.value - 2.0) < 3 * est.std_error
         assert est.std_error < 0.05
 
@@ -216,7 +211,7 @@ def test_lsi_ratio_zero_energy_is_flagged_zero():
     # on a bridge G(T, T) = 0, so a function of the pinned endpoint has no
     # H-energy; its entropy/energy ratio is 0 with a flag, as for the Rayleigh ratio
     ens = sample_flat_bridge(SamplerConfig(seed=5, n_paths=200, grid=TimeGrid.uniform(1.0, 8), dim=1))
-    est = lsi_ratio(exp_half_function(0.5, 1.0), ens, BRIDGE)
+    est = lsi_ratio(exp_half_function(0.5, 1.0), ens)
     assert (est.value, est.std_error, est.flags) == (0.0, 0.0, ("zero_energy",))
 
 
@@ -289,7 +284,7 @@ def test_exact_sum_defers_to_fsum_from_its_size_limit(monkeypatch):
 def test_rayleigh_hermite_eigenstructure():
     ens = gaussian_ensemble(200_000, seed=18)
     family = [hermite_function(k, 1.0) for k in (1, 2, 3)]
-    scan = rayleigh_scan(family, ens, BASED)
+    scan = rayleigh_scan(family, ens)
     targets = [1.0, 0.5, 1.0 / 3.0]
     for row, target in zip(scan.rows, targets):
         assert abs(row.ratio.value - target) < 3 * row.ratio.std_error
@@ -300,7 +295,7 @@ def test_rayleigh_hermite_eigenstructure():
 def test_rayleigh_bridge_midpoint_ratio_one():
     cfg = SamplerConfig(seed=19, n_paths=100_000, grid=TimeGrid.uniform(1.0, 8), dim=1)
     ens = sample_flat_bridge(cfg)
-    scan = rayleigh_scan([coordinate_function(0.5)], ens, BRIDGE)
+    scan = rayleigh_scan([coordinate_function(0.5)], ens)
     r = scan.best_ratio
     assert abs(r.value - 1.0) < 3 * r.std_error
 
@@ -328,7 +323,7 @@ def test_rayleigh_random_polynomials_bounded_by_poincare():
         family.append(
             CylindricalFunction(times=(1.0,), fn=fn, partials=partials, label=f"p{i}")
         )
-    scan = rayleigh_scan(family, ens, BASED)
+    scan = rayleigh_scan(family, ens)
     best = scan.best_ratio
     assert best.value <= 1.0 + 4.0 * best.std_error
 
@@ -336,15 +331,15 @@ def test_rayleigh_random_polynomials_bounded_by_poincare():
 def test_rayleigh_ratios_nonnegative_and_errors():
     ens = gaussian_ensemble(1000, seed=20)
     fam = [hermite_function(1, 1.0), hermite_function(2, 1.0)]
-    scan = rayleigh_scan(fam, ens, BASED)
+    scan = rayleigh_scan(fam, ens)
     assert all(r.ratio.value >= 0 for r in scan.rows)
     with pytest.raises(EstimatorError, match="empty"):
-        rayleigh_scan([], ens, BASED)
+        rayleigh_scan([], ens)
     const = CylindricalFunction(
         times=(1.0,), fn=lambda X: np.ones(X.shape[0]), partials=lambda X: np.zeros_like(X)
     )
     with pytest.raises(EstimatorError, match="zero estimated energy"):
-        rayleigh_scan([const], ens, BASED)
+        rayleigh_scan([const], ens)
 
 
 # ---------------------------------------------------------------------------
@@ -413,11 +408,11 @@ def test_estimator_reduction_order_insensitive():
     ens = gaussian_ensemble(10_000, seed=23)
     F = exp_half_function(0.5, 1.0)
     u = np.abs(ens.points[:, -1, 0])
-    before = function_estimates(F, ens, tuple(_ESTIMATES), BASED)
+    before = function_estimates(F, ens, tuple(_ESTIMATES))
     moment = exp_square_moment(u, 0.3)
     perm = np.random.default_rng(0).permutation(ens.n_paths)
     ens.points = ens.points[perm]
-    after = function_estimates(F, ens, tuple(_ESTIMATES), BASED)
+    after = function_estimates(F, ens, tuple(_ESTIMATES))
     for name in _ESTIMATES:
         assert after[name].to_dict() == before[name].to_dict()
     # a pairwise-summed SE moves in the last bits under most of these shuffles

@@ -65,6 +65,21 @@ def test_distance_identity_and_symmetry():
     assert hyp.dist(x, y) == pytest.approx(hyp.dist(y, x), rel=1e-14)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_dist_of_coincident_points(n):
+    # exactly 0 only where -<x,x> rounds to <= 1; a rounding error eps above
+    # 1 becomes arccosh(1 + eps) ~ sqrt(2 eps), about 3e-8, never NaN
+    o = hyp.origin(n)
+    assert hyp.dist(o, o) == 0.0
+    y0 = np.array([0.7, -0.3, *[0.0] * (n - 2), math.sqrt(1.58)])
+    assert -hyp.minkowski_dot(y0, y0) > 1.0
+    assert hyp.dist(y0, y0) == pytest.approx(2.98e-8, rel=1e-3)
+    rng = np.random.default_rng(2)
+    xs = np.stack([rand_point(n, rng, spread=3.0) for _ in range(500)])
+    d = hyp.dist(xs, xs)
+    assert np.all((d >= 0) & (d < 5e-8 * xs[:, -1]))
+
+
 def test_exp_dist_consistency():
     o = hyp.origin(2)
     v = np.array([1.5, 0.0, 0.0])
