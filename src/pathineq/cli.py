@@ -78,10 +78,11 @@ def _out_dir(args):
 # transfer
 
 
-def _run_transfer_scenario(data, path, out_dir):
+def _run_transfer_scenario(v, out_dir):
     from .pipeline import pipeline_report, run_transfer_pipeline
 
-    results = run_transfer_pipeline(data, base_dir=os.path.dirname(os.path.abspath(path)))
+    data = v.data
+    results = run_transfer_pipeline(data, base_dir=os.path.dirname(os.path.abspath(v.file)))
     grid = data.get("profile_grid", {})
     report = pipeline_report(results, **({"grid_points": grid["points"]} if "points" in grid else {}))
     name = data["name"]
@@ -137,7 +138,7 @@ def _build_sampler_config(data, seed_override=None):
     )
 
 
-def _run_sample_scenario(data, path, out_dir, seed_override=None):
+def _run_sample_scenario(v, out_dir, seed_override=None):
     from .samplers import (
         ensemble_to_csv,
         sample_flat_bridge,
@@ -147,6 +148,7 @@ def _run_sample_scenario(data, path, out_dir, seed_override=None):
         save_ensemble,
     )
 
+    data = v.data
     cfg = _build_sampler_config(data, seed_override)
     sampler = {
         "wiener": sample_wiener,
@@ -177,7 +179,7 @@ def _run_sample_scenario(data, path, out_dir, seed_override=None):
 # estimate
 
 
-def _build_functions(specs, ens, path):
+def _build_functions(specs, ens, v):
     from .estimators import coordinate_function, exp_half_function, hermite_function
 
     width = ens.points.shape[-1]
@@ -187,9 +189,7 @@ def _build_functions(specs, ens, path):
         t = float(spec.get("time", ens.grid.T))
         kw = {"coord": spec.get("coord", 0), "label": spec.get("label")}
         if kw["coord"] >= width:
-            raise ConfigError(
-                f"coord must be < {width}, the points' width", file=str(path), path=f"functions[{i}].coord"
-            )
+            v.fail(f"functions[{i}].coord", f"coord must be < {width}, the points' width")
         if kind == "coordinate":
             out.append(coordinate_function(t, **kw))
         elif kind == "hermite":
@@ -199,7 +199,7 @@ def _build_functions(specs, ens, path):
     return out
 
 
-def _run_estimate_scenario(data, path, out_dir):
+def _run_estimate_scenario(v, out_dir):
     from .estimators import (
         MEASURE_KERNEL,
         RAYLEIGH_ESTIMATES,
@@ -211,17 +211,18 @@ def _run_estimate_scenario(data, path, out_dir):
     )
     from .samplers import load_ensemble
 
+    data = v.data
     ens_path = data["ensemble"]
     if not os.path.isabs(ens_path):
-        candidate = os.path.join(os.path.dirname(os.path.abspath(path)), ens_path)
+        candidate = os.path.join(os.path.dirname(os.path.abspath(v.file)), ens_path)
         ens_path = candidate if os.path.exists(candidate) else os.path.join(out_dir, ens_path)
     if not os.path.exists(ens_path):
-        raise ConfigError(f"ensemble file not found: {ens_path}", file=str(path), path="ensemble")
+        v.fail("ensemble", f"ensemble file not found: {ens_path}")
     ens = load_ensemble(ens_path)
     kernel = MEASURE_KERNEL[ens.measure_tag]  # the pairing follows from the measure; a stated one must agree
     if data.get("kernel", kernel) != kernel:
-        raise ConfigError(f"a {ens.measure_tag} ensemble takes the {kernel} kernel", file=str(path), path="kernel")
-    family = _build_functions(data.get("functions", []), ens, path)
+        v.fail("kernel", f"a {ens.measure_tag} ensemble takes the {kernel} kernel")
+    family = _build_functions(data.get("functions", []), ens, v)
     estimators = data["estimators"]
 
     records = {"seed": ens.config.seed, "config_hash": ens.config.config_hash}
@@ -298,8 +299,9 @@ def cmd_verify(args):
 def cmd_scenarios(args):
     """Run each --config with the subcommand's runner and merge the reports by name.
 
-    A runner takes a validated config as ``(data, path, out_dir[, seed_override])``
-    and returns only its own fields of the scenario record."""
+    A runner takes a config's checked ``Validator`` as ``(v, out_dir[, seed_override])``,
+    reports what only a run can check through ``v.fail``, and returns only its
+    own fields of the scenario record."""
     t0 = time.perf_counter()
     out_dir = _out_dir(args)
     os.makedirs(out_dir, exist_ok=True)
@@ -307,9 +309,10 @@ def cmd_scenarios(args):
 
     def run_one(path):
         data, linemap = load_config(path)
-        args.validator(Validator(data, linemap, str(path)))
+        v = Validator(data, linemap, str(path))
+        args.validator(v)
         t = time.perf_counter()
-        record = args.runner(data, path, out_dir, **kw)
+        record = args.runner(v, out_dir, **kw)
         return {"name": data["name"], "status": "ok", "elapsed_s": time.perf_counter() - t, **record}
 
     with ThreadPoolExecutor(max_workers=max(args.threads, 1)) as ex:

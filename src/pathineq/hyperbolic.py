@@ -102,13 +102,6 @@ def parallel_transport(v, x, y):
     return v + coef[..., None] * (x + y)
 
 
-def frame_at(x, n):
-    """Orthonormal tangent frame at x, transported from the canonical frame
-    at the origin; shape (..., n, n+1)."""
-    x = np.asarray(x, dtype=float)
-    return parallel_transport(np.eye(n, n + 1), origin(n), x[..., None, :])
-
-
 def gram_schmidt_tangent(x, frame):
     """Re-orthonormalize a tangent frame in the Minkowski metric (positive
     definite on tangent spaces); fixes slow drift in long integrations."""

@@ -6,9 +6,11 @@ on the hyperboloid model of H^n driven by the bridge SDE
 
     dy_t = X(y_t) o dB_t + grad log p_{T-t}(y_t, y0) dt,
 
-integrated by geodesic Euler-Maruyama: at each step the frame maps the
-Gaussian increment into the tangent space, the drift is added, the point is
-moved by the exponential map and the frame is parallel-transported along.
+integrated by geodesic Euler-Maruyama: at each step a standard Gaussian at
+the origin is parallel-transported to the point, the drift is added and the
+point is moved by the exponential map.  No frame is carried: the transport is
+an isometry and the fresh Gaussian is isotropic, so given the point the
+increment has the law of F xi for any orthonormal frame F there.
 The drift blows up like d/(T-t) + 1/sqrt(T-t) near the terminal time, so the
 grid is refined geometrically toward T and the last node is snapped to the
 endpoint with the pre-snap gap recorded as a diagnostic.
@@ -168,6 +170,10 @@ class SamplerConfig:
             raise SamplerError("n_paths must be >= 1")
         if not 0 <= self.seed < 2**64:
             raise SamplerError("seed must fit in 64 bits")
+        # the bridge pairs the half-Laplacian kernel's drift with unit noise;
+        # the key stays in to_dict, so config hashes do not move
+        if self.generator_convention != "half_laplacian":
+            raise SamplerError(f"generator_convention must be 'half_laplacian', got {self.generator_convention!r}")
         if self.x0 is not None:
             object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
         if self.y0 is not None:
@@ -212,7 +218,6 @@ class PathEnsemble:
     measure_tag: str  # wiener | flat_bridge | ou | hyperbolic_bridge
     points: np.ndarray
     diagnostics: dict = field(default_factory=dict)
-    frames: np.ndarray | None = None
 
     @property
     def grid(self):
@@ -273,11 +278,12 @@ _CHUNK = 8192  # paths per task; the bits do not depend on it
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def sample_hyperbolic_bridge(cfg: SamplerConfig, store_frames=False) -> PathEnsemble:
+def sample_hyperbolic_bridge(cfg: SamplerConfig) -> PathEnsemble:
     """Geodesic Euler-Maruyama for the bridge SDE on H^n, n = cfg.dim.
 
-    Per step: tangent increment sqrt(h) F xi + h grad log p_{T-t}(y, y0),
-    exponential-map move, frame transport.  The drift is clipped at
+    Per step: tangent increment sqrt(h) P(xi, 0) + h grad log p_{T-t}(y, y0),
+    P the parallel transport from the origin to y, then the exponential-map
+    move.  The drift is clipped at
     drift_cap * (d(y, y0)/(T-t) + 1/sqrt(T-t)) with clip events counted.
     The final node is snapped to y0; pre-snap distances are recorded, and
     so is each path's max over nodes of d(y_t, y0) (``sup_distance``).
@@ -285,11 +291,12 @@ def sample_hyperbolic_bridge(cfg: SamplerConfig, store_frames=False) -> PathEnse
     n = cfg.dim
     if n not in (2, 3):
         raise SamplerError("hyperbolic bridge supports n = 2, 3")
-    params = HeatKernelParams(n=n, generator_convention=cfg.generator_convention)
+    params = HeatKernelParams(n=n)
     nodes = cfg.grid.array()
     T = nodes[-1]
-    x0 = np.asarray(cfg.x0, dtype=float) if cfg.x0 is not None else hyp.origin(n)
-    y0 = np.asarray(cfg.y0, dtype=float) if cfg.y0 is not None else hyp.origin(n)
+    o = hyp.origin(n)
+    x0 = np.asarray(cfg.x0, dtype=float) if cfg.x0 is not None else o
+    y0 = np.asarray(cfg.y0, dtype=float) if cfg.y0 is not None else o
     for name, p in (("x0", x0), ("y0", y0)):
         if p.shape != (n + 1,) or abs(hyp.minkowski_dot(p, p) + 1.0) > 1e-8:
             raise SamplerError(f"{name} must be a point on the hyperboloid sheet of H^{n}")
@@ -298,21 +305,16 @@ def sample_hyperbolic_bridge(cfg: SamplerConfig, store_frames=False) -> PathEnse
     dlog_dr = _make_drift(params, T, nodes)
 
     y = np.broadcast_to(x0, (m, n + 1)).copy()
-    F = np.broadcast_to(hyp.frame_at(x0, n), (m, n, n + 1)).copy()
     points = np.empty((m, nodes.size, n + 1))
     points[:, 0, :] = y
     sup = np.zeros(m)  # running max over nodes of d(y_t, y0); every distance is >= +0
-    frames = None
-    if store_frames:
-        frames = np.empty((m, nodes.size, n, n + 1))
-        frames[:, 0] = F
 
     def advance(rows, k, xi):
         # one step for the paths in `rows`, in place; returns the clip count
         t = nodes[k]
         h = nodes[k + 1] - t
         t_rem = T - t
-        yk, Fk = y[rows], F[rows]
+        yk = y[rows]
         r = hyp.dist(yk, y0)
         np.maximum(sup[rows], r, out=sup[rows])  # rows is a slice: sup[rows] is a view
         drift = hyp.radial_coef(dlog_dr(t_rem, r), r)[:, None] * hyp.log_map(yk, y0, r)
@@ -323,16 +325,11 @@ def sample_hyperbolic_bridge(cfg: SamplerConfig, store_frames=False) -> PathEnse
         if np.any(over):
             scale = np.where(over, cap / np.where(mag > 0, mag, 1.0), 1.0)
             drift = drift * scale[:, None]
-        dv = math.sqrt(h) * np.einsum("pj,pjc->pc", xi[rows], Fk) + h * drift
+        dw = hyp.parallel_transport(np.pad(xi[rows], ((0, 0), (0, 1))), o, yk)  # (xi, 0) at o, moved to yk
+        dv = math.sqrt(h) * dw + h * drift
         y_new = hyp.exp_map(yk, dv)
-        F_new = hyp.parallel_transport(Fk, yk[:, None, :], y_new[:, None, :])
-        if (k + 1) % 16 == 0:
-            F_new = hyp.gram_schmidt_tangent(y_new, F_new)
         y[rows] = y_new
-        F[rows] = F_new
         points[rows, k + 1, :] = y_new
-        if store_frames:
-            frames[rows, k + 1] = hyp.gram_schmidt_tangent(y_new, F_new)
         return int(over.sum())
 
     chunks = [slice(i, i + _CHUNK) for i in range(0, m, _CHUNK)]
@@ -360,7 +357,6 @@ def sample_hyperbolic_bridge(cfg: SamplerConfig, store_frames=False) -> PathEnse
         measure_tag="hyperbolic_bridge",
         points=points,
         diagnostics=diagnostics,
-        frames=frames,
     )
 
 

@@ -218,15 +218,20 @@ def test_holonomy_equals_gauss_bonnet_angle_defect():
     assert rotation == pytest.approx(defect, rel=1e-9)
 
 
-def test_frame_at_is_orthonormal():
+def test_origin_transport_is_orthonormal():
+    # the bridge's noise map: the canonical basis at the origin, transported
+    # to x, is an orthonormal basis of the tangent space at x
     rng = np.random.default_rng(9)
     for n in (2, 3):
-        x = rand_point(n, rng)
-        F = hyp.frame_at(x, n)
-        G = np.array([[hyp.minkowski_dot(F[i], F[j]) for j in range(n)] for i in range(n)])
-        assert np.allclose(G, np.eye(n), atol=1e-10)
-        for i in range(n):
-            assert is_tangent(x, F[i], tol=1e-9)
+        far = np.zeros(n + 1)
+        far[0], far[1] = 600.0, 800.0
+        far[-1] = math.sqrt(1.0 + 1e6)  # x_n ~ 1e3
+        for x in (*(rand_point(n, rng) for _ in range(20)), far):
+            F = hyp.parallel_transport(np.eye(n, n + 1), hyp.origin(n), x)
+            tol = 16 * np.finfo(float).eps * x[-1] ** 2  # the products' rounding grows with x_n^2
+            G = hyp.minkowski_dot(F[:, None, :], F[None, :, :])
+            assert np.all(np.abs(G - np.eye(n)) <= tol)
+            assert is_tangent(x, F, tol=tol)
 
 
 # ---------------------------------------------------------------------------

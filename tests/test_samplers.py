@@ -62,9 +62,9 @@ def test_sampler_determinism_bit_identical():
     cfg3 = SamplerConfig(seed=7, n_paths=20, grid=TimeGrid.with_geometric_tail(1.0, 8), dim=3)
     h1, h2 = sample_hyperbolic_bridge(cfg3), sample_hyperbolic_bridge(cfg3)
     assert np.array_equal(h1.points, h2.points)
-    assert _digest(h1.points) == "6f5a3007c58b150f9895be012f6c934a57b75f59f74848c11a7400beb2b4767c"
+    assert _digest(h1.points) == "fc88f81385ff5b5af0c9056f32181fc8919e2a93074b1a9ff06d736be99c6f4d"
     assert _digest(h1.diagnostics["presnap_gap"]) == (
-        "4ee86a7522aeb3182f15f6e8ee041cf38e0ba2a182cfebffc323941311507c69"
+        "b6ce2b58ecb8d4d0f756823aa05f824d8d8406acb77e260fa94471f68b2fbaae"
     )
 
 
@@ -156,20 +156,24 @@ def test_hyperbolic_bridge_points_on_sheet_and_snap():
     assert 0.0 <= ens.diagnostics["cap_event_fraction"] <= 1.0
 
 
-def test_hyperbolic_bridge_frames_orthonormal():
+def test_hyperbolic_bridge_increments_tangent(monkeypatch):
+    # every increment handed to exp_map is tangent at its base point, and
+    # every node stays on the sheet
+    exp_map, moves = hyp.exp_map, []
+
+    def recording_exp_map(x, v):
+        moves.append(np.abs(hyp.minkowski_dot(v, x)))
+        return exp_map(x, v)
+
+    monkeypatch.setattr(hyp, "exp_map", recording_exp_map)
     grid = TimeGrid.with_geometric_tail(0.5, 8)
-    cfg = SamplerConfig(seed=31, n_paths=16, grid=grid, dim=2)
-    ens = sample_hyperbolic_bridge(cfg, store_frames=True)
-    F = ens.frames
-    for i in (0, 7, 15):
-        for k in (0, 4, F.shape[1] - 1):
-            G = np.array(
-                [
-                    [hyp.minkowski_dot(F[i, k, a], F[i, k, b]) for b in range(2)]
-                    for a in range(2)
-                ]
-            )
-            assert np.allclose(G, np.eye(2), atol=1e-8)
+    for dim in (2, 3):
+        moves.clear()
+        cfg = SamplerConfig(seed=31, n_paths=64, grid=grid, dim=dim, x0=_off_origin(dim, 1.5, -2.0))
+        ens = sample_hyperbolic_bridge(cfg)
+        assert len(moves) == grid.n_nodes - 1
+        assert max(m.max() for m in moves) < 1e-12
+        assert np.max(np.abs(hyp.minkowski_dot(ens.points, ens.points) + 1.0)) < 1e-10
 
 
 def test_hyperbolic_bridge_refinement_shrinks_endpoint_gap():
@@ -192,9 +196,9 @@ def test_hyperbolic_bridge_n2_smoke():
     ens = sample_hyperbolic_bridge(cfg)
     assert np.max(np.abs(hyp.minkowski_dot(ens.points, ens.points) + 1.0)) < 1e-10
     assert ens.diagnostics["presnap_gap_median"] < 0.5
-    assert _digest(ens.points) == "1384f29689420bd3d8dd598e268668082e32b317d3f514e735199322e4cbafe3"
+    assert _digest(ens.points) == "3307e4ff7c0dff530f5defb50f967342074a5e2800bc7ea8a2576be10c5ef5e9"
     assert _digest(ens.diagnostics["presnap_gap"]) == (
-        "e5b07b5e6b1fee5164247b2c13c954d1d2e9736f1e672f9e6a46eed568ce59e5"
+        "d8de84e886b8798a2865d25675fc04f1011e0cacb01a45594e431b6bf455c0d9"
     )
 
 
@@ -210,10 +214,9 @@ def test_bridge_bits_do_not_depend_on_chunks_or_workers(monkeypatch, dim):
     def run(chunk, workers):
         monkeypatch.setattr(samplers, "_CHUNK", chunk)
         monkeypatch.setattr(samplers, "_WORKERS", workers)
-        ens = sample_hyperbolic_bridge(cfg, store_frames=True)
+        ens = sample_hyperbolic_bridge(cfg)
         d = ens.diagnostics
-        return (ens.points.tobytes(), ens.frames.tobytes(), d["presnap_gap"].tobytes(), d["cap_event_fraction"],
-                d["sup_distance"].tobytes())
+        return ens.points.tobytes(), d["presnap_gap"].tobytes(), d["cap_event_fraction"], d["sup_distance"].tobytes()
 
     # 300 = 42 * 7 + 6 = 4 * 64 + 44: ragged last chunks; one worker runs the
     # noise prefetch and the chunks in turn
@@ -225,7 +228,7 @@ def test_bridge_bits_do_not_depend_on_chunks_or_workers(monkeypatch, dim):
     finally:
         sys.setswitchinterval(interval)
     ref = runs[full, 1]
-    assert ref[3] > 0.5
+    assert ref[2] > 0.5
     for key, got in runs.items():
         assert got == ref, key
 
@@ -253,6 +256,17 @@ def test_recorded_sup_distance_is_the_recomputed_one(dim, ends):
     u = ens.diagnostics["sup_distance"]
     assert u.shape == (cfg.n_paths,)
     assert u.tobytes() == hyp.dist(ens.points, pole).max(axis=1).tobytes()
+
+
+def test_bridge_takes_only_the_half_laplacian_convention():
+    # Delta drift with Delta/2 noise is no bridge, so the config refuses it;
+    # the key stays in the header, so the config hash has not moved
+    grid = TimeGrid.with_geometric_tail(1.0, 8)
+    with pytest.raises(SamplerError, match="generator_convention must be 'half_laplacian'"):
+        SamplerConfig(seed=7, n_paths=20, grid=grid, dim=3, generator_convention="laplacian")
+    cfg = SamplerConfig(seed=7, n_paths=20, grid=grid, dim=3)
+    assert cfg.to_dict()["generator_convention"] == "half_laplacian"
+    assert cfg.config_hash == "205de3e1a466556d"
 
 
 def test_drift_cap_policy_counts_events():
@@ -357,6 +371,9 @@ def test_load_rejects_garbage(tmp_path):
     wrong_dim = with_header("dim.pens", shape=[5, header["shape"][1], 3])
     with pytest.raises(SamplerError, match="dim.pens.*shape"):
         load_ensemble(wrong_dim)
+    laplacian = with_header("lap.pens", config=header["config"] | {"generator_convention": "laplacian"})
+    with pytest.raises(SamplerError, match="lap.pens.*malformed ensemble header.*generator_convention"):
+        load_ensemble(laplacian)
     flat_tag = with_header("tag.pens", measure_tag="wiener")
     with pytest.raises(SamplerError, match="tag.pens.*shape"):
         load_ensemble(flat_tag)
