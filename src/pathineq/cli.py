@@ -102,9 +102,7 @@ def _emit_profile_csv(out_dir, name, report):
         ycol = "alpha" if "alpha" in tab else "beta"
         path = os.path.join(out_dir, f"{name}.stage{i}.{ycol}.csv")
         with open(path, "w") as fh:
-            fh.write(f"s,{ycol}\n")
-            for s, v in zip(tab["s"], tab[ycol]):
-                fh.write(f"{s!r},{v!r}\n")
+            fh.write(f"s,{ycol}\n" + "".join(f"{s!r},{v!r}\n" for s, v in zip(tab["s"], tab[ycol])))
 
 
 # ---------------------------------------------------------------------------

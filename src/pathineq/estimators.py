@@ -273,7 +273,7 @@ def _jackknife(components, totals, g):
     loo_mean = loo.mean()
     value = n * full - (n - 1) * loo_mean
     se = math.sqrt(max((n - 1) / n * np.sum((loo - loo_mean) ** 2), 0.0))
-    return EstimateWithCI(value=value, std_error=se, n_samples=n, method="jackknife")
+    return EstimateWithCI(value=float(value), std_error=se, n_samples=n, method="jackknife")
 
 
 def _variance(m1, m2):

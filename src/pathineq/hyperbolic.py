@@ -6,9 +6,8 @@ isometries are linear (Lorentz maps), exp/log/transport are closed-form, and
 there is no cut locus, which keeps tests sharp.  Arrays are vectorized over
 leading axes: shape (..., n+1).
 
-Heat kernel conventions: ``half_laplacian`` solves dp/dt = (1/2) Lap p (the
-generator of Brownian motion driven by an orthonormal frame), ``laplacian``
-solves dp/dt = Lap p; the two are related by t -> t/2.  For n = 3 the kernel
+The heat kernel solves dp/dt = (1/2) Lap p, the generator of Brownian motion;
+it is evaluated as the kernel of dp/dt = Lap p at tau = t/2.  For n = 3 the kernel
 is in closed form; for n = 2 the classical integral formula is evaluated over
 arrays of radii by fixed-node Gauss-Legendre quadrature, after the
 substitution u^2 = cosh s - cosh r that removes the endpoint singularity.
@@ -139,19 +138,10 @@ def sphere_area(n, r):
 @dataclass(frozen=True)
 class HeatKernelParams:
     n: int
-    generator_convention: str = "half_laplacian"  # or "laplacian"
 
     def __post_init__(self):
         if self.n not in (2, 3):
             raise GeometryError("only n = 2, 3 supported")
-        if self.generator_convention not in ("half_laplacian", "laplacian"):
-            raise GeometryError(f"unknown convention {self.generator_convention!r}")
-
-    @property
-    def tau_factor(self):
-        # internal formulas are for dp/dt = Lap p; the half-Laplacian kernel
-        # at time t equals the Laplacian kernel at t/2
-        return 0.5 if self.generator_convention == "half_laplacian" else 1.0
 
 
 def _p3_lap(tau, r):
@@ -220,11 +210,12 @@ def _dlogp2_dr_lap(tau, r):
 
 
 def _per_radius(t, r, params, formula3, formula2):
-    # internal formulas use the Laplacian convention at tau = t * tau_factor
+    # the formulas are for dp/dt = Lap p; the kernel of (1/2) Lap at time t is
+    # theirs at tau = t/2
     if not t > 0:
         raise GeometryError("heat kernel needs t > 0")
     formula = formula3 if params.n == 3 else formula2
-    return formula(t * params.tau_factor, r)
+    return formula(0.5 * t, r)
 
 
 def heat_kernel(t, r, params: HeatKernelParams):
@@ -264,7 +255,7 @@ def radial_integral(f, n, r_max):
 
 def kernel_mass(t, params: HeatKernelParams):
     """Total mass of the kernel (stochastic completeness check -> 1)."""
-    tau = t * params.tau_factor
+    tau = 0.5 * t
     r_max = 4.0 * tau + 16.0 * math.sqrt(tau) + 10.0
     return radial_integral(lambda r: heat_kernel(t, r, params), params.n, r_max)
 
@@ -288,7 +279,7 @@ def chapman_kolmogorov_lhs(s, t, d_xy, params: HeatKernelParams):
             * math.sin(theta)
         )
 
-    tau = t * params.tau_factor
+    tau = 0.5 * t
     rho_max = 4.0 * tau + 16.0 * math.sqrt(tau) + 8.0
     val, _ = dblquad(integrand, 0.0, rho_max, 0.0, math.pi, epsabs=1e-10, epsrel=1e-10)
     return val

@@ -131,13 +131,13 @@ def pipeline_report(results, grid_points=48):
                 entry["tabulated"] = {"constant": prof.value}
             elif res.kind == "weak_poincare":
                 g, v = prof.tabulate_monotone(n_points=grid_points)
-                entry["tabulated"] = {"s": list(g), "alpha": list(v)}
+                entry["tabulated"] = {"s": g.tolist(), "alpha": v.tolist()}
             else:
                 lo = max(prof.eval_floor * 1.01, 1e-12)
                 hi = prof.r0 * 0.99 if math.isfinite(prof.r0) else 10.0
                 if lo < hi:
                     g = np.geomspace(lo, hi, grid_points)
-                    entry["tabulated"] = {"s": list(g), "beta": list(prof.tabulate(g))}
+                    entry["tabulated"] = {"s": g.tolist(), "beta": prof.tabulate(g).tolist()}
         except DomainError as exc:  # a profile with no evaluable range is reported, not fatal
             entry["tabulated"] = {"error": str(exc)}
         out.append(entry)

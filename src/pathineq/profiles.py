@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import betaincinv
 
 _CUTOFF_ADD = 1.0 / math.e + 1.0
@@ -73,8 +72,33 @@ def cutoff_levels(params, n):
     c = cutoff_factor(params["a"], n)
     if "m" in params:
         return c * np.sqrt(_step_left(*_tail_arrays(params["levels"], params["m"]), n - 1.0))
-    z = -0.5 * params["C"] * (n - 1.0) ** 2
+    d = n - 1.0
+    z = -0.5 * params["C"] * (d * d)  # d * d: a float's ** 2 can differ from an array's by an ulp
     return c * params["M"] * (_elementwise(math.exp, z) if np.ndim(z) else math.exp(z))
+
+
+def bisect(above, lo, hi):
+    """Geometric bisection of the brackets [lo, hi] (numbers or arrays,
+    0 < lo <= hi) with ``above`` false at lo and true at hi; returns the final
+    (lo, hi).
+
+    Each step moves one end of every open bracket to its midpoint sqrt(lo hi),
+    or sqrt(lo) sqrt(hi) where the product underflows to 0 (from lo = 1e-300,
+    once hi < 1e-24).  A bracket is closed when its midpoint does not fall
+    strictly inside it, at the latest when its ends are adjacent floats.
+    ``above`` takes the array of midpoints, or one float when lo and hi are
+    numbers.
+    """
+    scalar = np.ndim(lo) == np.ndim(hi) == 0
+    lo, hi = np.broadcast_arrays(np.array(lo, dtype=float, ndmin=1), np.array(hi, dtype=float, ndmin=1))
+    while True:
+        mid = np.sqrt(lo * hi)
+        mid = np.where(mid > 0, mid, np.sqrt(lo) * np.sqrt(hi))
+        inside = (lo < mid) & (mid < hi)
+        if not inside.any():
+            return (float(lo[0]), float(hi[0])) if scalar else (lo, hi)
+        up = np.asarray(above(float(mid[0])) if scalar else above(mid), dtype=bool)
+        lo, hi = np.where(inside & ~up, mid, lo), np.where(inside & up, mid, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -276,12 +300,16 @@ class BetaProfile:
             if np.any(i < 0):
                 raise DomainError(f"s={s[i < 0][0]} below tabulated grid start {self.s_grid[0]}")
             return np.asarray(self.values)[i]
+        n = self._scan_level(s)
         if self.form == "weighted_lsi_smooth":
-            return _elementwise(self._smooth_rate, s)
-        return self._scan_rate(s)
+            # b(n - 1) > s >= b(n) and b decreases from n_min on, so the root
+            # of b(r) = s is in the bracket; its upper end keeps b(r) <= s
+            p = self.params
+            _, n = bisect(lambda r: cutoff_levels(p, r) <= s, np.maximum(n - 1.0, p["n_min"]), n)
+        return 2.0 * n * n
 
-    def _scan_rate(self, s):
-        """beta(s) = 2 n(s)^2 for the smallest level n with cut-off level <= s.
+    def _scan_level(self, s):
+        """The smallest level n whose cut-off level is <= s.
 
         That n is the first index at which the running minimum of the levels
         is <= s, a searchsorted on the negated (ascending) running minima.
@@ -313,24 +341,7 @@ class BetaProfile:
                 f"no weak-LSI derivable at s={float(s[k == running_min.size][0])!r}: "
                 f"no qualifying level below cap {running_min.size}"
             )
-        n = n0 + k
-        return 2.0 * n * n
-
-    def _smooth_rate(self, s):
-        # continuous variant: beta(s) = 2 r*^2 with b(r*) = s, r* >= n_min
-        p = self.params
-        n_min = float(p["n_min"])
-
-        def b(r):
-            return cutoff_levels(p, r)
-
-        if b(n_min) <= s:
-            return 2.0 * n_min * n_min
-        hi = n_min + 1.0
-        while b(hi) > s:
-            hi += max(1.0, hi)
-        r_star = brentq(lambda r: b(r) - s, n_min, hi, xtol=1e-12, rtol=1e-14)
-        return 2.0 * r_star * r_star
+        return n0 + k
 
     def check_monotone(self, n_points=1000, lo=None, hi=None):
         """Non-increase and positivity on a log grid; raises on violation."""

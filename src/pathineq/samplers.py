@@ -401,6 +401,9 @@ def save_ensemble(path, ens: PathEnsemble):
         else:
             header.setdefault("diag_scalars", {})[k] = v
     blob = json.dumps(header, sort_keys=True).encode()
+    # padded with spaces, which the JSON parser skips, so that the arrays
+    # start at a multiple of 64 bytes and load aligned
+    blob += b" " * (-(len(MAGIC) + 8 + len(blob)) % 64)
     # written beside the target, then renamed over it: truncating a file in
     # place would fault the pages of any loaded ensemble still mapping it,
     # and an interrupted write would leave a truncated file at the target

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import polygamma
 
-from .profiles import AlphaProfile, BetaProfile, TailBound, cutoff_factor, cutoff_levels, profile_from_dict
+from .profiles import AlphaProfile, BetaProfile, TailBound, bisect, cutoff_factor, cutoff_levels, profile_from_dict
 
 _INV_E = 1.0 / math.e
 _LOG2 = math.log(2.0)
@@ -244,7 +244,9 @@ def weighted_lsi_to_weak_lsi(cert: WeightedLSICertificate, smooth=False) -> Tran
     beta(s) = 2 n(s)^2 where n(s) is the smallest integer n >= n_min with
     b(n) <= s, b the cut-off levels of :func:`~pathineq.profiles.cutoff_levels`
     (the moment factor M is kept explicit so the bound stays honest).  With
-    ``smooth=True`` the continuous variant beta(s) = 2 b^{-1}(s)^2 is used.
+    ``smooth=True`` the continuous variant beta(s) = 2 r^2 is used, r the root
+    of b(r) = s refined from n(s) by bisection to the ulp on the safe side,
+    b(r) <= s.
     Asymptotically beta(s) = Theta(|log s|).
     """
     n_min = _scan_start(cert)
@@ -460,23 +462,6 @@ def optimize_dyadic_params(C: float, r0: float, budget: int = 10_000) -> DyadicP
 # Weak LSI (general beta) -> weak Poincare
 
 
-def _geometric_bisection(below, lo, hi):
-    """200 geometric bisection steps on [lo, hi]; returns the final (lo, hi)
-    with ``below`` true at lo and false at hi.
-
-    The product lo * hi underflows to 0 once it falls below the smallest
-    subnormal (from lo = 1e-300, once hi < 1e-24); only then is the midpoint
-    taken as sqrt(lo) sqrt(hi), which stays positive.
-    """
-    for _ in range(200):
-        mid = math.sqrt(lo * hi) or math.sqrt(lo) * math.sqrt(hi)
-        if below(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
-
-
 def weak_lsi_to_weak_poincare(
     beta: BetaProfile,
     delta: float = 1.02,
@@ -558,7 +543,7 @@ def weak_lsi_to_weak_poincare(
 
     r1 = _INV_E * (1.0 - 1e-9)
     if math.isfinite(beta.r0) and inner(r1) >= beta.r0:
-        r1, _ = _geometric_bisection(lambda s: inner(s) < beta.r0, 1e-300, r1)
+        r1, _ = bisect(lambda s: inner(s) >= beta.r0, 1e-300, r1)
     s_lo = 0.0
     if floor > 0:
         if inner(r1) <= floor:
@@ -566,7 +551,7 @@ def weak_lsi_to_weak_poincare(
                 "infeasible: beta's derivable floor exceeds the construction's "
                 f"reachable arguments (floor {floor}, max argument {inner(r1)})"
             )
-        _, s_lo = _geometric_bisection(lambda s: inner(s) <= floor, 1e-300, r1)
+        _, s_lo = bisect(lambda s: inner(s) > floor, 1e-300, r1)
 
     params = {
         "beta": beta.to_dict(),

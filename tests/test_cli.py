@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -462,15 +463,39 @@ def run_estimate_digest_scenarios(tmp_path, estimates=(GAUSS_ESTIMATE_YAML, H3_E
 # 2.4.6 and scipy 1.17.1; a refactor of the estimators must reproduce them
 ESTIMATE_DIGESTS = {
     "est-gauss.json": "dc7282920179ff867c5bf64a93caebf57f424926b06861e794dc3136f5894a60",
-    "est-gauss.rayleigh.csv": "9b64a7a7255071dfd75ab8dd86a23e4e74e15ed1021c6793eb166a1e687e9743",
+    "est-gauss.rayleigh.csv": "78f34993525869549d0fe91594833a8b045e11cf703332507263d52fcc26179e",
     "est-h3.json": "cce529019f9278e870c748f00572051b3463eaa6c0d954a7d04091784fb79502",
-    "est-h3.rayleigh.csv": "280fda3c39002270bfda5b70a3fbcf7d3fd5c2c477031f60a923482f6f164eeb",
+    "est-h3.rayleigh.csv": "559acbaa5cdd494d015aa1d6780fe91f249b8dcd22705436613847dab725f552",
 }
 
 
 def test_estimate_outputs_pinned_digests(tmp_path):
     out = run_estimate_digest_scenarios(tmp_path)
     assert {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in ESTIMATE_DIGESTS} == ESTIMATE_DIGESTS
+
+
+def csv_numbers(path, columns):
+    """Every cell of the named columns of a CSV file, parsed with float()."""
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows, path
+    return [float(row[c]) for row in rows for c in columns]
+
+
+def test_csv_outputs_hold_plain_numbers(tmp_path):
+    out = run_estimate_digest_scenarios(tmp_path)
+    columns = ("variance", "variance_se", "energy", "energy_se", "ratio", "ratio_se")
+    for name in ("est-gauss", "est-h3"):
+        csv_numbers(out / f"{name}.rayleigh.csv", columns)
+    chain = "name: chain\npipeline:\n  - op: weighted_lsi_to_weak_lsi\n    cert: {a: 0.4, C_exp: 0.9}\n" \
+            "  - op: weak_lsi_to_weak_poincare\n"
+    assert main(["transfer", "--config", write(tmp_path, "t.yaml", chain), "--out", str(out)]) == 0
+    report = json.loads((out / "chain.transfer.json").read_text())
+    for i, ycol in enumerate(("beta", "alpha")):
+        tab = report["stages"][i]["tabulated"]
+        assert csv_numbers(out / f"chain.stage{i}.{ycol}.csv", ("s", ycol)) == [
+            x for pair in zip(tab["s"], tab[ycol]) for x in pair
+        ]
 
 
 def test_estimate_kernel_follows_from_the_ensemble(tmp_path):

@@ -244,11 +244,6 @@ def test_kernel_mass_is_one(n, t):
     assert abs(hyp.kernel_mass(t, params) - 1.0) < 1e-6
 
 
-def test_kernel_mass_laplacian_convention():
-    params = HeatKernelParams(n=3, generator_convention="laplacian")
-    assert abs(hyp.kernel_mass(0.7, params) - 1.0) < 1e-6
-
-
 def test_chapman_kolmogorov():
     params = HeatKernelParams(n=3)
     lhs = hyp.chapman_kolmogorov_lhs(0.3, 1.0, 0.7, params)
@@ -257,11 +252,9 @@ def test_chapman_kolmogorov():
 
 
 def test_half_vs_full_laplacian_time_scaling():
-    half = HeatKernelParams(n=3, generator_convention="half_laplacian")
-    full = HeatKernelParams(n=3, generator_convention="laplacian")
-    assert hyp.heat_kernel(1.0, 0.9, half) == pytest.approx(
-        hyp.heat_kernel(0.5, 0.9, full), rel=1e-14
-    )
+    # the kernel of (1/2) Lap at time t is the kernel of Lap at time t/2
+    half = HeatKernelParams(n=3)
+    assert hyp.heat_kernel(1.0, 0.9, half) == pytest.approx(float(hyp._p3_lap(0.5, 0.9)), rel=1e-14)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -327,7 +320,7 @@ def test_h2_integrals_match_quad_oracle():
     params = HeatKernelParams(n=2)
     r = np.array([0.0, 1e-3, 0.3, 1.0, 2.5, 5.0, 9.368421052631579])
     for tp in (1e-3, 0.01, 0.1, 0.5, 1.0, 2.0):
-        tau = tp * params.tau_factor
+        tau = tp * 0.5
         g = hyp.dlog_heat_kernel_dr(tp, r, params) + r / tp
         J0, _ = hyp._h2_integrals(tau, r)
         for i, ri in enumerate(r):

@@ -315,6 +315,30 @@ def test_binary_roundtrip_and_byte_identity(tmp_path):
             a[0] = 1.0
 
 
+def test_saved_arrays_load_aligned_and_unpadded_files_still_load(tmp_path):
+    # the header is padded so that the arrays start at a multiple of 64 bytes
+    cfg = SamplerConfig(seed=61, n_paths=16, grid=TimeGrid.with_geometric_tail(1.0, 4), dim=3)
+    ens = sample_hyperbolic_bridge(cfg)
+    p = tmp_path / "a.pens"
+    save_ensemble(p, ens)
+    blob = p.read_bytes()
+    hlen = int.from_bytes(blob[10:18], "little")
+    assert (18 + hlen) % 64 == 0
+    back = load_ensemble(p)
+    assert back.points.flags.aligned
+    assert all(back.diagnostics[k].flags.aligned for k in ("presnap_gap", "sup_distance"))
+    # a file written without the padding, its arrays at an odd offset, loads bit for bit
+    h = blob[18 : 18 + hlen].rstrip(b" ")
+    if (18 + len(h)) % 2 == 0:
+        h += b" "
+    unpadded = tmp_path / "unpadded.pens"
+    unpadded.write_bytes(blob[:10] + len(h).to_bytes(8, "little") + h + blob[18 + hlen :])
+    old = load_ensemble(unpadded)
+    assert old.points.tobytes() == ens.points.tobytes()
+    for k in ("presnap_gap", "sup_distance"):
+        assert old.diagnostics[k].tobytes() == ens.diagnostics[k].tobytes(), k
+
+
 def test_saving_over_a_loaded_ensemble_keeps_it_readable(tmp_path):
     # the save replaces the file, so the pages the loaded ensemble maps stay valid
     grid = TimeGrid.with_geometric_tail(1.0, 4)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathineq.profiles import BetaProfile, DomainError, TailBound
+from pathineq.profiles import BetaProfile, DomainError, TailBound, cutoff_levels
 from pathineq.transfer import (
     DyadicParams,
     TransferError,
@@ -40,29 +40,36 @@ PAPER_PARAMS = DyadicParams.from_pow2(0.5, 4.5, 0.125)  # delta=sqrt2, delta0=2^
 # profiles must match them bit for bit.
 
 
-def weighted_scan_oracle(params, s):
+def weighted_scan_level(params, s):
     a, C, M, n = params["a"], params["C"], params["M"], int(params["n_min"])
     while True:
         if (4.0 * a * a * n * n + (INV_E + 1.0)) * M * math.exp(-0.5 * C * (n - 1.0) ** 2) <= s:
-            return 2.0 * n * n
+            return n
         n += 1
 
 
-def weighted_smooth_oracle(params, s):
-    from scipy.optimize import brentq
+def weighted_scan_oracle(params, s):
+    n = weighted_scan_level(params, s)
+    return 2.0 * n * n
 
-    a, C, M, n_min = params["a"], params["C"], params["M"], float(params["n_min"])
+
+def weighted_smooth_oracle(params, s):
+    # the scan's level n refined by geometric bisection on [max(n - 1, n_min), n]
+    # until no midpoint lies strictly inside; the upper end has b(r) <= s
+    a, C, M = params["a"], params["C"], params["M"]
 
     def b(r):
-        return (4.0 * a * a * r * r + (INV_E + 1.0)) * M * math.exp(-0.5 * C * (r - 1.0) ** 2)
+        return (4.0 * a * a * r * r + (INV_E + 1.0)) * M * math.exp(-0.5 * C * ((r - 1.0) * (r - 1.0)))
 
-    if b(n_min) <= s:
-        return 2.0 * n_min * n_min
-    hi = n_min + 1.0
-    while b(hi) > s:
-        hi += max(1.0, hi)
-    r_star = brentq(lambda r: b(r) - s, n_min, hi, xtol=1e-12, rtol=1e-14)
-    return 2.0 * r_star * r_star
+    hi = float(weighted_scan_level(params, s))
+    lo = max(hi - 1.0, float(params["n_min"]))
+    while lo < math.sqrt(lo * hi) < hi:
+        mid = math.sqrt(lo * hi)
+        if b(mid) <= s:
+            hi = mid
+        else:
+            lo = mid
+    return 2.0 * hi * hi
 
 
 def tail_scan_oracle(params, s):
@@ -143,9 +150,21 @@ def test_weighted_smooth_variant_brackets_scan():
     cert = WeightedLSICertificate(a=0.3, C_exp=0.7, M=1.0)
     scan = weighted_lsi_to_weak_lsi(cert).profile
     smooth = weighted_lsi_to_weak_lsi(cert, smooth=True).profile
+    n_min = scan.params["n_min"]
     for s in np.geomspace(1e-12, scan.r0 * 0.9, 25):
-        # continuous root r* <= integer n(s), both >= n_min
-        assert smooth(s) <= scan(s) + 1e-9
+        # the root lies in [max(n - 1, n_min), n] for the scan's level n
+        n = math.sqrt(scan(s) / 2.0)
+        assert 2.0 * max(n - 1.0, n_min) ** 2 <= smooth(s) <= scan(s)
+
+
+@pytest.mark.parametrize("a,C,M", [(0.3, 0.7, 1.0), (0.05, 0.05, 1.0), (1.7, 1.9, 1.8), (0.4, 0.9, 1.2)])
+def test_weighted_smooth_rate_is_never_below_the_certificate(a, C, M):
+    # beta(s) = 2 r^2 with b(r) <= s at every tabulated point: the rate a level
+    # r certifies reaches down to s
+    res = weighted_lsi_to_weak_lsi(WeightedLSICertificate(a=a, C_exp=C, M=M), smooth=True)
+    grid = np.geomspace(1e-200, 0.99 * res.profile.r0, 1000)
+    r = np.sqrt(res.profile.tabulate(grid) / 2.0)
+    assert np.all(cutoff_levels(res.profile.params, r) <= grid)
 
 
 def test_weighted_asymptotic_log_rate():
