@@ -10,7 +10,9 @@ integrated by geodesic Euler-Maruyama: at each step a standard Gaussian at
 the origin is parallel-transported to the point, the drift is added and the
 point is moved by the exponential map.  No frame is carried: the transport is
 an isometry and the fresh Gaussian is isotropic, so given the point the
-increment has the law of F xi for any orthonormal frame F there.
+increment has the law of F xi for any orthonormal frame F there.  The
+drift's radial part is in closed form on H^3; on H^2 it is read from a
+cubic spline in r fitted at each step's own remaining time (``_make_drift``).
 The drift blows up like d/(T-t) + 1/sqrt(T-t) near the terminal time, so the
 grid is refined geometrically toward T and the last node is snapped to the
 endpoint with the pre-snap gap recorded as a diagnostic.
@@ -31,9 +33,11 @@ of ``_WORKERS`` threads, one per available CPU, that lives for the call (the
 CLI's ``--threads`` only runs scenarios side by side).  While a step's chunks
 run, the next step's noise is drawn for all paths as one more task on that
 pool.  The step works path by path, so the bits depend on neither the chunk
-size nor the number of threads.  It records each path's sup distance
-u = max over nodes of d(y_t, y0) from the distances it computes anyway, as
-the diagnostic array ``sup_distance``.
+size nor the number of threads.  The path state is kept coordinate-major
+(Fortran order), so a chunk's coordinates are contiguous columns; the step
+is elementwise, so the layout moves no bit either.  It records each path's
+sup distance u = max over nodes of d(y_t, y0) from the distances it computes
+anyway, as the diagnostic array ``sup_distance``.
 """
 
 from __future__ import annotations
@@ -304,7 +308,7 @@ def sample_hyperbolic_bridge(cfg: SamplerConfig) -> PathEnsemble:
     m = cfg.n_paths
     dlog_dr = _make_drift(params, T, nodes)
 
-    y = np.broadcast_to(x0, (m, n + 1)).copy()
+    y = np.array(np.broadcast_to(x0, (m, n + 1)), order="F")  # coordinate-major: see the module docstring
     points = np.empty((m, nodes.size, n + 1))
     points[:, 0, :] = y
     sup = np.zeros(m)  # running max over nodes of d(y_t, y0); every distance is >= +0
@@ -317,7 +321,7 @@ def sample_hyperbolic_bridge(cfg: SamplerConfig) -> PathEnsemble:
         yk = y[rows]
         r = hyp.dist(yk, y0)
         np.maximum(sup[rows], r, out=sup[rows])  # rows is a slice: sup[rows] is a view
-        drift = hyp.radial_coef(dlog_dr(t_rem, r), r)[:, None] * hyp.log_map(yk, y0, r)
+        drift = hyp.radial_coef(dlog_dr(k, r), r)[:, None] * hyp.log_map(yk, y0, r)
         # mirror of the gradient bound: |drift| <= cap (d/(T-t) + 1/sqrt(T-t))
         cap = cfg.drift_cap * (r / t_rem + 1.0 / math.sqrt(t_rem))
         mag = np.sqrt(np.maximum(hyp.minkowski_dot(drift, drift), 0.0))
@@ -325,8 +329,9 @@ def sample_hyperbolic_bridge(cfg: SamplerConfig) -> PathEnsemble:
         if np.any(over):
             scale = np.where(over, cap / np.where(mag > 0, mag, 1.0), 1.0)
             drift = drift * scale[:, None]
-        dw = hyp.parallel_transport(np.pad(xi[rows], ((0, 0), (0, 1))), o, yk)  # (xi, 0) at o, moved to yk
-        dv = math.sqrt(h) * dw + h * drift
+        dw = np.zeros_like(yk)  # (xi, 0) at o, coordinate-major like yk
+        dw[:, :-1] = xi[rows]
+        dv = math.sqrt(h) * hyp.parallel_transport(dw, o, yk) + h * drift
         y_new = hyp.exp_map(yk, dv)
         y[rows] = y_new
         points[rows, k + 1, :] = y_new
@@ -361,22 +366,44 @@ def sample_hyperbolic_bridge(cfg: SamplerConfig) -> PathEnsemble:
 
 
 def _make_drift(params: HeatKernelParams, T, nodes):
-    """The radial derivative d/dr log p_{t_rem}(r) as a function of (t_rem, r)."""
+    """The radial derivative d/dr log p_{t'}(r) at step k's remaining time
+    t' = T - t_k, as a function of (k, r)."""
+    t_rem = T - nodes[:-1]
     if params.n == 3:
-        return lambda t_rem, r: hyp.dlog_heat_kernel_dr(t_rem, r, params)
+        return lambda k, r: hyp.dlog_heat_kernel_dr(t_rem[k], r, params)
 
     # n = 2: the radial derivative is a 512-node quadrature per radius, too
-    # dear for every path and step, so interpolate its regular part
-    # g(t', r) = d/dr log p_{t'}(r) + r/t' (the -r/t' pole removed, 0 at
-    # r = 0) on a (t', r) grid, one array call per t'
-    from scipy.interpolate import RectBivariateSpline
-
-    t_lo = max(T - nodes[-2], 1e-9) * 0.5
-    t_grid = np.geomspace(t_lo, T, 48)
+    # dear for every path and step.  Its regular part g(t', r) = d/dr log
+    # p_{t'}(r) + r/t' is tabulated at each step's own t' on a uniform r-grid
+    # and fitted by a natural cubic spline in r (g is odd, so the natural end
+    # is exact at r = 0): one tridiagonal sweep over all steps, elementwise
+    # numpy alone, so no BLAS can move the bits.  Radii past the grid take the
+    # value at its end.
     r_grid = np.linspace(0.0, 6.0 * math.sqrt(T) + 4.0, 96)
-    vals = np.array([hyp.dlog_heat_kernel_dr(tp, r_grid, params) + r_grid / tp for tp in t_grid])
-    spline = RectBivariateSpline(np.log(t_grid), r_grid, vals, kx=3, ky=3)
-    return lambda t_rem, r: spline(math.log(np.clip(t_rem, t_lo, T)), r, grid=False) - r / t_rem
+    h = r_grid[1]
+    g = np.array([hyp.dlog_heat_kernel_dr(tp, r_grid, params) + r_grid / tp for tp in t_rem])
+    # second derivatives M, 0 at both ends: M_{i-1} + 4 M_i + M_{i+1} equals
+    # d_{i-1} = 6 (g_{i-1} - 2 g_i + g_{i+1}) / h^2 at each inner node i
+    d = (g[:, :-2] - 2.0 * g[:, 1:-1] + g[:, 2:]) * (6.0 / (h * h))
+    c, M = np.zeros(g.shape[1] - 1), np.zeros_like(g)  # c: the pivots, the same for every step
+    for i in range(1, g.shape[1] - 1):
+        c[i] = 1.0 / (4.0 - c[i - 1])
+        M[:, i] = (d[:, i - 1] - M[:, i - 1]) * c[i]
+    for i in range(g.shape[1] - 3, 0, -1):
+        M[:, i] -= c[i] * M[:, i + 1]
+    h6 = h * h / 6.0  # each interval's cubic in s = r/h - i, for Horner's rule
+    a0 = g[:, :-1]
+    a1 = g[:, 1:] - a0 - h6 * (2.0 * M[:, :-1] + M[:, 1:])
+    a2 = 3.0 * h6 * M[:, :-1]
+    a3 = h6 * (M[:, 1:] - M[:, :-1])
+
+    def dlog_dr(k, r):
+        x = np.minimum(r, r_grid[-1]) / h
+        i = np.minimum(x.astype(np.intp), a0.shape[1] - 1)
+        s = x - i
+        return a0[k, i] + s * (a1[k, i] + s * (a2[k, i] + s * a3[k, i])) - r / t_rem[k]
+
+    return dlog_dr
 
 
 # ---------------------------------------------------------------------------

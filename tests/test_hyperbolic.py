@@ -332,7 +332,8 @@ def test_h2_integrals_match_quad_oracle():
 @pytest.mark.parametrize(
     "tp,r,g_ref,tol",
     [
-        # t' = 2^-20, the smallest t' in the drift table of a 64-step grid on [0, 1]
+        # t' = 2^-20, half the smallest t' (T - nodes[-2] = 2^-19) at which the
+        # bridge tabulates its drift on a 64-step grid on [0, 1]
         (9.5367431640625e-07, 2.0, -0.26865735472045525513, 1e-4),
         (9.5367431640625e-07, 9.368421052631579, -0.44662921970428334895, 1e-4),
         (1e-3, 5.0, -0.40004239713779181529, 1e-10),

@@ -8,11 +8,13 @@ import pytest
 from scipy import stats
 
 from pathineq import hyperbolic as hyp
+from pathineq.hyperbolic import HeatKernelParams
 from pathineq.samplers import (
     PathEnsemble,
     SamplerConfig,
     SamplerError,
     TimeGrid,
+    _make_drift,
     ensemble_to_csv,
     load_ensemble,
     sample_flat_bridge,
@@ -196,10 +198,40 @@ def test_hyperbolic_bridge_n2_smoke():
     ens = sample_hyperbolic_bridge(cfg)
     assert np.max(np.abs(hyp.minkowski_dot(ens.points, ens.points) + 1.0)) < 1e-10
     assert ens.diagnostics["presnap_gap_median"] < 0.5
-    assert _digest(ens.points) == "3307e4ff7c0dff530f5defb50f967342074a5e2800bc7ea8a2576be10c5ef5e9"
+    assert _digest(ens.points) == "64a14cb6bc50a4e280b1c6cfaa6cced320e94dce3aa22033e0dee37543170d0b"
     assert _digest(ens.diagnostics["presnap_gap"]) == (
-        "d8de84e886b8798a2865d25675fc04f1011e0cacb01a45594e431b6bf455c0d9"
+        "d2bc161035c212dddce77ba478d5701fc848e4c4700a356a9d3d15a52456c4a0"
     )
+
+
+@pytest.mark.parametrize("n_steps", [16, 64, 128])
+def test_h2_drift_table_reads_the_quadrature_at_every_step(n_steps):
+    # the spline of step k is fitted at that step's own t' = T - t_k, so it
+    # reads the quadrature there to within its interpolation error in r
+    params = HeatKernelParams(n=2)
+    nodes = TimeGrid.with_geometric_tail(1.0, n_steps).array()
+    dlog_dr = _make_drift(params, 1.0, nodes)
+    r_max = 6.0 + 4.0  # the table's radius grid ends at 6 sqrt(T) + 4
+    r = np.concatenate([[0.0, 1e-3], np.random.default_rng(n_steps).uniform(0.0, r_max, 200)])
+    far = np.array([r_max, r_max + 3.0])
+    for k in range(nodes.size - 1):
+        tp = 1.0 - nodes[k]
+        err = np.max(np.abs(dlog_dr(k, r) - hyp.dlog_heat_kernel_dr(tp, r, params)))
+        assert err < 1e-6, (k, tp, err)
+        # past the grid the regular part keeps its value at the end
+        g = dlog_dr(k, far) + far / tp
+        assert g[1] == pytest.approx(g[0], abs=1e-9)
+
+
+def test_h2_bridge_marginal_radial_law():
+    # A9's marginal oracle on H^2: d(y_0.5, o) against the radial law
+    # p_0.5(r) p_0.5(r) area(r) / p_1(0), at A9's KS tolerance
+    grid = TimeGrid.with_geometric_tail(1.0, 64)
+    ens = sample_hyperbolic_bridge(SamplerConfig(seed=43, n_paths=20_000, grid=grid, dim=2))
+    d_mid = hyp.dist(ens.points[:, grid.index_of(0.5), :], hyp.origin(2))
+    rg = np.linspace(0.0, max(6.0, float(d_mid.max()) * 1.1), 200)
+    cdf = hyp.bridge_radial_cdf(0.5, 1.0, rg, HeatKernelParams(n=2))
+    assert stats.kstest(d_mid, lambda x: np.interp(x, rg, cdf)).statistic < 0.02
 
 
 @pytest.mark.parametrize("dim", [3, 2], ids=["n3", "n2"])

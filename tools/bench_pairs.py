@@ -3,15 +3,24 @@
 Run from the repository root:
 
     python3 tools/bench_pairs.py exact-sum --repeats 15 --into BENCH_exact_sum.json
+    python3 tools/bench_pairs.py bridge --base ../parent --repeats 5 --into BENCH_coordmajor.json
     python3 tools/bench_pairs.py pairs --base ../parent --workload estimate --seed 20090 \\
         --pairs 10 --into BENCH_exact_sum.json
 
 ``exact-sum`` times ``estimators.exact_sum`` against ``math.fsum`` on 1M
 standard normals and on 1M values of x^2 log x^2 (the entropy component), and
-checks that the two agree bit for bit.  ``pairs`` runs ``perfbench/run.py
---trace 0 --seconds S``, S being ``run_seconds`` in ``BENCHMARK.json``, in the
-``--base`` checkout and in this one, pair by pair, with the side that runs
-first alternating.  It records every run's end-to-end metrics with their
+checks that the two agree bit for bit.  ``bridge`` times the H^n bridge
+sampler of the ``--base`` checkout and of this one, each repeat in a fresh
+process per side (``bridge-repeat``), the side that runs first alternating:
+the n = 2 ``_make_drift`` build (the first build in the process, which pays
+any lazy import, and a second one), and the wall and process CPU times of
+``sample_hyperbolic_bridge`` with one thread (``_WORKERS = 1``) and with the
+pool, on ``loop_h3``'s shape (n = 3, 50k paths, 128 steps plus the geometric
+tail) and ``loop_h2``'s (n = 2, 30k paths, 64 steps plus the tail).  It records
+the SHA-256 of each side's points, so the records show whether the bits
+agree.  ``pairs`` runs ``perfbench/run.py --trace 0 --seconds S``, S being
+``run_seconds`` in ``BENCHMARK.json``, in the ``--base`` checkout and in this
+one, pair by pair, with the side that runs first alternating.  It records every run's end-to-end metrics with their
 medians and quartiles.  Each command stores its record under its own key in
 ``--into`` (created if missing), together with the command line, the machine
 and the package versions.
@@ -86,6 +95,60 @@ def exact_sum_layer(repeats):
     return {"unit": "ms", "samples": repeats, "results": out}
 
 
+BRIDGE_SHAPES = {"h3": (3, 50_000, 128), "h2": (2, 30_000, 64)}  # dim, paths, steps before the tail
+
+
+def bridge_repeat(src):
+    """One repeat of the ``bridge`` measurements, with pathineq from ``src``."""
+    import hashlib
+
+    sys.path.insert(0, str(src))
+    from pathineq import samplers
+    from pathineq.hyperbolic import HeatKernelParams
+
+    def grid(n_steps):
+        return samplers.TimeGrid.with_geometric_tail(1.0, n_steps, 0.5, 1e-6)
+
+    out = {}
+    nodes = grid(BRIDGE_SHAPES["h2"][2]).array()
+    for key in ("drift_build_n2_first_s", "drift_build_n2_s"):
+        t = time.perf_counter()
+        samplers._make_drift(HeatKernelParams(n=2), 1.0, nodes)
+        out[key] = time.perf_counter() - t
+    pooled = samplers._WORKERS
+    for shape, (dim, n_paths, n_steps) in BRIDGE_SHAPES.items():
+        cfg = samplers.SamplerConfig(seed=20090, n_paths=n_paths, grid=grid(n_steps), dim=dim)
+        for mode, workers in (("serial", 1), ("pooled", pooled)):
+            samplers._WORKERS = workers
+            t, c = time.perf_counter(), time.process_time()
+            ens = samplers.sample_hyperbolic_bridge(cfg)
+            out[f"{shape}.{mode}.wall_s"] = time.perf_counter() - t
+            out[f"{shape}.{mode}.cpu_s"] = time.process_time() - c
+        samplers._WORKERS = pooled
+        out[f"{shape}.sha256"] = hashlib.sha256(ens.points.data).hexdigest()
+        del ens
+    return out
+
+
+def bridge(base, repeats):
+    runs = {"base": [], "change": []}
+    sides = (("base", base), ("change", ROOT))
+    for i in range(repeats):
+        for side, checkout in sides if i % 2 == 0 else sides[::-1]:
+            cmd = [sys.executable, str(Path(__file__).resolve()), "bridge-repeat", "--src", str(checkout / "src")]
+            out = subprocess.run(cmd, capture_output=True, text=True, check=True)
+            runs[side].append(json.loads(out.stdout.strip().splitlines()[-1]))
+    digests = {side: {k: sorted({r[k] for r in rs}) for k in rs[0] if k.endswith("sha256")} for side, rs in runs.items()}
+    times = {side: {k: _summary([r[k] for r in rs]) for k in rs[0] if not k.endswith("sha256")}
+             for side, rs in runs.items()}
+    return {
+        "unit": "s", "repeats": repeats, "workers_pooled": _machine()["nproc"],
+        "shapes": {k: dict(zip(("dim", "n_paths", "n_steps"), v)) for k, v in BRIDGE_SHAPES.items()},
+        "commits": {"base": _commit(base), "change": _commit(ROOT)},
+        "sha256": digests, "results": times,
+    }
+
+
 def _run(checkout, workload, seed, seconds):
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
@@ -116,18 +179,28 @@ def main(argv=None):
     sub = p.add_subparsers(dest="command", required=True)
     layer = sub.add_parser("exact-sum", help="exact_sum against math.fsum on 1M values")
     layer.add_argument("--repeats", type=int, default=15)
+    br = sub.add_parser("bridge", help="the bridge sampler and its drift build, base checkout and this one")
+    br.add_argument("--base", required=True, help="checkout of the commit to compare against")
+    br.add_argument("--repeats", type=int, default=5)
+    once = sub.add_parser("bridge-repeat", help="one repeat of the bridge measurements, printed as JSON")
+    once.add_argument("--src", required=True, help="directory holding the pathineq package to time")
     pair = sub.add_parser("pairs", help="alternating perfbench runs, base checkout and this one")
     pair.add_argument("--base", required=True, help="checkout of the commit to compare against")
     pair.add_argument("--workload", required=True)
     pair.add_argument("--seed", type=int, default=20090)
     pair.add_argument("--pairs", type=int, default=10)
-    for sp in (layer, pair):
+    for sp in (layer, br, pair):
         sp.add_argument("--into", required=True, metavar="JSON", help="file to store the record in")
     argv = sys.argv[1:] if argv is None else argv
     args = p.parse_args(argv)
 
+    if args.command == "bridge-repeat":
+        print(json.dumps(bridge_repeat(Path(args.src).resolve())))
+        return
     if args.command == "exact-sum":
         key, record = "exact_sum_vs_fsum", exact_sum_layer(args.repeats)
+    elif args.command == "bridge":
+        key, record = "bridge_sampler", bridge(Path(args.base).resolve(), args.repeats)
     else:
         key = f"{args.workload}_pairs_seed{args.seed}"
         seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
