@@ -67,7 +67,8 @@ import pathineq
 bare = sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"})
 from pathineq.cli import main
 loaded = {"scipy.stats": {}, "scipy.interpolate": {}}
-for command, configs in (("transfer", ["transfer"]), ("sample", ["sample", "sample-h2"]), ("estimate", ["estimate"])):
+for command, configs in (("transfer", ["transfer"]), ("sample", ["sample", "sample-h2"]),
+                         ("estimate", ["estimate"])):
     argv = [command, "--out", "out"]
     for config in configs:
         argv += ["--config", config + ".yaml"]

@@ -20,10 +20,10 @@ tail) and ``loop_h2``'s (n = 2, 30k paths, 64 steps plus the tail).  It records
 the SHA-256 of each side's points, so the records show whether the bits
 agree.  ``pairs`` runs ``perfbench/run.py --trace 0 --seconds S``, S being
 ``run_seconds`` in ``BENCHMARK.json``, in the ``--base`` checkout and in this
-one, pair by pair, with the side that runs first alternating.  It records every run's end-to-end metrics with their
-medians and quartiles.  Each command stores its record under its own key in
-``--into`` (created if missing), together with the command line, the machine
-and the package versions.
+one, pair by pair, with the side that runs first alternating.  It records
+every run's end-to-end metrics with their medians and quartiles.  Each command
+stores its record under its own key in ``--into`` (created if missing),
+together with the command line, the machine and the package versions.
 """
 
 from __future__ import annotations
@@ -138,7 +138,8 @@ def bridge(base, repeats):
             cmd = [sys.executable, str(Path(__file__).resolve()), "bridge-repeat", "--src", str(checkout / "src")]
             out = subprocess.run(cmd, capture_output=True, text=True, check=True)
             runs[side].append(json.loads(out.stdout.strip().splitlines()[-1]))
-    digests = {side: {k: sorted({r[k] for r in rs}) for k in rs[0] if k.endswith("sha256")} for side, rs in runs.items()}
+    digests = {side: {k: sorted({r[k] for r in rs}) for k in rs[0] if k.endswith("sha256")}
+               for side, rs in runs.items()}
     times = {side: {k: _summary([r[k] for r in rs]) for k in rs[0] if not k.endswith("sha256")}
              for side, rs in runs.items()}
     return {
