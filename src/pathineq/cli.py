@@ -26,14 +26,15 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .config import ConfigError, Validator, load_config, present
-from .config import validate_estimate, validate_sample, validate_transfer
+from .config import ConfigError, Validator, load_config
 
 REPORT_SCHEMA_VERSION = "pathineq.runreport.v1"
 
 EXIT_OK = 0
 EXIT_CRITERION = 1
 EXIT_CONFIG = 2
+
+_NUM = (int, float)
 
 # Bad input exits with EXIT_CONFIG: every domain error subclasses ValueError.
 # Anything else (TypeError, KeyError, ...) is a program bug and propagates.
@@ -79,13 +80,12 @@ def _out_dir(args):
 
 
 def _run_transfer_scenario(v, out_dir):
-    from .pipeline import pipeline_report, run_transfer_pipeline
+    from .pipeline import pipeline_report, run_transfer_pipeline, validate_transfer
 
-    data = v.data
-    results = run_transfer_pipeline(data, base_dir=os.path.dirname(os.path.abspath(v.file)))
-    grid = data.get("profile_grid", {})
-    report = pipeline_report(results, **({"grid_points": grid["points"]} if "points" in grid else {}))
-    name = data["name"]
+    report_options = validate_transfer(v)
+    results = run_transfer_pipeline(v.data, base_dir=os.path.dirname(os.path.abspath(v.file)))
+    report = pipeline_report(results, **report_options)
+    name = v.data["name"]
     out_json = os.path.join(out_dir, f"{name}.transfer.json")
     with open(out_json, "w") as fh:
         json.dump({"name": name, "stages": report}, fh, indent=1)
@@ -109,35 +109,19 @@ def _emit_profile_csv(out_dir, name, report):
 # sample
 
 
-def _build_sampler_config(data, seed_override=None):
-    from .samplers import SamplerConfig, TimeGrid
-
-    T = float(data["T"])
-    gspec = data["grid"]
-    if data["sampler"] == "hyperbolic_bridge" or "tail" in gspec:
-        tail = present(gspec.get("tail", {}), ("lam", "floor"))
-        grid = TimeGrid.with_geometric_tail(T, gspec["n_steps"], **tail)
-    else:
-        grid = TimeGrid.uniform(T, gspec["n_steps"])
-
-    def point(spec):
-        if spec is None or spec == "origin":
-            return None
-        return tuple(float(x) for x in spec)
-
-    return SamplerConfig(
-        seed=int(seed_override if seed_override is not None else data["seed"]),
-        n_paths=int(data["n_paths"]),
-        grid=grid,
-        dim=int(data["dim"]),
-        x0=point(data.get("x0")),
-        y0=point(data.get("y0")),
-        **{k: float(v) for k, v in present(data, ("drift_cap",)).items()},
-    )
+def _read_point(v, key):
+    spec = v.get(key, expected=(str, list), required=False, default="origin")
+    if isinstance(spec, str):
+        if spec != "origin":
+            v.fail(key, f"expected 'origin' or a list of numbers, got {spec!r}")
+        return None
+    return tuple(float(v.get(f"{key}[{i}]", expected=_NUM)) for i in range(len(spec)))
 
 
 def _run_sample_scenario(v, out_dir, seed_override=None):
     from .samplers import (
+        SamplerConfig,
+        TimeGrid,
         ensemble_to_csv,
         sample_flat_bridge,
         sample_hyperbolic_bridge,
@@ -146,20 +130,45 @@ def _run_sample_scenario(v, out_dir, seed_override=None):
         save_ensemble,
     )
 
-    data = v.data
-    cfg = _build_sampler_config(data, seed_override)
-    sampler = {
-        "wiener": sample_wiener,
-        "flat_bridge": sample_flat_bridge,
-        "ou": sample_ou,
-        "hyperbolic_bridge": sample_hyperbolic_bridge,
-    }[data["sampler"]]
-    ens = sampler(cfg)
-    out_path = os.path.join(out_dir, data["out"])
-    if data.get("format", "binary") == "csv":
-        ensemble_to_csv(out_path, ens)
+    samplers = {"wiener": sample_wiener, "flat_bridge": sample_flat_bridge, "ou": sample_ou,
+                "hyperbolic_bridge": sample_hyperbolic_bridge}
+    writers = {"binary": save_ensemble, "csv": ensemble_to_csv}
+    tag = v.get("sampler", expected=str, choices=samplers)
+    seed = v.get("seed", expected=int)
+    n_paths = v.get("n_paths", expected=int)
+    if n_paths < 1:
+        v.fail("n_paths", "n_paths must be >= 1")
+    dim = v.get("dim", expected=int)
+    T = v.get("T", expected=_NUM)
+    if not T > 0:
+        v.fail("T", "horizon T must be positive")
+    v.get("grid", expected=dict)
+    n_steps = v.get("grid.n_steps", expected=int)
+    if n_steps < 1:
+        v.fail("grid.n_steps", "n_steps must be >= 1")
+    tailed = v.get("grid.tail", expected=dict, required=False) is not None
+    lam = v.get("grid.tail.lam", expected=_NUM, required=False)
+    if lam is not None and not 0 < lam < 1:
+        v.fail("grid.tail.lam", "tail ratio lam must be in (0, 1)")
+    floor = v.get("grid.tail.floor", expected=_NUM, required=False)
+    if floor is not None and not floor > 0:
+        v.fail("grid.tail.floor", "tail floor must be positive")
+    x0, y0 = _read_point(v, "x0"), _read_point(v, "y0")
+    drift_cap = v.get("drift_cap", expected=_NUM, required=False)
+    write = writers[v.get("format", expected=str, required=False, default="binary", choices=writers)]
+    out_path = os.path.join(out_dir, v.get("out", expected=str))
+    v.reject_unread("", "grid", "grid.tail")
+
+    if tag == "hyperbolic_bridge" or tailed:
+        tail = {k: x for k, x in (("lam", lam), ("floor", floor)) if x is not None}
+        grid = TimeGrid.with_geometric_tail(float(T), n_steps, **tail)
     else:
-        save_ensemble(out_path, ens)
+        grid = TimeGrid.uniform(float(T), n_steps)
+    seed = int(seed_override if seed_override is not None else seed)
+    cfg = SamplerConfig(seed=seed, n_paths=n_paths, grid=grid, dim=dim, x0=x0, y0=y0,
+                        **({} if drift_cap is None else {"drift_cap": float(drift_cap)}))
+    ens = samplers[tag](cfg)
+    write(out_path, ens)
     return {
         "outputs": [out_path],
         "seed": cfg.seed,
@@ -177,40 +186,52 @@ def _run_sample_scenario(v, out_dir, seed_override=None):
 # estimate
 
 
-def _build_functions(specs, ens, v):
-    from .estimators import coordinate_function, exp_half_function, hermite_function
-
-    width = ens.points.shape[-1]
-    out = []
-    for i, spec in enumerate(specs):
-        kind = spec["type"]
-        t = float(spec.get("time", ens.grid.T))
-        kw = {"coord": spec.get("coord", 0), "label": spec.get("label")}
-        if kw["coord"] >= width:
-            v.fail(f"functions[{i}].coord", f"coord must be < {width}, the points' width")
-        if kind == "coordinate":
-            out.append(coordinate_function(t, **kw))
-        elif kind == "hermite":
-            out.append(hermite_function(int(spec["degree"]), t, **kw))
-        elif kind == "exp_half":
-            out.append(exp_half_function(float(spec["lam"]), t, **kw))
-    return out
-
-
 def _run_estimate_scenario(v, out_dir):
     from .estimators import (
         MEASURE_KERNEL,
         RAYLEIGH_ESTIMATES,
         RayleighScan,
+        coordinate_function,
+        exp_half_function,
         exp_square_moment,
         function_estimates,
+        hermite_function,
         sup_distance,
         weight_tail,
     )
     from .samplers import load_ensemble
 
-    data = v.data
-    ens_path = data["ensemble"]
+    builders = {"coordinate": coordinate_function, "hermite": hermite_function, "exp_half": exp_half_function}
+    # each estimator and the per-function estimates behind it; one pass per
+    # function serves them all, and only the estimates outlive it
+    wants = {"rayleigh": RAYLEIGH_ESTIMATES, **{e: (e,) for e in ("variance", "entropy", "lsi_ratio")},
+             "weight_tail": (), "exp_square_moment": ()}
+    ens_path = v.get("ensemble", expected=str)
+    stated_kernel = v.get("kernel", expected=str, required=False, choices=set(MEASURE_KERNEL.values()))
+    estimators = v.get("estimators", expected=list)
+    for i in range(len(estimators)):
+        v.get(f"estimators[{i}]", expected=str, choices=wants)
+    specs = []
+    for i in range(len(v.get("functions", expected=list, required=False, default=[]))):
+        f = f"functions[{i}]"
+        kind = v.get(f"{f}.type", expected=str, choices=builders)
+        args = ()
+        if kind == "hermite":
+            args = (v.get(f"{f}.degree", expected=int),)
+            if args[0] < 0:
+                v.fail(f"{f}.degree", "degree must be >= 0")
+        if kind == "exp_half":
+            args = (float(v.get(f"{f}.lam", expected=_NUM)),)
+        coord = v.get(f"{f}.coord", expected=int, required=False, default=0)
+        if coord < 0:
+            v.fail(f"{f}.coord", "coord must be >= 0")
+        t = v.get(f"{f}.time", expected=_NUM, required=False)
+        specs.append((builders[kind], args, t, coord, v.get(f"{f}.label", expected=str, required=False)))
+        v.reject_unread(f)
+    exp_square_c = float(v.get("exp_square_c", expected=_NUM, required=False, default=0.25))
+    out_json = os.path.join(out_dir, v.get("out", expected=str))
+    v.reject_unread("")
+
     if not os.path.isabs(ens_path):
         candidate = os.path.join(os.path.dirname(os.path.abspath(v.file)), ens_path)
         ens_path = candidate if os.path.exists(candidate) else os.path.join(out_dir, ens_path)
@@ -218,16 +239,17 @@ def _run_estimate_scenario(v, out_dir):
         v.fail("ensemble", f"ensemble file not found: {ens_path}")
     ens = load_ensemble(ens_path)
     kernel = MEASURE_KERNEL[ens.measure_tag]  # the pairing follows from the measure; a stated one must agree
-    if data.get("kernel", kernel) != kernel:
+    if stated_kernel not in (None, kernel):
         v.fail("kernel", f"a {ens.measure_tag} ensemble takes the {kernel} kernel")
-    family = _build_functions(data.get("functions", []), ens, v)
-    estimators = data["estimators"]
+    width = ens.points.shape[-1]
+    family = []
+    for i, (build, args, t, coord, label) in enumerate(specs):
+        if coord >= width:
+            v.fail(f"functions[{i}].coord", f"coord must be < {width}, the points' width")
+        family.append(build(*args, float(ens.grid.T if t is None else t), coord=coord, label=label))
 
     records = {"seed": ens.config.seed, "config_hash": ens.config.config_hash}
-    # the per-function estimates behind each estimator; one pass per function
-    # serves them all, and only the estimates outlive it
-    wants = {"rayleigh": RAYLEIGH_ESTIMATES, **{e: (e,) for e in ("variance", "entropy", "lsi_ratio")}}
-    names = list(dict.fromkeys(n for e in estimators for n in wants.get(e, ())))
+    names = list(dict.fromkeys(n for e in estimators for n in wants[e]))
     per_function = [(F.label, function_estimates(F, ens, names)) for F in family] if names else []
     results = {}
     # the sup distances feed both weight-tail estimators, so take them once
@@ -238,20 +260,19 @@ def _run_estimate_scenario(v, out_dir):
             scan = RayleighScan.from_rows(per_function)
             results["rayleigh"] = scan.to_dict()
             csv_rows = scan.rows
-        elif est_name in wants:
-            results[est_name] = {label: est[est_name].to_dict() for label, est in per_function}
         elif est_name == "weight_tail":
             results["weight_tail"] = weight_tail(u).to_dict()
         elif est_name == "exp_square_moment":
-            est = exp_square_moment(u, float(data.get("exp_square_c", 0.25)))
-            results["exp_square_moment"] = est.to_dict()
+            results["exp_square_moment"] = exp_square_moment(u, exp_square_c).to_dict()
+        else:
+            results[est_name] = {label: est[est_name].to_dict() for label, est in per_function}
 
-    out_json = os.path.join(out_dir, data["out"])
+    name = v.data["name"]
     with open(out_json, "w") as fh:
-        json.dump({"name": data["name"], "provenance": records, "results": results}, fh, indent=1)
+        json.dump({"name": name, "provenance": records, "results": results}, fh, indent=1)
     outputs = [out_json]
     if csv_rows is not None:
-        csv_path = os.path.join(out_dir, f"{data['name']}.rayleigh.csv")
+        csv_path = os.path.join(out_dir, f"{name}.rayleigh.csv")
         with open(csv_path, "w") as fh:
             fh.write("label,variance,variance_se,energy,energy_se,ratio,ratio_se,seed,config_hash\n")
             for r in csv_rows:
@@ -297,9 +318,9 @@ def cmd_verify(args):
 def cmd_scenarios(args):
     """Run each --config with the subcommand's runner and merge the reports by name.
 
-    A runner takes a config's checked ``Validator`` as ``(v, out_dir[, seed_override])``,
-    reports what only a run can check through ``v.fail``, and returns only its
-    own fields of the scenario record."""
+    A runner takes the config's ``Validator`` (``name`` read) as ``(v, out_dir[, seed_override])``,
+    reads each of its keys once through ``v`` before it runs anything, reports what only a run
+    can check through ``v.fail``, and returns only its own fields of the scenario record."""
     t0 = time.perf_counter()
     out_dir = _out_dir(args)
     os.makedirs(out_dir, exist_ok=True)
@@ -308,10 +329,10 @@ def cmd_scenarios(args):
     def run_one(path):
         data, linemap = load_config(path)
         v = Validator(data, linemap, str(path))
-        args.validator(v)
+        name = v.get("name", expected=str)
         t = time.perf_counter()
         record = args.runner(v, out_dir, **kw)
-        return {"name": data["name"], "status": "ok", "elapsed_s": time.perf_counter() - t, **record}
+        return {"name": name, "status": "ok", "elapsed_s": time.perf_counter() - t, **record}
 
     with ThreadPoolExecutor(max_workers=max(args.threads, 1)) as ex:
         futs = [(p, ex.submit(run_one, p)) for p in args.config]
@@ -335,9 +356,9 @@ def cmd_scenarios(args):
 
 
 SCENARIO_COMMANDS = {
-    "transfer": (_run_transfer_scenario, validate_transfer, "run a chain of inequality transfers"),
-    "sample": (_run_sample_scenario, validate_sample, "sample a path ensemble to a file"),
-    "estimate": (_run_estimate_scenario, validate_estimate, "run estimators over a stored ensemble"),
+    "transfer": (_run_transfer_scenario, "run a chain of inequality transfers"),
+    "sample": (_run_sample_scenario, "sample a path ensemble to a file"),
+    "estimate": (_run_estimate_scenario, "run estimators over a stored ensemble"),
 }
 
 
@@ -347,7 +368,7 @@ def make_parser():
         description="functional-inequality transfers and path-space Monte Carlo",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    for name, (runner, validator, text) in SCENARIO_COMMANDS.items():
+    for name, (runner, text) in SCENARIO_COMMANDS.items():
         sp = sub.add_parser(name, help=text)
         sp.add_argument(
             "--config", action="append", required=True, metavar="PATH",
@@ -358,7 +379,7 @@ def make_parser():
         sp.add_argument(
             "--threads", type=int, default=1, metavar="N", help="scenario-level: scenarios run at once; "
             "the hyperbolic bridge splits paths over one thread per available CPU; outputs depend on neither")
-        sp.set_defaults(fn=cmd_scenarios, runner=runner, validator=validator)
+        sp.set_defaults(fn=cmd_scenarios, runner=runner)
 
     sp = sub.add_parser("verify", help="run an acceptance suite")
     sp.add_argument("suite", help="suite name (e.g. gaussian, transfer, all)")

@@ -60,10 +60,14 @@ def _walk(node, prefix, linemap):
 
 
 class Validator:
+    """Typed reads of a config's keys; it remembers every path asked for, so a
+    key that no reader takes can be reported."""
+
     def __init__(self, data, linemap, file):
         self.data = data
         self.linemap = linemap
         self.file = file
+        self.read = set()
 
     def fail(self, path, message):
         # a missing key has no line of its own: name its nearest enclosing entry's
@@ -74,6 +78,7 @@ class Validator:
         raise ConfigError(message, file=self.file, line=line, path=path)
 
     def get(self, path, expected=None, required=True, default=None, choices=None):
+        self.read.add(path)
         cur = self.data
         for part in _split(path):
             if isinstance(part, int):
@@ -96,6 +101,14 @@ class Validator:
             self.fail(path, f"expected one of {sorted(choices)}, got {cur!r}")
         return cur
 
+    def reject_unread(self, *paths):
+        """Fail on a key of the mapping at each of ``paths`` ("" is the top
+        level) that no ``get`` asked for: a misspelled key is not ignored."""
+        for path in paths:
+            for key in self.get(path, required=False, default={}) if path else self.data:
+                if (full := f"{path}.{key}" if path else str(key)) not in self.read:
+                    self.fail(full, "unknown key")
+
 
 def present(spec, keys):
     """The optional ``keys`` that ``spec`` sets, so a default lives only in the
@@ -116,99 +129,3 @@ def _split(path):
             parts.append(token)
     return parts
 
-
-_NUM = (int, float)
-
-SAMPLERS = {"wiener", "flat_bridge", "ou", "hyperbolic_bridge"}
-KERNELS = {"based_path", "bridge"}
-ESTIMATOR_NAMES = {"variance", "entropy", "rayleigh", "lsi_ratio", "weight_tail", "exp_square_moment"}
-FUNCTION_TYPES = {"coordinate", "hermite", "exp_half"}
-TRANSFER_OPS = {
-    "weighted_lsi_to_weak_lsi",
-    "tail_to_weak_lsi",
-    "weak_lsi_to_poincare",
-    "weak_lsi_to_weak_poincare",
-}
-
-
-# each op's stage keys and their types, (required, optional); a stage with
-# no beta takes the previous stage's profile
-_BETA = {"beta": dict, "beta.C": _NUM, "beta.r0": _NUM}
-STAGE_KEYS = {
-    "weighted_lsi_to_weak_lsi": (
-        {"cert": dict, "cert.a": _NUM, "cert.C_exp": _NUM},
-        {"cert.M": _NUM, "smooth": bool},
-    ),
-    "tail_to_weak_lsi": ({"a": _NUM, "tail": dict}, {"tail.confidence": _NUM, "n_cap": int}),
-    "weak_lsi_to_poincare": ({}, {**_BETA, "params": (str, dict), "budget": int}),
-    "weak_lsi_to_weak_poincare": ({}, {**_BETA, "delta": _NUM, "delta0": _NUM, "r": _NUM, "sigma_cap": _NUM}),
-}
-
-
-def validate_transfer(v: Validator):
-    v.get("name", expected=str)
-    stages = v.get("pipeline", expected=list)
-    if not stages:
-        v.fail("pipeline", "no stages")
-    for i in range(len(stages)):
-        stage = f"pipeline[{i}]"
-        op = v.get(f"{stage}.op", expected=str, choices=TRANSFER_OPS)
-        required, optional = STAGE_KEYS[op]
-        for key, expected in required.items():
-            v.get(f"{stage}.{key}", expected=expected)
-        for key, expected in optional.items():
-            v.get(f"{stage}.{key}", expected=expected, required=False)
-        if op == "tail_to_weak_lsi":
-            if not 0 < v.get(f"{stage}.tail.confidence", required=False, default=0.5) < 1:
-                v.fail(f"{stage}.tail.confidence", "confidence must lie in (0, 1)")
-        if op == "weak_lsi_to_poincare":
-            params = v.get(f"{stage}.params", required=False, default="auto")
-            if isinstance(params, str) and params != "auto":
-                v.fail(f"{stage}.params", f"expected 'auto' or a mapping, got {params!r}")
-            for key in params if isinstance(params, dict) else ():
-                v.get(f"{stage}.params.{key}", expected=_NUM)
-    v.get("profile_grid", expected=dict, required=False)
-    if v.get("profile_grid.points", expected=int, required=False, default=1) < 1:
-        v.fail("profile_grid.points", "points must be >= 1")
-
-
-def validate_sample(v: Validator):
-    v.get("name", expected=str)
-    v.get("sampler", expected=str, choices=SAMPLERS)
-    v.get("seed", expected=int)
-    n = v.get("n_paths", expected=int)
-    if n < 1:
-        v.fail("n_paths", "n_paths must be >= 1")
-    v.get("dim", expected=int)
-    T = v.get("T", expected=_NUM)
-    if not T > 0:
-        v.fail("T", "horizon T must be positive")
-    v.get("grid.n_steps", expected=int)
-    v.get("grid.tail", expected=dict, required=False)
-    v.get("grid.tail.lam", expected=_NUM, required=False)
-    v.get("grid.tail.floor", expected=_NUM, required=False)
-    v.get("drift_cap", expected=_NUM, required=False)
-    v.get("format", expected=str, required=False, default="binary", choices={"binary", "csv"})
-    v.get("out", expected=str)
-
-
-def validate_estimate(v: Validator):
-    v.get("name", expected=str)
-    v.get("ensemble", expected=str)
-    v.get("kernel", expected=str, required=False, choices=KERNELS)
-    ests = v.get("estimators", expected=list)
-    for i, e in enumerate(ests):
-        if e not in ESTIMATOR_NAMES:
-            v.fail(f"estimators[{i}]", f"expected one of {sorted(ESTIMATOR_NAMES)}, got {e!r}")
-    funcs = v.get("functions", expected=list, required=False, default=[])
-    for i in range(len(funcs)):
-        kind = v.get(f"functions[{i}].type", expected=str, choices=FUNCTION_TYPES)
-        if kind == "hermite" and v.get(f"functions[{i}].degree", expected=int) < 0:
-            v.fail(f"functions[{i}].degree", "degree must be >= 0")
-        if kind == "exp_half":
-            v.get(f"functions[{i}].lam", expected=_NUM)
-        if v.get(f"functions[{i}].coord", expected=int, required=False, default=0) < 0:
-            v.fail(f"functions[{i}].coord", "coord must be >= 0")
-        v.get(f"functions[{i}].time", expected=_NUM, required=False)
-    v.get("exp_square_c", expected=_NUM, required=False)
-    v.get("out", expected=str)

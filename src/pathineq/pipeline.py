@@ -83,6 +83,57 @@ def _load_params(spec):
     )
 
 
+_NUM = (int, float)
+
+# each op's stage keys and their types: (required, optional, the keyword
+# options passed on to its transfer); a stage with no beta takes the previous
+# stage's profile, and a tail is inline levels and values, a file or an ensemble
+_BETA = {"beta": dict, "beta.C": _NUM, "beta.r0": _NUM}
+_TAIL = {"tail.levels": list, "tail.values": list, "tail.file": str, "tail.from_ensemble": str,
+         "tail.confidence": _NUM}
+STAGE_KEYS = {
+    "weighted_lsi_to_weak_lsi": (
+        {"cert": dict, "cert.a": _NUM, "cert.C_exp": _NUM}, {"cert.M": _NUM}, {"smooth": bool},
+    ),
+    "tail_to_weak_lsi": ({"a": _NUM, "tail": dict}, _TAIL, {"n_cap": int}),
+    "weak_lsi_to_poincare": ({}, {**_BETA, "params": (str, dict)}, {"budget": int}),
+    "weak_lsi_to_weak_poincare": ({}, _BETA, {"delta": _NUM, "delta0": _NUM, "r": _NUM, "sigma_cap": _NUM}),
+}
+
+
+def validate_transfer(v):
+    """Check a transfer scenario's keys, every stage by its op, before any
+    transfer runs; returns the options of ``pipeline_report``."""
+    stages = v.get("pipeline", expected=list)
+    if not stages:
+        v.fail("pipeline", "no stages")
+    for i in range(len(stages)):
+        stage = f"pipeline[{i}]"
+        op = v.get(f"{stage}.op", expected=str, choices=STAGE_KEYS)
+        required, optional, options = STAGE_KEYS[op]
+        for key, expected in required.items():
+            v.get(f"{stage}.{key}", expected=expected)
+        got = {key: v.get(f"{stage}.{key}", expected=expected, required=False)
+               for key, expected in {**optional, **options}.items()}
+        confidence = got.get("tail.confidence")
+        if confidence is not None and not 0 < confidence < 1:
+            v.fail(f"{stage}.tail.confidence", "confidence must lie in (0, 1)")
+        params = got.get("params")
+        if isinstance(params, str) and params != "auto":
+            v.fail(f"{stage}.params", f"expected 'auto' or a mapping, got {params!r}")
+        for key in params if isinstance(params, dict) else ():
+            v.get(f"{stage}.params.{key}", expected=_NUM)
+        # beta and params are left to their constructors, on any stage
+        v.read.update(f"{stage}.{key}" for key in ("beta", "params"))
+        v.reject_unread(stage, *(f"{stage}.{key}" for key in ("cert", "tail") if key in required))
+    v.get("profile_grid", expected=dict, required=False)
+    points = v.get("profile_grid.points", expected=int, required=False)
+    if points is not None and points < 1:
+        v.fail("profile_grid.points", "points must be >= 1")
+    v.reject_unread("", "profile_grid")
+    return {} if points is None else {"grid_points": points}
+
+
 def run_transfer_pipeline(spec, base_dir=None):
     """Execute the stages; returns the list of TransferResults in order."""
     stages = spec.get("pipeline")
@@ -93,23 +144,20 @@ def run_transfer_pipeline(spec, base_dir=None):
     for i, stage in enumerate(stages):
         op = stage.get("op")
         try:
+            if not isinstance(op, str) or op not in STAGE_KEYS:
+                raise PipelineError(f"unknown op {op!r}")
+            kw = present(stage, STAGE_KEYS[op][2])
             if op == "weighted_lsi_to_weak_lsi":
                 c = stage["cert"]
                 cert = WeightedLSICertificate(a=c["a"], C_exp=c["C_exp"], **present(c, ("M",)))
-                res = weighted_lsi_to_weak_lsi(cert, **present(stage, ("smooth",)))
+                res = weighted_lsi_to_weak_lsi(cert, **kw)
             elif op == "tail_to_weak_lsi":
-                tail = _load_tail(stage["tail"], base_dir)
-                res = tail_to_weak_lsi(stage["a"], tail, **present(stage, ("n_cap",)))
+                res = tail_to_weak_lsi(stage["a"], _load_tail(stage["tail"], base_dir), **kw)
             elif op == "weak_lsi_to_poincare":
                 beta = _load_beta(stage.get("beta"), prev)
-                params = _load_params(stage.get("params"))
-                res = weak_lsi_to_poincare(beta, params, **present(stage, ("budget",)))
-            elif op == "weak_lsi_to_weak_poincare":
-                beta = _load_beta(stage.get("beta"), prev)
-                kw = present(stage, ("delta", "delta0", "r", "sigma_cap"))
-                res = weak_lsi_to_weak_poincare(beta, **kw)
+                res = weak_lsi_to_poincare(beta, _load_params(stage.get("params")), **kw)
             else:
-                raise PipelineError(f"unknown op {op!r}")
+                res = weak_lsi_to_weak_poincare(_load_beta(stage.get("beta"), prev), **kw)
         except (TransferError, KeyError, ValueError) as exc:
             if isinstance(exc, PipelineError) and op is None:
                 raise

@@ -343,21 +343,6 @@ class BetaProfile:
             )
         return n0 + k
 
-    def check_monotone(self, n_points=1000, lo=None, hi=None):
-        """Non-increase and positivity on a log grid; raises on violation."""
-        r0_scale = self.r0 * 1e-12 if math.isfinite(self.r0) else 1e-12
-        lo = lo if lo is not None else max(self.eval_floor * 1.0001, r0_scale, 1e-280)
-        hi = hi if hi is not None else (self.r0 * (1 - 1e-9) if math.isfinite(self.r0) else 1.0)
-        if not lo < hi:
-            raise ProfileError(f"empty monotonicity check range [{lo}, {hi}]")
-        grid = np.geomspace(lo, hi, n_points)
-        vals = self.tabulate(grid)
-        if np.any(vals <= 0):
-            raise ProfileError("profile not positive on its domain")
-        if np.any(np.diff(vals) > 1e-12 * np.maximum(np.abs(vals[:-1]), 1.0)):
-            raise ProfileError("profile not non-increasing on its domain")
-        return vals
-
     def to_dict(self):
         d = {"type": self._type, "family": self.family}
         if self.family == "constant":

@@ -108,7 +108,9 @@ class TimeGrid:
         drift singularity of bridge dynamics."""
         if not 0 < lam < 1:
             raise SamplerError("tail ratio lam must be in (0, 1)")
-        base = [T * k / n_steps for k in range(n_steps)]
+        if not floor > 0:
+            raise SamplerError("tail floor must be positive")
+        base = list(cls.uniform(T, n_steps).nodes[:-1])
         h = T / n_steps
         tail = []
         k = 1
@@ -167,17 +169,12 @@ class SamplerConfig:
     x0: tuple | None = None
     y0: tuple | None = None
     drift_cap: float = 4.0
-    generator_convention: str = "half_laplacian"
 
     def __post_init__(self):
         if self.n_paths < 1:
             raise SamplerError("n_paths must be >= 1")
         if not 0 <= self.seed < 2**64:
             raise SamplerError("seed must fit in 64 bits")
-        # the bridge pairs the half-Laplacian kernel's drift with unit noise;
-        # the key stays in to_dict, so config hashes do not move
-        if self.generator_convention != "half_laplacian":
-            raise SamplerError(f"generator_convention must be 'half_laplacian', got {self.generator_convention!r}")
         if self.x0 is not None:
             object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
         if self.y0 is not None:
@@ -192,11 +189,13 @@ class SamplerConfig:
             "x0": list(self.x0) if self.x0 is not None else None,
             "y0": list(self.y0) if self.y0 is not None else None,
             "drift_cap": self.drift_cap,
-            "generator_convention": self.generator_convention,
+            "generator_convention": "half_laplacian",  # the bridge's only one; kept so hashes do not move
         }
 
     @classmethod
     def from_dict(cls, d):
+        if d["generator_convention"] != "half_laplacian":
+            raise SamplerError(f"generator_convention must be 'half_laplacian', got {d['generator_convention']!r}")
         return cls(
             seed=d["seed"],
             n_paths=d["n_paths"],
@@ -205,7 +204,6 @@ class SamplerConfig:
             x0=tuple(d["x0"]) if d.get("x0") else None,
             y0=tuple(d["y0"]) if d.get("y0") else None,
             drift_cap=d["drift_cap"],
-            generator_convention=d["generator_convention"],
         )
 
     @property

@@ -8,7 +8,6 @@ import sys
 import pytest
 
 from pathineq.cli import main
-from pathineq.config import ConfigError, Validator, load_config, validate_sample
 
 TRANSFER_YAML = """\
 name: paper-pipeline
@@ -200,12 +199,54 @@ def test_estimate_missing_ensemble_is_config_error(tmp_path, capsys):
 
 
 def test_config_error_reports_line_number(tmp_path, capsys):
-    bad = SAMPLE_YAML.replace("sampler: hyperbolic_bridge", "sampler: teleporter")
-    cfg = write(tmp_path, "bad.yaml", bad)
-    code = main(["sample", "--config", cfg, "--out", str(tmp_path / "out")])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "bad.yaml:2" in err and "sampler" in err
+    for old, new, line, key in (
+        ("sampler: hyperbolic_bridge", "sampler: teleporter", 2, "sampler"),
+        ("n_paths: 300", "n_paths: 0", 4, "n_paths"),
+        # a bridge's grid has a geometric tail, and n_steps 0 used to divide by zero
+        ("n_steps: 16", "n_steps: 0", 8, "grid.n_steps"),
+        ("floor: 1.0e-6", "floor: 0", 9, "grid.tail.floor"),
+        ("lam: 0.5", "lam: 1.5", 9, "grid.tail.lam"),
+    ):
+        cfg = write(tmp_path, "bad.yaml", SAMPLE_YAML.replace(old, new))
+        code = main(["sample", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"bad.yaml:{line}: {key}: " in capsys.readouterr().err
+
+
+def test_negative_tail_floor_exits_2_within_seconds(tmp_path):
+    # the tail used to refine toward T for ever, as h lam^k > floor T stays true
+    # once lam^k underflows to 0; a subprocess, so such a hang fails the test
+    cfg = write(tmp_path, "bad.yaml", SAMPLE_YAML.replace("floor: 1.0e-6", "floor: -1"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pathineq.cli", "sample", "--config", cfg, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 2
+    assert "bad.yaml:9: grid.tail.floor: tail floor must be positive" in proc.stderr
+
+
+# m(s) = exp(-s^2) on integer levels: a tail that certifies a weak LSI
+GAUSS_TAIL = "levels: [0, 1, 2, 3, 4, 5], values: [1.0, 0.37, 0.019, 1.3e-4, 1.2e-7, 1.4e-11]"
+
+
+@pytest.mark.parametrize(
+    "command, old, new, line, key",
+    [
+        ("sample", "x0: origin", "drift_caps: 0.5\nx0: origin", 10, "drift_caps"),
+        ("transfer", OP, first_stage("tail_to_weak_lsi", "a: 0.5", f"tail: {{{GAUSS_TAIL}}}", "ncap: 5"), 6,
+         "pipeline[0].ncap"),
+        ("transfer", OP, first_stage("tail_to_weak_lsi", "a: 0.5", f"tail: {{{GAUSS_TAIL}, confidense: 0.5}}"), 5,
+         "pipeline[0].tail.confidense"),
+        ("transfer", OP, first_stage("weak_lsi_to_weak_poincare", "sigma_capp: 0.1"), 4, "pipeline[0].sigma_capp"),
+    ],
+    ids=["drift_caps", "ncap", "confidense", "sigma_capp"],
+)
+def test_misspelled_key_names_file_and_line(tmp_path, capsys, command, old, new, line, key):
+    # each used to be ignored, and the run went on with the default
+    text = {"sample": SAMPLE_YAML, "transfer": TRANSFER_YAML}[command]
+    cfg = write(tmp_path, "bad.yaml", text.replace(old, new))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"bad.yaml:{line}: {key}: unknown key" in capsys.readouterr().err
 
 
 def test_missing_hermite_degree_names_file_and_line(tmp_path, capsys):
@@ -252,6 +293,9 @@ def test_domain_error_names_its_scenario_file(tmp_path, capsys):
         ("sample", "n_paths: 300", "n_paths: true", 4, "n_paths"),
         ("sample", "seed: 99", "seed: false", 3, "seed"),
         ("sample", "T: 1.0", "T: true", 6, "T"),
+        # a start or end point is origin or a list of numbers
+        ("sample", "x0: origin", "x0: foo", 10, "x0"),
+        ("sample", "y0: origin", "y0: [0, a, 0, 1]", 11, "y0[1]"),
         # transfer stage inputs are checked by op before any transfer runs
         ("transfer", OP, first_stage("weighted_lsi_to_weak_lsi", "cert: {a: abc, C_exp: 1.0}"), 4,
          "pipeline[0].cert.a"),
@@ -259,7 +303,7 @@ def test_domain_error_names_its_scenario_file(tmp_path, capsys):
                                      "n_cap: abc"), 6, "pipeline[0].n_cap"),
     ],
     ids=["lam", "floor", "drift_cap", "exp_square_c", "points", "coord", "time",
-         "coord_bool", "n_paths_bool", "seed_bool", "T_bool", "cert_a", "n_cap"],
+         "coord_bool", "n_paths_bool", "seed_bool", "T_bool", "x0_word", "y0_entry", "cert_a", "n_cap"],
 )
 def test_non_numeric_option_names_file_and_line(tmp_path, capsys, command, old, new, line, key):
     text = {"sample": SAMPLE_YAML, "estimate": ESTIMATE_YAML, "transfer": TRANSFER_YAML}[command]
@@ -347,17 +391,6 @@ def test_program_bug_is_not_a_config_error(tmp_path, monkeypatch, threads):
     monkeypatch.setattr(pathineq.estimators, "weight_tail", broken)
     with pytest.raises(TypeError, match="unexpected keyword"):
         main(["estimate", *configs, "--out", out, "--threads", threads])
-
-
-def test_config_validator_paths():
-    data, linemap = (
-        {"name": "x", "sampler": "wiener", "seed": 1, "n_paths": 0, "dim": 1, "T": 1.0,
-         "grid": {"n_steps": 4}, "out": "w.pens"},
-        {},
-    )
-    v = Validator(data, linemap, "inline")
-    with pytest.raises(ConfigError, match="n_paths"):
-        validate_sample(v)
 
 
 def test_duplicate_scenario_names_rejected(tmp_path, capsys):

@@ -170,5 +170,6 @@ def test_weighted_scan_profile_is_nonincreasing_and_positive(a, C, M):
 
     res = weighted_lsi_to_weak_lsi(WeightedLSICertificate(a=a, C_exp=C, M=M))
     hi = res.profile.r0 * (1 - 1e-9)
-    vals = res.profile.check_monotone(n_points=200, lo=min(1e-30, hi * 1e-12), hi=hi)
+    vals = res.profile.tabulate(np.geomspace(min(1e-30, hi * 1e-12), hi, 200))
     assert np.all(vals > 0)
+    assert np.all(np.diff(vals) <= 1e-12 * np.maximum(np.abs(vals[:-1]), 1.0))

@@ -291,10 +291,10 @@ def test_recorded_sup_distance_is_the_recomputed_one(dim, ends):
 
 
 def test_bridge_takes_only_the_half_laplacian_convention():
-    # Delta drift with Delta/2 noise is no bridge, so the config refuses it;
-    # the key stays in the header, so the config hash has not moved
+    # Delta drift with Delta/2 noise is no bridge, so the config has no other
+    # convention to take; the key stays in the header, so the config hash has not moved
     grid = TimeGrid.with_geometric_tail(1.0, 8)
-    with pytest.raises(SamplerError, match="generator_convention must be 'half_laplacian'"):
+    with pytest.raises(TypeError, match="generator_convention"):
         SamplerConfig(seed=7, n_paths=20, grid=grid, dim=3, generator_convention="laplacian")
     cfg = SamplerConfig(seed=7, n_paths=20, grid=grid, dim=3)
     assert cfg.to_dict()["generator_convention"] == "half_laplacian"

@@ -6,6 +6,7 @@ Run from the repository root:
     python3 tools/bench_pairs.py bridge --base ../parent --repeats 5 --into BENCH_coordmajor.json
     python3 tools/bench_pairs.py pairs --base ../parent --workload estimate --seed 20090 \\
         --pairs 10 --into BENCH_exact_sum.json
+    python3 tools/bench_pairs.py outputs --base ../parent --seed 20090 --into BENCH_readers.json
 
 ``exact-sum`` times ``estimators.exact_sum`` against ``math.fsum`` on 1M
 standard normals and on 1M values of x^2 log x^2 (the entropy component), and
@@ -21,7 +22,12 @@ the SHA-256 of each side's points, so the records show whether the bits
 agree.  ``pairs`` runs ``perfbench/run.py --trace 0 --seconds S``, S being
 ``run_seconds`` in ``BENCHMARK.json``, in the ``--base`` checkout and in this
 one, pair by pair, with the side that runs first alternating.  It records
-every run's end-to-end metrics with their medians and quartiles.  Each command
+every run's end-to-end metrics with their medians and quartiles.  ``outputs``
+runs each workload of ``perfbench/workloads.py`` once per side, in a fresh
+``perfbench/worker.py`` process and the same scratch directory: its set-up
+calls, its timed calls and its checks.  It records the SHA-256 of every output
+file but the ``*_report.json`` files (they hold timings) and of the list of
+check results, and lists the files whose digests differ.  Each command
 stores its record under its own key in ``--into`` (created if missing),
 together with the command line, the machine and the package versions.
 """
@@ -29,14 +35,17 @@ together with the command line, the machine and the package versions.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
 import platform
+import shutil
 import statistics
 import struct
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -100,8 +109,6 @@ BRIDGE_SHAPES = {"h3": (3, 50_000, 128), "h2": (2, 30_000, 64)}  # dim, paths, s
 
 def bridge_repeat(src):
     """One repeat of the ``bridge`` measurements, with pathineq from ``src``."""
-    import hashlib
-
     sys.path.insert(0, str(src))
     from pathineq import samplers
     from pathineq.hyperbolic import HeatKernelParams
@@ -175,6 +182,47 @@ def pairs(base, workload, seed, n_pairs, seconds):
     }
 
 
+def _sha256(path):
+    with open(path, "rb") as fh:
+        return hashlib.file_digest(fh, "sha256").hexdigest()
+
+
+def _outputs_once(checkout, workload, seed, work):
+    """Digests of one worker run of ``workload`` in ``checkout``, in ``work``."""
+    result = work.parent / "result.json"
+    cmd = [sys.executable, "perfbench/worker.py", "--workload", workload, "--seed", str(seed),
+           "--work-dir", str(work), "--result", str(result), "--spawned-at", str(time.monotonic())]
+    subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
+    ops = json.loads(result.read_text())["ops"]
+    out = work / "out"
+    files = {p.relative_to(out).as_posix(): _sha256(p) for p in sorted(out.rglob("*"))
+             if p.is_file() and not p.name.endswith("_report.json")}
+    shutil.rmtree(work)
+    return {"files": files, "checks": hashlib.sha256(json.dumps(ops).encode()).hexdigest(),
+            "failed": [name for name, ok, _ in ops if not ok]}
+
+
+def outputs(base, seed):
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import WORKLOADS
+
+    digests = {"base": {}, "change": {}}
+    # one scratch path for both sides, so paths written into outputs agree
+    with tempfile.TemporaryDirectory() as tmp:
+        for workload in WORKLOADS:
+            for side, checkout in (("base", base), ("change", ROOT)):
+                digests[side][workload] = _outputs_once(checkout, workload, seed, Path(tmp) / "work")
+    differ = []
+    for workload, change in digests["change"].items():
+        base_files, files = digests["base"][workload]["files"], change["files"]
+        differ += [f"{workload}/{f}" for f in sorted(base_files.keys() | files.keys())
+                   if base_files.get(f) != files.get(f)]
+        if change["checks"] != digests["base"][workload]["checks"]:
+            differ.append(f"{workload}/checks")
+    return {"seed": seed, "commits": {"base": _commit(base), "change": _commit(ROOT)}, "differ": differ,
+            "sha256": digests}
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = p.add_subparsers(dest="command", required=True)
@@ -190,7 +238,10 @@ def main(argv=None):
     pair.add_argument("--workload", required=True)
     pair.add_argument("--seed", type=int, default=20090)
     pair.add_argument("--pairs", type=int, default=10)
-    for sp in (layer, br, pair):
+    outs = sub.add_parser("outputs", help="output digests of every workload, base checkout and this one")
+    outs.add_argument("--base", required=True, help="checkout of the commit to compare against")
+    outs.add_argument("--seed", type=int, default=20090)
+    for sp in (layer, br, pair, outs):
         sp.add_argument("--into", required=True, metavar="JSON", help="file to store the record in")
     argv = sys.argv[1:] if argv is None else argv
     args = p.parse_args(argv)
@@ -202,6 +253,8 @@ def main(argv=None):
         key, record = "exact_sum_vs_fsum", exact_sum_layer(args.repeats)
     elif args.command == "bridge":
         key, record = "bridge_sampler", bridge(Path(args.base).resolve(), args.repeats)
+    elif args.command == "outputs":
+        key, record = f"outputs_seed{args.seed}", outputs(Path(args.base).resolve(), args.seed)
     else:
         key = f"{args.workload}_pairs_seed{args.seed}"
         seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
@@ -213,7 +266,7 @@ def main(argv=None):
     data = json.loads(path.read_text()) if path.exists() else {}
     data[key] = record
     path.write_text(json.dumps(data, indent=1) + "\n")
-    print(json.dumps({key: {k: v for k, v in record.items() if k != "metrics"}}, indent=1))
+    print(json.dumps({key: {k: v for k, v in record.items() if k not in ("metrics", "sha256")}}, indent=1))
 
 
 if __name__ == "__main__":
