@@ -121,6 +121,7 @@ def _read_point(v, key):
 def _run_sample_scenario(v, out_dir, seed_override=None):
     from .samplers import (
         SamplerConfig,
+        SamplerError,
         TimeGrid,
         ensemble_to_csv,
         sample_flat_bridge,
@@ -161,7 +162,10 @@ def _run_sample_scenario(v, out_dir, seed_override=None):
 
     if tag == "hyperbolic_bridge" or tailed:
         tail = {k: x for k, x in (("lam", lam), ("floor", floor)) if x is not None}
-        grid = TimeGrid.with_geometric_tail(float(T), n_steps, **tail)
+        try:
+            grid = TimeGrid.with_geometric_tail(float(T), n_steps, **tail)
+        except SamplerError as exc:  # T, n_steps and lam are checked above: the floor is too small
+            v.fail("grid.tail.floor", str(exc))
     else:
         grid = TimeGrid.uniform(float(T), n_steps)
     seed = int(seed_override if seed_override is not None else seed)

@@ -4,7 +4,10 @@ Points live on the upper sheet {x in R^{n+1} : <x,x> = -1, x_{n+1} > 0} of the
 Minkowski form <x,y> = sum_i x_i y_i - x_{n+1} y_{n+1} (curvature -1).  All
 isometries are linear (Lorentz maps), exp/log/transport are closed-form, and
 there is no cut locus, which keeps tests sharp.  Arrays are vectorized over
-leading axes: shape (..., n+1).
+leading axes: shape (..., n+1).  The bridge sampler writes its own step in
+closed form from <y, y0> (``samplers._bridge_step``); exp/log/transport and
+``radial_coef`` are that step's test oracles and stay public API, used by the
+estimators, the demos and ``grad_log_heat_kernel``.
 
 The heat kernel solves dp/dt = (1/2) Lap p, the generator of Brownian motion;
 it is evaluated as the kernel of dp/dt = Lap p at tau = t/2.  For n = 3 the kernel
@@ -152,13 +155,14 @@ def _p3_lap(tau, r):
 
 
 def _dlogp3_dr_lap(tau, r):
+    # 1/r - coth r, by its series below r = 1e-6; the series and the guard are
+    # evaluated only when some r is that small
     r = np.asarray(r, dtype=float)
     small = r < 1e-6
-    core = np.where(
-        small,
-        -r / 3.0 - r**3 / 45.0,
-        1.0 / np.where(small, 1.0, r) - 1.0 / np.tanh(np.where(small, 1.0, r)),
-    )
+    if not small.any():
+        return 1.0 / r - 1.0 / np.tanh(r) - r / (2.0 * tau)
+    safe = np.where(small, 1.0, r)
+    core = np.where(small, -r / 3.0 - r**3 / 45.0, 1.0 / safe - 1.0 / np.tanh(safe))
     return core - r / (2.0 * tau)
 
 

@@ -10,9 +10,14 @@ integrated by geodesic Euler-Maruyama: at each step a standard Gaussian at
 the origin is parallel-transported to the point, the drift is added and the
 point is moved by the exponential map.  No frame is carried: the transport is
 an isometry and the fresh Gaussian is isotropic, so given the point the
-increment has the law of F xi for any orthonormal frame F there.  The
-drift's radial part is in closed form on H^3; on H^2 it is read from a
-cubic spline in r fitted at each step's own remaining time (``_make_drift``).
+increment has the law of F xi for any orthonormal frame F there.  The step
+is one elementwise pass (``_bridge_step``): from c = -<y, y0> = cosh r, the
+bits of ``hyperbolic.dist``, it writes the drift, the transport and the
+exponential map in closed form, so |drift| = |d/dr log p| and the drift
+clip clips that scalar; ``hyperbolic``'s exp/log/transport are its test
+oracles.  The drift's radial part is in closed form on H^3; on H^2 it is read
+from a cubic spline in r fitted at each step's own remaining time
+(``_make_drift``).
 The drift blows up like d/(T-t) + 1/sqrt(T-t) near the terminal time, so the
 grid is refined geometrically toward T and the last node is snapped to the
 endpoint with the pre-snap gap recorded as a diagnostic.
@@ -105,7 +110,8 @@ class TimeGrid:
     def with_geometric_tail(cls, T, n_steps, lam=0.5, floor=1e-6):
         """Uniform grid whose final interval [T - h, T] is subdivided at
         T - h lam^k until steps reach floor * T, resolving the 1/(T-t)
-        drift singularity of bridge dynamics."""
+        drift singularity of bridge dynamics.  A floor so small that the
+        nodes stop moving toward T in floating point first is an error."""
         if not 0 < lam < 1:
             raise SamplerError("tail ratio lam must be in (0, 1)")
         if not floor > 0:
@@ -115,7 +121,10 @@ class TimeGrid:
         tail = []
         k = 1
         while h * lam**k > floor * T:
-            tail.append(T - h * lam**k)
+            node = T - h * lam**k
+            if not (tail or base)[-1] < node < T:  # the nodes stopped moving toward T
+                raise SamplerError(f"tail floor {floor} is below the float spacing at T = {T}")
+            tail.append(node)
             k += 1
         return cls(tuple(base + tail + [T]))
 
@@ -285,7 +294,8 @@ def sample_hyperbolic_bridge(cfg: SamplerConfig) -> PathEnsemble:
 
     Per step: tangent increment sqrt(h) P(xi, 0) + h grad log p_{T-t}(y, y0),
     P the parallel transport from the origin to y, then the exponential-map
-    move.  The drift is clipped at
+    move, all in one closed-form pass per chunk of paths (``_bridge_step``).
+    The drift's norm is |d/dr log p|, which is clipped at
     drift_cap * (d(y, y0)/(T-t) + 1/sqrt(T-t)) with clip events counted.
     The final node is snapped to y0; pre-snap distances are recorded, and
     so is each path's max over nodes of d(y_t, y0) (``sup_distance``).
@@ -313,27 +323,12 @@ def sample_hyperbolic_bridge(cfg: SamplerConfig) -> PathEnsemble:
 
     def advance(rows, k, xi):
         # one step for the paths in `rows`, in place; returns the clip count
-        t = nodes[k]
-        h = nodes[k + 1] - t
-        t_rem = T - t
-        yk = y[rows]
-        r = hyp.dist(yk, y0)
+        t_rem = T - nodes[k]
+        r, clips, _ = _bridge_step(y[rows], y0, xi[rows], nodes[k + 1] - nodes[k], t_rem, cfg.drift_cap,
+                                   partial(dlog_dr, k))
         np.maximum(sup[rows], r, out=sup[rows])  # rows is a slice: sup[rows] is a view
-        drift = hyp.radial_coef(dlog_dr(k, r), r)[:, None] * hyp.log_map(yk, y0, r)
-        # mirror of the gradient bound: |drift| <= cap (d/(T-t) + 1/sqrt(T-t))
-        cap = cfg.drift_cap * (r / t_rem + 1.0 / math.sqrt(t_rem))
-        mag = np.sqrt(np.maximum(hyp.minkowski_dot(drift, drift), 0.0))
-        over = mag > cap
-        if np.any(over):
-            scale = np.where(over, cap / np.where(mag > 0, mag, 1.0), 1.0)
-            drift = drift * scale[:, None]
-        dw = np.zeros_like(yk)  # (xi, 0) at o, coordinate-major like yk
-        dw[:, :-1] = xi[rows]
-        dv = math.sqrt(h) * hyp.parallel_transport(dw, o, yk) + h * drift
-        y_new = hyp.exp_map(yk, dv)
-        y[rows] = y_new
-        points[rows, k + 1, :] = y_new
-        return int(over.sum())
+        points[rows, k + 1, :] = y[rows]
+        return clips
 
     chunks = [slice(i, i + _CHUNK) for i in range(0, m, _CHUNK)]
     cap_events = 0
@@ -361,6 +356,71 @@ def sample_hyperbolic_bridge(cfg: SamplerConfig) -> PathEnsemble:
         points=points,
         diagnostics=diagnostics,
     )
+
+
+def _bridge_step(y, y0, xi, h, t_rem, drift_cap, dlog):
+    """One step for the points y, shape (m, n+1) with contiguous columns,
+    overwritten in place; xi holds their normals, shape (m, n), and dlog(r)
+    is d/dr log p at the remaining time t_rem.  Returns r = d(y, y0) with
+    ``hyp.dist``'s bits, the number of clipped drifts and the increment dv.
+
+    With c = -<y, y0> = cosh r, clipped below at 1, every term is closed form:
+    the drift -g (y0 - c y)/sqrt(c^2 - 1), 0 where c = 1, is
+    ``radial_coef(g, r) log_map(y, y0, r)`` for g = dlog(r) clipped to
+    |g| <= drift_cap (r/t_rem + 1/sqrt(t_rem)), and its norm is |g|;
+    P = (xi + a ybar, xi.ybar) with a = xi.ybar/(1 + y_n) is
+    ``parallel_transport((xi, 0), o, y)``; and for dv = sqrt(h) P + h drift,
+    cosh|dv| y + sinh|dv|/|dv| dv (y + dv where |dv| < 1e-14), projected to
+    the sheet, is ``exp_map(y, dv)``.
+    """
+    n = y.shape[1] - 1
+    # -<y, y0> with hyp.minkowski_dot's order of terms, so r has hyp.dist's
+    # bits; the terms with y0_j = 0 add only zeros
+    spatial = [y[:, j] * y0[j] for j in range(n) if y0[j] != 0.0]
+    c = y[:, n] * y0[n]
+    if spatial:
+        c -= sum(spatial[1:], spatial[0])
+    r = np.arccosh(np.maximum(c, 1.0, out=c))
+    cap = drift_cap * (r / t_rem + 1.0 / math.sqrt(t_rem))
+    g = dlog(r)
+    clips = int(np.count_nonzero(np.abs(g) > cap))
+    if clips:
+        np.clip(g, -cap, cap, out=g)
+    sinh_r = np.sqrt(c * c - 1.0)
+    g *= -h
+    b = np.divide(g, sinh_r, out=np.zeros_like(g), where=sinh_r > 0)  # h drift = b y0 - b c y
+    # dv = sqrt(h) (xi, a) + e y + b y0 with e = sqrt(h) a - b c
+    sqh = math.sqrt(h)
+    tmp = np.empty_like(c)
+    a = xi[:, 0] * y[:, 0]
+    for j in range(1, n):
+        a += np.multiply(xi[:, j], y[:, j], out=tmp)
+    a /= 1.0 + y[:, n]
+    e = a * sqh - b * c
+    dv = np.empty_like(y)
+    for j in range(n + 1):
+        col = np.multiply(xi[:, j] if j < n else a, sqh, out=dv[:, j])
+        col += np.multiply(e, y[:, j], out=tmp)
+        if y0[j] != 0.0:
+            col += np.multiply(b, y0[j], out=tmp)
+    nv = dv[:, 0] * dv[:, 0]
+    for j in range(1, n):
+        nv += np.multiply(dv[:, j], dv[:, j], out=tmp)
+    nv -= np.multiply(dv[:, n], dv[:, n], out=tmp)
+    np.sqrt(np.maximum(nv, 0.0, out=nv), out=nv)
+    ch = np.cosh(nv)
+    sh = np.divide(np.sinh(nv), nv, out=np.ones_like(nv), where=nv >= 1e-14)
+    for j in range(n + 1):
+        col = y[:, j]
+        col *= ch
+        col += np.multiply(sh, dv[:, j], out=tmp)
+    q = np.multiply(y[:, n], y[:, n], out=ch)  # -<y, y>, to project to the sheet
+    for j in range(n):
+        q -= np.multiply(y[:, j], y[:, j], out=tmp)
+    np.sqrt(q, out=q)
+    for j in range(n + 1):
+        y[:, j] /= q
+    return r, clips, dv
 
 
 def _make_drift(params: HeatKernelParams, T, nodes):

@@ -225,6 +225,17 @@ def test_negative_tail_floor_exits_2_within_seconds(tmp_path):
     assert "bad.yaml:9: grid.tail.floor: tail floor must be positive" in proc.stderr
 
 
+def test_tail_floor_below_float_spacing_names_its_key(tmp_path, capsys):
+    # T - h lam^k stops moving toward T = 1 near k = 50, long before the
+    # steps reach 1e-300; it used to fail as "grid nodes must be strictly
+    # increasing", naming neither the key nor its line
+    cfg = write(tmp_path, "bad.yaml", SAMPLE_YAML.replace("floor: 1.0e-6", "floor: 1.0e-300"))
+    assert main(["sample", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "bad.yaml:9: grid.tail.floor: tail floor 1e-300 is below the float spacing at T = 1.0" in err
+    assert not (tmp_path / "out" / "bridge.pens").exists()
+
+
 # m(s) = exp(-s^2) on integer levels: a tail that certifies a weak LSI
 GAUSS_TAIL = "levels: [0, 1, 2, 3, 4, 5], values: [1.0, 0.37, 0.019, 1.3e-4, 1.2e-7, 1.4e-11]"
 
@@ -497,8 +508,8 @@ def run_estimate_digest_scenarios(tmp_path, estimates=(GAUSS_ESTIMATE_YAML, H3_E
 ESTIMATE_DIGESTS = {
     "est-gauss.json": "dc7282920179ff867c5bf64a93caebf57f424926b06861e794dc3136f5894a60",
     "est-gauss.rayleigh.csv": "78f34993525869549d0fe91594833a8b045e11cf703332507263d52fcc26179e",
-    "est-h3.json": "cce529019f9278e870c748f00572051b3463eaa6c0d954a7d04091784fb79502",
-    "est-h3.rayleigh.csv": "559acbaa5cdd494d015aa1d6780fe91f249b8dcd22705436613847dab725f552",
+    "est-h3.json": "c57fa86d7f44da257b3d05acfe258ba24df1e95714507873435fa7457107fb0a",
+    "est-h3.rayleigh.csv": "f56cd5d409080d25f35c42d8961cf34f2c85b7a9e59312c3d58f4a40f9a140ec",
 }
 
 

@@ -350,6 +350,30 @@ def test_h2_dlog_matches_reference(tp, r, g_ref, tol):
     assert abs(g - g_ref) < tol
 
 
+def _dlogp3_dr_lap_reference(tau, r):
+    # the expression before the series was gated on some r being small
+    r = np.asarray(r, dtype=float)
+    small = r < 1e-6
+    core = np.where(
+        small,
+        -r / 3.0 - r**3 / 45.0,
+        1.0 / np.where(small, 1.0, r) - 1.0 / np.tanh(np.where(small, 1.0, r)),
+    )
+    return core - r / (2.0 * tau)
+
+
+def test_dlogp3_matches_its_ungated_form_bit_for_bit():
+    rng = np.random.default_rng(29)
+    straddle = np.array([0.0, 1e-9, 5e-7, np.nextafter(1e-6, 0.0), 1e-6, np.nextafter(1e-6, 1.0), 2e-6])
+    mixed = np.concatenate([straddle, 10.0 ** rng.uniform(-9, 1.2, 4998)])
+    rng.shuffle(mixed)
+    for tau in (1e-7, 0.01, 0.5, 3.0):
+        for r in (mixed, mixed[mixed < 1e-6], mixed[mixed >= 1e-6], mixed.reshape(-1, 7), 0.0, 1e-7, 2.5):
+            got, want = hyp._dlogp3_dr_lap(tau, r), _dlogp3_dr_lap_reference(tau, r)
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 def test_grad_log_vector_points_toward_center():
     params = HeatKernelParams(n=3)
     o = hyp.origin(3)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from pathineq.samplers import (
     SamplerConfig,
     SamplerError,
     TimeGrid,
+    _bridge_step,
     _make_drift,
     ensemble_to_csv,
     load_ensemble,
@@ -44,6 +46,8 @@ def test_geometric_tail_grid():
     assert diffs[-1] <= 2e-6 * 1.0 / 0.5 * 2  # fine near T
     assert diffs.max() == pytest.approx(1.0 / 16)
     assert np.diff(g.refined().array()).max() == pytest.approx(diffs.max() / 2)
+    with pytest.raises(SamplerError, match="below the float spacing"):  # T - h lam^k stops moving
+        TimeGrid.with_geometric_tail(1.0, 16, floor=1e-300)
 
 
 def test_step_normals_deterministic_and_disjoint():
@@ -64,9 +68,9 @@ def test_sampler_determinism_bit_identical():
     cfg3 = SamplerConfig(seed=7, n_paths=20, grid=TimeGrid.with_geometric_tail(1.0, 8), dim=3)
     h1, h2 = sample_hyperbolic_bridge(cfg3), sample_hyperbolic_bridge(cfg3)
     assert np.array_equal(h1.points, h2.points)
-    assert _digest(h1.points) == "fc88f81385ff5b5af0c9056f32181fc8919e2a93074b1a9ff06d736be99c6f4d"
+    assert _digest(h1.points) == "7aeece8441636dca20e08c6057976e57d1fbbb2ef032e01c0dcbec95c2f4dfcb"
     assert _digest(h1.diagnostics["presnap_gap"]) == (
-        "b6ce2b58ecb8d4d0f756823aa05f824d8d8406acb77e260fa94471f68b2fbaae"
+        "655abd2b2de8bbf59176429805a430be9b5d138c51d032ed925a91d6d4b02169"
     )
 
 
@@ -158,24 +162,54 @@ def test_hyperbolic_bridge_points_on_sheet_and_snap():
     assert 0.0 <= ens.diagnostics["cap_event_fraction"] <= 1.0
 
 
-def test_hyperbolic_bridge_increments_tangent(monkeypatch):
-    # every increment handed to exp_map is tangent at its base point, and
-    # every node stays on the sheet
-    exp_map, moves = hyp.exp_map, []
+@pytest.mark.parametrize("dim", [2, 3])
+def test_bridge_step_matches_its_oracle(dim):
+    # the fused step against the primitives it stands for:
+    # exp_map(y, sqrt(h) parallel_transport((xi, 0), o, y) + h radial_coef(g, r) log_map(y, y0, r)),
+    # g the clipped radial derivative, at x0 and at 500 points 0.1 to 2.5 from
+    # y0 (nearer the pole -<y, y0> - 1 ~ r^2/2 cancels, as it does in dist)
+    rng = np.random.default_rng(71)
+    o, y0 = hyp.origin(dim), np.asarray(_off_origin(dim, 0.7, -0.3))
+    u = np.zeros((500, dim + 1))
+    u[:, :-1] = rng.standard_normal((500, dim))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    u = hyp.parallel_transport(u, o, y0) * rng.uniform(0.1, 2.5, 500)[:, None]
+    y = np.asfortranarray(np.vstack([_off_origin(dim, -0.4, 0.9), hyp.exp_map(y0, u)]))
+    xi = rng.standard_normal((y.shape[0], dim))
+    nodes = TimeGrid.with_geometric_tail(1.0, 8).array()
+    dlog_dr = _make_drift(HeatKernelParams(n=dim), 1.0, nodes)
+    eps = np.finfo(float).eps
+    for k in (0, 5, nodes.size - 2):  # a coarse step and the finest one
+        h, t_rem = nodes[k + 1] - nodes[k], 1.0 - nodes[k]
+        for drift_cap in (4.0, 0.05):  # no drift clipped; every drift clipped
+            r = hyp.dist(y, y0)
+            g = dlog_dr(k, r)
+            cap = drift_cap * (r / t_rem + 1.0 / math.sqrt(t_rem))
+            drift = hyp.radial_coef(np.clip(g, -cap, cap), r)[:, None] * hyp.log_map(y, y0, r)
+            noise = np.hstack([xi, np.zeros((xi.shape[0], 1))])
+            want = hyp.exp_map(y, math.sqrt(h) * hyp.parallel_transport(noise, o, y) + h * drift)
 
-    def recording_exp_map(x, v):
-        moves.append(np.abs(hyp.minkowski_dot(v, x)))
-        return exp_map(x, v)
+            got = y.copy(order="F")
+            r_got, clips, dv = _bridge_step(got, y0, xi, h, t_rem, drift_cap, partial(dlog_dr, k))
+            assert r_got.tobytes() == r.tobytes()
+            assert clips == np.count_nonzero(np.abs(g) > cap) == (0 if drift_cap == 4.0 else y.shape[0])
+            # 128 ulps of the cube of the coordinates' size: the projection to
+            # the sheet divides by sqrt(-<y, y>), which loses eps |y|^2
+            size = np.maximum(np.abs(y).max(axis=1), np.abs(want).max(axis=1))
+            assert np.all(np.abs(got - want).max(axis=1) <= 128 * eps * size**3)
+            assert np.max(np.abs(hyp.minkowski_dot(dv, y))) < 1e-12
+            assert np.max(np.abs(hyp.minkowski_dot(got, got) + 1.0)) < 1e-12
 
-    monkeypatch.setattr(hyp, "exp_map", recording_exp_map)
-    grid = TimeGrid.with_geometric_tail(0.5, 8)
-    for dim in (2, 3):
-        moves.clear()
-        cfg = SamplerConfig(seed=31, n_paths=64, grid=grid, dim=dim, x0=_off_origin(dim, 1.5, -2.0))
-        ens = sample_hyperbolic_bridge(cfg)
-        assert len(moves) == grid.n_nodes - 1
-        assert max(m.max() for m in moves) < 1e-12
-        assert np.max(np.abs(hyp.minkowski_dot(ens.points, ens.points) + 1.0)) < 1e-10
+            # with xi = 0 the increment is h drift (h a power of 2: exact)
+            _, _, h_drift = _bridge_step(y.copy(order="F"), y0, 0.0 * xi, 2.0**-20, t_rem, drift_cap,
+                                         partial(dlog_dr, k))
+            norm = np.sqrt(np.maximum(hyp.minkowski_dot(h_drift, h_drift), 0.0)) * 2.0**20
+            assert np.all(norm <= cap * (1.0 + 1e-12))
+
+    # at the pole itself (c = 1 exactly) there is no drift
+    at_pole = np.asfortranarray(np.broadcast_to(o, (4, dim + 1)))
+    _, _, dv = _bridge_step(at_pole, o, xi[:4], 0.25, 0.5, 4.0, partial(dlog_dr, 0))
+    assert np.array_equal(dv, np.hstack([0.5 * xi[:4], np.zeros((4, 1))]))
 
 
 def test_hyperbolic_bridge_refinement_shrinks_endpoint_gap():
@@ -198,9 +232,9 @@ def test_hyperbolic_bridge_n2_smoke():
     ens = sample_hyperbolic_bridge(cfg)
     assert np.max(np.abs(hyp.minkowski_dot(ens.points, ens.points) + 1.0)) < 1e-10
     assert ens.diagnostics["presnap_gap_median"] < 0.5
-    assert _digest(ens.points) == "64a14cb6bc50a4e280b1c6cfaa6cced320e94dce3aa22033e0dee37543170d0b"
+    assert _digest(ens.points) == "2eafc82a37a96faf3e430442dc13cca93ce899616dbbd4152ea8e91d238ae754"
     assert _digest(ens.diagnostics["presnap_gap"]) == (
-        "d2bc161035c212dddce77ba478d5701fc848e4c4700a356a9d3d15a52456c4a0"
+        "e7ae5bd8dd1de926e7293da9963f988831034114bee65cef33a8a192c9e0f991"
     )
 
 

@@ -19,7 +19,11 @@ any lazy import, and a second one), and the wall and process CPU times of
 pool, on ``loop_h3``'s shape (n = 3, 50k paths, 128 steps plus the geometric
 tail) and ``loop_h2``'s (n = 2, 30k paths, 64 steps plus the tail).  It records
 the SHA-256 of each side's points, so the records show whether the bits
-agree.  ``pairs`` runs ``perfbench/run.py --trace 0 --seconds S``, S being
+agree.  It then samples 100k H^3 paths of ``loop_h3``'s shape once per side,
+each in a fresh process (``bridge-u``), and compares the recorded sup
+distances u: the two-sample KS statistic and its p-value, the largest and
+the median path-by-path |u_change - u_base|, and each side's largest sheet
+residual |<y, y> + 1| and ``cap_event_fraction``.  ``pairs`` runs ``perfbench/run.py --trace 0 --seconds S``, S being
 ``run_seconds`` in ``BENCHMARK.json``, in the ``--base`` checkout and in this
 one, pair by pair, with the side that runs first alternating.  It records
 every run's end-to-end metrics with their medians and quartiles.  ``outputs``
@@ -137,6 +141,48 @@ def bridge_repeat(src):
     return out
 
 
+U_SHAPE = (3, 100_000, 128)  # the sup-distance comparison: dim, paths, steps before the tail
+
+
+def bridge_u(src, out):
+    """One side of the ``bridge`` sup-distance comparison, with pathineq from
+    ``src``: saves u to ``out`` (.npy) and returns the sheet residual and the
+    cap-event fraction."""
+    import numpy as np
+
+    sys.path.insert(0, str(src))
+    from pathineq import hyperbolic as hyp
+    from pathineq import samplers
+
+    dim, n_paths, n_steps = U_SHAPE
+    grid = samplers.TimeGrid.with_geometric_tail(1.0, n_steps, 0.5, 1e-6)
+    ens = samplers.sample_hyperbolic_bridge(samplers.SamplerConfig(seed=20090, n_paths=n_paths, grid=grid, dim=dim))
+    np.save(out, ens.diagnostics["sup_distance"])
+    residual = max(float(np.abs(hyp.minkowski_dot(p, p) + 1.0).max())
+                   for p in np.array_split(ens.points, 20))  # 20 slabs: no full-size temporaries
+    return {"sheet_residual_max": residual, "cap_event_fraction": ens.diagnostics["cap_event_fraction"]}
+
+
+def _compare_u(base):
+    import numpy as np
+    from scipy import stats
+
+    sides, u = {}, {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for side, checkout in (("base", base), ("change", ROOT)):
+            path = Path(tmp) / f"{side}.npy"
+            cmd = [sys.executable, str(Path(__file__).resolve()), "bridge-u", "--src", str(checkout / "src"),
+                   "--out", str(path)]
+            out = subprocess.run(cmd, capture_output=True, text=True, check=True)
+            sides[side] = json.loads(out.stdout.strip().splitlines()[-1])
+            u[side] = np.load(path)
+    ks = stats.ks_2samp(u["base"], u["change"])
+    du = np.abs(u["change"] - u["base"])
+    return {"shape": dict(zip(("dim", "n_paths", "n_steps"), U_SHAPE)), "seed": 20090,
+            "ks_statistic": float(ks.statistic), "ks_pvalue": float(ks.pvalue),
+            "abs_du_max": float(du.max()), "abs_du_median": float(np.median(du)), "sides": sides}
+
+
 def bridge(base, repeats):
     runs = {"base": [], "change": []}
     sides = (("base", base), ("change", ROOT))
@@ -153,7 +199,7 @@ def bridge(base, repeats):
         "unit": "s", "repeats": repeats, "workers_pooled": _machine()["nproc"],
         "shapes": {k: dict(zip(("dim", "n_paths", "n_steps"), v)) for k, v in BRIDGE_SHAPES.items()},
         "commits": {"base": _commit(base), "change": _commit(ROOT)},
-        "sha256": digests, "results": times,
+        "sha256": digests, "results": times, "sup_distance": _compare_u(base),
     }
 
 
@@ -233,6 +279,9 @@ def main(argv=None):
     br.add_argument("--repeats", type=int, default=5)
     once = sub.add_parser("bridge-repeat", help="one repeat of the bridge measurements, printed as JSON")
     once.add_argument("--src", required=True, help="directory holding the pathineq package to time")
+    side_u = sub.add_parser("bridge-u", help="one side of the bridge's sup-distance comparison, printed as JSON")
+    side_u.add_argument("--src", required=True, help="directory holding the pathineq package to sample with")
+    side_u.add_argument("--out", required=True, help=".npy file to save the sup distances in")
     pair = sub.add_parser("pairs", help="alternating perfbench runs, base checkout and this one")
     pair.add_argument("--base", required=True, help="checkout of the commit to compare against")
     pair.add_argument("--workload", required=True)
@@ -248,6 +297,9 @@ def main(argv=None):
 
     if args.command == "bridge-repeat":
         print(json.dumps(bridge_repeat(Path(args.src).resolve())))
+        return
+    if args.command == "bridge-u":
+        print(json.dumps(bridge_u(Path(args.src).resolve(), args.out)))
         return
     if args.command == "exact-sum":
         key, record = "exact_sum_vs_fsum", exact_sum_layer(args.repeats)
