@@ -323,8 +323,7 @@ def sample_hyperbolic_bridge(cfg: SamplerConfig) -> PathEnsemble:
 
     def advance(rows, k, xi):
         # one step for the paths in `rows`, in place; returns the clip count
-        t_rem = T - nodes[k]
-        r, clips, _ = _bridge_step(y[rows], y0, xi[rows], nodes[k + 1] - nodes[k], t_rem, cfg.drift_cap,
+        r, clips, _ = _bridge_step(y[rows], y0, xi[rows], nodes[k + 1] - nodes[k], T - nodes[k], cfg.drift_cap,
                                    partial(dlog_dr, k))
         np.maximum(sup[rows], r, out=sup[rows])  # rows is a slice: sup[rows] is a view
         points[rows, k + 1, :] = y[rows]
