@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import yaml
 
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 class ConfigError(ValueError):
     def __init__(self, message, file=None, line=None, path=None):
@@ -23,40 +25,52 @@ class ConfigError(ValueError):
 
 
 def load_config(path):
-    """Parse YAML into (data, linemap); linemap keys are dotted paths."""
+    """Parse YAML into (data, linemap); linemap keys are dotted paths.
+
+    One loader pass builds the node tree, whose marks give the line map, and
+    then the data from it; libyaml's C loader is used where pyyaml has it.
+    A key given twice in one mapping is a config error at its second line.
+    """
     try:
         with open(path) as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(str(exc), file=str(path)) from exc
+    loader = _LOADER(text)
+    linemap = {}
     try:
-        node = yaml.compose(text)
-        data = yaml.safe_load(text)
+        node = loader.get_single_node()
+        _walk(node, "", linemap, str(path))  # before construction, which flattens merge keys in place
+        data = None if node is None else loader.construct_document(node)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         line = mark.line + 1 if mark else None
         raise ConfigError(f"YAML syntax error: {exc}", file=str(path), line=line) from exc
+    finally:
+        loader.dispose()
     if data is None:
         raise ConfigError("empty config", file=str(path))
-    linemap = {}
-    _walk(node, "", linemap)
     return data, linemap
 
 
-def _walk(node, prefix, linemap):
+def _walk(node, prefix, linemap, file):
     if node is None:
         return
     linemap[prefix] = node.start_mark.line + 1
     if isinstance(node, yaml.MappingNode):
+        seen = set()
         for k, v in node.value:
             key = str(k.value)
             path = f"{prefix}.{key}" if prefix else key
+            if key in seen:
+                raise ConfigError("duplicate key", file=file, line=k.start_mark.line + 1, path=path)
+            seen.add(key)
             linemap[path] = k.start_mark.line + 1
-            _walk(v, path, linemap)
+            _walk(v, path, linemap, file)
     elif isinstance(node, yaml.SequenceNode):
         for i, v in enumerate(node.value):
             path = f"{prefix}[{i}]"
-            _walk(v, path, linemap)
+            _walk(v, path, linemap, file)
 
 
 class Validator:

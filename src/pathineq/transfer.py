@@ -25,6 +25,8 @@ constraint; nothing is ever clamped to fake a certificate.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -383,6 +385,41 @@ def poincare_objective(params: DyadicParams, C: float = 1.0) -> float:
     return (C1 + C2) / (1.0 - C3)
 
 
+def _screen_point(ld, A, le):
+    """(objective, r, r_n(0)) at C = 1 of a point in log-space coordinates
+    ld = log(delta), le = log(epsilon); (inf, inf, inf) where no r0 makes it
+    feasible.  r0 enters only as ``r < r0`` and ``r_n(0) < r0``."""
+    d = math.exp(ld)
+    eps = math.exp(le)
+    if not (1.0 < d <= 4.0 and A > math.e and 0 < eps < 1):
+        return math.inf, math.inf, math.inf
+    d0 = d**A
+    if not (d < d0 <= 2.0**20):
+        return math.inf, math.inf, math.inf
+    try:
+        p = DyadicParams(delta0=d0, delta=d, epsilon=eps, A=A).validate()
+        return poincare_objective(p), p.r, p.r_n(0)
+    except TransferError:
+        return math.inf, math.inf, math.inf
+
+
+@functools.lru_cache(maxsize=4)
+def _coarse_screen(n_side):
+    """The coarse grid's three axes and, flat in loop order (ld, then A, then
+    le), read-only arrays of the objective, r and r_n(0) at every point."""
+    axes = (
+        np.linspace(math.log(1.02), math.log(4.0), n_side),
+        np.linspace(math.e + 0.01, 40.0, n_side),
+        np.linspace(math.log(1e-4), math.log(0.9), n_side),
+    )
+    screen = np.empty((3, n_side**3))
+    for i, point in enumerate(itertools.product(*axes)):
+        screen[:, i] = _screen_point(*point)
+    for a in (*axes, screen):
+        a.flags.writeable = False
+    return axes, screen
+
+
 def optimize_dyadic_params(C: float, r0: float, budget: int = 10_000) -> DyadicParams:
     """Deterministic coarse grid + coordinate descent over (delta, A, epsilon).
 
@@ -391,6 +428,12 @@ def optimize_dyadic_params(C: float, r0: float, budget: int = 10_000) -> DyadicP
     natural ranges: delta in (1, 4], delta0 = delta^A up to 2^20, epsilon in
     (0, 1).  A is kept >= e so the closed-form C1 genuinely bounds the
     supremum it replaces.  Raises if no feasible point exists in the box.
+
+    At C = 1 the coarse grid's objective does not depend on r0, which only
+    masks feasibility (``r < r0`` and ``r_n(0) < r0``): the grid is screened
+    once per process and grid size (:func:`_coarse_screen`), and each call
+    masks it and takes the first strict minimum in loop order.  The descent
+    counts the grid's points against ``budget`` as if it had evaluated them.
     """
     _require_finite("C", C)
     _require_finite("r0", r0)
@@ -400,42 +443,23 @@ def optimize_dyadic_params(C: float, r0: float, budget: int = 10_000) -> DyadicP
     if budget < 100:
         raise TransferError("budget too small to search")
 
-    evals = 0
-
     def try_point(ld, A, le):
-        # log-space coordinates: ld = log(delta), le = log(epsilon)
         nonlocal evals
         evals += 1
-        d = math.exp(ld)
-        eps = math.exp(le)
-        if not (1.0 < d <= 4.0 and A > math.e and 0 < eps < 1):
-            return math.inf
-        d0 = d**A
-        if not (d < d0 <= 2.0**20):
-            return math.inf
-        try:
-            return poincare_objective(DyadicParams(delta0=d0, delta=d, epsilon=eps, A=A).validate(r0))
-        except TransferError:
-            return math.inf
+        v, r, rn0 = _screen_point(ld, A, le)
+        return v if r < r0 and rn0 < r0 else math.inf
 
     n_side = max(4, int((0.6 * budget) ** (1.0 / 3.0)))
-    lds = np.linspace(math.log(1.02), math.log(4.0), n_side)
-    As = np.linspace(math.e + 0.01, 40.0, n_side)
-    les = np.linspace(math.log(1e-4), math.log(0.9), n_side)
-
-    best = (math.inf, None)
-    for ld in lds:
-        for A in As:
-            for le in les:
-                v = try_point(ld, A, le)
-                if v < best[0]:
-                    best = (v, (ld, A, le))
-    if best[1] is None:
+    axes, (obj, r, rn0) = _coarse_screen(n_side)
+    evals = n_side**3
+    masked = np.where((r < r0) & (rn0 < r0), obj, math.inf)
+    k = int(np.argmin(masked))
+    if not masked[k] < math.inf:
         raise TransferError("no feasible dyadic parameters in the search box")
 
-    # coordinate descent with shrinking brackets
-    x = list(best[1])
-    fbest = best[0]
+    # coordinate descent with shrinking brackets, from the grid's own coordinates
+    x = [ax[i] for ax, i in zip(axes, np.unravel_index(k, (n_side,) * 3))]
+    fbest = masked[k]
     widths = [0.5, 8.0, 1.5]
     while evals + 16 <= budget and max(widths) > 1e-7:
         for i in range(3):

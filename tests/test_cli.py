@@ -6,7 +6,9 @@ import subprocess
 import sys
 
 import pytest
+import yaml
 
+from pathineq import config
 from pathineq.cli import main
 
 TRANSFER_YAML = """\
@@ -38,6 +40,23 @@ ensemble: bridge.pens
 estimators: [weight_tail, exp_square_moment]
 exp_square_c: 0.25
 out: tail_estimates.json
+"""
+
+DEFAULTS_YAML = """\
+name: defaults
+pipeline:
+  - op: weak_lsi_to_poincare
+    beta: {family: c_log_inv_s, C: 1.0, r0: 0.5}
+    budget: 10000
+  - op: tail_to_weak_lsi
+    a: 0.5
+    n_cap: 1000
+    tail: {from_ensemble: bridge.pens, confidence: 0.99}
+  - op: weighted_lsi_to_weak_lsi
+    cert: {a: 1.0, C_exp: 0.5, M: 1.0}
+    smooth: false
+  - op: weak_lsi_to_weak_poincare
+profile_grid: {points: 48}
 """
 
 
@@ -258,6 +277,88 @@ def test_misspelled_key_names_file_and_line(tmp_path, capsys, command, old, new,
     cfg = write(tmp_path, "bad.yaml", text.replace(old, new))
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert f"bad.yaml:{line}: {key}: unknown key" in capsys.readouterr().err
+
+
+@pytest.fixture(params=["module", "SafeLoader"])
+def yaml_loader(request, monkeypatch):
+    """Each config test runs with the module's loader (libyaml's where pyyaml
+    has it) and again with pyyaml's pure-Python one."""
+    if request.param == "SafeLoader":
+        monkeypatch.setattr(config, "_LOADER", yaml.SafeLoader)
+    return request.param
+
+
+def two_pass_load(path):
+    """What load_config did before it took one pass: the line map from
+    ``yaml.compose``, the data from ``yaml.safe_load``."""
+    with open(path) as fh:
+        text = fh.read()
+    linemap = {}
+    config._walk(yaml.compose(text), "", linemap, path)
+    return yaml.safe_load(text), linemap
+
+
+MERGE_YAML = """\
+defaults: &d {a: 1, b: 2}
+x:
+  <<: *d
+  a: 3
+"""
+
+
+@pytest.mark.parametrize(
+    "text", [TRANSFER_YAML, SAMPLE_YAML, ESTIMATE_YAML, DEFAULTS_YAML, MERGE_YAML],
+    ids=["transfer", "sample", "estimate", "defaults", "merge"],
+)
+def test_one_pass_load_matches_two_passes(tmp_path, yaml_loader, text):
+    # a merge key's override is not a duplicate key
+    cfg = write(tmp_path, "c.yaml", text)
+    assert config.load_config(cfg) == two_pass_load(cfg)
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("name: x\nestimators: [weight_tail\nout: y\n", 3),
+        ("name: x\n  sampler: wiener\n", 2),
+        ("\tname: x\n", 1),
+        ("name: x\nseed: 1\n---\nname: y\n", 3),
+        ("name: x\nseed: *nope\n", 2),
+        ("name: x\nseed: !!python/object:os.system {}\n", 2),
+    ],
+    ids=["unclosed_flow_sequence", "bad_indent", "tab", "two_documents", "undefined_alias", "python_object_tag"],
+)
+def test_malformed_yaml_names_file_and_line(tmp_path, capsys, yaml_loader, text, line):
+    cfg = write(tmp_path, "bad.yaml", text)
+    with pytest.raises(config.ConfigError) as exc:
+        config.load_config(cfg)
+    assert (exc.value.file, exc.value.line) == (cfg, line)
+    assert main(["transfer", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"bad.yaml:{line}: YAML syntax error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["", "# only\n# comments\n"], ids=["empty", "comments_only"])
+def test_empty_config_is_a_config_error(tmp_path, capsys, yaml_loader, text):
+    cfg = write(tmp_path, "bad.yaml", text)
+    assert main(["transfer", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "bad.yaml: empty config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "old, new, line, key",
+    [
+        ("params: {log2_delta: 0.5, log2_delta0: 4.5, epsilon: 0.125}",
+         "params: auto\n    budget: 100000\n    budget: 1000", 7, "pipeline[0].budget"),
+        ("C: 1.0,", "C: 1.0, C: 2.0,", 4, "pipeline[0].beta.C"),
+        ("pipeline:", "name: other\npipeline:", 2, "name"),
+    ],
+    ids=["stage_option", "flow_mapping", "top_level"],
+)
+def test_duplicate_key_names_file_and_line(tmp_path, capsys, yaml_loader, old, new, line, key):
+    # the last value used to win silently: budget 1000 ran and exited 0
+    cfg = write(tmp_path, "bad.yaml", TRANSFER_YAML.replace(old, new))
+    assert main(["transfer", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"bad.yaml:{line}: {key}: duplicate key" in capsys.readouterr().err
 
 
 def test_missing_hermite_degree_names_file_and_line(tmp_path, capsys):
@@ -592,24 +693,6 @@ def test_estimate_takes_each_total_once(tmp_path, monkeypatch):
     assert 0 < calls["exact_sum"] <= 4 * n_functions
     assert calls["fsum"] == 0
     assert calls["energy"] == n_functions
-
-
-DEFAULTS_YAML = """\
-name: defaults
-pipeline:
-  - op: weak_lsi_to_poincare
-    beta: {family: c_log_inv_s, C: 1.0, r0: 0.5}
-    budget: 10000
-  - op: tail_to_weak_lsi
-    a: 0.5
-    n_cap: 1000
-    tail: {from_ensemble: bridge.pens, confidence: 0.99}
-  - op: weighted_lsi_to_weak_lsi
-    cert: {a: 1.0, C_exp: 0.5, M: 1.0}
-    smooth: false
-  - op: weak_lsi_to_weak_poincare
-profile_grid: {points: 48}
-"""
 
 
 def test_spelled_out_defaults_are_the_defaults(tmp_path):

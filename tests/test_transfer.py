@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pathineq import transfer
 from pathineq.profiles import BetaProfile, DomainError, TailBound, cutoff_levels
 from pathineq.transfer import (
     DyadicParams,
@@ -411,6 +412,103 @@ def test_optimizer_no_feasible_point():
     # search box (delta0 <= 2^20), so this r0 admits no feasible point
     with pytest.raises(TransferError):
         optimize_dyadic_params(1.0, 1e-20, budget=1000)
+
+
+def _reference_optimize(C, r0, budget):
+    """The optimizer as one scalar call per grid point: the oracle of the cached
+    coarse screen (range checks of C, r0 and budget left to the real one)."""
+    evals = 0
+
+    def try_point(ld, A, le):
+        nonlocal evals
+        evals += 1
+        d = math.exp(ld)
+        eps = math.exp(le)
+        if not (1.0 < d <= 4.0 and A > math.e and 0 < eps < 1):
+            return math.inf
+        d0 = d**A
+        if not (d < d0 <= 2.0**20):
+            return math.inf
+        try:
+            return poincare_objective(DyadicParams(delta0=d0, delta=d, epsilon=eps, A=A).validate(r0))
+        except TransferError:
+            return math.inf
+
+    n_side = max(4, int((0.6 * budget) ** (1.0 / 3.0)))
+    lds = np.linspace(math.log(1.02), math.log(4.0), n_side)
+    As = np.linspace(math.e + 0.01, 40.0, n_side)
+    les = np.linspace(math.log(1e-4), math.log(0.9), n_side)
+
+    best = (math.inf, None)
+    for ld in lds:
+        for A in As:
+            for le in les:
+                v = try_point(ld, A, le)
+                if v < best[0]:
+                    best = (v, (ld, A, le))
+    if best[1] is None:
+        raise TransferError("no feasible dyadic parameters in the search box")
+
+    x = list(best[1])
+    fbest = best[0]
+    widths = [0.5, 8.0, 1.5]
+    while evals + 16 <= budget and max(widths) > 1e-7:
+        for i in range(3):
+            if evals + 16 > budget:
+                break
+            lo, hi = x[i] - widths[i], x[i] + widths[i]
+            grid = np.linspace(lo, hi, 15)
+            vals = []
+            for g in grid:
+                y = list(x)
+                y[i] = g
+                vals.append(try_point(*y))
+            j = int(np.argmin(vals))
+            if vals[j] < fbest:
+                fbest = vals[j]
+                x[i] = float(grid[j])
+            widths[i] *= 0.5
+
+    ld, A, le = x
+    return DyadicParams(delta0=math.exp(ld) ** A, delta=math.exp(ld), epsilon=math.exp(le), A=A).validate(r0)
+
+
+def _fields_or_error(f, *args):
+    # repr names the scalar type (np.float64(...) or a bare float) and round-trips its bits
+    try:
+        p = f(*args)
+    except TransferError as exc:
+        return "TransferError", str(exc)
+    return tuple(repr(getattr(p, name)) for name in ("delta0", "delta", "epsilon", "A"))
+
+
+@pytest.mark.parametrize("budget", [1000, 3000, 10_000])
+def test_coarse_screen_matches_the_scalar_loop(budget):
+    # 1e-20 and 1e-18 admit no point of the box; the shuffled order and the
+    # cleared cache show that whichever r0 comes first, the screen is the same
+    cases = [(C, float(r0)) for C in (1.0, 3.7) for r0 in (1e-20, 1e-18, *np.geomspace(1e-6, 5.0, 40))]
+    order = np.random.default_rng(budget).permutation(len(cases))
+    transfer._coarse_screen.cache_clear()
+    infeasible = 0
+    for n, idx in enumerate(order):
+        C, r0 = cases[idx]
+        want = _fields_or_error(_reference_optimize, C, r0, budget)
+        assert _fields_or_error(optimize_dyadic_params, C, r0, budget) == want, (C, r0)
+        if n == 0:  # the cold call filled the cache; a second cold call must agree with the warm one
+            transfer._coarse_screen.cache_clear()
+            assert _fields_or_error(optimize_dyadic_params, C, r0, budget) == want, (C, r0)
+        infeasible += want[0] == "TransferError"
+    assert infeasible == 4
+    assert transfer._coarse_screen.cache_info().currsize == 1
+
+
+def test_coarse_screen_arrays_are_read_only():
+    axes, screen = transfer._coarse_screen(18)
+    assert screen.shape == (3, 18**3)
+    for a in (*axes, screen):
+        assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        screen[0, 0] = 0.0
 
 
 # ---------------------------------------------------------------------------

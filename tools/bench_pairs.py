@@ -4,6 +4,7 @@ Run from the repository root:
 
     python3 tools/bench_pairs.py exact-sum --repeats 15 --into BENCH_exact_sum.json
     python3 tools/bench_pairs.py bridge --base ../parent --repeats 5 --into BENCH_coordmajor.json
+    python3 tools/bench_pairs.py optimizer --base ../parent --repeats 10 --into BENCH_screen.json
     python3 tools/bench_pairs.py pairs --base ../parent --workload estimate --seed 20090 \\
         --pairs 10 --into BENCH_exact_sum.json
     python3 tools/bench_pairs.py outputs --base ../parent --seed 20090 --into BENCH_readers.json
@@ -23,7 +24,16 @@ agree.  It then samples 100k H^3 paths of ``loop_h3``'s shape once per side,
 each in a fresh process (``bridge-u``), and compares the recorded sup
 distances u: the two-sample KS statistic and its p-value, the largest and
 the median path-by-path |u_change - u_base|, and each side's largest sheet
-residual |<y, y> + 1| and ``cap_event_fraction``.  ``pairs`` runs ``perfbench/run.py --trace 0 --seconds S``, S being
+residual |<y, y> + 1| and ``cap_event_fraction``.  ``optimizer`` writes
+``certify``'s 48 configs (``perfbench/workloads.py``, ``--seed``) and times,
+in a fresh process per side and repeat (``optimizer-repeat``), the side that
+runs first alternating: the ``transfer.optimize_dyadic_params`` calls of its
+``params: auto`` stages, a cold pass (the first in the process) and a warm
+one, and ``config.load_config`` over the 48 configs.  Once per side it also
+runs the optimizer at 200 seeded random (C, r0) and digests the fields of
+every result (their reprs, so the scalar types count) or its error, and the
+loaded configs; the record says whether the sides agree bit for bit.
+``pairs`` runs ``perfbench/run.py --trace 0 --seconds S``, S being
 ``run_seconds`` in ``BENCHMARK.json``, in the ``--base`` checkout and in this
 one, pair by pair, with the side that runs first alternating.  It records
 every run's end-to-end metrics with their medians and quartiles.  ``outputs``
@@ -203,6 +213,77 @@ def bridge(base, repeats):
     }
 
 
+AGREE_CASES = 200  # random (C, r0) at which both sides' optimizers must agree
+
+
+def optimizer_repeat(src, cfg_dir, agree):
+    """One repeat of the ``optimizer`` measurements, with pathineq from ``src``
+    on the configs in ``cfg_dir``; with ``agree``, also the digests."""
+    import numpy as np
+
+    sys.path.insert(0, str(src))
+    from pathineq.config import load_config
+    from pathineq.transfer import TransferError, optimize_dyadic_params
+
+    def fields(*args):
+        try:
+            p = optimize_dyadic_params(*args)
+        except TransferError as exc:
+            return f"TransferError: {exc}"
+        return [repr(getattr(p, k)) for k in ("delta0", "delta", "epsilon", "A")]
+
+    paths = sorted(Path(cfg_dir).glob("*.yaml"))
+    t = time.perf_counter()
+    loaded = [load_config(p) for p in paths]
+    out = {"load_config_s": time.perf_counter() - t, "configs": len(paths)}
+    calls = [(st["beta"]["C"], st["beta"]["r0"], st.get("budget", 10_000))
+             for data, _ in loaded for st in data["pipeline"] if st.get("params") == "auto"]
+    for key in ("optimizer_cold_s", "optimizer_warm_s"):
+        t = time.perf_counter()
+        for call in calls:
+            optimize_dyadic_params(*call)
+        out[key] = time.perf_counter() - t
+    out["optimizer_calls"] = len(calls)
+    if agree:
+        rng = np.random.default_rng(20090)
+        cases = zip(np.exp(rng.uniform(math.log(0.25), math.log(8.0), AGREE_CASES)),
+                    np.exp(rng.uniform(math.log(1e-6), math.log(5.0), AGREE_CASES)))
+        results = [fields(float(C), float(r0), 10_000) for C, r0 in cases]
+        out["params_sha256"] = hashlib.sha256(json.dumps(results).encode()).hexdigest()
+        out["infeasible"] = sum(isinstance(r, str) for r in results)
+        out["configs_sha256"] = hashlib.sha256(json.dumps(loaded).encode()).hexdigest()
+    return out
+
+
+def optimizer(base, seed, repeats):
+    sys.path.insert(0, str(ROOT / "src"))
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import WORKLOADS
+
+    runs = {"base": [], "change": []}
+    sides = (("base", base), ("change", ROOT))
+    with tempfile.TemporaryDirectory() as tmp:
+        WORKLOADS["certify"](seed, tmp)
+        for i in range(repeats):
+            for side, checkout in sides if i % 2 == 0 else sides[::-1]:
+                cmd = [sys.executable, str(Path(__file__).resolve()), "optimizer-repeat",
+                       "--src", str(checkout / "src"), "--cfg", str(Path(tmp) / "cfg")]
+                out = subprocess.run(cmd + ["--agree"] * (i == 0), capture_output=True, text=True, check=True)
+                runs[side].append(json.loads(out.stdout.strip().splitlines()[-1]))
+    digests = {side: {k: rs[0][k] for k in ("params_sha256", "configs_sha256", "infeasible")}
+               for side, rs in runs.items()}
+    timed = ("optimizer_cold_s", "optimizer_warm_s", "load_config_s")
+    return {
+        "unit": "s", "seed": seed, "repeats": repeats, "agree_cases": AGREE_CASES,
+        "optimizer_calls": runs["change"][0]["optimizer_calls"], "configs": runs["change"][0]["configs"],
+        "commits": {"base": _commit(base), "change": _commit(ROOT)},
+        "params_agree": digests["base"]["params_sha256"] == digests["change"]["params_sha256"],
+        "configs_agree": digests["base"]["configs_sha256"] == digests["change"]["configs_sha256"],
+        "sha256": digests,
+        "results": {side: {k: _summary([r[k] for r in rs]) for k in timed} for side, rs in runs.items()},
+    }
+
+
 def _run(checkout, workload, seed, seconds):
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
@@ -282,6 +363,14 @@ def main(argv=None):
     side_u = sub.add_parser("bridge-u", help="one side of the bridge's sup-distance comparison, printed as JSON")
     side_u.add_argument("--src", required=True, help="directory holding the pathineq package to sample with")
     side_u.add_argument("--out", required=True, help=".npy file to save the sup distances in")
+    opt = sub.add_parser("optimizer", help="the dyadic optimizer and load_config on certify's configs, base and this")
+    opt.add_argument("--base", required=True, help="checkout of the commit to compare against")
+    opt.add_argument("--seed", type=int, default=20090)
+    opt.add_argument("--repeats", type=int, default=10)
+    opt_once = sub.add_parser("optimizer-repeat", help="one repeat of the optimizer measurements, printed as JSON")
+    opt_once.add_argument("--src", required=True, help="directory holding the pathineq package to time")
+    opt_once.add_argument("--cfg", required=True, help="directory holding certify's configs")
+    opt_once.add_argument("--agree", action="store_true", help="also digest the optimizer at random (C, r0)")
     pair = sub.add_parser("pairs", help="alternating perfbench runs, base checkout and this one")
     pair.add_argument("--base", required=True, help="checkout of the commit to compare against")
     pair.add_argument("--workload", required=True)
@@ -290,7 +379,7 @@ def main(argv=None):
     outs = sub.add_parser("outputs", help="output digests of every workload, base checkout and this one")
     outs.add_argument("--base", required=True, help="checkout of the commit to compare against")
     outs.add_argument("--seed", type=int, default=20090)
-    for sp in (layer, br, pair, outs):
+    for sp in (layer, br, opt, pair, outs):
         sp.add_argument("--into", required=True, metavar="JSON", help="file to store the record in")
     argv = sys.argv[1:] if argv is None else argv
     args = p.parse_args(argv)
@@ -301,10 +390,15 @@ def main(argv=None):
     if args.command == "bridge-u":
         print(json.dumps(bridge_u(Path(args.src).resolve(), args.out)))
         return
+    if args.command == "optimizer-repeat":
+        print(json.dumps(optimizer_repeat(Path(args.src).resolve(), args.cfg, args.agree)))
+        return
     if args.command == "exact-sum":
         key, record = "exact_sum_vs_fsum", exact_sum_layer(args.repeats)
     elif args.command == "bridge":
         key, record = "bridge_sampler", bridge(Path(args.base).resolve(), args.repeats)
+    elif args.command == "optimizer":
+        key, record = f"optimizer_seed{args.seed}", optimizer(Path(args.base).resolve(), args.seed, args.repeats)
     elif args.command == "outputs":
         key, record = f"outputs_seed{args.seed}", outputs(Path(args.base).resolve(), args.seed)
     else:
