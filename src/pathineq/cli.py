@@ -198,7 +198,7 @@ def _run_estimate_scenario(v, out_dir):
         coordinate_function,
         exp_half_function,
         exp_square_moment,
-        function_estimates,
+        family_estimates,
         hermite_function,
         sup_distance,
         weight_tail,
@@ -254,7 +254,7 @@ def _run_estimate_scenario(v, out_dir):
 
     records = {"seed": ens.config.seed, "config_hash": ens.config.config_hash}
     names = list(dict.fromkeys(n for e in estimators for n in wants[e]))
-    per_function = [(F.label, function_estimates(F, ens, names)) for F in family] if names else []
+    per_function = family_estimates(family, ens, names) if names else []
     results = {}
     # the sup distances feed both weight-tail estimators, so take them once
     u = sup_distance(ens) if {"weight_tail", "exp_square_moment"} & set(estimators) else None
@@ -382,7 +382,8 @@ def make_parser():
             sp.add_argument("--seed", type=int, default=None, help="override the config seed")
         sp.add_argument(
             "--threads", type=int, default=1, metavar="N", help="scenario-level: scenarios run at once; "
-            "the hyperbolic bridge splits paths over one thread per available CPU; outputs depend on neither")
+            "the hyperbolic bridge splits paths, and estimate splits a function family, over one thread per "
+            "available CPU; outputs depend on neither")
         sp.set_defaults(fn=cmd_scenarios, runner=runner)
 
     sp = sub.add_parser("verify", help="run an acceptance suite")

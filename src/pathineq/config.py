@@ -28,15 +28,19 @@ def load_config(path):
     """Parse YAML into (data, linemap); linemap keys are dotted paths.
 
     One loader pass builds the node tree, whose marks give the line map, and
-    then the data from it; libyaml's C loader is used where pyyaml has it.
-    A key given twice in one mapping is a config error at its second line.
+    then the data from it; libyaml's C loader is used where pyyaml has it,
+    except for text holding a tab.  The C loader accepts tabs that pyyaml's
+    own ``SafeLoader`` rejects (``name:\tx``), so such text always goes
+    through ``SafeLoader`` and the verdict does not depend on how pyyaml was
+    built.  A key given twice in one mapping is a config error at its second
+    line, and so is an alias that contains itself, at the line of its anchor.
     """
     try:
         with open(path) as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(str(exc), file=str(path)) from exc
-    loader = _LOADER(text)
+    loader = (yaml.SafeLoader if "\t" in text else _LOADER)(text)
     linemap = {}
     try:
         node = loader.get_single_node()
@@ -53,10 +57,13 @@ def load_config(path):
     return data, linemap
 
 
-def _walk(node, prefix, linemap, file):
+def _walk(node, prefix, linemap, file, on_path=frozenset()):
     if node is None:
         return
+    if id(node) in on_path:  # an alias of a node that encloses it
+        raise ConfigError("recursive alias", file=file, line=node.start_mark.line + 1, path=prefix)
     linemap[prefix] = node.start_mark.line + 1
+    on_path |= {id(node)}
     if isinstance(node, yaml.MappingNode):
         seen = set()
         for k, v in node.value:
@@ -66,11 +73,11 @@ def _walk(node, prefix, linemap, file):
                 raise ConfigError("duplicate key", file=file, line=k.start_mark.line + 1, path=path)
             seen.add(key)
             linemap[path] = k.start_mark.line + 1
-            _walk(v, path, linemap, file)
+            _walk(v, path, linemap, file, on_path)
     elif isinstance(node, yaml.SequenceNode):
         for i, v in enumerate(node.value):
             path = f"{prefix}[{i}]"
-            _walk(v, path, linemap, file)
+            _walk(v, path, linemap, file, on_path)
 
 
 class Validator:

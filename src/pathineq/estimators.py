@@ -19,17 +19,33 @@ reductions reproduce the serial result; standard errors and bias corrections
 come from a vectorized leave-one-out jackknife.  A function's
 variance, entropy, energy, Rayleigh and log-Sobolev estimates share its
 per-path components (F, F^2, F^2 log F^2, |grad F|_H^2) and their totals:
-``function_estimates`` builds each component and takes each total once.
+``function_estimates`` takes each total once.  F and |grad F|_H^2 are stored;
+F^2 and F^2 log F^2 are elementwise in F and are made from it one block of
+``_BLOCK`` paths at a time, for their totals and for each jackknife alike.
+The functions of one coordinate evaluate f and f' a block at a time too.
+
+``family_estimates`` runs a family's functions at once, one thread per
+available CPU (``samplers._WORKERS``, the bridge's pool size).  Each
+function's estimates are a deterministic computation on its own arrays, and
+the blocks change neither a value nor a summation order (``exact_sum``'s bin
+sums are exact, elementwise values are the same in any block, and the
+jackknife sums one sorted array whole), so the bits depend on neither the
+number of threads nor the block size.  Blocking bounds each thread's working
+set to its stored F, |grad F|_H^2 and leave-one-out array and a few
+block-sized temporaries, so a pool of two holds less than one function did
+when every component was stored whole.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import hyperbolic as hyp
+from . import samplers
 from .profiles import TailBound
 from .samplers import PathEnsemble
 
@@ -50,6 +66,7 @@ class EstimatorError(ValueError):
 
 
 _FD_REL = 1e-6  # central-difference step, relative to max(1, |coordinate|)
+_BLOCK = 1 << 16  # paths per block of elementwise work and of exact_sum; the bits do not depend on it
 
 
 @dataclass
@@ -101,15 +118,25 @@ class CylindricalFunction:
         return out
 
 
+def _by_blocks(f, x):
+    """f(x) for an elementwise f on a 1-d x, ``_BLOCK`` values at a time, so
+    that f's temporaries stay small; the values are those of f(x)."""
+    out = np.empty(x.shape)
+    for i in range(0, x.size, _BLOCK):
+        out[i:i + _BLOCK] = f(x[i:i + _BLOCK])
+    return out
+
+
 def _of_one_coordinate(f, df, time, coord, label):
     """F = f(x), x the path's coordinate ``coord`` at ``time``, with dF/dx = df(x)."""
 
     def partials(X):
         out = np.zeros_like(X)
-        out[:, 0, coord] = df(X[:, 0, coord])
+        out[:, 0, coord] = _by_blocks(df, X[:, 0, coord])
         return out
 
-    return CylindricalFunction(times=(time,), fn=lambda X: f(X[:, 0, coord]), partials=partials, label=label)
+    return CylindricalFunction(times=(time,), fn=lambda X: _by_blocks(f, X[:, 0, coord]), partials=partials,
+                               label=label)
 
 
 def coordinate_function(time, coord=0, label=None):
@@ -191,6 +218,22 @@ _EXACT_SUM_MAX_N = 1 << 26  # with fewer values, each float64 bin sum of 26-bit 
 _LOW26 = (1 << 26) - 1
 
 
+class _Derived:
+    """f(base) for an elementwise f, made one block at a time and never stored
+    whole: slicing it gives f of the base's slice."""
+
+    def __init__(self, base, f):
+        self.base, self.f, self.size = base, f, base.size
+
+    def __getitem__(self, s):
+        return self.f(self.base[s])
+
+
+def _blocks(a):
+    """The values of ``a`` (an array or a ``_Derived``), ``_BLOCK`` at a time."""
+    return (a[i:i + _BLOCK] for i in range(0, a.size, _BLOCK))
+
+
 def exact_sum(a):
     """``math.fsum(a)`` bit for bit, from exact integer bins in a few numpy passes.
 
@@ -198,38 +241,47 @@ def exact_sum(a):
     superaccumulator", Neal 2015).  Per bin, one count supplies the implicit
     leading bit and two float64 bin sums take the mantissa's low 26 bits and
     its high 26 bits (kept in place, so a multiple of 2^26); with fewer than
-    2^26 values every partial sum is exact.  The bins are combined as Python
-    ints and divided once by 2^1075, which rounds half to even like ``fsum``.
-    Empty, huge (>= 2^26 values), non-finite or near-overflowing input and an
-    exact total of 0 (whose sign ``fsum`` decides) go to ``math.fsum`` itself,
-    so its ``OverflowError`` on intermediate overflow is kept.
+    2^26 values every partial sum is exact.  The bins are accumulated over
+    blocks of ``_BLOCK`` values, so the temporaries stay small and a
+    ``_Derived`` component is summed without being stored; as every partial
+    sum is exact, the block order moves no bit.  The bins are combined as
+    Python ints and divided once by 2^1075, which rounds half to even like
+    ``fsum``.  Empty, huge (>= 2^26 values), non-finite or near-overflowing
+    input and an exact total of 0 (whose sign ``fsum`` decides) go to
+    ``math.fsum`` itself, so its ``OverflowError`` on intermediate overflow is
+    kept.
     """
-    a = np.asarray(a, dtype=float).ravel()
+    if not isinstance(a, _Derived):
+        a = np.asarray(a, dtype=float).ravel()
     n = a.size
     if n == 0 or n >= _EXACT_SUM_MAX_N:
-        return math.fsum(a)
-    bits = a.view(np.int64)
-    idx = bits >> 52
-    idx += 2048  # 0..2047 negative, 2048..4095 positive, by exponent field
-    counts = np.bincount(idx, minlength=4096)
+        return math.fsum(a[:])  # a[:] makes a _Derived whole, here only
+    counts = np.zeros(4096, dtype=np.int64)
+    lo, hi = np.zeros(4096), np.zeros(4096)
+    idx, w = np.empty(min(n, _BLOCK), dtype=np.int64), np.empty(min(n, _BLOCK))
+    for block in _blocks(a):
+        bits = block.view(np.int64)
+        i, v = idx[:bits.size], w[:bits.size]
+        np.right_shift(bits, 52, out=i)
+        i += 2048  # 0..2047 negative, 2048..4095 positive, by exponent field
+        counts += np.bincount(i, minlength=4096)
+        np.bitwise_and(bits, _LOW26, out=v, casting="unsafe")
+        lo += np.bincount(i, v, minlength=4096)
+        np.bitwise_and(bits, _LOW26 << 26, out=v, casting="unsafe")
+        hi += np.bincount(i, v, minlength=4096)
     nz = np.flatnonzero(counts)
     exps = nz & 2047
     # exponent field 2047 holds inf and nan; otherwise n * max|a| < 2^(exps.max() + n.bit_length() - 1022),
     # so below the cut fsum's partial sums cannot overflow and neither can the division
     if exps.max() + n.bit_length() > 2040:
-        return math.fsum(a)
-    w = np.empty(n)
-    np.bitwise_and(bits, _LOW26, out=w, casting="unsafe")
-    lo = np.bincount(idx, w, minlength=4096)[nz].tolist()
-    np.bitwise_and(bits, _LOW26 << 26, out=w, casting="unsafe")
-    hi = np.bincount(idx, w, minlength=4096)[nz].tolist()
+        return math.fsum(a[:])
     total = 0
-    for b, e, c, h, l in zip(nz.tolist(), exps.tolist(), counts[nz].tolist(), hi, lo):
+    for b, e, c, h, l in zip(nz.tolist(), exps.tolist(), counts[nz].tolist(), hi[nz].tolist(), lo[nz].tolist()):
         # a value in bin e is (implicit bit + mantissa) * 2^(max(e, 1) - 1075)
         m = ((c << 52 if e else 0) + int(h) + int(l)) << max(e, 1)
         total += m if b >= 2048 else -m
     if total == 0:
-        return math.fsum(a)
+        return math.fsum(a[:])
     return total / (1 << 1075)
 
 
@@ -261,18 +313,26 @@ def _need_two_paths(n):
 def _jackknife(components, totals, g):
     """Estimate g(mean of components) with leave-one-out bias/SE.
 
-    ``components`` is a list of 1-d arrays of one length N >= 2, ``totals``
-    their exact, correctly rounded ``exact_sum`` totals, so the value is
-    independent of summation order; ``g`` takes one mean per component
-    (scalars or numpy arrays, vectorized).
+    ``components`` are 1-d arrays or ``_Derived`` components of one length
+    N >= 2, ``totals`` their exact, correctly rounded ``exact_sum`` totals, so
+    the value is independent of summation order; ``g`` takes one mean per
+    component (scalars or numpy arrays, vectorized).  The leave-one-out
+    values are filled ``_BLOCK`` at a time, which leaves them unchanged as
+    ``g`` is elementwise; they are then sorted, so the mean and the sum of
+    squared deviations run over the same array in an order independent of
+    the path order, and squared in place.
     """
     n = components[0].size
     full = float(g(*[t / n for t in totals]))
-    loo = np.asarray(g(*[(t - c) / (n - 1) for t, c in zip(totals, components)]), dtype=float)
-    loo.sort()  # both sums below then run in an order independent of the path order
+    loo = np.empty(n)
+    for i in range(0, n, _BLOCK):
+        s = slice(i, i + _BLOCK)
+        loo[s] = g(*[(t - c[s]) / (n - 1) for t, c in zip(totals, components)])
+    loo.sort()
     loo_mean = loo.mean()
     value = n * full - (n - 1) * loo_mean
-    se = math.sqrt(max((n - 1) / n * np.sum((loo - loo_mean) ** 2), 0.0))
+    np.square(np.subtract(loo, loo_mean, out=loo), out=loo)
+    se = math.sqrt(max((n - 1) / n * np.sum(loo), 0.0))
     return EstimateWithCI(value=float(value), std_error=se, n_samples=n, method="jackknife")
 
 
@@ -283,6 +343,16 @@ def _variance(m1, m2):
 def _entropy(mw, mwl):
     """Ent(F^2) = E[F^2 log F^2] - E F^2 log E F^2 from the means of F^2 and F^2 log F^2."""
     return mwl - mw * np.log(np.maximum(mw, 1e-300))
+
+
+def _square(x):
+    return x * x
+
+
+def _square_log_square(x):
+    """F^2 log F^2 from F, with 0 log 0 = 0."""
+    xx = x * x
+    return np.where(xx > 0, xx * np.log(np.where(xx > 0, xx, 1.0)), 0.0)
 
 
 # estimate -> (the per-path components it averages, g of their means).  The
@@ -300,7 +370,8 @@ RAYLEIGH_ESTIMATES = ("variance", "energy", "ratio")
 
 def function_estimates(F: CylindricalFunction, ens: PathEnsemble, names):
     """The named estimates of F (keys of ``_ESTIMATES``) in ``names`` order, with
-    each component built and each ``exact_sum`` total taken once.
+    each ``exact_sum`` total taken once; F^2 and F^2 log F^2 are ``_Derived``
+    from F, never stored whole.
 
     A constant F has variance 0 and a constant F^2 entropy 0, exactly; a
     "ratio" or "lsi_ratio" whose energy estimate is not positive is 0,
@@ -310,10 +381,7 @@ def function_estimates(F: CylindricalFunction, ens: PathEnsemble, names):
     x = F.values(ens.points[:, [ens.grid.index_of(t) for t in F.times], :])
     n = x.size
     _need_two_paths(n)
-    xx = x * x if used & {"xx", "wlw"} else None
-    comps = {"x": x, "xx": xx}
-    if "wlw" in used:
-        comps["wlw"] = np.where(xx > 0, xx * np.log(np.where(xx > 0, xx, 1.0)), 0.0)
+    comps = {"x": x, "xx": _Derived(x, _square), "wlw": _Derived(x, _square_log_square)}
     if "e" in used:
         comps["e"] = h_gradient_energy(F, ens)
     totals = {c: exact_sum(comps[c]) for c in used}
@@ -325,15 +393,25 @@ def function_estimates(F: CylindricalFunction, ens: PathEnsemble, names):
     out = {}
     for name in names:
         first = comps[_ESTIMATES[name][0][0]]  # F for the variance, F^2 for the entropy
-        if name in ("variance", "entropy") and np.all(first == first[0]):
+        if name in ("variance", "entropy") and all(np.all(b == first[:1]) for b in _blocks(first)):
             out[name] = EstimateWithCI(value=0.0, std_error=0.0, n_samples=n)
-        elif name == "entropy" and not np.any(xx > 0):
+        elif name == "entropy" and not any(np.any(b > 0) for b in _blocks(comps["xx"])):
             raise EstimatorError("entropy needs F^2 not almost surely 0")
         elif name in ("ratio", "lsi_ratio") and not (out.get("energy") or jackknife("energy")).value > 0:
             out[name] = EstimateWithCI(value=0.0, std_error=0.0, n_samples=n, flags=("zero_energy",))
         else:
             out[name] = jackknife(name)
     return out
+
+
+def family_estimates(family, ens: PathEnsemble, names):
+    """``(F.label, function_estimates(F, ens, names))`` for each F of ``family``,
+    in family order.  The functions run on one thread per available CPU
+    (``samplers._WORKERS``); each one's estimates are computed as in a serial
+    loop, so the bits do not depend on the thread count, and an error is the
+    one the first failing function in family order raises."""
+    with ThreadPoolExecutor(samplers._WORKERS) as pool:
+        return list(pool.map(lambda F: (F.label, function_estimates(F, ens, names)), family))
 
 
 def variance(F: CylindricalFunction, ens: PathEnsemble) -> EstimateWithCI:
@@ -386,9 +464,7 @@ class RayleighScan:
 def rayleigh_scan(family, ens: PathEnsemble) -> RayleighScan:
     """Var(F) / E|grad F|_H^2 per function; the max over the family is an
     empirical lower bound on the Poincare constant."""
-    return RayleighScan.from_rows(
-        [(F.label, function_estimates(F, ens, RAYLEIGH_ESTIMATES)) for F in family]
-    )
+    return RayleighScan.from_rows(family_estimates(family, ens, RAYLEIGH_ESTIMATES))
 
 
 # ---------------------------------------------------------------------------

@@ -322,11 +322,13 @@ def test_one_pass_load_matches_two_passes(tmp_path, yaml_loader, text):
         ("name: x\nestimators: [weight_tail\nout: y\n", 3),
         ("name: x\n  sampler: wiener\n", 2),
         ("\tname: x\n", 1),
+        ("name:\tx\n", 1),
         ("name: x\nseed: 1\n---\nname: y\n", 3),
         ("name: x\nseed: *nope\n", 2),
         ("name: x\nseed: !!python/object:os.system {}\n", 2),
     ],
-    ids=["unclosed_flow_sequence", "bad_indent", "tab", "two_documents", "undefined_alias", "python_object_tag"],
+    ids=["unclosed_flow_sequence", "bad_indent", "tab", "tab_after_colon", "two_documents", "undefined_alias",
+         "python_object_tag"],
 )
 def test_malformed_yaml_names_file_and_line(tmp_path, capsys, yaml_loader, text, line):
     cfg = write(tmp_path, "bad.yaml", text)
@@ -359,6 +361,23 @@ def test_duplicate_key_names_file_and_line(tmp_path, capsys, yaml_loader, old, n
     cfg = write(tmp_path, "bad.yaml", TRANSFER_YAML.replace(old, new))
     assert main(["transfer", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert f"bad.yaml:{line}: {key}: duplicate key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, line, key",
+    [
+        ("name: x\npipeline: &p [*p]\n", 2, "pipeline[0]"),
+        ("name: x\na: &m\n  k: 1\n  sub: [1, *m]\n", 2, "a.sub[1]"),
+    ],
+    ids=["sequence", "mapping"],
+)
+def test_recursive_alias_names_file_and_line(tmp_path, capsys, yaml_loader, text, line, key):
+    # the line-map walk used to recurse until RecursionError; aliases that only repeat a node still load
+    cfg = write(tmp_path, "bad.yaml", text)
+    assert main(["transfer", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"bad.yaml:{line}: {key}: recursive alias" in capsys.readouterr().err
+    shared = write(tmp_path, "shared.yaml", "name: x\na: &m {k: 1}\nb: [*m, *m]\n")
+    assert config.load_config(shared)[0] == {"name": "x", "a": {"k": 1}, "b": [{"k": 1}, {"k": 1}]}
 
 
 def test_missing_hermite_degree_names_file_and_line(tmp_path, capsys):

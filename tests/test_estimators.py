@@ -1,5 +1,6 @@
 import math
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from pathineq.estimators import (
     exact_sum,
     exp_half_function,
     exp_square_moment,
+    family_estimates,
     function_estimates,
     green_gram,
     h_gradient_energy,
@@ -275,6 +277,104 @@ def test_exact_sum_defers_to_fsum_from_its_size_limit(monkeypatch):
     monkeypatch.setattr(pathineq.estimators, "_EXACT_SUM_MAX_N", 4)
     assert exact_sum([0.1, 0.2, 0.3]) == fsum([0.1, 0.2, 0.3]) and sizes == []
     assert exact_sum([0.1, 0.2, 0.3, 0.4]) == fsum([0.1, 0.2, 0.3, 0.4]) and sizes == [4]
+
+
+_B = pathineq.estimators._BLOCK
+
+
+def _block_edge_arrays():
+    """Arrays whose sizes straddle the block edges, with their special values
+    in the last block only."""
+    rng = np.random.default_rng(31)
+    for n in (0, 1, _B - 1, _B, _B + 1, 3 * _B + 7):
+        a = rng.standard_normal(n)
+        yield f"normals{n}", a
+        if n:
+            for special in (math.inf, -math.inf, math.nan):
+                yield f"{special}_last{n}", np.concatenate([a[:-1], [special]])
+            yield f"inf_minus_inf{n}", np.concatenate([a, [math.inf, -math.inf]])
+            yield f"plus_zero{n}", np.concatenate([a, -a[::-1]])  # exact total +0
+            yield f"minus_zero{n}", np.full(n, -0.0)
+            yield f"near_overflow{n}", a / np.abs(a).max() * 1.7e308  # fsum's partial sums may pass it
+            yield f"below_overflow{n}", np.concatenate([a[:-1] * 1e300, [1.7e308]])
+
+
+def test_exact_sum_is_fsum_across_block_edges():
+    for name, a in _block_edge_arrays():
+        assert _outcome(exact_sum, a) == _outcome(math.fsum, a), name
+
+
+def test_exact_sum_of_a_derived_component_is_fsum_of_it():
+    # F^2 and F^2 log F^2 are summed block by block without being stored
+    from pathineq.estimators import _Derived, _square, _square_log_square
+
+    for name, a in _block_edge_arrays():
+        for f in (_square, _square_log_square, np.negative):
+            with np.errstate(all="ignore"):
+                assert _outcome(exact_sum, _Derived(a, f)) == _outcome(math.fsum, f(a)), (name, f)
+
+
+# ---------------------------------------------------------------------------
+# Function families
+
+
+def _constant(value):
+    return CylindricalFunction(times=(1.0,), fn=lambda X: np.full(X.shape[0], value),
+                               partials=lambda X: np.zeros_like(X), label=f"const{value}")
+
+
+def _family():
+    return [hermite_function(k, 1.0) for k in (1, 2, 3)] + [
+        exp_half_function(0.5, 1.0), coordinate_function(1.0), _constant(2.0)
+    ]
+
+
+def _reprs(rows):
+    return [(label, {name: repr(est) for name, est in estimates.items()}) for label, estimates in rows]
+
+
+def test_family_estimates_do_not_depend_on_workers_blocks_or_path_order(monkeypatch):
+    from pathineq import samplers
+
+    ens = gaussian_ensemble(2 * _B + 5, seed=37)
+    names = tuple(_ESTIMATES)
+    serial = _reprs([(F.label, function_estimates(F, ens, names)) for F in _family()])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)  # three workers on fewer cores, switching often
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(samplers, "_WORKERS", workers)
+            assert _reprs(family_estimates(_family(), ens, names)) == serial, workers
+    finally:
+        sys.setswitchinterval(interval)
+    monkeypatch.setattr(pathineq.estimators, "_BLOCK", 1000)  # ragged blocks: 131077 = 131 * 1000 + 77
+    assert _reprs(family_estimates(_family(), ens, names)) == serial
+    ens.points = ens.points[np.random.default_rng(2).permutation(ens.n_paths)]
+    assert _reprs(family_estimates(_family(), ens, names)) == serial
+    # a constant F: exact zeros, and the ratios flagged for zero energy
+    const = dict(family_estimates(_family(), ens, names))["const2.0"]
+    assert all(const[k].value == const[k].std_error == 0.0 for k in ("variance", "entropy", "energy"))
+    assert all(const[k].flags == ("zero_energy",) for k in ("ratio", "lsi_ratio"))
+
+
+def test_family_estimates_raise_the_serial_loops_error(monkeypatch):
+    # the second function fails; so does the third, differently, and may finish first
+    from pathineq import samplers
+
+    ens = gaussian_ensemble(1000, seed=41)
+    bad_shape = CylindricalFunction(times=(1.0,), fn=lambda X: X[:, 0, :], label="bad")
+    nan_or_zero = CylindricalFunction(times=(1.0,), fn=lambda X: np.where(X[:, 0, 0] > 0, np.nan, 0.0))
+    family = [coordinate_function(1.0), bad_shape, nan_or_zero]
+    names = ("variance", "entropy")
+    with pytest.raises(EstimatorError) as serial:
+        [function_estimates(F, ens, names) for F in family]
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(samplers, "_WORKERS", workers)
+        with pytest.raises(EstimatorError) as pooled:
+            family_estimates(family, ens, names)
+        assert str(pooled.value) == str(serial.value) == "kernel must map (m, k, d) -> (m,)"
+    with pytest.raises(EstimatorError, match="not almost surely 0"):
+        family_estimates(family[::2], ens, names)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ Run from the repository root:
     python3 tools/bench_pairs.py pairs --base ../parent --workload estimate --seed 20090 \\
         --pairs 10 --into BENCH_exact_sum.json
     python3 tools/bench_pairs.py outputs --base ../parent --seed 20090 --into BENCH_readers.json
+    python3 tools/bench_pairs.py estimators --base ../parent --repeats 5 --into BENCH_estimate.json
 
 ``exact-sum`` times ``estimators.exact_sum`` against ``math.fsum`` on 1M
 standard normals and on 1M values of x^2 log x^2 (the entropy component), and
@@ -41,7 +42,16 @@ runs each workload of ``perfbench/workloads.py`` once per side, in a fresh
 ``perfbench/worker.py`` process and the same scratch directory: its set-up
 calls, its timed calls and its checks.  It records the SHA-256 of every output
 file but the ``*_report.json`` files (they hold timings) and of the list of
-check results, and lists the files whose digests differ.  Each command
+check results, and lists the files whose digests differ.  ``estimators``
+samples ``estimate``'s two ensembles once (``perfbench/workloads.py``,
+``--seed``) and times, in a fresh process per side, mode and repeat
+(``estimators-repeat``), the side that runs first alternating, the family
+estimates of ``estimate``'s two scenarios: ``family_estimates``, or on a
+checkout without it the serial loop over ``function_estimates``, with one
+thread (``_WORKERS = 1``) and with the pool.  Each process records the wall
+time per scenario, then ``ru_maxrss`` after it, then the ``tracemalloc`` peak
+of a second, traced pass, and a digest of every estimate's fields (their
+reprs); the record says whether all digests agree.  Each command
 stores its record under its own key in ``--into`` (created if missing),
 together with the command line, the machine and the package versions.
 """
@@ -284,6 +294,94 @@ def optimizer(base, seed, repeats):
     }
 
 
+def estimators_repeat(src, out_dir, cfg_paths, workers):
+    """One repeat of the ``estimators`` measurements, with pathineq from ``src``,
+    on the estimate configs ``cfg_paths`` over the ensembles in ``out_dir``;
+    ``workers`` is ``serial`` or ``pooled``."""
+    import resource
+    import tracemalloc
+
+    import yaml
+
+    sys.path.insert(0, str(src))
+    from pathineq import estimators as est
+    from pathineq import samplers
+
+    if workers == "serial":
+        samplers._WORKERS = 1
+    run = getattr(est, "family_estimates", None) or (
+        lambda family, ens, names: [(F.label, est.function_estimates(F, ens, names)) for F in family])
+    builders = {"coordinate": est.coordinate_function, "hermite": est.hermite_function,
+                "exp_half": est.exp_half_function}
+    scenarios = []
+    for path in cfg_paths:
+        spec = yaml.safe_load(Path(path).read_text())
+        ens = samplers.load_ensemble(Path(out_dir) / spec["ensemble"])
+        family = []
+        for f in spec["functions"]:
+            args = {"hermite": (f.get("degree"),), "exp_half": (f.get("lam"),)}.get(f["type"], ())
+            time_ = float(f.get("time", ens.grid.T))
+            family.append(builders[f["type"]](*args, time_, coord=f.get("coord", 0), label=f.get("label")))
+        names = [n for e in spec["estimators"]
+                 for n in (est.RAYLEIGH_ESTIMATES if e == "rayleigh" else (e,) if e in est._ESTIMATES else ())]
+        scenarios.append((spec["name"], ens, family, list(dict.fromkeys(names))))
+    out = {"family_estimates": hasattr(est, "family_estimates"), "workers": samplers._WORKERS}
+    for name, ens, family, names in scenarios:
+        t = time.perf_counter()
+        rows = run(family, ens, names)
+        out[f"{name}.wall_s"] = time.perf_counter() - t
+        fields = [(label, {k: repr(e) for k, e in estimates.items()}) for label, estimates in rows]
+        out[f"{name}.sha256"] = hashlib.sha256(json.dumps(fields).encode()).hexdigest()
+    out["ru_maxrss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    for name, ens, family, names in scenarios:
+        tracemalloc.start()
+        run(family, ens, names)
+        out[f"{name}.tracemalloc_peak_mb"] = tracemalloc.get_traced_memory()[1] / 2**20
+        tracemalloc.stop()
+    return out
+
+
+def estimators(base, seed, repeats):
+    sys.path.insert(0, str(ROOT / "src"))
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import WORKLOADS
+
+    from pathineq.cli import main as cli_main
+
+    runs = {(side, mode): [] for side in ("base", "change") for mode in ("serial", "pooled")}
+    sides = (("base", base), ("change", ROOT))
+    with tempfile.TemporaryDirectory() as tmp:
+        plan = WORKLOADS["estimate"](seed, tmp)
+        for call in plan.setup:
+            if cli_main(call) != 0:
+                raise SystemExit(f"setup failed: {call}")
+        (_, call), = plan.timed
+        cfg_paths = [a for prev, a in zip(call, call[1:]) if prev == "--config"]
+        for i in range(repeats):
+            for side, checkout in sides if i % 2 == 0 else sides[::-1]:
+                for mode in ("serial", "pooled"):
+                    cmd = [sys.executable, str(Path(__file__).resolve()), "estimators-repeat",
+                           "--src", str(checkout / "src"), "--ensembles", str(Path(tmp) / "out"),
+                           "--workers", mode, *cfg_paths]
+                    out = subprocess.run(cmd, capture_output=True, text=True, check=True)
+                    runs[side, mode].append(json.loads(out.stdout.strip().splitlines()[-1]))
+    first = runs["change", "pooled"][0]
+    digest_keys = [k for k in first if k.endswith("sha256")]
+    digests = {f"{side}.{mode}": {k: sorted({r[k] for r in rs}) for k in digest_keys}
+               for (side, mode), rs in runs.items()}
+    measured = [k for k in first if k.endswith(("wall_s", "_mb"))]
+    return {
+        "unit": {"wall_s": "s", "mb": "MiB"}, "seed": seed, "repeats": repeats,
+        "workers_pooled": first["workers"],
+        "commits": {"base": _commit(base), "change": _commit(ROOT)},
+        "family_estimates": {side: runs[side, "pooled"][0]["family_estimates"] for side in ("base", "change")},
+        "digests_agree": len({json.dumps(d, sort_keys=True) for d in digests.values()}) == 1,
+        "sha256": digests,
+        "results": {f"{side}.{mode}": {k: _summary([r[k] for r in rs]) for k in measured}
+                    for (side, mode), rs in runs.items()},
+    }
+
+
 def _run(checkout, workload, seed, seconds):
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
@@ -371,6 +469,15 @@ def main(argv=None):
     opt_once.add_argument("--src", required=True, help="directory holding the pathineq package to time")
     opt_once.add_argument("--cfg", required=True, help="directory holding certify's configs")
     opt_once.add_argument("--agree", action="store_true", help="also digest the optimizer at random (C, r0)")
+    fam = sub.add_parser("estimators", help="estimate's family estimates, serial and pooled, base and this")
+    fam.add_argument("--base", required=True, help="checkout of the commit to compare against")
+    fam.add_argument("--seed", type=int, default=20090)
+    fam.add_argument("--repeats", type=int, default=5)
+    fam_once = sub.add_parser("estimators-repeat", help="one repeat of the estimators measurements, printed as JSON")
+    fam_once.add_argument("--src", required=True, help="directory holding the pathineq package to time")
+    fam_once.add_argument("--ensembles", required=True, help="directory holding estimate's ensembles")
+    fam_once.add_argument("--workers", required=True, choices=("serial", "pooled"))
+    fam_once.add_argument("configs", nargs="+", help="estimate's scenario configs")
     pair = sub.add_parser("pairs", help="alternating perfbench runs, base checkout and this one")
     pair.add_argument("--base", required=True, help="checkout of the commit to compare against")
     pair.add_argument("--workload", required=True)
@@ -379,7 +486,7 @@ def main(argv=None):
     outs = sub.add_parser("outputs", help="output digests of every workload, base checkout and this one")
     outs.add_argument("--base", required=True, help="checkout of the commit to compare against")
     outs.add_argument("--seed", type=int, default=20090)
-    for sp in (layer, br, opt, pair, outs):
+    for sp in (layer, br, opt, fam, pair, outs):
         sp.add_argument("--into", required=True, metavar="JSON", help="file to store the record in")
     argv = sys.argv[1:] if argv is None else argv
     args = p.parse_args(argv)
@@ -393,12 +500,17 @@ def main(argv=None):
     if args.command == "optimizer-repeat":
         print(json.dumps(optimizer_repeat(Path(args.src).resolve(), args.cfg, args.agree)))
         return
+    if args.command == "estimators-repeat":
+        print(json.dumps(estimators_repeat(Path(args.src).resolve(), args.ensembles, args.configs, args.workers)))
+        return
     if args.command == "exact-sum":
         key, record = "exact_sum_vs_fsum", exact_sum_layer(args.repeats)
     elif args.command == "bridge":
         key, record = "bridge_sampler", bridge(Path(args.base).resolve(), args.repeats)
     elif args.command == "optimizer":
         key, record = f"optimizer_seed{args.seed}", optimizer(Path(args.base).resolve(), args.seed, args.repeats)
+    elif args.command == "estimators":
+        key, record = f"estimators_seed{args.seed}", estimators(Path(args.base).resolve(), args.seed, args.repeats)
     elif args.command == "outputs":
         key, record = f"outputs_seed{args.seed}", outputs(Path(args.base).resolve(), args.seed)
     else:
