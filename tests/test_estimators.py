@@ -127,6 +127,24 @@ def test_fd_partials_match_analytic():
     assert rel.max() < 1e-4
 
 
+def test_functions_of_one_coordinate_evaluated_by_blocks_match_whole_arrays():
+    # f and f' run a block at a time; each path keeps its own value, bit for bit
+    from numpy.polynomial import hermite_e
+
+    B = pathineq.estimators._BLOCK
+    X = np.random.default_rng(43).standard_normal((3 * B + 7, 1, 2))
+    x0, x1 = X[:, 0, 0], X[:, 0, 1]
+    cases = [
+        (coordinate_function(1.0, coord=1), 1, x1, np.ones_like(x1)),
+        (hermite_function(3, 1.0), 0, hermite_e.hermeval(x0, [0, 0, 0, 1]), hermite_e.hermeval(x0, [0, 0, 3])),
+        (exp_half_function(0.5, 1.0), 0, np.exp(0.25 * x0), 0.25 * np.exp(0.25 * x0)),
+    ]
+    for F, coord, value, slope in cases:
+        partials = np.zeros_like(X)
+        partials[:, 0, coord] = slope
+        assert np.array_equal(F.values(X), value) and np.array_equal(F.partial_values(X), partials), F.label
+
+
 def test_hyperbolic_energy_single_time_norm():
     # one evaluation time: energy = G(t,t) |v|^2 with v the tangent gradient;
     # transport back to base preserves the Minkowski norm, so the pairing
