@@ -30,7 +30,7 @@ def load_config(path):
     One loader pass builds the node tree, whose marks give the line map, and
     then the data from it; libyaml's C loader is used where pyyaml has it,
     except for text holding a tab.  The C loader accepts tabs that pyyaml's
-    own ``SafeLoader`` rejects (``name:\tx``), so such text always goes
+    own ``SafeLoader`` rejects (``name:\\tx``), so such text always goes
     through ``SafeLoader`` and the verdict does not depend on how pyyaml was
     built.  A key given twice in one mapping is a config error at its second
     line, and so is an alias that contains itself, at the line of its anchor.

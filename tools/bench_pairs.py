@@ -320,8 +320,8 @@ def estimators_repeat(src, out_dir, cfg_paths, workers):
         family = []
         for f in spec["functions"]:
             args = {"hermite": (f.get("degree"),), "exp_half": (f.get("lam"),)}.get(f["type"], ())
-            time_ = float(f.get("time", ens.grid.T))
-            family.append(builders[f["type"]](*args, time_, coord=f.get("coord", 0), label=f.get("label")))
+            at = float(f.get("time", ens.grid.T))
+            family.append(builders[f["type"]](*args, at, coord=f.get("coord", 0), label=f.get("label")))
         names = [n for e in spec["estimators"]
                  for n in (est.RAYLEIGH_ESTIMATES if e == "rayleigh" else (e,) if e in est._ESTIMATES else ())]
         scenarios.append((spec["name"], ens, family, list(dict.fromkeys(names))))
