@@ -140,6 +140,8 @@ def _run_sample_scenario(v, out_dir, seed_override=None):
     if n_paths < 1:
         v.fail("n_paths", "n_paths must be >= 1")
     dim = v.get("dim", expected=int)
+    if dim < 1 or tag == "hyperbolic_bridge" and dim not in (2, 3):
+        v.fail("dim", "dim must be >= 1" if dim < 1 else "the hyperbolic bridge takes dim 2 or 3")
     T = v.get("T", expected=_NUM)
     if not T > 0:
         v.fail("T", "horizon T must be positive")
@@ -232,6 +234,8 @@ def _run_estimate_scenario(v, out_dir):
         t = v.get(f"{f}.time", expected=_NUM, required=False)
         specs.append((builders[kind], args, t, coord, v.get(f"{f}.label", expected=str, required=False)))
         v.reject_unread(f)
+    if "rayleigh" in estimators and not specs:
+        v.fail("functions", "rayleigh needs at least one function")
     exp_square_c = float(v.get("exp_square_c", expected=_NUM, required=False, default=0.25))
     out_json = os.path.join(out_dir, v.get("out", expected=str))
     v.reject_unread("")
@@ -250,7 +254,11 @@ def _run_estimate_scenario(v, out_dir):
     for i, (build, args, t, coord, label) in enumerate(specs):
         if coord >= width:
             v.fail(f"functions[{i}].coord", f"coord must be < {width}, the points' width")
-        family.append(build(*args, float(ens.grid.T if t is None else t), coord=coord, label=label))
+        try:  # the builder rejects a time <= 0 and index_of one off the grid: time is a node in (0, T]
+            family.append(build(*args, float(ens.grid.T if t is None else t), coord=coord, label=label))
+            ens.grid.index_of(family[-1].times[0])
+        except ValueError as exc:
+            v.fail(f"functions[{i}].time", str(exc))
 
     records = {"seed": ens.config.seed, "config_hash": ens.config.config_hash}
     names = list(dict.fromkeys(n for e in estimators for n in wants[e]))
@@ -278,14 +286,10 @@ def _run_estimate_scenario(v, out_dir):
     if csv_rows is not None:
         csv_path = os.path.join(out_dir, f"{name}.rayleigh.csv")
         with open(csv_path, "w") as fh:
-            fh.write("label,variance,variance_se,energy,energy_se,ratio,ratio_se,seed,config_hash\n")
+            fh.write(",".join(("label", *(f"{k},{k}_se" for k in RAYLEIGH_ESTIMATES), "seed,config_hash\n")))
             for r in csv_rows:
-                fh.write(
-                    f"{r.label},{r.variance.value!r},{r.variance.std_error!r},"
-                    f"{r.energy.value!r},{r.energy.std_error!r},"
-                    f"{r.ratio.value!r},{r.ratio.std_error!r},"
-                    f"{records['seed']},{records['config_hash']}\n"
-                )
+                cells = (f"{e.value!r},{e.std_error!r}" for e in (getattr(r, k) for k in RAYLEIGH_ESTIMATES))
+                fh.write(",".join((r.label, *cells, f"{records['seed']},{records['config_hash']}\n")))
         outputs.append(csv_path)
     return {"outputs": outputs, **records}
 

@@ -9,9 +9,10 @@ squared H-gradient is the Green-kernel pairing
 with G(s,t) = s ^ t on based paths and G(s,t) = s ^ t - s t / T on bridges
 (the reproducing kernel of the pinned finite-energy paths; this normalization
 makes the flat-bridge Poincare constant exactly 1).  On the hyperboloid the
-partial gradients are tangent vectors at sigma_{t_i}; they are parallel-
-transported back to the base point along the discretized path before pairing,
-which is the trivialization the Bismut tangent space provides.
+partial gradients are tangent vectors at sigma_{t_i}, transported along the
+discretized path to sigma_{t_1} and paired there in the Minkowski metric;
+transport is an isometry, so this is the pairing at the base point that the
+Bismut tangent space's trivialization gives.
 
 Estimator values are computed from exact, correctly rounded totals
 (``exact_sum``, bit for bit ``math.fsum``), so parallel or reordered
@@ -178,36 +179,27 @@ def green_gram(ens: PathEnsemble, times):
 
 
 def h_gradient_energy(F: CylindricalFunction, ens: PathEnsemble):
-    """Per-path squared H-gradient |grad F|_H^2, shape (n_paths,).
-
-    Flat ensembles pair the Euclidean partials directly; hyperbolic ensembles
-    project the ambient partials to tangent vectors and parallel-transport
-    them back to the base point along the path's nodes before pairing.  Both
-    routes use the same Green Gram matrix.
+    """Per-path squared H-gradient |grad F|_H^2, shape (n_paths,): the Green
+    pairing sum_ij G_ij <W_i, W_j>, Euclidean on flat ensembles (W the
+    partials) and Minkowski on the hyperboloid, where W_i is the tangent
+    gradient at sigma_{t_i} carried node by node to sigma_{t_1} by parallel
+    transport.  Each segment's transport is a Minkowski isometry, so this is
+    the pairing at the base point, and a function of one time needs none.
     """
     idx = [ens.grid.index_of(t) for t in F.times]
-    X = ens.points[:, idx, :]
-    V = F.partial_values(X)
-    G = green_gram(ens, F.times)
-
-    if ens.measure_tag != "hyperbolic_bridge":
-        return np.einsum("ij,mic,mjc->m", G, V, V)
-
-    paired = []
-    for a, i in enumerate(idx):
-        # ambient gradient -> Riemannian gradient in the tangent space
-        eta_v = V[:, a, :].copy()
-        eta_v[:, -1] *= -1.0
-        v = hyp.tangent_project(ens.points[:, i, :], eta_v)
-        for k in range(i, 0, -1):
-            v = hyp.parallel_transport(v, ens.points[:, k, :], ens.points[:, k - 1, :])
-        paired.append(v)
-    W = np.stack(paired, axis=1)
-    # Minkowski pairing at the base point (positive definite on tangents)
-    prod = np.einsum("mic,mjc->mij", W[..., :-1], W[..., :-1]) - np.einsum(
-        "mi,mj->mij", W[..., -1], W[..., -1]
-    )
-    return np.einsum("ij,mij->m", G, prod)
+    W = F.partial_values(ens.points[:, idx, :])
+    metric = np.ones(W.shape[-1])
+    if ens.measure_tag == "hyperbolic_bridge":
+        metric[-1] = -1.0
+        P = ens.points
+        tangents = []
+        for a, i in enumerate(idx):
+            v = hyp.tangent_project(P[:, i, :], W[:, a, :] * metric)
+            for k in range(i, idx[0], -1):
+                v = hyp.parallel_transport(v, P[:, k, :], P[:, k - 1, :])
+            tangents.append(v)
+        W = np.stack(tangents, axis=1)
+    return np.einsum("ij,mic,mjc,c->m", green_gram(ens, F.times), W, W, metric)
 
 
 # ---------------------------------------------------------------------------

@@ -508,6 +508,52 @@ def test_bad_coord_names_file_and_key(tmp_path, capsys, coord):
     assert "bad.yaml:4: functions[0].coord: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "sampler, dim, message",
+    [("wiener", 0, "dim must be >= 1"), ("wiener", -1, "dim must be >= 1"),
+     ("hyperbolic_bridge", 4, "the hyperbolic bridge takes dim 2 or 3")],
+    ids=["zero", "negative", "bridge_4"],
+)
+def test_bad_dim_names_file_and_line(tmp_path, capsys, sampler, dim, message):
+    # dim 0 used to write an ensemble without coordinates, -1 to fail inside
+    # numpy and 4 on the bridge to name neither the key nor its line
+    sample = SAMPLE_YAML.replace("hyperbolic_bridge", sampler).replace("dim: 3", f"dim: {dim}")
+    assert main(["sample", "--config", write(tmp_path, "s.yaml", sample), "--out", str(tmp_path / "out")]) == 2
+    assert f"s.yaml:5: dim: {message}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("out/*.pens"))
+
+
+# a 1-d Wiener ensemble on the grid 0, 0.25, 0.5, 0.75, 1
+WIENER_4_YAML = (SAMPLE_YAML.replace("hyperbolic_bridge", "wiener").replace("dim: 3", "dim: 1")
+                 .replace("n_steps: 16", "n_steps: 4").replace("  tail: {lam: 0.5, floor: 1.0e-6}\n", ""))
+
+
+@pytest.mark.parametrize(
+    "time, message",
+    [(0.3, "time 0.3 is not a grid node"), (-1, "evaluation times must be positive"),
+     (2.0, "time 2.0 is not a grid node"), (0, "evaluation times must be positive")],
+    ids=["off_grid", "negative", "past_T", "zero"],
+)
+def test_bad_function_time_names_file_and_key(tmp_path, capsys, time, message):
+    out = str(tmp_path / "out")
+    assert main(["sample", "--config", write(tmp_path, "s.yaml", WIENER_4_YAML), "--out", out]) == 0
+    estimate = ESTIMATE_YAML.replace("[weight_tail, exp_square_moment]",
+                                     f"[variance]\nfunctions:\n  - {{type: coordinate, time: {time}}}")
+    capsys.readouterr()
+    assert main(["estimate", "--config", write(tmp_path, "e.yaml", estimate), "--out", out]) == 2
+    assert f"e.yaml:5: functions[0].time: {message}" in capsys.readouterr().err
+
+
+# an absent key is named at the line of the mapping it is missing from
+@pytest.mark.parametrize("functions, where", [("functions: []\n", "e.yaml:4"), ("", "e.yaml:1")],
+                         ids=["empty", "absent"])
+def test_rayleigh_without_functions_names_the_key(tmp_path, capsys, functions, where):
+    estimate = ESTIMATE_YAML.replace("estimators: [weight_tail, exp_square_moment]\n",
+                                     f"estimators: [rayleigh]\n{functions}")
+    assert main(["estimate", "--config", write(tmp_path, "e.yaml", estimate), "--out", str(tmp_path / "o")]) == 2
+    assert f"{where}: functions: rayleigh needs at least one function" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_program_bug_is_not_a_config_error(tmp_path, monkeypatch, threads):
     import pathineq.estimators
@@ -628,8 +674,8 @@ def run_estimate_digest_scenarios(tmp_path, estimates=(GAUSS_ESTIMATE_YAML, H3_E
 ESTIMATE_DIGESTS = {
     "est-gauss.json": "dc7282920179ff867c5bf64a93caebf57f424926b06861e794dc3136f5894a60",
     "est-gauss.rayleigh.csv": "78f34993525869549d0fe91594833a8b045e11cf703332507263d52fcc26179e",
-    "est-h3.json": "c57fa86d7f44da257b3d05acfe258ba24df1e95714507873435fa7457107fb0a",
-    "est-h3.rayleigh.csv": "f56cd5d409080d25f35c42d8961cf34f2c85b7a9e59312c3d58f4a40f9a140ec",
+    "est-h3.json": "789335c7a617ff95ee556fd6cc5431c154abe7eaeea85d07019d12ae54bcd2a7",
+    "est-h3.rayleigh.csv": "9dc693c1a524f944701e055ff40db935cc2d8608ab65d300770f6275c2dc7af8",
 }
 
 

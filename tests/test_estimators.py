@@ -174,6 +174,63 @@ def test_hyperbolic_energy_single_time_norm():
     assert np.all(e >= 0)
 
 
+def _three_time_function(times, c):
+    """F = sin(<c0, x1>) <c1, x2> + <c2, x3>^2 of the ambient points at three
+    times; its partials are read-only, so no caller may write into them."""
+
+    def fn(X):
+        return np.sin(X[:, 0] @ c[0]) * (X[:, 1] @ c[1]) + (X[:, 2] @ c[2]) ** 2
+
+    def partials(X):
+        a, b, q = X[:, 0] @ c[0], X[:, 1] @ c[1], X[:, 2] @ c[2]
+        out = np.stack([np.cos(a)[:, None] * b[:, None] * c[0], np.sin(a)[:, None] * c[1],
+                        2 * q[:, None] * c[2]], axis=1)
+        out.flags.writeable = False
+        return out
+
+    return CylindricalFunction(times=times, fn=fn, partials=partials)
+
+
+def _base_point_energy(F, ens):
+    """The pairing at the base point: each tangent gradient transported node by
+    node back to node 0, then G-paired in the Minkowski metric."""
+    idx = [ens.grid.index_of(t) for t in F.times]
+    V = F.partial_values(ens.points[:, idx, :])
+    W = []
+    for a, i in enumerate(idx):
+        eta_v = V[:, a, :].copy()
+        eta_v[:, -1] *= -1.0
+        v = hyp.tangent_project(ens.points[:, i, :], eta_v)
+        for k in range(i, 0, -1):
+            v = hyp.parallel_transport(v, ens.points[:, k, :], ens.points[:, k - 1, :])
+        W.append(v)
+    W = np.stack(W, axis=1)
+    prod = np.einsum("mic,mjc->mij", W[..., :-1], W[..., :-1]) - np.einsum("mi,mj->mij", W[..., -1], W[..., -1])
+    return np.einsum("ij,mij->m", green_gram(ens, F.times), prod)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_hyperbolic_energy_of_three_times_is_the_base_point_pairing(dim):
+    # the pairing at the first evaluation node equals the one at the base
+    # point, as transport is an isometry; F's first time lies before G's first
+    grid = TimeGrid.with_geometric_tail(1.0, 8)
+    ens = sample_hyperbolic_bridge(SamplerConfig(seed=11, n_paths=200, grid=grid, dim=dim))
+    c = np.random.default_rng(12).standard_normal((3, dim + 1))
+    for nodes in ((2, 5, 7), (4, 6, 8)):
+        F = _three_time_function(tuple(grid.nodes[i] for i in nodes), c)
+        e, expect = h_gradient_energy(F, ens), _base_point_energy(F, ens)
+        assert np.all(expect > 0)
+        assert np.max(np.abs(e - expect) / expect) <= 1e-13
+
+
+def test_flat_energy_of_three_times_is_the_euclidean_pairing_bit_for_bit():
+    ens = sample_wiener(SamplerConfig(seed=13, n_paths=500, grid=TimeGrid.uniform(1.0, 4), dim=2))
+    F = _three_time_function((0.25, 0.5, 1.0), np.random.default_rng(14).standard_normal((3, 2)))
+    V = F.partial_values(ens.points[:, [1, 2, 4], :])
+    expect = np.einsum("ij,mic,mjc->m", green_gram(ens, F.times), V, V)
+    assert np.array_equal(h_gradient_energy(F, ens), expect)
+
+
 # ---------------------------------------------------------------------------
 # variance / entropy estimators
 
