@@ -158,6 +158,8 @@ def _run_sample_scenario(v, out_dir, seed_override=None):
         v.fail("grid.tail.floor", "tail floor must be positive")
     x0, y0 = _read_point(v, "x0"), _read_point(v, "y0")
     drift_cap = v.get("drift_cap", expected=_NUM, required=False)
+    if drift_cap is not None and not drift_cap > 0:
+        v.fail("drift_cap", "drift_cap must be positive")
     write = writers[v.get("format", expected=str, required=False, default="binary", choices=writers)]
     out_path = os.path.join(out_dir, v.get("out", expected=str))
     v.reject_unread("", "grid", "grid.tail")

@@ -7,6 +7,8 @@ positional CLI arguments; everything lives in the declarative file.
 
 from __future__ import annotations
 
+import math
+
 import yaml
 
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
@@ -118,6 +120,8 @@ class Validator:
                 t.__name__ for t in expected
             )
             self.fail(path, f"expected {names}, got {type(cur).__name__}")
+        if isinstance(cur, float) and not math.isfinite(cur):
+            self.fail(path, "expected a finite number")
         if choices is not None and cur not in choices:
             self.fail(path, f"expected one of {sorted(choices)}, got {cur!r}")
         return cur

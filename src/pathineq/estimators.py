@@ -86,7 +86,7 @@ class CylindricalFunction:
 
     def __post_init__(self):
         self.times = tuple(float(t) for t in self.times)
-        if not self.times or any(t <= 0 for t in self.times):
+        if not self.times or any(not t > 0 for t in self.times):
             raise EstimatorError("evaluation times must be positive (t in (0, T])")
         if list(self.times) != sorted(self.times):
             raise EstimatorError("evaluation times must be sorted")

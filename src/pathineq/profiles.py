@@ -27,6 +27,7 @@ import numpy as np
 from scipy.special import betaincinv
 
 _CUTOFF_ADD = 1.0 / math.e + 1.0
+LAST_WEIGHTED_LEVEL = 10**7  # the last level a weighted-LSI scan reads
 
 
 class ProfileError(ValueError):
@@ -61,7 +62,7 @@ def cutoff_factor(a, r):
 
 
 def cutoff_levels(params, n):
-    """Cut-off levels of a weak-LSI construction at level n (a number or an array).
+    """Cut-off levels of a weak-LSI construction at the levels n, an array.
 
     For a weighted LSI certificate (params a, C, M) these are
     b(n) = cutoff_factor(a, n) M exp(-(C/2)(n-1)^2); for a tail bound m on the
@@ -74,7 +75,7 @@ def cutoff_levels(params, n):
         return c * np.sqrt(_step_left(*_tail_arrays(params["levels"], params["m"]), n - 1.0))
     d = n - 1.0
     z = -0.5 * params["C"] * (d * d)  # d * d: a float's ** 2 can differ from an array's by an ulp
-    return c * params["M"] * (_elementwise(math.exp, z) if np.ndim(z) else math.exp(z))
+    return c * params["M"] * _elementwise(math.exp, z)
 
 
 def bisect(above, lo, hi):
@@ -313,34 +314,23 @@ class BetaProfile:
 
         That n is the first index at which the running minimum of the levels
         is <= s, a searchsorted on the negated (ascending) running minima.
-        Tail levels are computed once, up to the cap; weighted levels grow
-        only as far as the smallest s asked for so far needs.
+        The levels run from 1 to ``n_cap`` for a tail and from ``n_min`` to
+        ``LAST_WEIGHTED_LEVEL`` for a weighted certificate; their running
+        minimum grows by blocks that double it, as far as the smallest s asked
+        for so far needs.
         """
         p = self.params
-        if self.form == "tail_scan":
-            n0 = 1
-            if "min" not in self._cache:
-                q = cutoff_levels(p, np.arange(1.0, int(p["n_cap"]) + 1.0))
-                self._cache["min"] = np.minimum.accumulate(q)
-            running_min = self._cache["min"]
-        else:
-            n0 = int(p["n_min"])
-            running_min = self._cache.setdefault("min", [])
-            s_lo = s.min(initial=math.inf)
-            n = n0 + len(running_min)
-            while not running_min or running_min[-1] > s_lo:
-                if n > 10**7:  # unreachable: b underflows to 0 long before
-                    raise DomainError(f"scan did not terminate at s={s_lo}")
-                b = cutoff_levels(p, n)
-                running_min.append(min(b, running_min[-1]) if running_min else b)
-                n += 1
-            running_min = np.array(running_min)
+        n0, last = (1, int(p["n_cap"])) if self.form == "tail_scan" else (int(p["n_min"]), LAST_WEIGHTED_LEVEL)
+        running_min = self._cache.get("min", np.empty(0))
+        s_lo = s.min(initial=math.inf)
+        while n0 + running_min.size <= last and (running_min.size == 0 or running_min[-1] > s_lo):
+            n = np.arange(n0 + running_min.size, min(n0 + max(2 * running_min.size, 16), last + 1), dtype=float)
+            q = np.minimum.accumulate(np.concatenate([running_min[-1:], cutoff_levels(p, n)]))
+            running_min = self._cache["min"] = np.concatenate([running_min[:-1], q])
         k = np.searchsorted(-running_min, -s, side="left")
         if np.any(k == running_min.size):
-            raise DomainError(
-                f"no weak-LSI derivable at s={float(s[k == running_min.size][0])!r}: "
-                f"no qualifying level below cap {running_min.size}"
-            )
+            raise DomainError(f"no weak-LSI derivable at s={float(s[k == running_min.size][0])!r}: "
+                              f"no qualifying level below cap {running_min.size}")
         return n0 + k
 
     def to_dict(self):

@@ -141,7 +141,7 @@ class TimeGrid:
     def index_of(self, t):
         nodes = self.array()
         i = int(np.argmin(np.abs(nodes - t)))
-        if abs(nodes[i] - t) > 1e-12 * max(1.0, self.T):
+        if not abs(nodes[i] - t) <= 1e-12 * max(1.0, self.T):  # NaN is no node
             raise SamplerError(f"time {t} is not a grid node")
         return i
 

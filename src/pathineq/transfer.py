@@ -33,7 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import polygamma
 
-from .profiles import AlphaProfile, BetaProfile, TailBound, bisect, cutoff_factor, cutoff_levels, profile_from_dict
+from .profiles import (LAST_WEIGHTED_LEVEL, AlphaProfile, BetaProfile, TailBound, bisect, cutoff_factor,
+                       cutoff_levels, profile_from_dict)
 
 _INV_E = 1.0 / math.e
 _LOG2 = math.log(2.0)
@@ -226,7 +227,10 @@ def _scan_start(cert: WeightedLSICertificate) -> int:
     T(r) = 8 a^2 r / c(r).  T peaks at r* = sqrt(c(0))/(2a) with
     T(r*) = 2a/sqrt(c(0)), so for r >= n the derivative is bounded by
     max(T(n), T(r*)) - C(n-1); once that bound is negative, b decreases on
-    all of [n, infinity).
+    all of [n, infinity).  The bound falls as n grows and is negative from
+    n = 2 + ceil(T(r*)/C) on, as T <= T(r*): integer bisection finds the
+    first negative n, and rejects the certificate if it lies past
+    ``LAST_WEIGHTED_LEVEL``, where a scan reads no level.
     """
     a, C = cert.a, cert.C_exp
     r_star = math.sqrt(cutoff_factor(a, 0.0)) / (2.0 * a)
@@ -234,10 +238,15 @@ def _scan_start(cert: WeightedLSICertificate) -> int:
     def T(r):
         return 8.0 * a * a * r / cutoff_factor(a, r)
 
-    n = 1
-    while T(max(n, r_star)) - C * (n - 1.0) >= 0:
-        n += 1
-    return n
+    # the bound is >= 0 at lo (0 stands for below level 1) and < 0 at hi, unless hi > LAST_WEIGHTED_LEVEL
+    lo, hi = 0, 2 + math.ceil(min(LAST_WEIGHTED_LEVEL, T(r_star) / C))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if T(max(mid, r_star)) - C * (mid - 1.0) >= 0 else (lo, mid)
+    if hi > LAST_WEIGHTED_LEVEL:
+        raise TransferError(f"moment exponent C_exp = {C} is too small: b decreases only past level "
+                            f"{LAST_WEIGHTED_LEVEL}, the last one a scan reads")
+    return hi
 
 
 def weighted_lsi_to_weak_lsi(cert: WeightedLSICertificate, smooth=False) -> TransferResult:
@@ -257,13 +266,7 @@ def weighted_lsi_to_weak_lsi(cert: WeightedLSICertificate, smooth=False) -> Tran
     r0 = float(b[0])
     form = "weighted_lsi_smooth" if smooth else "weighted_lsi_scan"
     profile = BetaProfile(family="composed", r0=r0, form=form, params=params)
-    audit = [
-        ("a", cert.a),
-        ("C", cert.C_exp),
-        ("M", cert.M),
-        ("n_min", n_min),
-        ("r0", r0),
-    ]
+    audit = [("a", cert.a), ("C", cert.C_exp), ("M", cert.M), ("n_min", n_min), ("r0", r0)]
     audit += [(f"b({n_min + i})", v) for i, v in enumerate(b)]
     return TransferResult(kind="weak_lsi", profile=profile, audit=audit)
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 import yaml
@@ -441,6 +442,49 @@ def test_non_numeric_option_names_file_and_line(tmp_path, capsys, command, old, 
     cfg = write(tmp_path, "bad.yaml", text.replace(old, new))
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert f"bad.yaml:{line}: {key}: expected " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, old, new, line, key",
+    [
+        # a NaN time used to be read as node 0, and a NaN exp_square_c to write NaN, which is not JSON
+        ("estimate", "out:", "functions: [{type: coordinate, time: .nan}]\nout:", 5, "functions[0].time"),
+        ("estimate", "exp_square_c: 0.25", "exp_square_c: .nan", 4, "exp_square_c"),
+        # an infinite T used to be reported against grid.tail.floor
+        ("sample", "T: 1.0", "T: .inf", 6, "T"),
+        ("sample", "lam: 0.5", "lam: -.inf", 9, "grid.tail.lam"),
+        ("transfer", OP, first_stage("weighted_lsi_to_weak_lsi", "cert: {a: 1.0, C_exp: .nan}"), 4,
+         "pipeline[0].cert.C_exp"),
+    ],
+    ids=["time_nan", "exp_square_c_nan", "T_inf", "lam_minus_inf", "C_exp_nan"],
+)
+def test_non_finite_number_names_file_and_line(tmp_path, capsys, command, old, new, line, key):
+    text = {"sample": SAMPLE_YAML, "estimate": ESTIMATE_YAML, "transfer": TRANSFER_YAML}[command]
+    cfg = write(tmp_path, "bad.yaml", text.replace(old, new))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"bad.yaml:{line}: {key}: expected a finite number" in capsys.readouterr().err
+    assert not any((tmp_path / "o").iterdir())
+
+
+@pytest.mark.parametrize("cap", ["0", "-1.0"], ids=["zero", "negative"])
+def test_non_positive_drift_cap_names_file_and_line(tmp_path, capsys, cap):
+    # a negative cap used to clip every drift, with cap_event_fraction 1.0
+    cfg = write(tmp_path, "bad.yaml", SAMPLE_YAML.replace("x0: origin", f"drift_cap: {cap}\nx0: origin"))
+    assert main(["sample", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "bad.yaml:10: drift_cap: drift_cap must be positive" in capsys.readouterr().err
+    assert not list(tmp_path.glob("o/*.pens"))
+
+
+def test_tiny_moment_exponent_exits_2_within_seconds(tmp_path, capsys):
+    # the scan start was a linear search over about sqrt(2/C_exp) levels: at
+    # C_exp = 1e-16 it ran for minutes, and every evaluation then failed
+    stage = first_stage("weighted_lsi_to_weak_lsi", "cert: {a: 1.0, C_exp: 1.0e-16}")
+    cfg = write(tmp_path, "t.yaml", TRANSFER_YAML.replace(OP, stage))
+    t = time.perf_counter()
+    assert main(["transfer", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert time.perf_counter() - t < 2.0
+    err = capsys.readouterr().err
+    assert "stage 0 (weighted_lsi_to_weak_lsi): moment exponent C_exp = 1e-16 is too small" in err
 
 
 @pytest.mark.parametrize(

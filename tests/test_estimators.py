@@ -503,6 +503,14 @@ def test_rayleigh_random_polynomials_bounded_by_poincare():
     assert best.value <= 1.0 + 4.0 * best.std_error
 
 
+@pytest.mark.parametrize("times", [(math.nan,), (0.5, math.nan), (0.0,), (-1.0,)],
+                         ids=["nan", "nan_second", "zero", "negative"])
+def test_evaluation_times_must_be_positive(times):
+    # NaN used to pass the check t <= 0
+    with pytest.raises(EstimatorError, match="evaluation times must be positive"):
+        CylindricalFunction(times=times, fn=lambda X: X[:, 0, 0])
+
+
 def test_rayleigh_ratios_nonnegative_and_errors():
     ens = gaussian_ensemble(1000, seed=20)
     fam = [hermite_function(1, 1.0), hermite_function(2, 1.0)]

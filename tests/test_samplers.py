@@ -37,6 +37,14 @@ def test_time_grid_validation():
     assert g.T == 2.0 and g.n_nodes == 5 and g.nodes[-1] == 2.0
 
 
+def test_nan_time_is_not_a_grid_node():
+    # |node - nan| > tol is False, so NaN used to be taken for node 0
+    g = TimeGrid.uniform(1.0, 4)
+    assert g.index_of(0.5) == 2
+    with pytest.raises(SamplerError, match="time nan is not a grid node"):
+        g.index_of(math.nan)
+
+
 def test_geometric_tail_grid():
     g = TimeGrid.with_geometric_tail(1.0, 16, lam=0.5, floor=1e-6)
     nodes = g.array()

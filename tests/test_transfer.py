@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathineq import transfer
+from pathineq import profiles, transfer
 from pathineq.profiles import BetaProfile, DomainError, TailBound, cutoff_levels
 from pathineq.transfer import (
     DyadicParams,
@@ -166,6 +166,67 @@ def test_weighted_smooth_rate_is_never_below_the_certificate(a, C, M):
     grid = np.geomspace(1e-200, 0.99 * res.profile.r0, 1000)
     r = np.sqrt(res.profile.tabulate(grid) / 2.0)
     assert np.all(cutoff_levels(res.profile.params, r) <= grid)
+
+
+def linear_scan_start(a, C):
+    # the scan start as a linear search from level 1: the first n at which
+    # T(max(n, r*)) - C (n - 1) < 0, T(r) = 8 a^2 r / (4 a^2 r^2 + 1/e + 1)
+    r_star = math.sqrt(INV_E + 1.0) / (2.0 * a)
+
+    def T(r):
+        return 8.0 * a * a * r / (4.0 * a * a * r * r + (INV_E + 1.0))
+
+    n = 1
+    while T(max(n, r_star)) - C * (n - 1.0) >= 0:
+        n += 1
+    return n
+
+
+def test_scan_start_bisection_matches_linear_search():
+    # certify's certificates take a and C_exp in [0.05, 2]
+    for a in np.geomspace(0.01, 20.0, 15):
+        for C in np.geomspace(1e-8, 20.0, 19):
+            cert = WeightedLSICertificate(a=float(a), C_exp=float(C))
+            assert transfer._scan_start(cert) == linear_scan_start(float(a), float(C)), (a, C)
+
+
+def test_scan_start_past_the_last_level_is_a_transfer_error():
+    # n_min is about sqrt(2/C_exp): 8.2e6 levels at 3e-14, 1.4e8 at 1e-16
+    n = transfer._scan_start(WeightedLSICertificate(a=1.0, C_exp=3e-14))
+    assert 8e6 < n <= profiles.LAST_WEIGHTED_LEVEL
+    for C in (1e-16, 1e-320):
+        with pytest.raises(TransferError, match=f"C_exp = {C} is too small"):
+            weighted_lsi_to_weak_lsi(WeightedLSICertificate(a=1.0, C_exp=C))
+
+
+def test_weighted_scan_grows_by_doubling_blocks_up_to_its_last_level(monkeypatch):
+    cert = WeightedLSICertificate(a=0.05, C_exp=0.05, M=1.0)
+    params = weighted_lsi_to_weak_lsi(cert).profile.params
+    n_min = params["n_min"]
+    b = cutoff_levels(params, np.arange(n_min, n_min + 41.0))  # decreasing from n_min on
+    prof = weighted_lsi_to_weak_lsi(cert).profile
+    assert prof(b[10]) == 2.0 * (n_min + 10) ** 2
+    assert prof._cache["min"].size == 16
+    assert prof(b[40]) == 2.0 * (n_min + 40) ** 2
+    assert prof._cache["min"].size == 64  # blocks of 16, 16 and 32 levels
+    # with the scan stopped at n_min + 40, an s below b(n_min + 40) is below every level
+    monkeypatch.setattr(profiles, "LAST_WEIGHTED_LEVEL", n_min + 40)
+    for smooth in (False, True):
+        prof = weighted_lsi_to_weak_lsi(cert, smooth=smooth).profile
+        assert prof(b[40]) == 2.0 * (n_min + 40) ** 2
+        with pytest.raises(DomainError, match="no qualifying level below cap 41"):
+            prof.tabulate([b[10], b[40] * (1 - 1e-9)])
+        assert prof._cache["min"].size == 41
+
+
+def test_tail_scan_grows_only_as_far_as_asked():
+    tail = TailBound.from_function(lambda s: math.exp(-(s * s)), np.arange(0.0, 11.0))  # m(10) > 0
+    prof = tail_to_weak_lsi(1.0, tail, n_cap=100).profile
+    assert prof(10.0) == 2.0
+    assert prof._cache["min"].size == 16
+    with pytest.raises(DomainError, match="no qualifying level below cap 100"):
+        prof(prof.eval_floor * 0.5)
+    assert prof._cache["min"].size == 100
 
 
 def test_weighted_asymptotic_log_rate():

@@ -100,6 +100,28 @@ def _machine():
             "numpy": numpy.__version__, "scipy": scipy.__version__}
 
 
+def _last_json(cmd, **kw):
+    """The JSON record that ``cmd`` prints on its last line."""
+    out = subprocess.run(cmd, capture_output=True, text=True, check=True, **kw)
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def _side(command, checkout, *args):
+    """The JSON record of this script's one-side ``command`` with pathineq from ``checkout``."""
+    return _last_json([sys.executable, str(Path(__file__).resolve()), command, "--src", str(checkout / "src"), *args])
+
+
+def _alternating(base, repeats, run):
+    """``run(checkout, i)`` in the ``base`` checkout and in this one for i < ``repeats``, the side that runs
+    first alternating; returns each side's results in order."""
+    runs = {"base": [], "change": []}
+    sides = (("base", base), ("change", ROOT))
+    for i in range(repeats):
+        for side, checkout in sides if i % 2 == 0 else sides[::-1]:
+            runs[side].append(run(checkout, i))
+    return runs
+
+
 def _summary(xs):
     xs = [round(x, 4) for x in xs]
     q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive") if len(xs) > 1 else xs * 3
@@ -191,10 +213,7 @@ def _compare_u(base):
     with tempfile.TemporaryDirectory() as tmp:
         for side, checkout in (("base", base), ("change", ROOT)):
             path = Path(tmp) / f"{side}.npy"
-            cmd = [sys.executable, str(Path(__file__).resolve()), "bridge-u", "--src", str(checkout / "src"),
-                   "--out", str(path)]
-            out = subprocess.run(cmd, capture_output=True, text=True, check=True)
-            sides[side] = json.loads(out.stdout.strip().splitlines()[-1])
+            sides[side] = _side("bridge-u", checkout, "--out", str(path))
             u[side] = np.load(path)
     ks = stats.ks_2samp(u["base"], u["change"])
     du = np.abs(u["change"] - u["base"])
@@ -204,13 +223,7 @@ def _compare_u(base):
 
 
 def bridge(base, repeats):
-    runs = {"base": [], "change": []}
-    sides = (("base", base), ("change", ROOT))
-    for i in range(repeats):
-        for side, checkout in sides if i % 2 == 0 else sides[::-1]:
-            cmd = [sys.executable, str(Path(__file__).resolve()), "bridge-repeat", "--src", str(checkout / "src")]
-            out = subprocess.run(cmd, capture_output=True, text=True, check=True)
-            runs[side].append(json.loads(out.stdout.strip().splitlines()[-1]))
+    runs = _alternating(base, repeats, lambda checkout, i: _side("bridge-repeat", checkout))
     digests = {side: {k: sorted({r[k] for r in rs}) for k in rs[0] if k.endswith("sha256")}
                for side, rs in runs.items()}
     times = {side: {k: _summary([r[k] for r in rs]) for k in rs[0] if not k.endswith("sha256")}
@@ -270,16 +283,10 @@ def optimizer(base, seed, repeats):
     sys.path.insert(0, str(ROOT / "perfbench"))
     from workloads import WORKLOADS
 
-    runs = {"base": [], "change": []}
-    sides = (("base", base), ("change", ROOT))
     with tempfile.TemporaryDirectory() as tmp:
         WORKLOADS["certify"](seed, tmp)
-        for i in range(repeats):
-            for side, checkout in sides if i % 2 == 0 else sides[::-1]:
-                cmd = [sys.executable, str(Path(__file__).resolve()), "optimizer-repeat",
-                       "--src", str(checkout / "src"), "--cfg", str(Path(tmp) / "cfg")]
-                out = subprocess.run(cmd + ["--agree"] * (i == 0), capture_output=True, text=True, check=True)
-                runs[side].append(json.loads(out.stdout.strip().splitlines()[-1]))
+        runs = _alternating(base, repeats, lambda checkout, i: _side(
+            "optimizer-repeat", checkout, "--cfg", str(Path(tmp) / "cfg"), *["--agree"] * (i == 0)))
     digests = {side: {k: rs[0][k] for k in ("params_sha256", "configs_sha256", "infeasible")}
                for side, rs in runs.items()}
     timed = ("optimizer_cold_s", "optimizer_warm_s", "load_config_s")
@@ -348,8 +355,7 @@ def estimators(base, seed, repeats):
 
     from pathineq.cli import main as cli_main
 
-    runs = {(side, mode): [] for side in ("base", "change") for mode in ("serial", "pooled")}
-    sides = (("base", base), ("change", ROOT))
+    modes = ("serial", "pooled")
     with tempfile.TemporaryDirectory() as tmp:
         plan = WORKLOADS["estimate"](seed, tmp)
         for call in plan.setup:
@@ -357,14 +363,10 @@ def estimators(base, seed, repeats):
                 raise SystemExit(f"setup failed: {call}")
         (_, call), = plan.timed
         cfg_paths = [a for prev, a in zip(call, call[1:]) if prev == "--config"]
-        for i in range(repeats):
-            for side, checkout in sides if i % 2 == 0 else sides[::-1]:
-                for mode in ("serial", "pooled"):
-                    cmd = [sys.executable, str(Path(__file__).resolve()), "estimators-repeat",
-                           "--src", str(checkout / "src"), "--ensembles", str(Path(tmp) / "out"),
-                           "--workers", mode, *cfg_paths]
-                    out = subprocess.run(cmd, capture_output=True, text=True, check=True)
-                    runs[side, mode].append(json.loads(out.stdout.strip().splitlines()[-1]))
+        by_side = _alternating(base, repeats, lambda checkout, i: {mode: _side(
+            "estimators-repeat", checkout, "--ensembles", str(Path(tmp) / "out"), "--workers", mode, *cfg_paths)
+            for mode in modes})
+    runs = {(side, mode): [r[mode] for r in rs] for side, rs in by_side.items() for mode in modes}
     first = runs["change", "pooled"][0]
     digest_keys = [k for k in first if k.endswith("sha256")]
     digests = {f"{side}.{mode}": {k: sorted({r[k] for r in rs}) for k in digest_keys}
@@ -385,18 +387,13 @@ def estimators(base, seed, repeats):
 def _run(checkout, workload, seed, seconds):
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
-    record = json.loads(out.stdout.strip().splitlines()[-1])
+    record = _last_json(cmd, cwd=checkout)
     return {**{m: record["metrics"][m]["value"] for m in END_TO_END}, "failed": record["failed"],
             "attempted": record["attempted"]}
 
 
 def pairs(base, workload, seed, n_pairs, seconds):
-    runs = {"base": [], "change": []}
-    sides = (("base", base), ("change", ROOT))
-    for i in range(n_pairs):
-        for side, checkout in sides if i % 2 == 0 else sides[::-1]:
-            runs[side].append(_run(checkout, workload, seed, seconds))
+    runs = _alternating(base, n_pairs, lambda checkout, i: _run(checkout, workload, seed, seconds))
     wins = sum(c["wall_s"] < b["wall_s"] for b, c in zip(runs["base"], runs["change"]))
     return {
         "workload": workload, "seed": seed, "seconds": seconds, "pairs": n_pairs,
