@@ -23,26 +23,23 @@ grid is refined geometrically toward T and the last node is snapped to the
 endpoint with the pre-snap gap recorded as a diagnostic.
 
 Noise is counter-based: each (seed, stream, step) has its own Philox stream,
-so ensembles are bit-reproducible for a given config.  Ornstein-Uhlenbeck and
-the hyperbolic bridge draw each step from its own stream, so a step's draws
-do not depend on which steps were drawn before it.  The Wiener sampler (and
-the flat bridge built on it) draws one (paths, steps, dim) block from
-(seed, 0, 0), so its draws depend on the grid's step count.  In every
-sampler path i's normals follow those of paths 0..i-1, so the first paths of
-a run match a run with fewer paths.  The ziggurat consumes a variable number
-of counter words per normal, so a given (path, step) does not sit at a fixed
-offset.
+so ensembles are bit-reproducible for a given config.  Ornstein-Uhlenbeck
+draws each step from its own stream.  The Wiener sampler (and the flat
+bridge built on it) draws one (paths, steps, dim) block from (seed, 0, 0),
+so its draws depend on the grid's step count.  The hyperbolic bridge draws
+each step of each block of ``_BLOCK`` paths from its own stream.  In every
+sampler path i's normals follow those of the paths before it in its stream,
+so the first paths of a run match a run with fewer paths.
 
-The hyperbolic bridge runs each step on chunks of ``_CHUNK`` paths on a pool
-of ``_WORKERS`` threads, one per available CPU, that lives for the call (the
-CLI's ``--threads`` only runs scenarios side by side).  While a step's chunks
-run, the next step's noise is drawn for all paths as one more task on that
-pool.  The step works path by path, so the bits depend on neither the chunk
-size nor the number of threads.  The path state is kept coordinate-major
-(Fortran order), so a chunk's coordinates are contiguous columns; the step
-is elementwise, so the layout moves no bit either.  It records each path's
-sup distance u = max over nodes of d(y_t, y0) from the distances it computes
-anyway, as the diagnostic array ``sup_distance``.
+The hyperbolic bridge runs on a pool of ``_WORKERS`` threads, one per
+available CPU, for the call (the CLI's ``--threads`` only runs scenarios
+side by side).  Each thread steps one contiguous range of blocks through the
+whole grid, one ``_bridge_step`` call per step, with no barrier between
+steps.  The step works path by path, so the bits depend on neither the
+number of threads nor their scheduling.  The path state is kept
+coordinate-major (Fortran order), so a range's coordinates are contiguous
+columns.  It records each path's sup distance u = max over nodes of
+d(y_t, y0) from the distances it computes anyway, as ``sup_distance``.
 """
 
 from __future__ import annotations
@@ -150,19 +147,20 @@ class TimeGrid:
 # Counter-based noise
 
 
-def step_normals(seed, step, shape, stream=0):
-    """Standard normals from a Philox stream keyed by seed, counter (stream, step).
+def step_normals(seed, step, shape, stream=0, block=None, out=None):
+    """Standard normals from a Philox stream keyed by seed, counter
+    (stream, step, block + 1), or (stream, step, 0) without a block.
 
-    Streams for distinct (stream, step) pairs are disjoint (the low 64-bit
-    counter word would have to overflow to collide).  Normals fill ``shape``
-    in C order, so the leading rows match a call with fewer rows:
-    ``step_normals(9, 3, (1000, 3))[:400]`` equals
+    Distinct counters give disjoint streams (the low 64-bit counter word
+    would have to overflow to collide).  Normals fill ``shape``, or the
+    C-contiguous ``out``, in C order, so the leading rows match a call with
+    fewer rows: ``step_normals(9, 3, (1000, 3))[:400]`` equals
     ``step_normals(9, 3, (400, 3))``.  The ziggurat takes a variable number
-    of counter words per normal, so a row's position in the stream depends on
-    the draws before it.
+    of counter words per normal, so a row's position in its stream depends
+    on the draws before it.
     """
-    bg = np.random.Philox(key=np.uint64(seed), counter=[0, stream, step, 0])
-    return np.random.Generator(bg).standard_normal(shape)
+    bg = np.random.Philox(key=np.uint64(seed), counter=[0, stream, step, 0 if block is None else block + 1])
+    return np.random.Generator(bg).standard_normal(shape, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +282,9 @@ def sample_ou(cfg: SamplerConfig) -> PathEnsemble:
 # ---------------------------------------------------------------------------
 # Hyperbolic bridge
 
-_CHUNK = 8192  # paths per task; the bits do not depend on it
+# paths per noise block: part of the bridge noise's definition, not a tuning
+# knob, since each block draws from its own stream (another size moves the bits)
+_BLOCK = 4096
 # one bridge thread per CPU this process may run on; the bits do not depend on it
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
@@ -294,7 +294,8 @@ def sample_hyperbolic_bridge(cfg: SamplerConfig) -> PathEnsemble:
 
     Per step: tangent increment sqrt(h) P(xi, 0) + h grad log p_{T-t}(y, y0),
     P the parallel transport from the origin to y, then the exponential-map
-    move, all in one closed-form pass per chunk of paths (``_bridge_step``).
+    move, all in one closed-form pass per range of paths (``_bridge_step``);
+    block b's normals at step k are ``step_normals(seed, k, ..., block=b)``.
     The drift's norm is |d/dr log p|, which is clipped at
     drift_cap * (d(y, y0)/(T-t) + 1/sqrt(T-t)) with clip events counted.
     The final node is snapped to y0; pre-snap distances are recorded, and
@@ -320,25 +321,27 @@ def sample_hyperbolic_bridge(cfg: SamplerConfig) -> PathEnsemble:
     points = np.empty((m, nodes.size, n + 1))
     points[:, 0, :] = y
     sup = np.zeros(m)  # running max over nodes of d(y_t, y0); every distance is >= +0
+    n_steps = nodes.size - 1
 
-    def advance(rows, k, xi):
-        # one step for the paths in `rows`, in place; returns the clip count
-        r, clips, _ = _bridge_step(y[rows], y0, xi[rows], nodes[k + 1] - nodes[k], T - nodes[k], cfg.drift_cap,
+    def run(first, last):
+        # blocks first..last-1 through every step, in place; returns the clip count
+        rows = slice(first * _BLOCK, min(last * _BLOCK, m))
+        yr, ur, xi, clips = y[rows], sup[rows], np.empty((rows.stop - rows.start, n)), 0  # yr, ur: views
+        for k in range(n_steps):
+            for i in range(0, len(xi), _BLOCK):
+                step_normals(cfg.seed, k, None, block=first + i // _BLOCK, out=xi[i : i + _BLOCK])
+            r, c, _ = _bridge_step(yr, y0, xi, nodes[k + 1] - nodes[k], T - nodes[k], cfg.drift_cap,
                                    partial(dlog_dr, k))
-        np.maximum(sup[rows], r, out=sup[rows])  # rows is a slice: sup[rows] is a view
-        points[rows, k + 1, :] = y[rows]
+            clips += c
+            np.maximum(ur, r, out=ur)
+            points[rows, k + 1, :] = yr
         return clips
 
-    chunks = [slice(i, i + _CHUNK) for i in range(0, m, _CHUNK)]
-    cap_events = 0
-    n_steps = nodes.size - 1
-    with ThreadPoolExecutor(_WORKERS) as pool:
-        noise = pool.submit(step_normals, cfg.seed, 0, (m, n))
-        for k in range(n_steps):
-            xi = noise.result()
-            if k + 1 < n_steps:  # queued ahead of step k's chunks
-                noise = pool.submit(step_normals, cfg.seed, k + 1, (m, n))
-            cap_events += sum(pool.map(partial(advance, k=k, xi=xi), chunks))
+    n_blocks = -(-m // _BLOCK)
+    workers = min(_WORKERS, n_blocks)
+    bounds = [n_blocks * i // workers for i in range(workers + 1)]
+    with ThreadPoolExecutor(workers) as pool:
+        cap_events = sum(pool.map(run, bounds[:-1], bounds[1:]))
 
     presnap = hyp.dist(points[:, -1, :], y0)
     points[:, -1, :] = y0
@@ -349,12 +352,7 @@ def sample_hyperbolic_bridge(cfg: SamplerConfig) -> PathEnsemble:
         "presnap_gap_median": float(np.median(presnap)),
         "cap_event_fraction": cap_events / (m * n_steps),
     }
-    return PathEnsemble(
-        config=cfg,
-        measure_tag="hyperbolic_bridge",
-        points=points,
-        diagnostics=diagnostics,
-    )
+    return PathEnsemble(config=cfg, measure_tag="hyperbolic_bridge", points=points, diagnostics=diagnostics)
 
 
 def _bridge_step(y, y0, xi, h, t_rem, drift_cap, dlog):

@@ -220,6 +220,13 @@ class TransferResult:
 # Weighted LSI -> weak LSI
 
 
+def _require_finite_levels(a, levels):
+    """``levels`` (cut-off factors or levels at gradient bound a) if all are finite."""
+    if not np.all(np.isfinite(levels)):
+        raise TransferError(f"gradient bound a = {a} is too large: its cut-off levels overflow a float")
+    return levels
+
+
 def _scan_start(cert: WeightedLSICertificate) -> int:
     """Smallest integer level beyond which b is strictly decreasing.
 
@@ -234,6 +241,7 @@ def _scan_start(cert: WeightedLSICertificate) -> int:
     """
     a, C = cert.a, cert.C_exp
     r_star = math.sqrt(cutoff_factor(a, 0.0)) / (2.0 * a)
+    _require_finite_levels(a, [cutoff_factor(a, r_star)])
 
     def T(r):
         return 8.0 * a * a * r / cutoff_factor(a, r)
@@ -258,11 +266,13 @@ def weighted_lsi_to_weak_lsi(cert: WeightedLSICertificate, smooth=False) -> Tran
     ``smooth=True`` the continuous variant beta(s) = 2 r^2 is used, r the root
     of b(r) = s refined from n(s) by bisection to the ulp on the safe side,
     b(r) <= s.
-    Asymptotically beta(s) = Theta(|log s|).
+    Asymptotically beta(s) = Theta(|log s|).  A gradient bound a so large
+    that a cut-off factor or an audited level overflows is rejected.
     """
     n_min = _scan_start(cert)
     params = {"a": cert.a, "C": cert.C_exp, "M": cert.M, "n_min": n_min}
-    b = cutoff_levels(params, np.arange(n_min, n_min + 16))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a TransferError
+        b = _require_finite_levels(cert.a, cutoff_levels(params, np.arange(n_min, n_min + 16)))
     r0 = float(b[0])
     form = "weighted_lsi_smooth" if smooth else "weighted_lsi_scan"
     profile = BetaProfile(family="composed", r0=r0, form=form, params=params)

@@ -487,6 +487,16 @@ def test_tiny_moment_exponent_exits_2_within_seconds(tmp_path, capsys):
     assert "stage 0 (weighted_lsi_to_weak_lsi): moment exponent C_exp = 1e-16 is too small" in err
 
 
+@pytest.mark.parametrize("a", ["1.0e+154", "1.0e+200"])
+def test_huge_gradient_bound_exits_2_naming_a(tmp_path, capsys, a):
+    # the cut-off levels overflow: the stage used to certify beta = 3200 at every s
+    stage = first_stage("weighted_lsi_to_weak_lsi", f"cert: {{a: {a}, C_exp: 1.0}}")
+    cfg = write(tmp_path, "t.yaml", TRANSFER_YAML.replace(OP, stage))
+    assert main(["transfer", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"stage 0 (weighted_lsi_to_weak_lsi): gradient bound a = {float(a)} is too large" in err
+
+
 @pytest.mark.parametrize(
     "old, new, line, key, message",
     [
@@ -633,14 +643,14 @@ def test_threads_flag_merges_deterministically(tmp_path):
 
 
 def test_thread_count_does_not_change_outputs(tmp_path):
-    from pathineq.samplers import _CHUNK
+    from pathineq.samplers import _BLOCK
 
     other = SAMPLE_YAML.replace("tiny-bridge", "other").replace("bridge.pens", "other.pens")
     samples = [write(tmp_path, "s1.yaml", SAMPLE_YAML), write(tmp_path, "s2.yaml", other.replace("99", "7"))]
-    # two bridges of more than one path chunk each: under --threads 2 their chunk pools run side by side
+    # two bridges of more than one path block each: under --threads 2 their block pools run side by side
     for name, seed in (("big-a", 3), ("big-b", 4)):
         big = SAMPLE_YAML.replace("tiny-bridge", name).replace("bridge.pens", f"{name}.pens")
-        big = big.replace("seed: 99", f"seed: {seed}").replace("n_paths: 300", f"n_paths: {_CHUNK + 1000}")
+        big = big.replace("seed: 99", f"seed: {seed}").replace("n_paths: 300", f"n_paths: {_BLOCK + 1000}")
         samples.append(write(tmp_path, f"{name}.yaml", big))
     e2 = ESTIMATE_YAML.replace("bridge-tail", "other-tail").replace("bridge.pens", "other.pens")
     estimates = [write(tmp_path, "e1.yaml", ESTIMATE_YAML), write(tmp_path, "e2.yaml", e2.replace("tail_estimates", "other"))]
@@ -718,8 +728,8 @@ def run_estimate_digest_scenarios(tmp_path, estimates=(GAUSS_ESTIMATE_YAML, H3_E
 ESTIMATE_DIGESTS = {
     "est-gauss.json": "dc7282920179ff867c5bf64a93caebf57f424926b06861e794dc3136f5894a60",
     "est-gauss.rayleigh.csv": "78f34993525869549d0fe91594833a8b045e11cf703332507263d52fcc26179e",
-    "est-h3.json": "789335c7a617ff95ee556fd6cc5431c154abe7eaeea85d07019d12ae54bcd2a7",
-    "est-h3.rayleigh.csv": "9dc693c1a524f944701e055ff40db935cc2d8608ab65d300770f6275c2dc7af8",
+    "est-h3.json": "23b9539e9f199718fd786b46495d4f82ad54bcdcd74e5c5cd5393419089fc729",
+    "est-h3.rayleigh.csv": "f95b2ea642caf1190009c687a9f7e22d247ff2e0f604eb694cb6d00779598d1b",
 }
 
 

@@ -66,6 +66,28 @@ def test_step_normals_deterministic_and_disjoint():
     d = step_normals(124, 0, (100,))
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+    # a block has its own stream, the word after the step: block b is word b + 1, no block word 0
+    blocks = [step_normals(123, 0, (100,), block=b) for b in (0, 1)]
+    assert not np.array_equal(blocks[0], blocks[1]) and not np.array_equal(blocks[0], a)
+    out = np.empty((40, 3))
+    assert step_normals(123, 2, None, block=1, out=out) is out
+    assert np.array_equal(out, step_normals(123, 2, (41, 3), block=1)[:40])
+
+
+def test_flat_and_ou_noise_bits_are_pinned():
+    # only the bridge's blocks set counter word 3; a draw without a block
+    # keeps word 0, so these bits do not depend on the bridge's noise layout
+    assert _digest(step_normals(123, 5, (64, 3))) == "de25b00ca34781b6a05fa8609a8fe093b0c3adeeff6ec5edcd9c8eb0ae2074b1"
+    assert _digest(step_normals(123, 0, (64, 3), stream=1)) == (
+        "ec0b2a3791a4078728a85893e939c588554b9e79c17ab842e271c48d9e280d90"
+    )
+    cfg = SamplerConfig(seed=7, n_paths=50, grid=TimeGrid.uniform(1.0, 8), dim=2)
+    for sampler, want in (
+        (sample_wiener, "d5035ca78d1a58085464160f0cbade540a5148dfbf558e196f704e39a479768f"),
+        (sample_flat_bridge, "b8562442d667d2b7bc6dc0b53db559f1c6b6b2259395baa52f1a8205e9fa56cd"),
+        (sample_ou, "9e07381eacb1cbabcb753dfd947653ca8590b3a322c5cbb440e6c735b3235971"),
+    ):
+        assert _digest(sampler(cfg).points) == want, sampler.__name__
 
 
 def test_sampler_determinism_bit_identical():
@@ -76,9 +98,9 @@ def test_sampler_determinism_bit_identical():
     cfg3 = SamplerConfig(seed=7, n_paths=20, grid=TimeGrid.with_geometric_tail(1.0, 8), dim=3)
     h1, h2 = sample_hyperbolic_bridge(cfg3), sample_hyperbolic_bridge(cfg3)
     assert np.array_equal(h1.points, h2.points)
-    assert _digest(h1.points) == "7aeece8441636dca20e08c6057976e57d1fbbb2ef032e01c0dcbec95c2f4dfcb"
+    assert _digest(h1.points) == "04d57c9b2744760c7a5eee9738cfaf35565474e6cd21e1d6134fd2fbdcc992c1"
     assert _digest(h1.diagnostics["presnap_gap"]) == (
-        "655abd2b2de8bbf59176429805a430be9b5d138c51d032ed925a91d6d4b02169"
+        "1dfe84e4f5b7ac1688c0a6f00e31bd1e0704496178df4cba81ef110e2a0c6d27"
     )
 
 
@@ -240,9 +262,9 @@ def test_hyperbolic_bridge_n2_smoke():
     ens = sample_hyperbolic_bridge(cfg)
     assert np.max(np.abs(hyp.minkowski_dot(ens.points, ens.points) + 1.0)) < 1e-10
     assert ens.diagnostics["presnap_gap_median"] < 0.5
-    assert _digest(ens.points) == "2eafc82a37a96faf3e430442dc13cca93ce899616dbbd4152ea8e91d238ae754"
+    assert _digest(ens.points) == "c430e1267150724418321bf060226e479b514491bd609eae90aeb6598371025d"
     assert _digest(ens.diagnostics["presnap_gap"]) == (
-        "e7ae5bd8dd1de926e7293da9963f988831034114bee65cef33a8a192c9e0f991"
+        "0697580dc50594bd4ef3f623a2c6e6e610d3646aadc534a474144232270ab19b"
     )
 
 
@@ -276,35 +298,49 @@ def test_h2_bridge_marginal_radial_law():
     assert stats.kstest(d_mid, lambda x: np.interp(x, rg, cdf)).statistic < 0.02
 
 
+def _bridge_bits(dim, n_paths):
+    # drift_cap=0.5 makes the clip branch fire in most steps
+    cfg = SamplerConfig(seed=5, n_paths=n_paths, grid=TimeGrid.with_geometric_tail(1.0, 16), dim=dim, drift_cap=0.5)
+    ens = sample_hyperbolic_bridge(cfg)
+    return ens.points, ens.diagnostics
+
+
 @pytest.mark.parametrize("dim", [3, 2], ids=["n3", "n2"])
-def test_bridge_bits_do_not_depend_on_chunks_or_workers(monkeypatch, dim):
+def test_bridge_bits_do_not_depend_on_workers(monkeypatch, dim):
     from pathineq import samplers
 
-    # drift_cap=0.5 makes the clip branch fire in most steps
-    grid = TimeGrid.with_geometric_tail(1.0, 16)
-    cfg = SamplerConfig(seed=5, n_paths=300, grid=grid, dim=dim, drift_cap=0.5)
-    full = samplers._CHUNK  # more than n_paths: one chunk, the whole step at once
+    # 2 B + 7 paths: three blocks, the last one ragged; three workers take one block each
+    n_paths = 2 * samplers._BLOCK + 7
 
-    def run(chunk, workers):
-        monkeypatch.setattr(samplers, "_CHUNK", chunk)
+    def run(workers):
         monkeypatch.setattr(samplers, "_WORKERS", workers)
-        ens = sample_hyperbolic_bridge(cfg)
-        d = ens.diagnostics
-        return ens.points.tobytes(), d["presnap_gap"].tobytes(), d["cap_event_fraction"], d["sup_distance"].tobytes()
+        points, d = _bridge_bits(dim, n_paths)
+        return points.tobytes(), d["presnap_gap"].tobytes(), d["cap_event_fraction"], d["sup_distance"].tobytes()
 
-    # 300 = 42 * 7 + 6 = 4 * 64 + 44: ragged last chunks; one worker runs the
-    # noise prefetch and the chunks in turn
-    runs = {(chunk, workers): run(chunk, workers) for chunk in (full, 64, 7) for workers in (1, 2)}
+    runs = {workers: run(workers) for workers in (1, 2, 3)}
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-4)  # four workers, switching often
+    sys.setswitchinterval(1e-4)  # three workers, switching often
     try:
-        runs[7, 4] = run(7, 4)
+        runs["3, switching"] = run(3)
     finally:
         sys.setswitchinterval(interval)
-    ref = runs[full, 1]
-    assert ref[2] > 0.5
+    assert runs[1][2] > 0.5
     for key, got in runs.items():
-        assert got == ref, key
+        assert got == runs[1], key
+
+
+@pytest.mark.parametrize("dim", [3, 2], ids=["n3", "n2"])
+def test_bridge_prefix_is_the_smaller_ensemble(dim):
+    # a path's noise depends only on its block and its row in it, so the
+    # first B + 3 paths of a three-block run are the two-block run
+    from pathineq import samplers
+
+    n_small = samplers._BLOCK + 3
+    big_points, big = _bridge_bits(dim, 2 * samplers._BLOCK + 7)
+    small_points, small = _bridge_bits(dim, n_small)
+    assert big_points[:n_small].tobytes() == small_points.tobytes()
+    for k in ("presnap_gap", "sup_distance"):
+        assert big[k][:n_small].tobytes() == small[k].tobytes(), k
 
 
 def _off_origin(n, a, b):

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -197,6 +199,18 @@ def test_scan_start_past_the_last_level_is_a_transfer_error():
     for C in (1e-16, 1e-320):
         with pytest.raises(TransferError, match=f"C_exp = {C} is too small"):
             weighted_lsi_to_weak_lsi(WeightedLSICertificate(a=1.0, C_exp=C))
+
+
+@pytest.mark.parametrize("a", [1e153, 1e154, 1e200])
+def test_huge_gradient_bound_is_a_transfer_error(a):
+    # 4 a^2 r^2 + 1/e + 1 overflows: at the scan start r* from a = 1e154 on, at
+    # the audited levels from 1e153; the transfer used to return n_min 1, r0
+    # inf and beta = 3200 at every s
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning on the way
+        with pytest.raises(TransferError, match=re.escape(f"gradient bound a = {a} is too large")):
+            weighted_lsi_to_weak_lsi(WeightedLSICertificate(a=a, C_exp=1.0))
+    assert weighted_lsi_to_weak_lsi(WeightedLSICertificate(a=1e152, C_exp=1.0)).profile.r0 < math.inf
 
 
 def test_weighted_scan_grows_by_doubling_blocks_up_to_its_last_level(monkeypatch):
