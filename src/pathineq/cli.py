@@ -109,13 +109,18 @@ def _emit_profile_csv(out_dir, name, report):
 # sample
 
 
-def _read_point(v, key):
+def _read_point(v, key, size, refusal=None):
+    """None for ``origin``, else ``size`` numbers; a sampler taking no such point gives its ``refusal``."""
     spec = v.get(key, expected=(str, list), required=False, default="origin")
     if isinstance(spec, str):
         if spec != "origin":
             v.fail(key, f"expected 'origin' or a list of numbers, got {spec!r}")
         return None
-    return tuple(float(v.get(f"{key}[{i}]", expected=_NUM)) for i in range(len(spec)))
+    if refusal:
+        v.fail(key, f"{refusal}: {key} must be origin")
+    if len(spec) != size:
+        v.fail(key, f"expected {size} coordinates, got {len(spec)}")
+    return tuple(float(v.get(f"{key}[{i}]", expected=_NUM)) for i in range(size))
 
 
 def _run_sample_scenario(v, out_dir, seed_override=None):
@@ -135,12 +140,13 @@ def _run_sample_scenario(v, out_dir, seed_override=None):
                 "hyperbolic_bridge": sample_hyperbolic_bridge}
     writers = {"binary": save_ensemble, "csv": ensemble_to_csv}
     tag = v.get("sampler", expected=str, choices=samplers)
+    bridge = tag == "hyperbolic_bridge"
     seed = v.get("seed", expected=int)
     n_paths = v.get("n_paths", expected=int)
     if n_paths < 1:
         v.fail("n_paths", "n_paths must be >= 1")
     dim = v.get("dim", expected=int)
-    if dim < 1 or tag == "hyperbolic_bridge" and dim not in (2, 3):
+    if dim < 1 or bridge and dim not in (2, 3):
         v.fail("dim", "dim must be >= 1" if dim < 1 else "the hyperbolic bridge takes dim 2 or 3")
     T = v.get("T", expected=_NUM)
     if not T > 0:
@@ -156,7 +162,9 @@ def _run_sample_scenario(v, out_dir, seed_override=None):
     floor = v.get("grid.tail.floor", expected=_NUM, required=False)
     if floor is not None and not floor > 0:
         v.fail("grid.tail.floor", "tail floor must be positive")
-    x0, y0 = _read_point(v, "x0"), _read_point(v, "y0")
+    size = dim + 1 if bridge else dim  # a point of R^dim, or of the hyperboloid in R^(dim+1)
+    x0 = _read_point(v, "x0", size, tag == "ou" and "the ou sampler starts from its stationary law")
+    y0 = _read_point(v, "y0", size, not bridge and f"the {tag} sampler takes no end point")
     drift_cap = v.get("drift_cap", expected=_NUM, required=False)
     if drift_cap is not None and not drift_cap > 0:
         v.fail("drift_cap", "drift_cap must be positive")
@@ -164,7 +172,7 @@ def _run_sample_scenario(v, out_dir, seed_override=None):
     out_path = os.path.join(out_dir, v.get("out", expected=str))
     v.reject_unread("", "grid", "grid.tail")
 
-    if tag == "hyperbolic_bridge" or tailed:
+    if bridge or tailed:
         tail = {k: x for k, x in (("lam", lam), ("floor", floor)) if x is not None}
         try:
             grid = TimeGrid.with_geometric_tail(float(T), n_steps, **tail)

@@ -69,13 +69,24 @@ def cutoff_levels(params, n):
     weight root (params a, levels, m) they are q(n) = cutoff_factor(a, n)
     sqrt(m(n-1)), since the estimate consumes sqrt(mu(u > n-1)).  beta(s) =
     2 n(s)^2 for the smallest level n whose cut-off level is <= s.
+
+    b(n) is that product where the exponential is a normal float and factor * M is finite; elsewhere it
+    would read 0 or NaN, and is exp of the sum of the logs (log factor = 2 log(2 a n) where it overflows).
     """
-    c = cutoff_factor(params["a"], n)
     if "m" in params:
-        return c * np.sqrt(_step_left(*_tail_arrays(params["levels"], params["m"]), n - 1.0))
+        m = _step_left(*_tail_arrays(params["levels"], params["m"]), n - 1.0)
+        return cutoff_factor(params["a"], n) * np.sqrt(m)
     d = n - 1.0
     z = -0.5 * params["C"] * (d * d)  # d * d: a float's ** 2 can differ from an array's by an ulp
-    return c * params["M"] * _elementwise(math.exp, z)
+    e = _elementwise(math.exp, z)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        c = cutoff_factor(params["a"], n)
+        b = c * params["M"] * e
+        far = ~np.isfinite(c * params["M"]) | (e < np.finfo(float).tiny)  # below the smallest normal float
+        if far.any():
+            log_c = np.where(np.isfinite(c), np.log(c), 2.0 * (np.log(2.0 * params["a"]) + np.log(n)))
+            b[far] = np.exp(log_c + math.log(params["M"]) + z)[far]
+    return b
 
 
 def bisect(above, lo, hi):

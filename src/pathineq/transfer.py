@@ -25,10 +25,9 @@ constraint; nothing is ever clamped to fake a certificate.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.special import polygamma
@@ -143,7 +142,7 @@ class DyadicParams:
 
 
 # ---------------------------------------------------------------------------
-# The three dyadic constants
+# The three dyadic constants, of one parameter point or of arrays of them
 
 
 def c1(params: DyadicParams, C: float) -> float:
@@ -153,13 +152,13 @@ def c1(params: DyadicParams, C: float) -> float:
     which is attained at n = 0 when A >= e (log x / x decreasing).
     """
     d, A = params.delta, params.A
-    bracket = 1.0 + 1.0 / A + math.log(A) / (A * math.log(d))
+    bracket = 1.0 + 1.0 / A + np.log(A) / (A * np.log(d))
     return C * d * d * (d + 1.0) / (d - 1.0) * bracket
 
 
 def c2(params: DyadicParams, C: float) -> float:
     """First-chunk constant: C log(delta0^2 delta^2 / epsilon) / log 2."""
-    return C * math.log(params.delta0**2 * params.delta**2 / params.epsilon) / _LOG2
+    return C * np.log(params.delta0**2 * params.delta**2 / params.epsilon) / _LOG2
 
 
 def c3(params: DyadicParams) -> float:
@@ -169,7 +168,7 @@ def c3(params: DyadicParams) -> float:
     for every ``DyadicParams``).
     """
     d, A = params.delta, params.A
-    return (d * d - 1.0) / (4.0 * math.log(d)) / (A - 1.0) ** 2 + params.epsilon / _LOG2
+    return (d * d - 1.0) / (4.0 * np.log(d)) / (A - 1.0) ** 2 + params.epsilon / _LOG2
 
 
 # ---------------------------------------------------------------------------
@@ -266,13 +265,12 @@ def weighted_lsi_to_weak_lsi(cert: WeightedLSICertificate, smooth=False) -> Tran
     ``smooth=True`` the continuous variant beta(s) = 2 r^2 is used, r the root
     of b(r) = s refined from n(s) by bisection to the ulp on the safe side,
     b(r) <= s.
-    Asymptotically beta(s) = Theta(|log s|).  A gradient bound a so large
-    that a cut-off factor or an audited level overflows is rejected.
+    Asymptotically beta(s) = Theta(|log s|).  A gradient bound a whose cut-off
+    factor at the scan start, or an audited level, overflows is rejected.
     """
     n_min = _scan_start(cert)
     params = {"a": cert.a, "C": cert.C_exp, "M": cert.M, "n_min": n_min}
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a TransferError
-        b = _require_finite_levels(cert.a, cutoff_levels(params, np.arange(n_min, n_min + 16)))
+    b = _require_finite_levels(cert.a, cutoff_levels(params, np.arange(n_min, n_min + 16)))
     r0 = float(b[0])
     form = "weighted_lsi_smooth" if smooth else "weighted_lsi_scan"
     profile = BetaProfile(family="composed", r0=r0, form=form, params=params)
@@ -390,47 +388,34 @@ def weak_lsi_to_poincare(
 
 
 def poincare_objective(params: DyadicParams, C: float = 1.0) -> float:
-    """(C1 + C2) / (1 - C3); exactly linear in C since C3 carries no C."""
+    """(C1 + C2) / (1 - C3), exactly linear in C since C3 carries no C; of one
+    point or of arrays of points (the search's), any with C3 >= 1 an error."""
     C3 = c3(params)
-    if C3 >= 1:
-        raise TransferError(f"infeasible: C3 = {C3} >= 1")
+    if (C3 >= 1).any():
+        raise TransferError(f"infeasible: C3 = {np.max(C3)} >= 1")
     C1, C2 = c1(params, C), c2(params, C)
     return (C1 + C2) / (1.0 - C3)
 
 
-def _screen_point(ld, A, le):
-    """(objective, r, r_n(0)) at C = 1 of a point in log-space coordinates
-    ld = log(delta), le = log(epsilon); (inf, inf, inf) where no r0 makes it
-    feasible.  r0 enters only as ``r < r0`` and ``r_n(0) < r0``."""
-    d = math.exp(ld)
-    eps = math.exp(le)
-    if not (1.0 < d <= 4.0 and A > math.e and 0 < eps < 1):
-        return math.inf, math.inf, math.inf
-    d0 = d**A
-    if not (d < d0 <= 2.0**20):
-        return math.inf, math.inf, math.inf
-    try:
-        p = DyadicParams(delta0=d0, delta=d, epsilon=eps, A=A).validate()
-        return poincare_objective(p), p.r, p.r_n(0)
-    except TransferError:
-        return math.inf, math.inf, math.inf
+class _Points(SimpleNamespace):
+    """Arrays delta0, delta, epsilon, A, unvalidated, with ``DyadicParams``' r and r_n."""
+
+    r = DyadicParams.r
+    r_n = DyadicParams.r_n
 
 
-@functools.lru_cache(maxsize=4)
-def _coarse_screen(n_side):
-    """The coarse grid's three axes and, flat in loop order (ld, then A, then
-    le), read-only arrays of the objective, r and r_n(0) at every point."""
-    axes = (
-        np.linspace(math.log(1.02), math.log(4.0), n_side),
-        np.linspace(math.e + 0.01, 40.0, n_side),
-        np.linspace(math.log(1e-4), math.log(0.9), n_side),
-    )
-    screen = np.empty((3, n_side**3))
-    for i, point in enumerate(itertools.product(*axes)):
-        screen[:, i] = _screen_point(*point)
-    for a in (*axes, screen):
-        a.flags.writeable = False
-    return axes, screen
+def _search_objective(ld, A, le, r0):
+    """The objective at C = 1 of the search points ld = log(delta), A, le =
+    log(epsilon), arrays of one shape; inf outside the search box and where a
+    point is infeasible at r0 (C3 >= 1, r >= r0 or r_n(0) >= r0)."""
+    d = np.exp(ld)
+    p = _Points(delta0=d**A, delta=d, epsilon=np.exp(le), A=A)
+    with np.errstate(divide="ignore", invalid="ignore"):  # outside the box C3 may divide by log 1 or (A - 1)^2 = 0
+        ok = ((1.0 < d) & (d <= 4.0) & (A > math.e) & (0 < p.epsilon) & (p.epsilon < 1) & (d < p.delta0)
+              & (p.delta0 <= 2.0**20) & (c3(p) < 1) & (p.r < r0) & (p.r_n(0) < r0))
+    out = np.full(ok.shape, math.inf)
+    out[ok] = poincare_objective(_Points(**{k: v[ok] for k, v in vars(p).items()}))
+    return out
 
 
 def optimize_dyadic_params(C: float, r0: float, budget: int = 10_000) -> DyadicParams:
@@ -442,11 +427,10 @@ def optimize_dyadic_params(C: float, r0: float, budget: int = 10_000) -> DyadicP
     (0, 1).  A is kept >= e so the closed-form C1 genuinely bounds the
     supremum it replaces.  Raises if no feasible point exists in the box.
 
-    At C = 1 the coarse grid's objective does not depend on r0, which only
-    masks feasibility (``r < r0`` and ``r_n(0) < r0``): the grid is screened
-    once per process and grid size (:func:`_coarse_screen`), and each call
-    masks it and takes the first strict minimum in loop order.  The descent
-    counts the grid's points against ``budget`` as if it had evaluated them.
+    The coarse grid, whose first strict minimum in loop order (ld, A, le)
+    starts the descent, and each 15-point line search are one array
+    evaluation of :func:`poincare_objective` each.  The chosen point alone is
+    validated at r0; the published constants are recomputed from it.
     """
     _require_finite("C", C)
     _require_finite("r0", r0)
@@ -456,35 +440,29 @@ def optimize_dyadic_params(C: float, r0: float, budget: int = 10_000) -> DyadicP
     if budget < 100:
         raise TransferError("budget too small to search")
 
-    def try_point(ld, A, le):
-        nonlocal evals
-        evals += 1
-        v, r, rn0 = _screen_point(ld, A, le)
-        return v if r < r0 and rn0 < r0 else math.inf
-
     n_side = max(4, int((0.6 * budget) ** (1.0 / 3.0)))
-    axes, (obj, r, rn0) = _coarse_screen(n_side)
+    axes = (
+        np.linspace(math.log(1.02), math.log(4.0), n_side),
+        np.linspace(math.e + 0.01, 40.0, n_side),
+        np.linspace(math.log(1e-4), math.log(0.9), n_side),
+    )
+    screen = _search_objective(*np.meshgrid(*axes, indexing="ij"), r0).ravel()
     evals = n_side**3
-    masked = np.where((r < r0) & (rn0 < r0), obj, math.inf)
-    k = int(np.argmin(masked))
-    if not masked[k] < math.inf:
+    k = int(np.argmin(screen))
+    if not screen[k] < math.inf:
         raise TransferError("no feasible dyadic parameters in the search box")
 
     # coordinate descent with shrinking brackets, from the grid's own coordinates
     x = [ax[i] for ax, i in zip(axes, np.unravel_index(k, (n_side,) * 3))]
-    fbest = masked[k]
+    fbest = screen[k]
     widths = [0.5, 8.0, 1.5]
     while evals + 16 <= budget and max(widths) > 1e-7:
         for i in range(3):
             if evals + 16 > budget:
                 break
-            lo, hi = x[i] - widths[i], x[i] + widths[i]
-            grid = np.linspace(lo, hi, 15)
-            vals = []
-            for g in grid:
-                y = list(x)
-                y[i] = g
-                vals.append(try_point(*y))
+            grid = np.linspace(x[i] - widths[i], x[i] + widths[i], 15)
+            vals = _search_objective(*(grid if j == i else np.full(15, x[j]) for j in range(3)), r0)
+            evals += 15
             j = int(np.argmin(vals))
             if vals[j] < fbest:
                 fbest = vals[j]

@@ -577,6 +577,40 @@ def test_bad_dim_names_file_and_line(tmp_path, capsys, sampler, dim, message):
     assert not list(tmp_path.glob("out/*.pens"))
 
 
+@pytest.mark.parametrize(
+    "sampler, key, point, message",
+    [
+        # the ou paths used to start from the stationary law whatever x0 said
+        ("ou", "x0", "[5.0, 0, 0]", "the ou sampler starts from its stationary law: x0 must be origin"),
+        # y0 used to be hashed into the ensemble and never used
+        ("wiener", "y0", "[0, 0, 0]", "the wiener sampler takes no end point: y0 must be origin"),
+        ("flat_bridge", "y0", "[1, 0, 0]", "the flat_bridge sampler takes no end point: y0 must be origin"),
+        ("ou", "y0", "[0, 0, 0]", "the ou sampler takes no end point: y0 must be origin"),
+        # numpy's broadcast error used to name no key
+        ("wiener", "x0", "[1.0, 2.0]", "expected 3 coordinates, got 2"),
+        # a point of H^3 has dim + 1 = 4 coordinates
+        ("hyperbolic_bridge", "x0", "[0, 0, 1]", "expected 4 coordinates, got 3"),
+        ("hyperbolic_bridge", "y0", "[0, 0, 0, 1, 0]", "expected 4 coordinates, got 5"),
+    ],
+    ids=["ou_x0", "wiener_y0", "flat_bridge_y0", "ou_y0", "wiener_x0_length", "bridge_x0_length", "bridge_y0_length"],
+)
+def test_bad_start_or_end_point_names_file_and_key(tmp_path, capsys, sampler, key, point, message):
+    sample = SAMPLE_YAML.replace("hyperbolic_bridge", sampler).replace(f"{key}: origin", f"{key}: {point}")
+    assert main(["sample", "--config", write(tmp_path, "s.yaml", sample), "--out", str(tmp_path / "out")]) == 2
+    line = {"x0": 10, "y0": 11}[key]
+    assert f"s.yaml:{line}: {key}: {message}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("out/*.pens"))
+
+
+def test_start_point_of_a_flat_sampler_is_taken(tmp_path):
+    from pathineq.samplers import load_ensemble
+
+    sample = SAMPLE_YAML.replace("hyperbolic_bridge", "wiener").replace("x0: origin", "x0: [1.0, -2.0, 0.5]")
+    out = tmp_path / "out"
+    assert main(["sample", "--config", write(tmp_path, "s.yaml", sample), "--out", str(out)]) == 0
+    assert load_ensemble(str(out / "bridge.pens")).points[:, 0, :].tolist() == [[1.0, -2.0, 0.5]] * 300
+
+
 # a 1-d Wiener ensemble on the grid 0, 0.25, 0.5, 0.75, 1
 WIENER_4_YAML = (SAMPLE_YAML.replace("hyperbolic_bridge", "wiener").replace("dim: 3", "dim: 1")
                  .replace("n_steps: 16", "n_steps: 4").replace("  tail: {lam: 0.5, floor: 1.0e-6}\n", ""))

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pathineq import profiles, transfer
@@ -201,16 +201,56 @@ def test_scan_start_past_the_last_level_is_a_transfer_error():
             weighted_lsi_to_weak_lsi(WeightedLSICertificate(a=1.0, C_exp=C))
 
 
-@pytest.mark.parametrize("a", [1e153, 1e154, 1e200])
+@pytest.mark.parametrize("a", [1e154, 1e200])
 def test_huge_gradient_bound_is_a_transfer_error(a):
-    # 4 a^2 r^2 + 1/e + 1 overflows: at the scan start r* from a = 1e154 on, at
-    # the audited levels from 1e153; the transfer used to return n_min 1, r0
+    # 4 a^2 r^2 + 1/e + 1 overflows at the scan start r* from a = 1e154 on, and
+    # so does the first level b(n_min); the transfer used to return n_min 1, r0
     # inf and beta = 3200 at every s
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no overflow warning on the way
         with pytest.raises(TransferError, match=re.escape(f"gradient bound a = {a} is too large")):
             weighted_lsi_to_weak_lsi(WeightedLSICertificate(a=a, C_exp=1.0))
-    assert weighted_lsi_to_weak_lsi(WeightedLSICertificate(a=1e152, C_exp=1.0)).profile.r0 < math.inf
+    assert weighted_lsi_to_weak_lsi(WeightedLSICertificate(a=1e153, C_exp=1.0)).profile.r0 < math.inf
+
+
+def log_b_oracle(r, a, C, M):
+    # log b(r) without forming b(r): 4 a^2 r^2 may overflow and exp(-(C/2)(r-1)^2) underflow
+    return 2.0 * math.log(2.0 * a * r) + math.log1p((INV_E + 1.0) / (2.0 * a * r) / (2.0 * a * r)) + math.log(M) \
+        - 0.5 * C * (r - 1.0) ** 2
+
+
+@pytest.mark.parametrize(
+    "a, C, want",
+    [(1e100, 1.0, (4050.0, 5000.0)), (1e150, 1e-5, (468_853_442.0, 561_058_002.0)), (1e153, 1.0, None)],
+    ids=["a1e100", "a1e150", "a1e153"],
+)
+def test_levels_past_the_float_range_keep_the_certificate(a, C, want):
+    # the levels used to be formed as a product, 0 (or inf * 0 = NaN) once the
+    # exponential underflowed: beta(1e-200) read 3200 for a = 1e100.  At
+    # a = 1e153 the factor overflows from the audited levels on, which were
+    # rejected as inf though b(n) is finite there
+    s = np.array([1e-200, 1e-250, 1e-300])
+    cert = WeightedLSICertificate(a=a, C_exp=C)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = [weighted_lsi_to_weak_lsi(cert, smooth=sm) for sm in (False, True)]
+        got_scan, got_smooth = (res.profile.tabulate(s) for res in results)
+    n_min = results[0].profile.params["n_min"]
+    for res in results:
+        assert not np.isnan(res.profile._cache["min"]).any()
+        for n in range(n_min, n_min + 16):
+            assert math.log(res.audit_value(f"b({n})")) == pytest.approx(log_b_oracle(n, a, C, 1.0), rel=1e-12)
+    for si, beta_scan, beta_smooth in zip(s, got_scan, got_smooth):
+        n = n_min  # b decreases from n_min on: the first level at or below s
+        while log_b_oracle(n, a, C, 1.0) > math.log(si):
+            n += 1
+        assert beta_scan == 2.0 * n * n
+        lo, hi = max(n - 1.0, n_min), float(n)  # the root of log b(r) = log s
+        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+            lo, hi = (lo, mid) if log_b_oracle(mid, a, C, 1.0) <= math.log(si) else (mid, hi)
+        assert beta_smooth == pytest.approx(2.0 * hi * hi, rel=1e-12)
+    if want is not None:
+        assert (got_scan[0], got_scan[2]) == want
 
 
 def test_weighted_scan_grows_by_doubling_blocks_up_to_its_last_level(monkeypatch):
@@ -490,8 +530,8 @@ def test_optimizer_no_feasible_point():
 
 
 def _reference_optimize(C, r0, budget):
-    """The optimizer as one scalar call per grid point: the oracle of the cached
-    coarse screen (range checks of C, r0 and budget left to the real one)."""
+    """The optimizer as one scalar call per search point: the oracle of the
+    array search (range checks of C, r0 and budget left to the real one)."""
     evals = 0
 
     def try_point(ld, A, le):
@@ -548,42 +588,79 @@ def _reference_optimize(C, r0, budget):
     return DyadicParams(delta0=math.exp(ld) ** A, delta=math.exp(ld), epsilon=math.exp(le), A=A).validate(r0)
 
 
-def _fields_or_error(f, *args):
-    # repr names the scalar type (np.float64(...) or a bare float) and round-trips its bits
+def _optimize_or_error(C, r0, budget, f=optimize_dyadic_params):
     try:
-        p = f(*args)
+        return f(C, r0, budget)
     except TransferError as exc:
-        return "TransferError", str(exc)
-    return tuple(repr(getattr(p, name)) for name in ("delta0", "delta", "epsilon", "A"))
+        return str(exc)
 
 
 @pytest.mark.parametrize("budget", [1000, 3000, 10_000])
 def test_coarse_screen_matches_the_scalar_loop(budget):
-    # 1e-20 and 1e-18 admit no point of the box; the shuffled order and the
-    # cleared cache show that whichever r0 comes first, the screen is the same
+    # 1e-20 and 1e-18 admit no point of the box.  numpy's exp and power may
+    # differ from libm's in the last bit, so the array search may pick another
+    # point than the scalar loop, but never a worse one
     cases = [(C, float(r0)) for C in (1.0, 3.7) for r0 in (1e-20, 1e-18, *np.geomspace(1e-6, 5.0, 40))]
     order = np.random.default_rng(budget).permutation(len(cases))
-    transfer._coarse_screen.cache_clear()
     infeasible = 0
-    for n, idx in enumerate(order):
+    for idx in order:
         C, r0 = cases[idx]
-        want = _fields_or_error(_reference_optimize, C, r0, budget)
-        assert _fields_or_error(optimize_dyadic_params, C, r0, budget) == want, (C, r0)
-        if n == 0:  # the cold call filled the cache; a second cold call must agree with the warm one
-            transfer._coarse_screen.cache_clear()
-            assert _fields_or_error(optimize_dyadic_params, C, r0, budget) == want, (C, r0)
-        infeasible += want[0] == "TransferError"
+        want = _optimize_or_error(C, r0, budget, f=_reference_optimize)
+        got = _optimize_or_error(C, r0, budget)
+        if isinstance(want, str):
+            assert got == want, (C, r0)
+            infeasible += 1
+            continue
+        assert isinstance(got, DyadicParams), (C, r0, got)
+        got.validate(r0)
+        assert poincare_objective(got, C) <= poincare_objective(want, C) * (1 + 1e-12), (C, r0)
     assert infeasible == 4
-    assert transfer._coarse_screen.cache_info().currsize == 1
 
 
-def test_coarse_screen_arrays_are_read_only():
-    axes, screen = transfer._coarse_screen(18)
-    assert screen.shape == (3, 18**3)
-    for a in (*axes, screen):
-        assert not a.flags.writeable
-    with pytest.raises(ValueError):
-        screen[0, 0] = 0.0
+def _in_box_point(ld_frac, A_frac, le_frac):
+    """A search point (ld, A, le) at fractions of the search box, whose edge
+    delta0 = delta^A <= 2^20 bounds A by 20 log 2 / ld."""
+    lo, hi = math.log(1.02), math.log(4.0)
+    ld = lo + ld_frac * (hi - lo)
+    A_hi = min(40.0, 20.0 * math.log(2.0) / ld)
+    return ld, math.e + A_frac * (A_hi - math.e), math.log(1e-4) + le_frac * (math.log(0.9) - math.log(1e-4))
+
+
+def _far_from(x, edge):
+    return abs(x - edge) >= 1e-9 * abs(edge)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    fracs=st.tuples(*[st.floats(1e-8, 1.0 - 1e-8)] * 3),
+    r0=st.floats(math.log(1e-6), math.log(5.0)).map(math.exp),
+)
+def test_search_objective_is_the_objective_at_each_point(fracs, r0):
+    ld, A, le = _in_box_point(*fracs)
+    d, eps = math.exp(ld), math.exp(le)
+    p = DyadicParams(delta0=d**A, delta=d, epsilon=eps, A=A)
+    assume(_far_from(d, 4.0) and _far_from(p.delta0, 2.0**20))
+    assume(_far_from(c3(p), 1.0) and _far_from(p.r, r0) and _far_from(p.r_n(0), r0))
+    got = transfer._search_objective(np.array([ld]), np.array([A]), np.array([le]), r0)
+    assert got.shape == (1,)
+    try:
+        p.validate(r0)
+    except TransferError:
+        assert got[0] == math.inf
+    else:
+        assert got[0] == pytest.approx(poincare_objective(p), rel=1e-12, abs=0)
+
+
+def test_poincare_objective_of_arrays_rejects_any_infeasible_point():
+    def paper_points(epsilon):  # PAPER_PARAMS at each epsilon
+        k = len(epsilon)
+        return transfer._Points(delta0=np.full(k, 2.0**4.5), delta=np.full(k, 2.0**0.5), epsilon=np.array(epsilon),
+                                A=np.full(k, 9.0))
+
+    with pytest.raises(TransferError, match="infeasible: C3 = "):
+        poincare_objective(paper_points([0.125, 0.9]))  # C3 >= 1 at epsilon 0.9 only
+    got = poincare_objective(paper_points([0.125]), 2.0)
+    assert got.shape == (1,) and got[0] == pytest.approx(poincare_objective(PAPER_PARAMS, 2.0), rel=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,10 @@ runs first alternating: the ``transfer.optimize_dyadic_params`` calls of its
 one, and ``config.load_config`` over the 48 configs.  Once per side it also
 runs the optimizer at 200 seeded random (C, r0) and digests the fields of
 every result (their reprs, so the scalar types count) or its error, and the
-loaded configs; the record says whether the sides agree bit for bit.
+loaded configs; the record says whether the sides agree bit for bit, in how
+many cases the fields (or the error) differ, and by how much the change's
+objective ``poincare_objective`` lies at most below and at most above the
+base's in those cases, relative to the base's.
 ``pairs`` runs ``perfbench/run.py --trace 0 --seconds S``, S being
 ``run_seconds`` in ``BENCHMARK.json``, in the ``--base`` checkout and in this
 one, pair by pair, with the side that runs first alternating.  It records
@@ -246,14 +249,15 @@ def optimizer_repeat(src, cfg_dir, agree):
 
     sys.path.insert(0, str(src))
     from pathineq.config import load_config
-    from pathineq.transfer import TransferError, optimize_dyadic_params
+    from pathineq.transfer import TransferError, optimize_dyadic_params, poincare_objective
 
-    def fields(*args):
+    def fields(C, r0, budget):
+        """The result's fields (their reprs) and its objective at C, or the error and None."""
         try:
-            p = optimize_dyadic_params(*args)
+            p = optimize_dyadic_params(C, r0, budget)
         except TransferError as exc:
-            return f"TransferError: {exc}"
-        return [repr(getattr(p, k)) for k in ("delta0", "delta", "epsilon", "A")]
+            return f"TransferError: {exc}", None
+        return [repr(getattr(p, k)) for k in ("delta0", "delta", "epsilon", "A")], float(poincare_objective(p, C))
 
     paths = sorted(Path(cfg_dir).glob("*.yaml"))
     t = time.perf_counter()
@@ -271,7 +275,8 @@ def optimizer_repeat(src, cfg_dir, agree):
         rng = np.random.default_rng(20090)
         cases = zip(np.exp(rng.uniform(math.log(0.25), math.log(8.0), AGREE_CASES)),
                     np.exp(rng.uniform(math.log(1e-6), math.log(5.0), AGREE_CASES)))
-        results = [fields(float(C), float(r0), 10_000) for C, r0 in cases]
+        out["cases"] = [fields(float(C), float(r0), 10_000) for C, r0 in cases]
+        results = [f for f, _ in out["cases"]]
         out["params_sha256"] = hashlib.sha256(json.dumps(results).encode()).hexdigest()
         out["infeasible"] = sum(isinstance(r, str) for r in results)
         out["configs_sha256"] = hashlib.sha256(json.dumps(loaded).encode()).hexdigest()
@@ -289,6 +294,9 @@ def optimizer(base, seed, repeats):
             "optimizer-repeat", checkout, "--cfg", str(Path(tmp) / "cfg"), *["--agree"] * (i == 0)))
     digests = {side: {k: rs[0][k] for k in ("params_sha256", "configs_sha256", "infeasible")}
                for side, rs in runs.items()}
+    # the cases whose fields differ, and by how much the change's objective lies below or above the base's
+    moved = [(b, c) for b, c in zip(runs["base"][0].pop("cases"), runs["change"][0].pop("cases")) if b[0] != c[0]]
+    rel = [(c[1] - b[1]) / b[1] for b, c in moved if b[1] is not None and c[1] is not None]
     timed = ("optimizer_cold_s", "optimizer_warm_s", "load_config_s")
     return {
         "unit": "s", "seed": seed, "repeats": repeats, "agree_cases": AGREE_CASES,
@@ -296,6 +304,9 @@ def optimizer(base, seed, repeats):
         "commits": {"base": _commit(base), "change": _commit(ROOT)},
         "params_agree": digests["base"]["params_sha256"] == digests["change"]["params_sha256"],
         "configs_agree": digests["base"]["configs_sha256"] == digests["change"]["configs_sha256"],
+        "params_differ_cases": len(moved),
+        "objective_rel_below_base_max": max((-x for x in rel), default=0.0),
+        "objective_rel_above_base_max": max(rel, default=0.0),
         "sha256": digests,
         "results": {side: {k: _summary([r[k] for r in rs]) for k in timed} for side, rs in runs.items()},
     }
