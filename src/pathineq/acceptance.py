@@ -11,7 +11,6 @@ involved; hard tolerances come from closed-form or quadrature oracles.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import os
 import time
@@ -21,6 +20,7 @@ import numpy as np
 from scipy import stats
 
 from . import hyperbolic as hyp
+from . import jsontext
 from .estimators import (
     coordinate_function,
     exp_half_function,
@@ -160,8 +160,7 @@ def criterion_a1(out_dir=None):
         "C3": res.audit_value("C3"),
     }
     if out_dir:
-        with open(os.path.join(out_dir, "a1_transfer.json"), "w") as fh:
-            json.dump(res.to_dict(), fh, indent=1)
+        jsontext.write(os.path.join(out_dir, "a1_transfer.json"), res.to_dict())
     return ok, details
 
 
@@ -429,17 +428,12 @@ def criterion_a10(out_dir=None):
     nonincreasing = bool(np.all(np.diff(alpha) <= 0))
 
     if out_dir:
-        with open(os.path.join(out_dir, "a10_pipeline.json"), "w") as fh:
-            json.dump(
-                {
-                    "tail": tail.to_dict(),
-                    "weak_lsi": res_wl.to_dict(),
-                    "weak_poincare": res_wp.to_dict(),
-                    "alpha_profile": {"s": list(grid), "alpha": list(alpha)},
-                },
-                fh,
-                indent=1,
-            )
+        jsontext.write(os.path.join(out_dir, "a10_pipeline.json"), {
+            "tail": tail.to_dict(),
+            "weak_lsi": res_wl.to_dict(),
+            "weak_poincare": res_wp.to_dict(),
+            "alpha_profile": {"s": list(grid), "alpha": list(alpha)},
+        })
 
     ok = slope_ok and finite and nonincreasing
     return ok, {

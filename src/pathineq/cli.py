@@ -18,7 +18,7 @@ format of the samplers module.
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import os
 import sys
 import time
@@ -26,6 +26,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from . import jsontext
 from .config import ConfigError, Validator, load_config
 
 REPORT_SCHEMA_VERSION = "pathineq.runreport.v1"
@@ -65,10 +66,7 @@ def _report(command, scenarios, t0):
 
 
 def _write_report(report, out_dir, name):
-    path = os.path.join(out_dir, name)
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=1, sort_keys=True)
-    return path
+    return jsontext.write(os.path.join(out_dir, name), report, sort_keys=True)
 
 
 def _out_dir(args):
@@ -86,31 +84,26 @@ def _run_transfer_scenario(v, out_dir):
     results = run_transfer_pipeline(v.data, base_dir=os.path.dirname(os.path.abspath(v.file)))
     report = pipeline_report(results, **report_options)
     name = v.data["name"]
-    out_json = os.path.join(out_dir, f"{name}.transfer.json")
-    with open(out_json, "w") as fh:
-        json.dump({"name": name, "stages": report}, fh, indent=1)
-    _emit_profile_csv(out_dir, name, report)
-    return {"outputs": [out_json], "final_kind": results[-1].kind}
-
-
-def _emit_profile_csv(out_dir, name, report):
-    # CSV series for plotting elsewhere (profiles only; no plots here)
+    # each table's floats are rendered once, for its JSON and its CSV series (for plotting elsewhere)
     for i, stage in enumerate(report):
-        tab = stage.get("tabulated") or {}
-        if "s" not in tab:
-            continue
-        ycol = "alpha" if "alpha" in tab else "beta"
-        path = os.path.join(out_dir, f"{name}.stage{i}.{ycol}.csv")
-        with open(path, "w") as fh:
-            fh.write(f"s,{ycol}\n" + "".join(f"{s!r},{v!r}\n" for s, v in zip(tab["s"], tab[ycol])))
+        tab = stage.get("tabulated", {})
+        if "s" in tab:
+            ycol = "alpha" if "alpha" in tab else "beta"
+            s, y = (list(map(float.__repr__, tab[k])) for k in ("s", ycol))
+            with open(os.path.join(out_dir, f"{name}.stage{i}.{ycol}.csv"), "w") as fh:
+                fh.write(f"s,{ycol}\n" + "".join([f"{a},{b}\n" for a, b in zip(s, y)]))
+            stage["tabulated"] = {"s": jsontext.Rendered(s), ycol: jsontext.Rendered(y)}
+    out_json = jsontext.write(os.path.join(out_dir, f"{name}.transfer.json"), {"name": name, "stages": report})
+    return {"outputs": [out_json], "final_kind": results[-1].kind}
 
 
 # ---------------------------------------------------------------------------
 # sample
 
 
-def _read_point(v, key, size, refusal=None):
-    """None for ``origin``, else ``size`` numbers; a sampler taking no such point gives its ``refusal``."""
+def _read_point(v, key, size, check, refusal=None):
+    """None for ``origin``, else ``size`` numbers; a sampler taking no such point gives its ``refusal``,
+    and ``check(key, point)`` what is wrong with a point it cannot take (None if nothing)."""
     spec = v.get(key, expected=(str, list), required=False, default="origin")
     if isinstance(spec, str):
         if spec != "origin":
@@ -120,7 +113,11 @@ def _read_point(v, key, size, refusal=None):
         v.fail(key, f"{refusal}: {key} must be origin")
     if len(spec) != size:
         v.fail(key, f"expected {size} coordinates, got {len(spec)}")
-    return tuple(float(v.get(f"{key}[{i}]", expected=_NUM)) for i in range(size))
+    point = tuple(float(v.get(f"{key}[{i}]", expected=_NUM)) for i in range(size))
+    fault = check(key, point)
+    if fault:
+        v.fail(key, fault)
+    return point
 
 
 def _run_sample_scenario(v, out_dir, seed_override=None):
@@ -129,6 +126,7 @@ def _run_sample_scenario(v, out_dir, seed_override=None):
         SamplerError,
         TimeGrid,
         ensemble_to_csv,
+        point_error,
         sample_flat_bridge,
         sample_hyperbolic_bridge,
         sample_ou,
@@ -163,8 +161,9 @@ def _run_sample_scenario(v, out_dir, seed_override=None):
     if floor is not None and not floor > 0:
         v.fail("grid.tail.floor", "tail floor must be positive")
     size = dim + 1 if bridge else dim  # a point of R^dim, or of the hyperboloid in R^(dim+1)
-    x0 = _read_point(v, "x0", size, tag == "ou" and "the ou sampler starts from its stationary law")
-    y0 = _read_point(v, "y0", size, not bridge and f"the {tag} sampler takes no end point")
+    check = functools.partial(point_error, tag, dim)
+    x0 = _read_point(v, "x0", size, check, tag == "ou" and "the ou sampler starts from its stationary law")
+    y0 = _read_point(v, "y0", size, check, not bridge and f"the {tag} sampler takes no end point")
     drift_cap = v.get("drift_cap", expected=_NUM, required=False)
     if drift_cap is not None and not drift_cap > 0:
         v.fail("drift_cap", "drift_cap must be positive")
@@ -290,9 +289,7 @@ def _run_estimate_scenario(v, out_dir):
             results[est_name] = {label: est[est_name].to_dict() for label, est in per_function}
 
     name = v.data["name"]
-    with open(out_json, "w") as fh:
-        json.dump({"name": name, "provenance": records, "results": results}, fh, indent=1)
-    outputs = [out_json]
+    outputs = [jsontext.write(out_json, {"name": name, "provenance": records, "results": results})]
     if csv_rows is not None:
         csv_path = os.path.join(out_dir, f"{name}.rayleigh.csv")
         with open(csv_path, "w") as fh:

@@ -253,10 +253,22 @@ def sample_wiener(cfg: SamplerConfig) -> PathEnsemble:
     return PathEnsemble(config=cfg, measure_tag="wiener", points=points)
 
 
+def point_error(tag, dim, key, p):
+    """Why ``p`` cannot be the ``tag`` sampler's point ``key`` (x0 or y0) in dimension ``dim``, or None."""
+    p = np.asarray(p, dtype=float)
+    if tag == "flat_bridge" and key == "x0" and p.any():
+        return "flat bridge is pinned at the origin"
+    on_sheet = p.shape == (dim + 1,) and p[-1] > 0 and abs(hyp.minkowski_dot(p, p) + 1.0) <= 1e-8
+    if tag == "hyperbolic_bridge" and not on_sheet:
+        return f"{key} must be a point on the hyperboloid sheet of H^{dim}"
+    return None
+
+
 def sample_flat_bridge(cfg: SamplerConfig) -> PathEnsemble:
     """Brownian bridge pinned at 0: B_t - (t/T) B_T, endpoint exactly zero."""
-    if cfg.x0 is not None and any(v != 0 for v in cfg.x0):
-        raise SamplerError("flat bridge is pinned at the origin")
+    error = cfg.x0 is not None and point_error("flat_bridge", cfg.dim, "x0", cfg.x0)
+    if error:
+        raise SamplerError(error)
     w = sample_wiener(replace(cfg, x0=None))
     nodes = cfg.grid.array()
     frac = (nodes / nodes[-1])[None, :, None]
@@ -310,9 +322,10 @@ def sample_hyperbolic_bridge(cfg: SamplerConfig) -> PathEnsemble:
     o = hyp.origin(n)
     x0 = np.asarray(cfg.x0, dtype=float) if cfg.x0 is not None else o
     y0 = np.asarray(cfg.y0, dtype=float) if cfg.y0 is not None else o
-    for name, p in (("x0", x0), ("y0", y0)):
-        if p.shape != (n + 1,) or abs(hyp.minkowski_dot(p, p) + 1.0) > 1e-8:
-            raise SamplerError(f"{name} must be a point on the hyperboloid sheet of H^{n}")
+    for key, p in (("x0", x0), ("y0", y0)):
+        error = point_error("hyperbolic_bridge", n, key, p)
+        if error:
+            raise SamplerError(error)
 
     m = cfg.n_paths
     dlog_dr = _make_drift(params, T, nodes)

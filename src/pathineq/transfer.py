@@ -291,7 +291,8 @@ def tail_to_weak_lsi(a: float, tail: TailBound, n_cap: int = 1000) -> TransferRe
     :func:`~pathineq.profiles.cutoff_levels`, and beta(s) = 2 n(s)^2 for the
     smallest qualifying level n(s).  Tails that do not decay on their grid
     (no level beats the first one) are rejected outright rather than
-    converted into a uselessly huge constant.
+    converted into a uselessly huge constant, and so is a gradient bound a
+    whose cut-off factor at n_cap overflows.
     """
     a = _require_finite("a", a)
     if not a > 0:
@@ -319,6 +320,7 @@ def tail_to_weak_lsi(a: float, tail: TailBound, n_cap: int = 1000) -> TransferRe
         "n_samples": tail.n_samples,
         "confidence": tail.confidence,
     }
+    _require_finite_levels(a, [cutoff_factor(a, float(n_cap))])  # the largest factor, before the product with sqrt(m)
     q = cutoff_levels(params, np.arange(1.0, n_cap + 1.0))
     if not np.any(q[1:] < q[0]):
         raise TransferError(

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -497,6 +498,14 @@ def test_huge_gradient_bound_exits_2_naming_a(tmp_path, capsys, a):
     assert f"stage 0 (weighted_lsi_to_weak_lsi): gradient bound a = {float(a)} is too large" in err
 
 
+def test_huge_gradient_bound_of_a_tail_exits_2_naming_a(tmp_path, capsys):
+    # the cut-off factor overflows: the stage used to fail with "no level improves on the first"
+    stage = first_stage("tail_to_weak_lsi", "a: 1.0e+160", "tail: {levels: [0, 1, 2, 3], values: [1, 0.1, 0, 0]}")
+    cfg = write(tmp_path, "t.yaml", TRANSFER_YAML.replace(OP, stage))
+    assert main(["transfer", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "stage 0 (tail_to_weak_lsi): gradient bound a = 1e+160 is too large" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "old, new, line, key, message",
     [
@@ -591,8 +600,15 @@ def test_bad_dim_names_file_and_line(tmp_path, capsys, sampler, dim, message):
         # a point of H^3 has dim + 1 = 4 coordinates
         ("hyperbolic_bridge", "x0", "[0, 0, 1]", "expected 4 coordinates, got 3"),
         ("hyperbolic_bridge", "y0", "[0, 0, 0, 1, 0]", "expected 4 coordinates, got 5"),
+        # the samplers' own checks used to name neither the line nor the key
+        ("hyperbolic_bridge", "x0", "[0.5, 0, 0, 1.0]", "x0 must be a point on the hyperboloid sheet of H^3"),
+        ("hyperbolic_bridge", "y0", "[0, 0, 0, 2.0]", "y0 must be a point on the hyperboloid sheet of H^3"),
+        # the lower sheet used to pass, and the bridge then failed with an IndexError
+        ("hyperbolic_bridge", "x0", "[0, 0, 0, -1.0]", "x0 must be a point on the hyperboloid sheet of H^3"),
+        ("flat_bridge", "x0", "[1.0, 0, 0]", "flat bridge is pinned at the origin"),
     ],
-    ids=["ou_x0", "wiener_y0", "flat_bridge_y0", "ou_y0", "wiener_x0_length", "bridge_x0_length", "bridge_y0_length"],
+    ids=["ou_x0", "wiener_y0", "flat_bridge_y0", "ou_y0", "wiener_x0_length", "bridge_x0_length", "bridge_y0_length",
+         "bridge_x0_off_sheet", "bridge_y0_off_sheet", "bridge_x0_lower_sheet", "flat_bridge_x0"],
 )
 def test_bad_start_or_end_point_names_file_and_key(tmp_path, capsys, sampler, key, point, message):
     sample = SAMPLE_YAML.replace("hyperbolic_bridge", sampler).replace(f"{key}: origin", f"{key}: {point}")
@@ -600,6 +616,20 @@ def test_bad_start_or_end_point_names_file_and_key(tmp_path, capsys, sampler, ke
     line = {"x0": 10, "y0": 11}[key]
     assert f"s.yaml:{line}: {key}: {message}" in capsys.readouterr().err
     assert not list(tmp_path.glob("out/*.pens"))
+
+
+@pytest.mark.parametrize(
+    "sampler, point",
+    [("flat_bridge", "[0, -0.0, 0]"), ("hyperbolic_bridge", "[0.6, 0, 0.8, 1.4142135623730951]")],
+    ids=["flat_bridge_zero", "bridge_on_sheet"],
+)
+def test_start_point_on_its_sampler_is_taken(tmp_path, sampler, point):
+    from pathineq.samplers import load_ensemble
+
+    sample = SAMPLE_YAML.replace("hyperbolic_bridge", sampler).replace("x0: origin", f"x0: {point}")
+    out = tmp_path / "out"
+    assert main(["sample", "--config", write(tmp_path, "s.yaml", sample), "--out", str(out)]) == 0
+    assert load_ensemble(str(out / "bridge.pens")).points[0, 0, :].tolist() == yaml.safe_load(point)
 
 
 def test_start_point_of_a_flat_sampler_is_taken(tmp_path):
@@ -770,6 +800,59 @@ ESTIMATE_DIGESTS = {
 def test_estimate_outputs_pinned_digests(tmp_path):
     out = run_estimate_digest_scenarios(tmp_path)
     assert {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in ESTIMATE_DIGESTS} == ESTIMATE_DIGESTS
+
+
+# a tail's weak LSI (r0 = Infinity), its weak-Poincare table and a Poincare constant
+TRANSFER_DIGEST_YAML = """\
+name: pins
+pipeline:
+  - op: tail_to_weak_lsi
+    a: 0.5
+    tail: {levels: [0, 1, 2, 3, 4, 5, 6], values: [1.0, 0.5, 0.1, 0.01, 1.0e-4, 1.0e-7, 1.0e-11]}
+  - op: weak_lsi_to_weak_poincare
+  - op: weak_lsi_to_poincare
+    beta: {C: 1.0, r0: 0.5}
+    params: {log2_delta: 0.5, log2_delta0: 4.5, epsilon: 0.125}
+profile_grid: {points: 16}
+"""
+
+# SHA-256 of the transfer JSON and stage CSV bytes, recorded with numpy 2.4.6
+# and scipy 1.17.1 from json.dump(indent=1) and repr; the report writer must reproduce them
+TRANSFER_DIGESTS = {
+    "pins.transfer.json": "1c609bf3ac4312060184d0c81746dc9ae60f55edb1ef6b27584631d079bbdb58",
+    "pins.stage0.beta.csv": "0c20644f3bdc447d4a9d3b1104b1fcfe94e983f91a4a0619c7fc3b1b4a18dacd",
+    "pins.stage1.alpha.csv": "1d74f75dd0e0ca84ca004f89ac659b4c7d0126244589c8417a46370ce2974ac5",
+}
+
+
+def test_transfer_outputs_pinned_digests(tmp_path):
+    out = tmp_path / "out"
+    assert main(["transfer", "--config", write(tmp_path, "t.yaml", TRANSFER_DIGEST_YAML), "--out", str(out)]) == 0
+    assert {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in TRANSFER_DIGESTS} == TRANSFER_DIGESTS
+
+
+def test_non_finite_table_values_are_json_and_repr(tmp_path, monkeypatch):
+    # the JSON writes Infinity and NaN as json does, the CSV writes repr
+    from pathineq import pipeline
+
+    report = pipeline.pipeline_report
+
+    def with_non_finite(results, **kw):
+        out = report(results, **kw)
+        tab = out[1]["tabulated"]
+        tab["s"][:3], tab["alpha"][:3] = [1e-300, 5e-324, -0.0], [math.inf, math.nan, -math.inf]
+        return out
+
+    monkeypatch.setattr(pipeline, "pipeline_report", with_non_finite)
+    out = tmp_path / "out"
+    assert main(["transfer", "--config", write(tmp_path, "t.yaml", TRANSFER_DIGEST_YAML), "--out", str(out)]) == 0
+    text = (out / "pins.transfer.json").read_text()
+    stages = json.loads(text)["stages"]
+    assert text == json.dumps({"name": "pins", "stages": stages}, indent=1)
+    assert stages[1]["tabulated"]["alpha"][:3] == [math.inf, pytest.approx(math.nan, nan_ok=True), -math.inf]
+    rows = (out / "pins.stage1.alpha.csv").read_text().splitlines()
+    assert rows[:4] == ["s,alpha", "1e-300,inf", "5e-324,nan", "-0.0,-inf"]
+    assert rows[1:] == [f"{s!r},{a!r}" for s, a in zip(stages[1]["tabulated"]["s"], stages[1]["tabulated"]["alpha"])]
 
 
 def csv_numbers(path, columns):

@@ -213,6 +213,19 @@ def test_huge_gradient_bound_is_a_transfer_error(a):
     assert weighted_lsi_to_weak_lsi(WeightedLSICertificate(a=1e153, C_exp=1.0)).profile.r0 < math.inf
 
 
+@pytest.mark.parametrize("a", [1e152, 1e160])
+def test_huge_gradient_bound_of_a_tail_is_a_transfer_error(a):
+    # 4 a^2 n^2 + 1/e + 1 overflows by n_cap = 1000 from a = 1e152 on; the
+    # levels were then inf * sqrt(m), NaN where m = 0 (with a RuntimeWarning),
+    # and the transfer failed with "no level improves on the first"
+    tail = TailBound(levels=(0.0, 1.0, 2.0, 3.0), values=(1.0, 0.1, 0.0, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TransferError, match=re.escape(f"gradient bound a = {a} is too large")):
+            tail_to_weak_lsi(a, tail)
+        assert tail_to_weak_lsi(1e150, tail).profile.params["s_min"] == 0.0
+
+
 def log_b_oracle(r, a, C, M):
     # log b(r) without forming b(r): 4 a^2 r^2 may overflow and exp(-(C/2)(r-1)^2) underflow
     return 2.0 * math.log(2.0 * a * r) + math.log1p((INV_E + 1.0) / (2.0 * a * r) / (2.0 * a * r)) + math.log(M) \

@@ -40,7 +40,12 @@ base's in those cases, relative to the base's.
 ``pairs`` runs ``perfbench/run.py --trace 0 --seconds S``, S being
 ``run_seconds`` in ``BENCHMARK.json``, in the ``--base`` checkout and in this
 one, pair by pair, with the side that runs first alternating.  It records
-every run's end-to-end metrics with their medians and quartiles.  ``outputs``
+every run's end-to-end metrics with their medians and quartiles, and for each
+metric, with its direction and bound from ``BENCHMARK.json``, a verdict: the
+pairs the change wins and loses (ties count for neither), whether a claimed
+gain holds (wins in at least 9 pairs of 10 and a median gain larger than the
+base's interquartile range) and whether the change's median is worse than the
+base's by more than the bound, a share of the base's median.  ``outputs``
 runs each workload of ``perfbench/workloads.py`` once per side, in a fresh
 ``perfbench/worker.py`` process and the same scratch directory: its set-up
 calls, its timed calls and its checks.  It records the SHA-256 of every output
@@ -403,14 +408,30 @@ def _run(checkout, workload, seed, seconds):
             "attempted": record["attempted"]}
 
 
-def pairs(base, workload, seed, n_pairs, seconds):
+def _verdict(base, change, better, bound):
+    """Whether the change's runs of one metric, paired with the base's, carry a claimed gain (it is better in
+    at least 9 pairs of 10, ties counting for neither, and the medians differ by more than the base's
+    interquartile range) and whether its median is worse than the base's by more than ``bound``, a share of
+    the base's median."""
+    sign = 1.0 if better == "lower" else -1.0  # sign * (base - change) > 0: the change is better
+    wins = sum(sign * (b - c) > 0 for b, c in zip(base, change))
+    losses = sum(sign * (b - c) < 0 for b, c in zip(base, change))
+    b, c = _summary(base), _summary(change)
+    gain, iqr = sign * (b["median"] - c["median"]), b["q3"] - b["q1"]
+    return {"better": better, "bound": bound, "wins": wins, "losses": losses, "median_gain": round(gain, 4),
+            "base_iqr": round(iqr, 4), "claim_holds": wins >= 0.9 * len(base) and gain > iqr,
+            "worse_than_bound": -gain > bound * abs(b["median"])}
+
+
+def pairs(base, workload, seed, n_pairs, seconds, end_to_end):
+    """Alternating runs of ``workload``; ``end_to_end`` is BENCHMARK.json's list of end-to-end metrics."""
     runs = _alternating(base, n_pairs, lambda checkout, i: _run(checkout, workload, seed, seconds))
-    wins = sum(c["wall_s"] < b["wall_s"] for b, c in zip(runs["base"], runs["change"]))
     return {
         "workload": workload, "seed": seed, "seconds": seconds, "pairs": n_pairs,
         "commits": {"base": _commit(base), "change": _commit(ROOT)},
-        "wall_s_wins": wins,
         "failed": {side: sum(r["failed"] for r in rs) for side, rs in runs.items()},
+        "verdicts": {m["name"]: _verdict([r[m["name"]] for r in runs["base"]], [r[m["name"]] for r in runs["change"]],
+                                         m["better"], m["bound"]) for m in end_to_end},
         "metrics": {side: {m: _summary([r[m] for r in rs]) for m in END_TO_END} for side, rs in runs.items()},
     }
 
@@ -523,8 +544,9 @@ def main(argv=None):
         key, record = f"outputs_seed{args.seed}", outputs(Path(args.base).resolve(), args.seed)
     else:
         key = f"{args.workload}_pairs_seed{args.seed}"
-        seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
-        record = pairs(Path(args.base).resolve(), args.workload, args.seed, args.pairs, seconds)
+        bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+        record = pairs(Path(args.base).resolve(), args.workload, args.seed, args.pairs, bench["run_seconds"],
+                       bench["end_to_end"])
     # the base checkout is named by its commit, not by where it lies
     shown = ["BASE" if prev == "--base" else a for prev, a in zip([None, *argv], argv)]
     record = {"command": "python3 tools/bench_pairs.py " + " ".join(shown), "machine": _machine(), **record}
