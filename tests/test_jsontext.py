@@ -32,14 +32,14 @@ def outcome(dumps, x, sort_keys):
         return type(exc)
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(values, st.booleans())
 def test_dumps_equals_json_indent_1(x, sort_keys):
     want = outcome(lambda x, k: json.dumps(x, indent=1, sort_keys=k), x, sort_keys)
     assert outcome(jsontext.dumps, x, sort_keys) == want
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(st.lists(floats, max_size=20), st.integers(0, 3))
 def test_rendered_floats_are_written_as_the_floats(xs, depth):
     def wrap(x):
