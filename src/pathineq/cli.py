@@ -89,12 +89,23 @@ def _run_transfer_scenario(v, out_dir):
         tab = stage.get("tabulated", {})
         if "s" in tab:
             ycol = "alpha" if "alpha" in tab else "beta"
-            s, y = (list(map(float.__repr__, tab[k])) for k in ("s", ycol))
+            s, y = list(map(float.__repr__, tab["s"])), _reprs(tab[ycol])
             with open(os.path.join(out_dir, f"{name}.stage{i}.{ycol}.csv"), "w") as fh:
                 fh.write(f"s,{ycol}\n" + "".join([f"{a},{b}\n" for a, b in zip(s, y)]))
             stage["tabulated"] = {"s": jsontext.Rendered(s), ycol: jsontext.Rendered(y)}
     out_json = jsontext.write(os.path.join(out_dir, f"{name}.transfer.json"), {"name": name, "stages": report})
     return {"outputs": [out_json], "final_kind": results[-1].kind}
+
+
+def _reprs(xs):
+    """``float.__repr__`` of each x, taken once per value: a profile's values repeat (beta is 2 n(s)^2,
+    the monotone alpha a step function)."""
+    text = dict.fromkeys(xs)
+    if 0.0 in text:  # 0.0 and -0.0 are one key
+        return list(map(float.__repr__, xs))
+    for x in text:
+        text[x] = float.__repr__(x)
+    return list(map(text.__getitem__, xs))
 
 
 # ---------------------------------------------------------------------------

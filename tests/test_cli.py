@@ -841,6 +841,7 @@ def test_non_finite_table_values_are_json_and_repr(tmp_path, monkeypatch):
         out = report(results, **kw)
         tab = out[1]["tabulated"]
         tab["s"][:3], tab["alpha"][:3] = [1e-300, 5e-324, -0.0], [math.inf, math.nan, -math.inf]
+        tab["alpha"][3:5] = [-0.0, 0.0]  # one dict key
         return out
 
     monkeypatch.setattr(pipeline, "pipeline_report", with_non_finite)
@@ -851,7 +852,7 @@ def test_non_finite_table_values_are_json_and_repr(tmp_path, monkeypatch):
     assert text == json.dumps({"name": "pins", "stages": stages}, indent=1)
     assert stages[1]["tabulated"]["alpha"][:3] == [math.inf, pytest.approx(math.nan, nan_ok=True), -math.inf]
     rows = (out / "pins.stage1.alpha.csv").read_text().splitlines()
-    assert rows[:4] == ["s,alpha", "1e-300,inf", "5e-324,nan", "-0.0,-inf"]
+    assert [r.split(",")[1] for r in rows[:6]] == ["alpha", "inf", "nan", "-inf", "-0.0", "0.0"]
     assert rows[1:] == [f"{s!r},{a!r}" for s, a in zip(stages[1]["tabulated"]["s"], stages[1]["tabulated"]["alpha"])]
 
 
