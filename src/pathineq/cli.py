@@ -18,7 +18,6 @@ format of the samplers module.
 from __future__ import annotations
 
 import argparse
-import functools
 import os
 import sys
 import time
@@ -112,88 +111,50 @@ def _reprs(xs):
 # sample
 
 
-def _read_point(v, key, size, check, refusal=None):
-    """None for ``origin``, else ``size`` numbers; a sampler taking no such point gives its ``refusal``,
-    and ``check(key, point)`` what is wrong with a point it cannot take (None if nothing)."""
+def _read_point(v, key):
+    """None for ``origin``, else the tuple of numbers listed; the sampler checks what it can take."""
     spec = v.get(key, expected=(str, list), required=False, default="origin")
     if isinstance(spec, str):
         if spec != "origin":
             v.fail(key, f"expected 'origin' or a list of numbers, got {spec!r}")
         return None
-    if refusal:
-        v.fail(key, f"{refusal}: {key} must be origin")
-    if len(spec) != size:
-        v.fail(key, f"expected {size} coordinates, got {len(spec)}")
-    point = tuple(float(v.get(f"{key}[{i}]", expected=_NUM)) for i in range(size))
-    fault = check(key, point)
-    if fault:
-        v.fail(key, fault)
-    return point
+    return tuple(float(v.get(f"{key}[{i}]", expected=_NUM)) for i in range(len(spec)))
 
 
 def _run_sample_scenario(v, out_dir, seed_override=None):
-    from .samplers import (
-        SamplerConfig,
-        SamplerError,
-        TimeGrid,
-        ensemble_to_csv,
-        point_error,
-        sample_flat_bridge,
-        sample_hyperbolic_bridge,
-        sample_ou,
-        sample_wiener,
-        save_ensemble,
-    )
+    from .samplers import CSV_MAX_PATHS, SAMPLERS, SamplerConfig, SamplerError, TimeGrid, ensemble_to_csv, save_ensemble
 
-    samplers = {"wiener": sample_wiener, "flat_bridge": sample_flat_bridge, "ou": sample_ou,
-                "hyperbolic_bridge": sample_hyperbolic_bridge}
     writers = {"binary": save_ensemble, "csv": ensemble_to_csv}
-    tag = v.get("sampler", expected=str, choices=samplers)
-    bridge = tag == "hyperbolic_bridge"
+    tag = v.get("sampler", expected=str, choices=SAMPLERS)
     seed = v.get("seed", expected=int)
     n_paths = v.get("n_paths", expected=int)
-    if n_paths < 1:
-        v.fail("n_paths", "n_paths must be >= 1")
     dim = v.get("dim", expected=int)
-    if dim < 1 or bridge and dim not in (2, 3):
-        v.fail("dim", "dim must be >= 1" if dim < 1 else "the hyperbolic bridge takes dim 2 or 3")
-    T = v.get("T", expected=_NUM)
-    if not T > 0:
-        v.fail("T", "horizon T must be positive")
+    T = float(v.get("T", expected=_NUM))
     v.get("grid", expected=dict)
     n_steps = v.get("grid.n_steps", expected=int)
-    if n_steps < 1:
-        v.fail("grid.n_steps", "n_steps must be >= 1")
     tailed = v.get("grid.tail", expected=dict, required=False) is not None
-    lam = v.get("grid.tail.lam", expected=_NUM, required=False)
-    if lam is not None and not 0 < lam < 1:
-        v.fail("grid.tail.lam", "tail ratio lam must be in (0, 1)")
-    floor = v.get("grid.tail.floor", expected=_NUM, required=False)
-    if floor is not None and not floor > 0:
-        v.fail("grid.tail.floor", "tail floor must be positive")
-    size = dim + 1 if bridge else dim  # a point of R^dim, or of the hyperboloid in R^(dim+1)
-    check = functools.partial(point_error, tag, dim)
-    x0 = _read_point(v, "x0", size, check, tag == "ou" and "the ou sampler starts from its stationary law")
-    y0 = _read_point(v, "y0", size, check, not bridge and f"the {tag} sampler takes no end point")
+    tail = {k: x for k in ("lam", "floor")
+            if (x := v.get(f"grid.tail.{k}", expected=_NUM, required=False)) is not None}
+    x0, y0 = _read_point(v, "x0"), _read_point(v, "y0")
     drift_cap = v.get("drift_cap", expected=_NUM, required=False)
-    if drift_cap is not None and not drift_cap > 0:
-        v.fail("drift_cap", "drift_cap must be positive")
     write = writers[v.get("format", expected=str, required=False, default="binary", choices=writers)]
+    if write is ensemble_to_csv and n_paths > CSV_MAX_PATHS:
+        v.fail("format", f"CSV export is for small runs (n_paths <= {CSV_MAX_PATHS}); use the binary format")
     out_path = os.path.join(out_dir, v.get("out", expected=str))
     v.reject_unread("", "grid", "grid.tail")
 
-    if bridge or tailed:
-        tail = {k: x for k, x in (("lam", lam), ("floor", floor)) if x is not None}
-        try:
-            grid = TimeGrid.with_geometric_tail(float(T), n_steps, **tail)
-        except SamplerError as exc:  # T, n_steps and lam are checked above: the floor is too small
-            v.fail("grid.tail.floor", str(exc))
-    else:
-        grid = TimeGrid.uniform(float(T), n_steps)
     seed = int(seed_override if seed_override is not None else seed)
-    cfg = SamplerConfig(seed=seed, n_paths=n_paths, grid=grid, dim=dim, x0=x0, y0=y0,
-                        **({} if drift_cap is None else {"drift_cap": float(drift_cap)}))
-    ens = samplers[tag](cfg)
+    try:  # the grid, the config and the sampler check their arguments before any path is drawn
+        grid = (TimeGrid.with_geometric_tail(T, n_steps, **tail) if tag == "hyperbolic_bridge" or tailed
+                else TimeGrid.uniform(T, n_steps))
+        cfg = SamplerConfig(seed=seed, n_paths=n_paths, grid=grid, dim=dim, x0=x0, y0=y0,
+                            **({} if drift_cap is None else {"drift_cap": float(drift_cap)}))
+        ens = SAMPLERS[tag](cfg)
+    except SamplerError as exc:
+        if exc.key is None or exc.key == "seed" and seed_override is not None:  # no config line is at fault
+            raise
+        key = {"n_steps": "grid.n_steps", "lam": "grid.tail.lam", "floor": "grid.tail.floor"}.get(exc.key, exc.key)
+        v.fail(key, str(exc))
     write(out_path, ens)
     return {
         "outputs": [out_path],
@@ -216,6 +177,7 @@ def _run_estimate_scenario(v, out_dir):
     from .estimators import (
         MEASURE_KERNEL,
         RAYLEIGH_ESTIMATES,
+        EstimatorError,
         RayleighScan,
         coordinate_function,
         exp_half_function,
@@ -225,7 +187,7 @@ def _run_estimate_scenario(v, out_dir):
         sup_distance,
         weight_tail,
     )
-    from .samplers import load_ensemble
+    from .samplers import SamplerError, load_ensemble
 
     builders = {"coordinate": coordinate_function, "hermite": hermite_function, "exp_half": exp_half_function}
     # each estimator and the per-function estimates behind it; one pass per
@@ -244,13 +206,9 @@ def _run_estimate_scenario(v, out_dir):
         args = ()
         if kind == "hermite":
             args = (v.get(f"{f}.degree", expected=int),)
-            if args[0] < 0:
-                v.fail(f"{f}.degree", "degree must be >= 0")
         if kind == "exp_half":
             args = (float(v.get(f"{f}.lam", expected=_NUM)),)
         coord = v.get(f"{f}.coord", expected=int, required=False, default=0)
-        if coord < 0:
-            v.fail(f"{f}.coord", "coord must be >= 0")
         t = v.get(f"{f}.time", expected=_NUM, required=False)
         specs.append((builders[kind], args, t, coord, v.get(f"{f}.label", expected=str, required=False)))
         v.reject_unread(f)
@@ -274,11 +232,11 @@ def _run_estimate_scenario(v, out_dir):
     for i, (build, args, t, coord, label) in enumerate(specs):
         if coord >= width:
             v.fail(f"functions[{i}].coord", f"coord must be < {width}, the points' width")
-        try:  # the builder rejects a time <= 0 and index_of one off the grid: time is a node in (0, T]
+        try:  # the builder checks its arguments, a time <= 0 among them, and index_of a time off the grid
             family.append(build(*args, float(ens.grid.T if t is None else t), coord=coord, label=label))
             ens.grid.index_of(family[-1].times[0])
-        except ValueError as exc:
-            v.fail(f"functions[{i}].time", str(exc))
+        except (EstimatorError, SamplerError) as exc:
+            v.fail(f"functions[{i}].{'time' if exc.key in (None, 'times') else exc.key}", str(exc))
 
     records = {"seed": ens.config.seed, "config_hash": ens.config.config_hash}
     names = list(dict.fromkeys(n for e in estimators for n in wants[e]))
@@ -345,8 +303,9 @@ def cmd_scenarios(args):
     """Run each --config with the subcommand's runner and merge the reports by name.
 
     A runner takes the config's ``Validator`` (``name`` read) as ``(v, out_dir[, seed_override])``,
-    reads each of its keys once through ``v`` before it runs anything, reports what only a run
-    can check through ``v.fail``, and returns only its own fields of the scenario record."""
+    reads each of its keys once through ``v`` by type before it runs anything, leaves their values to
+    the library that takes them, reports a refused value, or what only a run can check, through
+    ``v.fail`` at the config key it names, and returns only its own fields of the scenario record."""
     t0 = time.perf_counter()
     out_dir = _out_dir(args)
     os.makedirs(out_dir, exist_ok=True)

@@ -59,7 +59,9 @@ MEASURE_KERNEL = {  # the Cameron-Martin kernel of each measure
 
 
 class EstimatorError(ValueError):
-    pass
+    def __init__(self, message, key=None):  # key: the argument at fault, where one is
+        super().__init__(message)
+        self.key = key
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +89,7 @@ class CylindricalFunction:
     def __post_init__(self):
         self.times = tuple(float(t) for t in self.times)
         if not self.times or any(not t > 0 for t in self.times):
-            raise EstimatorError("evaluation times must be positive (t in (0, T])")
+            raise EstimatorError("evaluation times must be positive (t in (0, T])", key="times")
         if list(self.times) != sorted(self.times):
             raise EstimatorError("evaluation times must be sorted")
 
@@ -130,6 +132,8 @@ def _by_blocks(f, x):
 
 def _of_one_coordinate(f, df, time, coord, label):
     """F = f(x), x the path's coordinate ``coord`` at ``time``, with dF/dx = df(x)."""
+    if coord < 0:
+        raise EstimatorError("coord must be >= 0", key="coord")
 
     def partials(X):
         out = np.zeros_like(X)
@@ -148,6 +152,8 @@ def hermite_function(degree, time, coord=0, label=None):
     """Probabilists' Hermite polynomial He_k of one path coordinate."""
     from numpy.polynomial import hermite_e
 
+    if degree < 0:
+        raise EstimatorError("degree must be >= 0", key="degree")
     c = np.zeros(degree + 1)
     c[degree] = 1.0
     dc = hermite_e.hermeder(c)

@@ -29,7 +29,10 @@ bridge built on it) draws one (paths, steps, dim) block from (seed, 0, 0),
 so its draws depend on the grid's step count.  The hyperbolic bridge draws
 each step of each block of ``_BLOCK`` paths from its own stream.  In every
 sampler path i's normals follow those of the paths before it in its stream,
-so the first paths of a run match a run with fewer paths.
+so the first paths of a run match a run with fewer paths.  Every input is
+checked before a path is drawn: a bad one raises a ``SamplerError`` whose
+``key`` names the argument (``TimeGrid``'s, ``SamplerConfig``'s field, or the
+x0 or y0 that the sampler cannot take).
 
 The hyperbolic bridge runs on a pool of ``_WORKERS`` threads, one per
 available CPU, for the call (the CLI's ``--threads`` only runs scenarios
@@ -63,7 +66,9 @@ MAGIC = b"PINEQENS1\n"
 
 
 class SamplerError(ValueError):
-    pass
+    def __init__(self, message, key=None):  # key: the argument at fault, where one is
+        super().__init__(message)
+        self.key = key
 
 
 # ---------------------------------------------------------------------------
@@ -99,8 +104,10 @@ class TimeGrid:
 
     @classmethod
     def uniform(cls, T, n_steps):
+        if not T > 0:
+            raise SamplerError("horizon T must be positive", key="T")
         if n_steps < 1:
-            raise SamplerError("need at least one step")
+            raise SamplerError("n_steps must be >= 1", key="n_steps")
         return cls(tuple(T * k / n_steps for k in range(n_steps + 1)))
 
     @classmethod
@@ -109,18 +116,18 @@ class TimeGrid:
         T - h lam^k until steps reach floor * T, resolving the 1/(T-t)
         drift singularity of bridge dynamics.  A floor so small that the
         nodes stop moving toward T in floating point first is an error."""
-        if not 0 < lam < 1:
-            raise SamplerError("tail ratio lam must be in (0, 1)")
-        if not floor > 0:
-            raise SamplerError("tail floor must be positive")
         base = list(cls.uniform(T, n_steps).nodes[:-1])
+        if not 0 < lam < 1:
+            raise SamplerError("tail ratio lam must be in (0, 1)", key="lam")
+        if not floor > 0:
+            raise SamplerError("tail floor must be positive", key="floor")
         h = T / n_steps
         tail = []
         k = 1
         while h * lam**k > floor * T:
             node = T - h * lam**k
             if not (tail or base)[-1] < node < T:  # the nodes stopped moving toward T
-                raise SamplerError(f"tail floor {floor} is below the float spacing at T = {T}")
+                raise SamplerError(f"tail floor {floor} is below the float spacing at T = {T}", key="floor")
             tail.append(node)
             k += 1
         return cls(tuple(base + tail + [T]))
@@ -179,9 +186,13 @@ class SamplerConfig:
 
     def __post_init__(self):
         if self.n_paths < 1:
-            raise SamplerError("n_paths must be >= 1")
+            raise SamplerError("n_paths must be >= 1", key="n_paths")
         if not 0 <= self.seed < 2**64:
-            raise SamplerError("seed must fit in 64 bits")
+            raise SamplerError("seed must fit in 64 bits", key="seed")
+        if self.dim < 1:
+            raise SamplerError("dim must be >= 1", key="dim")
+        if not self.drift_cap > 0:
+            raise SamplerError("drift_cap must be positive", key="drift_cap")
         if self.x0 is not None:
             object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
         if self.y0 is not None:
@@ -241,7 +252,27 @@ class PathEnsemble:
 # Flat samplers
 
 
+_REFUSED = {"x0": "starts from its stationary law", "y0": "takes no end point"}
+
+
+def _check_points(cfg, tag, takes, size, fault=lambda key, p: None):
+    """Raise a SamplerError keyed x0 or y0 for a point of ``cfg`` that the ``tag`` sampler cannot take: one
+    not in ``takes``, one of other than ``size`` coordinates, or one where ``fault(key, p)`` says why."""
+    for key in ("x0", "y0"):
+        p = getattr(cfg, key)
+        if p is None:
+            continue
+        if key not in takes:
+            raise SamplerError(f"the {tag} sampler {_REFUSED[key]}: {key} must be origin", key=key)
+        if len(p) != size:
+            raise SamplerError(f"expected {size} coordinates, got {len(p)}", key=key)
+        error = fault(key, np.asarray(p))
+        if error:
+            raise SamplerError(error, key=key)
+
+
 def sample_wiener(cfg: SamplerConfig) -> PathEnsemble:
+    _check_points(cfg, "wiener", ("x0",), cfg.dim)
     nodes = cfg.grid.array()
     dts = np.diff(nodes)
     xi = step_normals(cfg.seed, 0, (cfg.n_paths, dts.size, cfg.dim))
@@ -253,22 +284,10 @@ def sample_wiener(cfg: SamplerConfig) -> PathEnsemble:
     return PathEnsemble(config=cfg, measure_tag="wiener", points=points)
 
 
-def point_error(tag, dim, key, p):
-    """Why ``p`` cannot be the ``tag`` sampler's point ``key`` (x0 or y0) in dimension ``dim``, or None."""
-    p = np.asarray(p, dtype=float)
-    if tag == "flat_bridge" and key == "x0" and p.any():
-        return "flat bridge is pinned at the origin"
-    on_sheet = p.shape == (dim + 1,) and p[-1] > 0 and abs(hyp.minkowski_dot(p, p) + 1.0) <= 1e-8
-    if tag == "hyperbolic_bridge" and not on_sheet:
-        return f"{key} must be a point on the hyperboloid sheet of H^{dim}"
-    return None
-
-
 def sample_flat_bridge(cfg: SamplerConfig) -> PathEnsemble:
     """Brownian bridge pinned at 0: B_t - (t/T) B_T, endpoint exactly zero."""
-    error = cfg.x0 is not None and point_error("flat_bridge", cfg.dim, "x0", cfg.x0)
-    if error:
-        raise SamplerError(error)
+    _check_points(cfg, "flat_bridge", ("x0",), cfg.dim,
+                  lambda key, p: p.any() and "flat bridge is pinned at the origin")
     w = sample_wiener(replace(cfg, x0=None))
     nodes = cfg.grid.array()
     frac = (nodes / nodes[-1])[None, :, None]
@@ -280,6 +299,7 @@ def sample_ou(cfg: SamplerConfig) -> PathEnsemble:
     """Langevin dynamics du = dW - (1/2) u dt, started from its stationary law,
     by the exact Gaussian transition u_{t+h} = e^{-h/2} u_t + sqrt(1 - e^{-h}) xi
     (stationary law = standard normal)."""
+    _check_points(cfg, "ou", (), cfg.dim)
     nodes = cfg.grid.array()
     n_steps = nodes.size - 1
     points = np.empty((cfg.n_paths, nodes.size, cfg.dim))
@@ -315,17 +335,19 @@ def sample_hyperbolic_bridge(cfg: SamplerConfig) -> PathEnsemble:
     """
     n = cfg.dim
     if n not in (2, 3):
-        raise SamplerError("hyperbolic bridge supports n = 2, 3")
+        raise SamplerError("the hyperbolic bridge takes dim 2 or 3", key="dim")
+
+    def off_sheet(key, p):
+        on = p[-1] > 0 and abs(hyp.minkowski_dot(p, p) + 1.0) <= 1e-8  # the upper sheet; a NaN is on none
+        return not on and f"{key} must be a point on the hyperboloid sheet of H^{n}"
+
+    _check_points(cfg, "hyperbolic_bridge", ("x0", "y0"), n + 1, off_sheet)
     params = HeatKernelParams(n=n)
     nodes = cfg.grid.array()
     T = nodes[-1]
     o = hyp.origin(n)
     x0 = np.asarray(cfg.x0, dtype=float) if cfg.x0 is not None else o
     y0 = np.asarray(cfg.y0, dtype=float) if cfg.y0 is not None else o
-    for key, p in (("x0", x0), ("y0", y0)):
-        error = point_error("hyperbolic_bridge", n, key, p)
-        if error:
-            raise SamplerError(error)
 
     m = cfg.n_paths
     dlog_dr = _make_drift(params, T, nodes)
@@ -474,9 +496,15 @@ def _make_drift(params: HeatKernelParams, T, nodes):
     return dlog_dr
 
 
+SAMPLERS = {"wiener": sample_wiener, "flat_bridge": sample_flat_bridge, "ou": sample_ou,
+            "hyperbolic_bridge": sample_hyperbolic_bridge}
+
+
 # ---------------------------------------------------------------------------
 # Serialization: columnar binary (header JSON + little-endian float64,
 # path-major) and CSV for small runs
+
+CSV_MAX_PATHS = 10_000
 
 
 def save_ensemble(path, ens: PathEnsemble):
@@ -560,8 +588,8 @@ def load_ensemble(path) -> PathEnsemble:
 
 
 def ensemble_to_csv(path, ens: PathEnsemble):
-    if ens.n_paths > 10_000:
-        raise SamplerError("CSV export is for small runs (n_paths <= 10000); use the binary format")
+    if ens.n_paths > CSV_MAX_PATHS:
+        raise SamplerError(f"CSV export is for small runs (n_paths <= {CSV_MAX_PATHS}); use the binary format")
     nodes = ens.grid.array()
     d = ens.points.shape[-1]
     with open(path, "w", newline="") as fh:

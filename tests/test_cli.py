@@ -1009,3 +1009,54 @@ def test_runreport_schema_golden(tmp_path):
     with open(golden_path) as fh:
         golden = json.load(fh)
     assert got == golden
+
+
+def test_bad_config_seed_names_its_line_and_bad_seed_flag_does_not(tmp_path, capsys):
+    cfg = write(tmp_path, "bad.yaml", SAMPLE_YAML.replace("seed: 99", "seed: -1"))
+    assert main(["sample", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "bad.yaml:3: seed: seed must fit in 64 bits" in capsys.readouterr().err
+    # no config line is at fault for a flag
+    cfg = write(tmp_path, "s.yaml", SAMPLE_YAML)
+    assert main(["sample", "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "-1"]) == 2
+    assert f"error: {cfg}: seed must fit in 64 bits" in capsys.readouterr().err
+    assert not list(tmp_path.glob("o/*.pens"))
+
+
+def test_csv_export_limit_is_checked_before_sampling(tmp_path, capsys, monkeypatch):
+    from pathineq import samplers
+
+    csv_yaml = WIENER_4_YAML.replace("n_steps: 4", "n_steps: 1").replace("out: bridge.pens", "format: csv\nout: w.csv")
+    out = tmp_path / "out"
+
+    def sample(cfg):
+        raise AssertionError("sampled a run that CSV export refuses")
+
+    with monkeypatch.context() as m:
+        m.setitem(samplers.SAMPLERS, "wiener", sample)
+        cfg = write(tmp_path, "s.yaml", csv_yaml.replace("n_paths: 300", "n_paths: 10001"))
+        assert main(["sample", "--config", cfg, "--out", str(out)]) == 2
+    assert "s.yaml:11: format: CSV export is for small runs (n_paths <= 10000)" in capsys.readouterr().err
+    assert not any(out.iterdir())
+    cfg = write(tmp_path, "s.yaml", csv_yaml.replace("n_paths: 300", "n_paths: 10000"))
+    assert main(["sample", "--config", cfg, "--out", str(out)]) == 0
+    assert len((out / "w.csv").read_text().splitlines()) == 1 + 10000 * 2
+
+
+@pytest.mark.parametrize("tail", [GAUSS_TAIL, "file: t.json"], ids=["levels", "file"])
+def test_tail_confidence_off_an_ensemble_names_its_line(tmp_path, capsys, tail):
+    # it used to be taken and then ignored
+    stage = first_stage("tail_to_weak_lsi", "a: 0.5", f"tail: {{{tail}, confidence: 0.5}}")
+    cfg = write(tmp_path, "bad.yaml", TRANSFER_YAML.replace(OP, stage))
+    assert main(["transfer", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "bad.yaml:5: pipeline[0].tail.confidence: confidence applies only to a tail from_ensemble" in err
+
+
+def test_negative_hermite_degree_names_its_key(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    assert main(["sample", "--config", write(tmp_path, "s.yaml", WIENER_4_YAML), "--out", out]) == 0
+    estimate = ESTIMATE_YAML.replace("[weight_tail, exp_square_moment]",
+                                     "[variance]\nfunctions:\n  - {type: hermite, degree: -1}")
+    capsys.readouterr()
+    assert main(["estimate", "--config", write(tmp_path, "e.yaml", estimate), "--out", out]) == 2
+    assert "e.yaml:5: functions[0].degree: degree must be >= 0" in capsys.readouterr().err

@@ -602,3 +602,21 @@ def test_estimator_reduction_order_insensitive():
     rng = np.random.default_rng(1)
     for perm in [perm] + [rng.permutation(u.size) for _ in range(9)]:
         assert exp_square_moment(u[perm], 0.3).to_dict() == moment.to_dict()
+
+
+@pytest.mark.parametrize(
+    "build, key, message",
+    [
+        # coord -1 used to read the last coordinate
+        (lambda: coordinate_function(1.0, coord=-1), "coord", "coord must be >= 0"),
+        (lambda: exp_half_function(0.5, 1.0, coord=-1), "coord", "coord must be >= 0"),
+        (lambda: hermite_function(2, 1.0, coord=-1), "coord", "coord must be >= 0"),
+        (lambda: hermite_function(-1, 1.0), "degree", "degree must be >= 0"),
+        (lambda: coordinate_function(0.0), "times", "evaluation times must be positive"),
+    ],
+    ids=["coordinate_coord", "exp_half_coord", "hermite_coord", "hermite_degree", "time_zero"],
+)
+def test_function_builder_names_its_bad_argument(build, key, message):
+    with pytest.raises(EstimatorError, match=message) as err:
+        build()
+    assert err.value.key == key

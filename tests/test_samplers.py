@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import sys
 from functools import partial
 
@@ -520,3 +521,96 @@ def test_load_rejects_garbage(tmp_path):
         config = {k: v for k, v in header["config"].items() if k != key}
         with pytest.raises(SamplerError, match=f"{key}.pens.*malformed ensemble header"):
             load_ensemble(with_header(f"{key}.pens", config=config))
+
+
+@pytest.fixture
+def no_draws(monkeypatch):
+    """Fail any sampler that draws a normal: its input checks come first."""
+    from pathineq import samplers
+
+    def draw(*args, **kwargs):
+        raise AssertionError("a path was drawn before the input was checked")
+
+    monkeypatch.setattr(samplers, "step_normals", draw)
+
+
+@pytest.mark.parametrize(
+    "sampler, dim, points, key, message",
+    [
+        # the ou paths used to start from the stationary law whatever x0 said
+        (sample_ou, 1, {"x0": (5.0,)}, "x0", "the ou sampler starts from its stationary law: x0 must be origin"),
+        # y0 used to be hashed into the ensemble and never used
+        (sample_wiener, 1, {"y0": (0.0,)}, "y0", "the wiener sampler takes no end point: y0 must be origin"),
+        (sample_flat_bridge, 1, {"y0": (1.0,)}, "y0", "the flat_bridge sampler takes no end point: y0 must be origin"),
+        (sample_ou, 1, {"y0": (0.0,)}, "y0", "the ou sampler takes no end point: y0 must be origin"),
+        # a one-coordinate x0 used to be spread over every dimension
+        (sample_wiener, 3, {"x0": (1.0,)}, "x0", "expected 3 coordinates, got 1"),
+        (sample_flat_bridge, 2, {"x0": (0.0, 0.0, 0.0)}, "x0", "expected 2 coordinates, got 3"),
+        (sample_hyperbolic_bridge, 3, {"y0": (0.0, 0.0, 1.0)}, "y0", "expected 4 coordinates, got 3"),
+        (sample_flat_bridge, 2, {"x0": (1.0, 0.0)}, "x0", "flat bridge is pinned at the origin"),
+        (sample_hyperbolic_bridge, 3, {"x0": (0.5, 0.0, 0.0, 1.0)}, "x0",
+         "x0 must be a point on the hyperboloid sheet of H^3"),
+        (sample_hyperbolic_bridge, 2, {"y0": (0.0, 0.0, -1.0)}, "y0",
+         "y0 must be a point on the hyperboloid sheet of H^2"),
+        (sample_hyperbolic_bridge, 3, {"y0": (0.0, 0.0, 0.0, math.nan)}, "y0",
+         "y0 must be a point on the hyperboloid sheet of H^3"),
+        (sample_hyperbolic_bridge, 4, {}, "dim", "the hyperbolic bridge takes dim 2 or 3"),
+    ],
+    ids=["ou_x0", "wiener_y0", "flat_bridge_y0", "ou_y0", "wiener_x0_length", "flat_bridge_x0_length",
+         "bridge_y0_length", "flat_bridge_x0_off_origin", "bridge_x0_off_sheet", "bridge_y0_lower_sheet",
+         "bridge_y0_nan", "bridge_dim_4"],
+)
+def test_sampler_refuses_a_point_or_dim_it_cannot_take(no_draws, sampler, dim, points, key, message):
+    cfg = SamplerConfig(seed=1, n_paths=4, grid=TimeGrid.with_geometric_tail(1.0, 4), dim=dim, **points)
+    with pytest.raises(SamplerError, match=re.escape(message)) as err:
+        sampler(cfg)
+    assert err.value.key == key
+
+
+@pytest.mark.parametrize(
+    "fields, key, message",
+    [
+        # dim 0 used to give an ensemble without coordinates
+        ({"dim": 0}, "dim", "dim must be >= 1"),
+        # a negative cap used to clip every drift, and NaN none
+        ({"drift_cap": 0.0}, "drift_cap", "drift_cap must be positive"),
+        ({"drift_cap": -1.0}, "drift_cap", "drift_cap must be positive"),
+        ({"drift_cap": math.nan}, "drift_cap", "drift_cap must be positive"),
+        ({"n_paths": 0}, "n_paths", "n_paths must be >= 1"),
+        ({"seed": -1}, "seed", "seed must fit in 64 bits"),
+    ],
+    ids=["dim_0", "drift_cap_0", "drift_cap_negative", "drift_cap_nan", "n_paths_0", "seed_negative"],
+)
+def test_sampler_config_names_its_bad_field(fields, key, message):
+    with pytest.raises(SamplerError, match=message) as err:
+        SamplerConfig(**({"seed": 1, "n_paths": 4, "grid": TimeGrid.uniform(1.0, 4), "dim": 1} | fields))
+    assert err.value.key == key
+
+
+@pytest.mark.parametrize(
+    "build, key, message",
+    [
+        (partial(TimeGrid.uniform, 0.0, 4), "T", "horizon T must be positive"),
+        (partial(TimeGrid.uniform, -1.0, 4), "T", "horizon T must be positive"),
+        (partial(TimeGrid.with_geometric_tail, -1.0, 4), "T", "horizon T must be positive"),
+        (partial(TimeGrid.uniform, 1.0, 0), "n_steps", "n_steps must be >= 1"),
+        (partial(TimeGrid.with_geometric_tail, 1.0, 0), "n_steps", "n_steps must be >= 1"),
+        (partial(TimeGrid.with_geometric_tail, 1.0, 4, lam=1.5), "lam", "tail ratio lam must be in (0, 1)"),
+        (partial(TimeGrid.with_geometric_tail, 1.0, 4, floor=0.0), "floor", "tail floor must be positive"),
+        (partial(TimeGrid.with_geometric_tail, 1.0, 4, floor=1e-300), "floor", "below the float spacing"),
+    ],
+    ids=["T_0", "T_negative", "tail_T_negative", "n_steps_0", "tail_n_steps_0", "lam", "floor", "floor_tiny"],
+)
+def test_time_grid_names_its_bad_argument(build, key, message):
+    with pytest.raises(SamplerError, match=re.escape(message)) as err:
+        build()
+    assert err.value.key == key
+
+
+def test_csv_export_refuses_more_paths_than_its_limit(tmp_path):
+    from pathineq.samplers import CSV_MAX_PATHS
+
+    cfg = SamplerConfig(seed=1, n_paths=CSV_MAX_PATHS + 1, grid=TimeGrid.uniform(1.0, 1), dim=1)
+    with pytest.raises(SamplerError, match=f"n_paths <= {CSV_MAX_PATHS}"):
+        ensemble_to_csv(tmp_path / "w.csv", sample_wiener(cfg))
+    assert not (tmp_path / "w.csv").exists()

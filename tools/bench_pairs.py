@@ -61,7 +61,10 @@ time per scenario, then ``ru_maxrss`` after it, then the ``tracemalloc`` peak
 of a second, traced pass, and a digest of every estimate's fields (their
 reprs); the record says whether all digests agree.  Each command
 stores its record under its own key in ``--into`` (created if missing),
-together with the command line, the machine and the package versions.
+together with the command line, the machine and the package versions.  A
+record that compares two checkouts is labelled by their commits as they were
+before its first run, and, where either moved or became dirty by the end of
+its last run, by their commits then too (``commits_after``).
 """
 
 from __future__ import annotations
@@ -92,6 +95,10 @@ def _commit(checkout):
     except (OSError, subprocess.CalledProcessError):
         return None
     return out.stdout.strip()
+
+
+def _commits(base):
+    return {"base": _commit(base), "change": _commit(ROOT)}
 
 
 def _machine():
@@ -239,7 +246,6 @@ def bridge(base, repeats):
     return {
         "unit": "s", "repeats": repeats, "workers_pooled": _machine()["nproc"],
         "shapes": {k: dict(zip(("dim", "n_paths", "n_steps"), v)) for k, v in BRIDGE_SHAPES.items()},
-        "commits": {"base": _commit(base), "change": _commit(ROOT)},
         "sha256": digests, "results": times, "sup_distance": _compare_u(base),
     }
 
@@ -306,7 +312,6 @@ def optimizer(base, seed, repeats):
     return {
         "unit": "s", "seed": seed, "repeats": repeats, "agree_cases": AGREE_CASES,
         "optimizer_calls": runs["change"][0]["optimizer_calls"], "configs": runs["change"][0]["configs"],
-        "commits": {"base": _commit(base), "change": _commit(ROOT)},
         "params_agree": digests["base"]["params_sha256"] == digests["change"]["params_sha256"],
         "configs_agree": digests["base"]["configs_sha256"] == digests["change"]["configs_sha256"],
         "params_differ_cases": len(moved),
@@ -391,7 +396,6 @@ def estimators(base, seed, repeats):
     return {
         "unit": {"wall_s": "s", "mb": "MiB"}, "seed": seed, "repeats": repeats,
         "workers_pooled": first["workers"],
-        "commits": {"base": _commit(base), "change": _commit(ROOT)},
         "family_estimates": {side: runs[side, "pooled"][0]["family_estimates"] for side in ("base", "change")},
         "digests_agree": len({json.dumps(d, sort_keys=True) for d in digests.values()}) == 1,
         "sha256": digests,
@@ -428,7 +432,6 @@ def pairs(base, workload, seed, n_pairs, seconds, end_to_end):
     runs = _alternating(base, n_pairs, lambda checkout, i: _run(checkout, workload, seed, seconds))
     return {
         "workload": workload, "seed": seed, "seconds": seconds, "pairs": n_pairs,
-        "commits": {"base": _commit(base), "change": _commit(ROOT)},
         "failed": {side: sum(r["failed"] for r in rs) for side, rs in runs.items()},
         "verdicts": {m["name"]: _verdict([r[m["name"]] for r in runs["base"]], [r[m["name"]] for r in runs["change"]],
                                          m["better"], m["bound"]) for m in end_to_end},
@@ -473,8 +476,7 @@ def outputs(base, seed):
                    if base_files.get(f) != files.get(f)]
         if change["checks"] != digests["base"][workload]["checks"]:
             differ.append(f"{workload}/checks")
-    return {"seed": seed, "commits": {"base": _commit(base), "change": _commit(ROOT)}, "differ": differ,
-            "sha256": digests}
+    return {"seed": seed, "differ": differ, "sha256": digests}
 
 
 def main(argv=None):
@@ -532,21 +534,25 @@ def main(argv=None):
     if args.command == "estimators-repeat":
         print(json.dumps(estimators_repeat(Path(args.src).resolve(), args.ensembles, args.configs, args.workers)))
         return
+    base = Path(args.base).resolve() if "base" in args else None
+    before = _commits(base) if base else None  # a record is labelled by the code its runs ran
     if args.command == "exact-sum":
         key, record = "exact_sum_vs_fsum", exact_sum_layer(args.repeats)
     elif args.command == "bridge":
-        key, record = "bridge_sampler", bridge(Path(args.base).resolve(), args.repeats)
+        key, record = "bridge_sampler", bridge(base, args.repeats)
     elif args.command == "optimizer":
-        key, record = f"optimizer_seed{args.seed}", optimizer(Path(args.base).resolve(), args.seed, args.repeats)
+        key, record = f"optimizer_seed{args.seed}", optimizer(base, args.seed, args.repeats)
     elif args.command == "estimators":
-        key, record = f"estimators_seed{args.seed}", estimators(Path(args.base).resolve(), args.seed, args.repeats)
+        key, record = f"estimators_seed{args.seed}", estimators(base, args.seed, args.repeats)
     elif args.command == "outputs":
-        key, record = f"outputs_seed{args.seed}", outputs(Path(args.base).resolve(), args.seed)
+        key, record = f"outputs_seed{args.seed}", outputs(base, args.seed)
     else:
         key = f"{args.workload}_pairs_seed{args.seed}"
         bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-        record = pairs(Path(args.base).resolve(), args.workload, args.seed, args.pairs, bench["run_seconds"],
-                       bench["end_to_end"])
+        record = pairs(base, args.workload, args.seed, args.pairs, bench["run_seconds"], bench["end_to_end"])
+    if base:  # a checkout that changed while the runs ran is recorded as it was after the last one too
+        after = _commits(base)
+        record = {"commits": before, **({"commits_after": after} if after != before else {}), **record}
     # the base checkout is named by its commit, not by where it lies
     shown = ["BASE" if prev == "--base" else a for prev, a in zip([None, *argv], argv)]
     record = {"command": "python3 tools/bench_pairs.py " + " ".join(shown), "machine": _machine(), **record}
