@@ -104,8 +104,8 @@ class TimeGrid:
 
     @classmethod
     def uniform(cls, T, n_steps):
-        if not T > 0:
-            raise SamplerError("horizon T must be positive", key="T")
+        if not 0 < T < math.inf:
+            raise SamplerError("horizon T must be positive and finite", key="T")
         if n_steps < 1:
             raise SamplerError("n_steps must be >= 1", key="n_steps")
         return cls(tuple(T * k / n_steps for k in range(n_steps + 1)))

@@ -593,13 +593,15 @@ def test_sampler_config_names_its_bad_field(fields, key, message):
         (partial(TimeGrid.uniform, 0.0, 4), "T", "horizon T must be positive"),
         (partial(TimeGrid.uniform, -1.0, 4), "T", "horizon T must be positive"),
         (partial(TimeGrid.with_geometric_tail, -1.0, 4), "T", "horizon T must be positive"),
+        # an infinite T used to fail as "grid must start at t = 0", with no key
+        (partial(TimeGrid.uniform, math.inf, 4), "T", "horizon T must be positive and finite"),
         (partial(TimeGrid.uniform, 1.0, 0), "n_steps", "n_steps must be >= 1"),
         (partial(TimeGrid.with_geometric_tail, 1.0, 0), "n_steps", "n_steps must be >= 1"),
         (partial(TimeGrid.with_geometric_tail, 1.0, 4, lam=1.5), "lam", "tail ratio lam must be in (0, 1)"),
         (partial(TimeGrid.with_geometric_tail, 1.0, 4, floor=0.0), "floor", "tail floor must be positive"),
         (partial(TimeGrid.with_geometric_tail, 1.0, 4, floor=1e-300), "floor", "below the float spacing"),
     ],
-    ids=["T_0", "T_negative", "tail_T_negative", "n_steps_0", "tail_n_steps_0", "lam", "floor", "floor_tiny"],
+    ids=["T_0", "T_negative", "tail_T_negative", "T_inf", "n_steps_0", "tail_n_steps_0", "lam", "floor", "floor_tiny"],
 )
 def test_time_grid_names_its_bad_argument(build, key, message):
     with pytest.raises(SamplerError, match=re.escape(message)) as err:
