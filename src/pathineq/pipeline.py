@@ -116,7 +116,7 @@ def validate_transfer(v):
         got = {key: v.get(f"{stage}.{key}", expected=expected, required=False)
                for key, expected in {**optional, **options}.items()}
         confidence = got.get("tail.confidence")
-        if confidence is not None and got["tail.from_ensemble"] is None:  # only an ensemble's tail takes it
+        if confidence is not None and got["tail.from_ensemble"] is None:
             v.fail(f"{stage}.tail.confidence", "confidence applies only to a tail from_ensemble")
         if confidence is not None and not 0 < confidence < 1:
             v.fail(f"{stage}.tail.confidence", "confidence must lie in (0, 1)")
