@@ -77,11 +77,16 @@ def _out_dir(args):
 
 
 def _run_transfer_scenario(v, out_dir):
-    from .pipeline import pipeline_report, run_transfer_pipeline, validate_transfer
+    from .pipeline import pipeline_report, run_transfer_pipeline
 
-    report_options = validate_transfer(v)
-    results = run_transfer_pipeline(v.data, base_dir=os.path.dirname(os.path.abspath(v.file)))
-    report = pipeline_report(results, **report_options)
+    v.get("profile_grid", expected=dict, required=False)
+    points = v.get("profile_grid.points", expected=int, required=False)
+    if points is not None and points < 1:
+        v.fail("profile_grid.points", "points must be >= 1")
+    v.read.add("pipeline")  # the stages are run_transfer_pipeline's to read, all before any transfer runs
+    v.reject_unread("", "profile_grid")
+    results = run_transfer_pipeline(v, base_dir=os.path.dirname(os.path.abspath(v.file)))
+    report = pipeline_report(results, **({} if points is None else {"grid_points": points}))
     name = v.data["name"]
     # each table's floats are rendered once, for its JSON and its CSV series (for plotting elsewhere)
     for i, stage in enumerate(report):

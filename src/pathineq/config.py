@@ -116,9 +116,7 @@ class Validator:
         if expected is not None and (
             not isinstance(cur, expected) or (isinstance(cur, bool) and expected is not bool)
         ):
-            names = getattr(expected, "__name__", None) or "/".join(
-                t.__name__ for t in expected
-            )
+            names = getattr(expected, "__name__", None) or "/".join(t.__name__ for t in expected)
             self.fail(path, f"expected {names}, got {type(cur).__name__}")
         if isinstance(cur, float) and not math.isfinite(cur):
             self.fail(path, "expected a finite number")
@@ -133,12 +131,6 @@ class Validator:
             for key in self.get(path, required=False, default={}) if path else self.data:
                 if (full := f"{path}.{key}" if path else str(key)) not in self.read:
                     self.fail(full, "unknown key")
-
-
-def present(spec, keys):
-    """The optional ``keys`` that ``spec`` sets, so a default lives only in the
-    signature of the function that takes them."""
-    return {k: spec[k] for k in keys if k in spec}
 
 
 def _split(path):

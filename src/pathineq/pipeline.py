@@ -11,161 +11,142 @@ so a spec like
         tail: {from_ensemble: bridge.pens}
       - op: weak_lsi_to_weak_poincare
 
-chains an empirical tail into a weak Poincare profile.  Stage failures abort
-with the stage index and operation name.
+chains an empirical tail into a weak Poincare profile.  Each op's reader
+reads its stage's keys by type, before any transfer runs, and refuses a key
+the op does not take: a library caller gets the CLI's ``ConfigError`` naming
+the key.  A transfer that fails aborts with the stage index and op name.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import os
 
 import numpy as np
 
-from .config import present
+from .config import Validator
 from .profiles import BetaProfile, DomainError, TailBound
-from .transfer import (
-    DyadicParams,
-    TransferError,
-    WeightedLSICertificate,
-    tail_to_weak_lsi,
-    weak_lsi_to_poincare,
-    weak_lsi_to_weak_poincare,
-    weighted_lsi_to_weak_lsi,
-)
+from .transfer import (DyadicParams, WeightedLSICertificate, tail_to_weak_lsi, weak_lsi_to_poincare,
+                       weak_lsi_to_weak_poincare, weighted_lsi_to_weak_lsi)
+
+_OPS = ("weighted_lsi_to_weak_lsi", "tail_to_weak_lsi", "weak_lsi_to_poincare", "weak_lsi_to_weak_poincare")
+_NUM = (int, float)
 
 
 class PipelineError(ValueError):
     pass
 
 
-def _load_tail(spec, base_dir=None):
-    import json
-    import os
-
-    if "levels" in spec:
-        return TailBound.from_dict({"type": "tail_bound", **spec})
-    key = next((k for k in ("file", "from_ensemble") if k in spec), None)
-    if key is None:
-        raise PipelineError("tail spec needs 'levels', 'file' or 'from_ensemble'")
-    path = os.path.join(base_dir or "", spec[key])
-    if key == "file":
-        with open(path) as fh:
-            return TailBound.from_dict(json.load(fh))
-    from .estimators import sup_distance, weight_tail
-    from .samplers import load_ensemble
-
-    return weight_tail(sup_distance(load_ensemble(path)), **present(spec, ("confidence",)))
+def _set(v, path, types):
+    """The keys of ``types`` that the mapping at ``path`` sets, each read by type."""
+    return {k: x for k, t in types.items() if (x := v.get(f"{path}.{k}", expected=t, required=False)) is not None}
 
 
-def _load_beta(spec, prev):
-    if spec is None:
+def _keys(v, path, required, optional):
+    """The mapping at ``path``: each ``required`` key and each ``optional`` one it sets, so a default lives
+    only in the signature that takes it.  A key that no read has taken is refused."""
+    v.get(path, expected=dict)
+    got = {k: v.get(f"{path}.{k}", expected=t) for k, t in required.items()} | _set(v, path, optional)
+    v.reject_unread(path)
+    return got
+
+
+def _tail(v, path, base_dir):
+    """The loader of one tail: inline ``levels`` and ``values``, a tail ``file``, or the sup distances of the
+    ensemble ``from_ensemble`` at an optional ``confidence``."""
+    sources = _set(v, path, {"levels": list, "file": str, "from_ensemble": str})
+    if len(sources) != 1:
+        v.fail(f"{path}.{list(sources)[1]}" if sources else path, "a tail takes one of levels, file or from_ensemble")
+    ((source, at),) = sources.items()
+    kw = _keys(v, path, {"values": list} if source == "levels" else {}, {"confidence": _NUM})
+    if "confidence" in kw and source != "from_ensemble":
+        v.fail(f"{path}.confidence", "confidence applies only to a tail from_ensemble")
+    if "confidence" in kw and not 0 < kw["confidence"] < 1:
+        v.fail(f"{path}.confidence", "confidence must lie in (0, 1)")
+
+    def load():
+        if source == "levels":
+            return TailBound(at, kw["values"])
+        file = os.path.join(base_dir or "", at)
+        if source == "file":
+            with open(file) as fh:
+                return TailBound.from_dict(json.load(fh))
+        from .estimators import sup_distance, weight_tail
+        from .samplers import load_ensemble
+
+        return weight_tail(sup_distance(load_ensemble(file)), **kw)
+
+    return load
+
+
+def _beta(v, stage):
+    """The stage's beta profile as a function of the previous stage's result: the inline one, else that
+    result's weak-LSI profile.  ``C`` and ``r0`` are typed here; the keys inside are its constructor's."""
+    spec = v.get(f"{stage}.beta", expected=dict, required=False)
+    _set(v, f"{stage}.beta", {"C": _NUM, "r0": _NUM})
+
+    def beta(prev):
+        if spec is not None:  # shorthand: {C: ..., r0: ...} means the logarithmic family
+            if "family" in spec or ("C" in spec and "r0" in spec):
+                return BetaProfile.from_dict({"type": "beta_profile", "family": "c_log_inv_s", **spec})
+            raise PipelineError(f"cannot interpret beta spec {spec!r}")
         if prev is None or prev.kind != "weak_lsi":
             got = "no previous stage" if prev is None else f"a {prev.kind} result"
-            raise PipelineError(
-                f"stage needs a weak-LSI beta profile inline or from the previous stage, got {got}"
-            )
+            raise PipelineError(f"stage needs a weak-LSI beta profile inline or from the previous stage, got {got}")
         return prev.profile
-    # shorthand: {C: ..., r0: ...} means the logarithmic family
-    if "family" in spec or ("C" in spec and "r0" in spec):
-        return BetaProfile.from_dict({"type": "beta_profile", "family": "c_log_inv_s", **spec})
-    raise PipelineError(f"cannot interpret beta spec {spec!r}")
+
+    return beta
 
 
-def _load_params(spec):
-    if spec is None or spec == "auto":
+def _params(spec):
+    if spec == "auto":
         return None
     if "log2_delta" in spec:
-        return DyadicParams.from_pow2(
-            spec["log2_delta"], spec["log2_delta0"], spec["epsilon"]
-        )
-    return DyadicParams(
-        delta0=spec["delta0"], delta=spec["delta"], epsilon=spec["epsilon"]
-    )
+        return DyadicParams.from_pow2(spec["log2_delta"], spec["log2_delta0"], spec["epsilon"])
+    return DyadicParams(delta0=spec["delta0"], delta=spec["delta"], epsilon=spec["epsilon"])
 
 
-_NUM = (int, float)
-
-# each op's stage keys and their types: (required, optional, the keyword
-# options passed on to its transfer); a stage with no beta takes the previous
-# stage's profile, and a tail is inline levels and values, a file or an ensemble
-_BETA = {"beta": dict, "beta.C": _NUM, "beta.r0": _NUM}
-_TAIL = {"tail.levels": list, "tail.values": list, "tail.file": str, "tail.from_ensemble": str,
-         "tail.confidence": _NUM}
-STAGE_KEYS = {
-    "weighted_lsi_to_weak_lsi": (
-        {"cert": dict, "cert.a": _NUM, "cert.C_exp": _NUM}, {"cert.M": _NUM}, {"smooth": bool},
-    ),
-    "tail_to_weak_lsi": ({"a": _NUM, "tail": dict}, _TAIL, {"n_cap": int}),
-    "weak_lsi_to_poincare": ({}, {**_BETA, "params": (str, dict)}, {"budget": int}),
-    "weak_lsi_to_weak_poincare": ({}, _BETA, {"delta": _NUM, "delta0": _NUM, "r": _NUM, "sigma_cap": _NUM}),
-}
-
-
-def validate_transfer(v):
-    """Check a transfer scenario's keys, every stage by its op, before any
-    transfer runs; returns the options of ``pipeline_report``."""
-    stages = v.get("pipeline", expected=list)
-    if not stages:
-        v.fail("pipeline", "no stages")
-    for i in range(len(stages)):
-        stage = f"pipeline[{i}]"
-        op = v.get(f"{stage}.op", expected=str, choices=STAGE_KEYS)
-        required, optional, options = STAGE_KEYS[op]
-        for key, expected in required.items():
-            v.get(f"{stage}.{key}", expected=expected)
-        got = {key: v.get(f"{stage}.{key}", expected=expected, required=False)
-               for key, expected in {**optional, **options}.items()}
-        confidence = got.get("tail.confidence")
-        if confidence is not None and got["tail.from_ensemble"] is None:
-            v.fail(f"{stage}.tail.confidence", "confidence applies only to a tail from_ensemble")
-        if confidence is not None and not 0 < confidence < 1:
-            v.fail(f"{stage}.tail.confidence", "confidence must lie in (0, 1)")
-        params = got.get("params")
-        if isinstance(params, str) and params != "auto":
-            v.fail(f"{stage}.params", f"expected 'auto' or a mapping, got {params!r}")
-        for key in params if isinstance(params, dict) else ():
-            v.get(f"{stage}.params.{key}", expected=_NUM)
-        # beta and params are left to their constructors, on any stage
-        v.read.update(f"{stage}.{key}" for key in ("beta", "params"))
-        v.reject_unread(stage, *(f"{stage}.{key}" for key in ("cert", "tail") if key in required))
-    v.get("profile_grid", expected=dict, required=False)
-    points = v.get("profile_grid.points", expected=int, required=False)
-    if points is not None and points < 1:
-        v.fail("profile_grid.points", "points must be >= 1")
-    v.reject_unread("", "profile_grid")
-    return {} if points is None else {"grid_points": points}
+def _read_stage(v, stage, op, base_dir):
+    """Read the ``op`` stage's keys; returns its transfer, a function of the previous stage's result."""
+    if op == "weighted_lsi_to_weak_lsi":
+        cert = _keys(v, f"{stage}.cert", {"a": _NUM, "C_exp": _NUM}, {"M": _NUM})
+        kw = _keys(v, stage, {}, {"smooth": bool})
+        return lambda prev: weighted_lsi_to_weak_lsi(WeightedLSICertificate(**cert), **kw)
+    if op == "tail_to_weak_lsi":
+        tail = _tail(v, f"{stage}.tail", base_dir)
+        kw = _keys(v, stage, {"a": _NUM}, {"n_cap": int})
+        return lambda prev: tail_to_weak_lsi(tail=tail(), **kw)
+    beta = _beta(v, stage)
+    if op == "weak_lsi_to_weak_poincare":
+        kw = _keys(v, stage, {}, dict.fromkeys(("delta", "delta0", "r", "sigma_cap"), _NUM))
+        return lambda prev: weak_lsi_to_weak_poincare(beta(prev), **kw)
+    params = v.get(f"{stage}.params", expected=(str, dict), required=False, default="auto")
+    if isinstance(params, str) and params != "auto":
+        v.fail(f"{stage}.params", f"expected 'auto' or a mapping, got {params!r}")
+    for key in params if isinstance(params, dict) else ():  # the keys are its constructor's, the values numbers
+        v.get(f"{stage}.params.{key}", expected=_NUM)
+    kw = _keys(v, stage, {}, {"budget": int})
+    if "budget" in kw and params != "auto":
+        v.fail(f"{stage}.budget", "budget applies only to params: auto")
+    return lambda prev: weak_lsi_to_poincare(beta(prev), _params(params), **kw)
 
 
 def run_transfer_pipeline(spec, base_dir=None):
-    """Execute the stages; returns the list of TransferResults in order."""
-    stages = spec.get("pipeline")
-    if not stages:
-        raise PipelineError("no stages")
+    """Run the stages of ``spec``, a scenario mapping or a ``config.Validator`` of one; returns their results.
+    Every stage is read first: a bad key raises a ``ConfigError`` naming it, a failed stage a ``PipelineError``."""
+    v = spec if isinstance(spec, Validator) else Validator(spec, {}, None)
+    n = len(v.get("pipeline", expected=list, required=False, default=[]))
+    if not n:
+        v.fail("pipeline", "no stages")
+    ops = [v.get(f"pipeline[{i}].op", expected=str, choices=_OPS) for i in range(n)]
+    transfers = [_read_stage(v, f"pipeline[{i}]", op, base_dir) for i, op in enumerate(ops)]
     results = []
-    prev = None
-    for i, stage in enumerate(stages):
-        op = stage.get("op")
-        try:
-            if not isinstance(op, str) or op not in STAGE_KEYS:
-                raise PipelineError(f"unknown op {op!r}")
-            kw = present(stage, STAGE_KEYS[op][2])
-            if op == "weighted_lsi_to_weak_lsi":
-                c = stage["cert"]
-                cert = WeightedLSICertificate(a=c["a"], C_exp=c["C_exp"], **present(c, ("M",)))
-                res = weighted_lsi_to_weak_lsi(cert, **kw)
-            elif op == "tail_to_weak_lsi":
-                res = tail_to_weak_lsi(stage["a"], _load_tail(stage["tail"], base_dir), **kw)
-            elif op == "weak_lsi_to_poincare":
-                beta = _load_beta(stage.get("beta"), prev)
-                res = weak_lsi_to_poincare(beta, _load_params(stage.get("params")), **kw)
-            else:
-                res = weak_lsi_to_weak_poincare(_load_beta(stage.get("beta"), prev), **kw)
-        except (TransferError, KeyError, ValueError) as exc:
-            if isinstance(exc, PipelineError) and op is None:
-                raise
+    for i, (op, transfer) in enumerate(zip(ops, transfers)):
+        try:  # a KeyError is a key missing inside beta, params or a tail file, which their constructors read
+            results.append(transfer(results[-1] if results else None))
+        except (KeyError, ValueError) as exc:
             raise PipelineError(f"stage {i} ({op}): {exc}") from exc
-        results.append(res)
-        prev = res
     return results
 
 

@@ -51,6 +51,7 @@ import contextlib
 import hashlib
 import json
 import math
+import numbers
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -187,6 +188,8 @@ class SamplerConfig:
     def __post_init__(self):
         if self.n_paths < 1:
             raise SamplerError("n_paths must be >= 1", key="n_paths")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):  # 1.5 would draw seed 1's paths
+            raise SamplerError(f"seed must be an integer, got {self.seed!r}", key="seed")
         if not 0 <= self.seed < 2**64:
             raise SamplerError("seed must fit in 64 bits", key="seed")
         if self.dim < 1:
@@ -255,7 +258,7 @@ class PathEnsemble:
 _REFUSED = {"x0": "starts from its stationary law", "y0": "takes no end point"}
 
 
-def _check_points(cfg, tag, takes, size, fault=lambda key, p: None):
+def _check_points(cfg, tag, takes, size, fault=lambda key, p: not np.isfinite(p).all() and f"{key} must be finite"):
     """Raise a SamplerError keyed x0 or y0 for a point of ``cfg`` that the ``tag`` sampler cannot take: one
     not in ``takes``, one of other than ``size`` coordinates, or one where ``fault(key, p)`` says why."""
     for key in ("x0", "y0"):

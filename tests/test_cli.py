@@ -62,7 +62,7 @@ profile_grid: {points: 48}
 """
 
 
-OP = "op: weak_lsi_to_poincare"
+OP = TRANSFER_YAML[TRANSFER_YAML.index("op:"):].rstrip("\n")
 
 
 def first_stage(op, *keys):
@@ -534,6 +534,36 @@ def test_bad_transfer_input_names_file_and_line(tmp_path, capsys, old, new, line
     assert main(["transfer", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert f"bad.yaml:{line}: {key}: " in err and message in err
+
+
+@pytest.mark.parametrize(
+    "old, new, line, key, message",
+    [
+        # each was taken and then ignored, and the run exited 0
+        (OP, first_stage("weighted_lsi_to_weak_lsi", "cert: {a: 1.0, C_exp: 1.0}", "beta: {C: 1.0, r0: 0.5}"), 5,
+         "pipeline[0].beta", "unknown key"),
+        (OP, first_stage("weighted_lsi_to_weak_lsi", "cert: {a: 1.0, C_exp: 1.0}", "params: auto"), 5,
+         "pipeline[0].params", "unknown key"),
+        (OP, first_stage("tail_to_weak_lsi", "a: 0.5", f"tail: {{{GAUSS_TAIL}}}", "beta: {C: 1.0, r0: 0.5}"), 6,
+         "pipeline[0].beta", "unknown key"),
+        (OP, first_stage("tail_to_weak_lsi", "a: 0.5", f"tail: {{{GAUSS_TAIL}}}", "params: auto"), 6,
+         "pipeline[0].params", "unknown key"),
+        (OP, first_stage("weak_lsi_to_weak_poincare", "beta: {C: 1.0, r0: 0.5}", "params: auto"), 5,
+         "pipeline[0].params", "unknown key"),
+        # the inline levels won, and the file was never opened
+        (OP, first_stage("tail_to_weak_lsi", "a: 0.5", f"tail: {{{GAUSS_TAIL}, file: nonexistent.json}}"), 5,
+         "pipeline[0].tail.file", "a tail takes one of"),
+        ("epsilon: 0.125}\n", "epsilon: 0.125}\n    budget: 1000\n", 6, "pipeline[0].budget",
+         "budget applies only to params: auto"),
+    ],
+    ids=["beta_on_weighted", "params_on_weighted", "beta_on_tail", "params_on_tail", "params_on_weak_poincare",
+         "tail_levels_and_file", "budget_with_params"],
+)
+def test_stage_key_no_reader_takes_names_file_and_line(tmp_path, capsys, old, new, line, key, message):
+    cfg = write(tmp_path, "bad.yaml", TRANSFER_YAML.replace(old, new))
+    assert main(["transfer", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"bad.yaml:{line}: {key}: {message}" in capsys.readouterr().err
+    assert not any((tmp_path / "o").iterdir())
 
 
 def test_nan_tail_file_is_rejected_by_its_stage(tmp_path, capsys):

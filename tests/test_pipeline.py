@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from pathineq import pipeline
+from pathineq.config import ConfigError
 from pathineq.pipeline import PipelineError, pipeline_report, run_transfer_pipeline
 from pathineq.profiles import BetaProfile, DomainError
 
 
 def test_empty_pipeline_is_an_error():
-    with pytest.raises(PipelineError, match="no stages"):
+    with pytest.raises(ConfigError, match="no stages"):
         run_transfer_pipeline({"name": "x", "pipeline": []})
-    with pytest.raises(PipelineError, match="no stages"):
+    with pytest.raises(ConfigError, match="no stages"):
         run_transfer_pipeline({"name": "x"})
 
 
@@ -64,7 +66,7 @@ def test_stage_error_names_stage():
     }
     with pytest.raises(PipelineError, match=r"stage 0 \(weak_lsi_to_poincare\)"):
         run_transfer_pipeline(spec)
-    with pytest.raises(PipelineError, match="unknown op"):
+    with pytest.raises(ConfigError, match=r"pipeline\[0\]\.op"):
         run_transfer_pipeline({"name": "x", "pipeline": [{"op": "bogus"}]})
 
 
@@ -131,3 +133,33 @@ def test_pipeline_report_records_only_domain_errors(monkeypatch, error):
     else:
         with pytest.raises(TypeError, match="tabulation failed"):
             pipeline_report(results)
+
+
+CERT = {"op": "weighted_lsi_to_weak_lsi", "cert": {"a": 0.5, "C_exp": 1.0}}
+
+
+@pytest.mark.parametrize(
+    "stages, key",
+    [
+        # a string a used to raise TypeError, a program-bug class, and True to be taken as a = 1
+        ([{**CERT, "cert": {"a": "abc", "C_exp": 1.0}}], "pipeline[0].cert.a"),
+        ([{**CERT, "cert": {"a": True, "C_exp": 1.0}}], "pipeline[0].cert.a"),
+        # the misspelled smooth used to be ignored, and the stage certified the scan profile
+        ([{**CERT, "smoth": True}], "pipeline[0].smoth"),
+        # a missing tail used to be reported as "stage 0 (tail_to_weak_lsi): 'tail'"
+        ([{"op": "tail_to_weak_lsi", "a": 0.5}], "pipeline[0].tail"),
+        ([CERT, {"op": "weak_lsi_to_weak_poincare", "sigma_cap": math.nan}], "pipeline[1].sigma_cap"),
+        ([{**CERT, "beta": {"C": 1.0, "r0": 0.5}}], "pipeline[0].beta"),
+    ],
+    ids=["cert_a_string", "cert_a_bool", "smoth", "missing_tail", "sigma_cap_nan", "beta_on_weighted"],
+)
+def test_bad_stage_key_is_a_config_error_naming_it(monkeypatch, stages, key):
+    # every stage is read before any transfer runs
+    def ran(*args, **kwargs):
+        raise AssertionError("a transfer ran")
+
+    for op in ("weighted_lsi_to_weak_lsi", "tail_to_weak_lsi", "weak_lsi_to_weak_poincare"):
+        monkeypatch.setattr(pipeline, op, ran)
+    with pytest.raises(ConfigError) as exc:
+        run_transfer_pipeline({"name": "x", "pipeline": stages})
+    assert exc.value.path == key

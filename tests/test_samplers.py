@@ -555,10 +555,15 @@ def no_draws(monkeypatch):
         (sample_hyperbolic_bridge, 3, {"y0": (0.0, 0.0, 0.0, math.nan)}, "y0",
          "y0 must be a point on the hyperboloid sheet of H^3"),
         (sample_hyperbolic_bridge, 4, {}, "dim", "the hyperbolic bridge takes dim 2 or 3"),
+        # a non-finite start point used to give NaN or infinite paths
+        (sample_wiener, 2, {"x0": (0.0, math.nan)}, "x0", "x0 must be finite"),
+        (sample_wiener, 1, {"x0": (-math.inf,)}, "x0", "x0 must be finite"),
+        (sample_hyperbolic_bridge, 2, {"x0": (0.0, 0.0, math.inf)}, "x0",
+         "x0 must be a point on the hyperboloid sheet of H^2"),
     ],
     ids=["ou_x0", "wiener_y0", "flat_bridge_y0", "ou_y0", "wiener_x0_length", "flat_bridge_x0_length",
          "bridge_y0_length", "flat_bridge_x0_off_origin", "bridge_x0_off_sheet", "bridge_y0_lower_sheet",
-         "bridge_y0_nan", "bridge_dim_4"],
+         "bridge_y0_nan", "bridge_dim_4", "wiener_x0_nan", "wiener_x0_inf", "bridge_x0_inf"],
 )
 def test_sampler_refuses_a_point_or_dim_it_cannot_take(no_draws, sampler, dim, points, key, message):
     cfg = SamplerConfig(seed=1, n_paths=4, grid=TimeGrid.with_geometric_tail(1.0, 4), dim=dim, **points)
@@ -578,8 +583,12 @@ def test_sampler_refuses_a_point_or_dim_it_cannot_take(no_draws, sampler, dim, p
         ({"drift_cap": math.nan}, "drift_cap", "drift_cap must be positive"),
         ({"n_paths": 0}, "n_paths", "n_paths must be >= 1"),
         ({"seed": -1}, "seed", "seed must fit in 64 bits"),
+        # seed 1.5 used to draw seed 1's paths under another config_hash
+        ({"seed": 1.5}, "seed", "seed must be an integer"),
+        ({"seed": True}, "seed", "seed must be an integer"),
     ],
-    ids=["dim_0", "drift_cap_0", "drift_cap_negative", "drift_cap_nan", "n_paths_0", "seed_negative"],
+    ids=["dim_0", "drift_cap_0", "drift_cap_negative", "drift_cap_nan", "n_paths_0", "seed_negative",
+         "seed_float", "seed_bool"],
 )
 def test_sampler_config_names_its_bad_field(fields, key, message):
     with pytest.raises(SamplerError, match=message) as err:

@@ -40,7 +40,8 @@ base's in those cases, relative to the base's.
 ``pairs`` runs ``perfbench/run.py --trace 0 --seconds S``, S being
 ``run_seconds`` in ``BENCHMARK.json``, in the ``--base`` checkout and in this
 one, pair by pair, with the side that runs first alternating.  It records
-every run's end-to-end metrics with their medians and quartiles, and for each
+every run's end-to-end metrics with their medians and quartiles, the reason
+``run.py`` gave for each failed operation, listed per side, and for each
 metric, with its direction and bound from ``BENCHMARK.json``, a verdict: the
 pairs the change wins and loses (ties count for neither), whether a claimed
 gain holds (wins in at least 9 pairs of 10 and a median gain larger than the
@@ -116,14 +117,15 @@ def _machine():
 
 
 def _last_json(cmd, **kw):
-    """The JSON record that ``cmd`` prints on its last line."""
+    """The JSON record that ``cmd`` prints on its last line, and what it wrote to stderr."""
     out = subprocess.run(cmd, capture_output=True, text=True, check=True, **kw)
-    return json.loads(out.stdout.strip().splitlines()[-1])
+    return json.loads(out.stdout.strip().splitlines()[-1]), out.stderr
 
 
 def _side(command, checkout, *args):
     """The JSON record of this script's one-side ``command`` with pathineq from ``checkout``."""
-    return _last_json([sys.executable, str(Path(__file__).resolve()), command, "--src", str(checkout / "src"), *args])
+    cmd = [sys.executable, str(Path(__file__).resolve()), command, "--src", str(checkout / "src"), *args]
+    return _last_json(cmd)[0]
 
 
 def _alternating(base, repeats, run):
@@ -407,9 +409,11 @@ def estimators(base, seed, repeats):
 def _run(checkout, workload, seed, seconds):
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    record = _last_json(cmd, cwd=checkout)
+    record, stderr = _last_json(cmd, cwd=checkout)
+    # run.py prints each failure's reason, which may span lines, after "<workload> FAILED "
+    failures = [why.rstrip("\n") for why in stderr.split(f"{workload} FAILED ")[1:]]
     return {**{m: record["metrics"][m]["value"] for m in END_TO_END}, "failed": record["failed"],
-            "attempted": record["attempted"]}
+            "attempted": record["attempted"], "failures": failures}
 
 
 def _verdict(base, change, better, bound):
@@ -433,6 +437,7 @@ def pairs(base, workload, seed, n_pairs, seconds, end_to_end):
     return {
         "workload": workload, "seed": seed, "seconds": seconds, "pairs": n_pairs,
         "failed": {side: sum(r["failed"] for r in rs) for side, rs in runs.items()},
+        "failures": {side: [why for r in rs for why in r["failures"]] for side, rs in runs.items()},
         "verdicts": {m["name"]: _verdict([r[m["name"]] for r in runs["base"]], [r[m["name"]] for r in runs["change"]],
                                          m["better"], m["bound"]) for m in end_to_end},
         "metrics": {side: {m: _summary([r[m] for r in rs]) for m in END_TO_END} for side, rs in runs.items()},
