@@ -116,7 +116,9 @@ class Validator:
         if expected is not None and (
             not isinstance(cur, expected) or (isinstance(cur, bool) and expected is not bool)
         ):
-            names = getattr(expected, "__name__", None) or "/".join(t.__name__ for t in expected)
+            names = getattr(expected, "__name__", None) or "/".join(
+                t.__name__ for t in expected
+            )
             self.fail(path, f"expected {names}, got {type(cur).__name__}")
         if isinstance(cur, float) and not math.isfinite(cur):
             self.fail(path, "expected a finite number")

@@ -80,26 +80,21 @@ def _tail(v, path, base_dir):
     return load
 
 
-def _beta(v, stage):
-    """The stage's beta profile as a function of the previous stage's result: the inline one, else that
-    result's weak-LSI profile.  ``C`` and ``r0`` are typed here; the keys inside are its constructor's."""
-    spec = v.get(f"{stage}.beta", expected=dict, required=False)
-    _set(v, f"{stage}.beta", {"C": _NUM, "r0": _NUM})
-
-    def beta(prev):
-        if spec is not None:  # shorthand: {C: ..., r0: ...} means the logarithmic family
-            if "family" in spec or ("C" in spec and "r0" in spec):
-                return BetaProfile.from_dict({"type": "beta_profile", "family": "c_log_inv_s", **spec})
-            raise PipelineError(f"cannot interpret beta spec {spec!r}")
+def _load_beta(spec, prev):
+    if spec is None:
         if prev is None or prev.kind != "weak_lsi":
             got = "no previous stage" if prev is None else f"a {prev.kind} result"
-            raise PipelineError(f"stage needs a weak-LSI beta profile inline or from the previous stage, got {got}")
+            raise PipelineError(
+                f"stage needs a weak-LSI beta profile inline or from the previous stage, got {got}"
+            )
         return prev.profile
+    # shorthand: {C: ..., r0: ...} means the logarithmic family
+    if "family" in spec or ("C" in spec and "r0" in spec):
+        return BetaProfile.from_dict({"type": "beta_profile", "family": "c_log_inv_s", **spec})
+    raise PipelineError(f"cannot interpret beta spec {spec!r}")
 
-    return beta
 
-
-def _params(spec):
+def _load_params(spec):
     if spec == "auto":
         return None
     if "log2_delta" in spec:
@@ -117,10 +112,13 @@ def _read_stage(v, stage, op, base_dir):
         tail = _tail(v, f"{stage}.tail", base_dir)
         kw = _keys(v, stage, {"a": _NUM}, {"n_cap": int})
         return lambda prev: tail_to_weak_lsi(tail=tail(), **kw)
-    beta = _beta(v, stage)
+    # a beta stage takes the previous stage's profile unless one is inline; only C and r0 are typed here,
+    # the other keys inside are its constructor's
+    beta = v.get(f"{stage}.beta", expected=dict, required=False)
+    _set(v, f"{stage}.beta", {"C": _NUM, "r0": _NUM})
     if op == "weak_lsi_to_weak_poincare":
         kw = _keys(v, stage, {}, dict.fromkeys(("delta", "delta0", "r", "sigma_cap"), _NUM))
-        return lambda prev: weak_lsi_to_weak_poincare(beta(prev), **kw)
+        return lambda prev: weak_lsi_to_weak_poincare(_load_beta(beta, prev), **kw)
     params = v.get(f"{stage}.params", expected=(str, dict), required=False, default="auto")
     if isinstance(params, str) and params != "auto":
         v.fail(f"{stage}.params", f"expected 'auto' or a mapping, got {params!r}")
@@ -129,7 +127,7 @@ def _read_stage(v, stage, op, base_dir):
     kw = _keys(v, stage, {}, {"budget": int})
     if "budget" in kw and params != "auto":
         v.fail(f"{stage}.budget", "budget applies only to params: auto")
-    return lambda prev: weak_lsi_to_poincare(beta(prev), _params(params), **kw)
+    return lambda prev: weak_lsi_to_poincare(_load_beta(beta, prev), _load_params(params), **kw)
 
 
 def run_transfer_pipeline(spec, base_dir=None):

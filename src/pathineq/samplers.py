@@ -51,7 +51,6 @@ import contextlib
 import hashlib
 import json
 import math
-import numbers
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -188,7 +187,7 @@ class SamplerConfig:
     def __post_init__(self):
         if self.n_paths < 1:
             raise SamplerError("n_paths must be >= 1", key="n_paths")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):  # 1.5 would draw seed 1's paths
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):  # 1.5 draws seed 1's paths
             raise SamplerError(f"seed must be an integer, got {self.seed!r}", key="seed")
         if not 0 <= self.seed < 2**64:
             raise SamplerError("seed must fit in 64 bits", key="seed")
