@@ -123,7 +123,7 @@ def _read_point(v, key):
         if spec != "origin":
             v.fail(key, f"expected 'origin' or a list of numbers, got {spec!r}")
         return None
-    return tuple(float(v.get(f"{key}[{i}]", expected=_NUM)) for i in range(len(spec)))
+    return tuple(map(float, v.numbers(key)))
 
 
 def _run_sample_scenario(v, out_dir, seed_override=None):
@@ -242,6 +242,8 @@ def _run_estimate_scenario(v, out_dir):
             ens.grid.index_of(family[-1].times[0])
         except (EstimatorError, SamplerError) as exc:
             v.fail(f"functions[{i}].{'time' if exc.key in (None, 'times') else exc.key}", str(exc))
+        if family[-1].label in (F.label for F in family[:-1]):  # the results are keyed by label
+            v.fail(f"functions[{i}]{'.label' if label else ''}", f"duplicate label {family[-1].label!r}")
 
     records = {"seed": ens.config.seed, "config_hash": ens.config.config_hash}
     names = list(dict.fromkeys(n for e in estimators for n in wants[e]))

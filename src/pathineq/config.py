@@ -126,6 +126,10 @@ class Validator:
             self.fail(path, f"expected one of {sorted(choices)}, got {cur!r}")
         return cur
 
+    def numbers(self, path):
+        """The list at ``path``, each entry read as a number."""
+        return [self.get(f"{path}[{i}]", expected=(int, float)) for i in range(len(self.get(path, expected=list)))]
+
     def reject_unread(self, *paths):
         """Fail on a key of the mapping at each of ``paths`` ("" is the top
         level) that no ``get`` asked for: a misspelled key is not ignored."""

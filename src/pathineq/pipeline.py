@@ -2,8 +2,8 @@
 
 A pipeline spec is a list of stages; each stage names an operation and its
 inputs.  Rate profiles flow from one stage to the next (a stage that needs a
-beta profile takes the previous stage's output unless one is given inline),
-so a spec like
+beta profile takes the previous weak-LSI stage's output unless C log(1/s) is
+given inline), so a spec like
 
     pipeline:
       - op: tail_to_weak_lsi
@@ -12,9 +12,11 @@ so a spec like
       - op: weak_lsi_to_weak_poincare
 
 chains an empirical tail into a weak Poincare profile.  Each op's reader
-reads its stage's keys by type, before any transfer runs, and refuses a key
-the op does not take: a library caller gets the CLI's ``ConfigError`` naming
-the key.  A transfer that fails aborts with the stage index and op name.
+reads its stage's keys by type before any transfer runs, the keys inside
+``cert``, ``tail``, ``beta`` and ``params`` and the source of a beta
+included, and refuses a key it does not take: a library caller gets the CLI's
+``ConfigError`` naming the key.  A transfer that fails, or a tail file that
+``TailBound.from_dict`` refuses, aborts with the stage index and op name.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .transfer import (DyadicParams, WeightedLSICertificate, tail_to_weak_lsi, w
 
 _OPS = ("weighted_lsi_to_weak_lsi", "tail_to_weak_lsi", "weak_lsi_to_poincare", "weak_lsi_to_weak_poincare")
 _NUM = (int, float)
+_WEAK_LSI = ("weighted_lsi_to_weak_lsi", "tail_to_weak_lsi")  # the ops whose result is a beta profile
 
 
 class PipelineError(ValueError):
@@ -64,10 +67,11 @@ def _tail(v, path, base_dir):
         v.fail(f"{path}.confidence", "confidence applies only to a tail from_ensemble")
     if "confidence" in kw and not 0 < kw["confidence"] < 1:
         v.fail(f"{path}.confidence", "confidence must lie in (0, 1)")
+    if source == "levels":
+        levels, values = v.numbers(f"{path}.levels"), v.numbers(f"{path}.values")
+        return lambda: TailBound(levels, values)
 
     def load():
-        if source == "levels":
-            return TailBound(at, kw["values"])
         file = os.path.join(base_dir or "", at)
         if source == "file":
             with open(file) as fh:
@@ -80,30 +84,8 @@ def _tail(v, path, base_dir):
     return load
 
 
-def _load_beta(spec, prev):
-    if spec is None:
-        if prev is None or prev.kind != "weak_lsi":
-            got = "no previous stage" if prev is None else f"a {prev.kind} result"
-            raise PipelineError(
-                f"stage needs a weak-LSI beta profile inline or from the previous stage, got {got}"
-            )
-        return prev.profile
-    # shorthand: {C: ..., r0: ...} means the logarithmic family
-    if "family" in spec or ("C" in spec and "r0" in spec):
-        return BetaProfile.from_dict({"type": "beta_profile", "family": "c_log_inv_s", **spec})
-    raise PipelineError(f"cannot interpret beta spec {spec!r}")
-
-
-def _load_params(spec):
-    if spec == "auto":
-        return None
-    if "log2_delta" in spec:
-        return DyadicParams.from_pow2(spec["log2_delta"], spec["log2_delta0"], spec["epsilon"])
-    return DyadicParams(delta0=spec["delta0"], delta=spec["delta"], epsilon=spec["epsilon"])
-
-
-def _read_stage(v, stage, op, base_dir):
-    """Read the ``op`` stage's keys; returns its transfer, a function of the previous stage's result."""
+def _read_stage(v, stage, op, prev_op, base_dir):
+    """Read the ``op`` stage's keys, ``prev_op`` the op before it; returns its transfer of the previous result."""
     if op == "weighted_lsi_to_weak_lsi":
         cert = _keys(v, f"{stage}.cert", {"a": _NUM, "C_exp": _NUM}, {"M": _NUM})
         kw = _keys(v, stage, {}, {"smooth": bool})
@@ -112,38 +94,44 @@ def _read_stage(v, stage, op, base_dir):
         tail = _tail(v, f"{stage}.tail", base_dir)
         kw = _keys(v, stage, {"a": _NUM}, {"n_cap": int})
         return lambda prev: tail_to_weak_lsi(tail=tail(), **kw)
-    # a beta stage takes the previous stage's profile unless one is inline; only C and r0 are typed here,
-    # the other keys inside are its constructor's
-    beta = v.get(f"{stage}.beta", expected=dict, required=False)
-    _set(v, f"{stage}.beta", {"C": _NUM, "r0": _NUM})
+    # a beta stage takes C log(1/s) on (0, r0) inline, or the previous stage's weak-LSI profile
+    if (beta := v.get(f"{stage}.beta", expected=dict, required=False)) is not None:
+        v.get(f"{stage}.beta.family", expected=str, required=False, choices=("c_log_inv_s",))
+        beta = _keys(v, f"{stage}.beta", {"C": _NUM, "r0": _NUM}, {})
     if op == "weak_lsi_to_weak_poincare":
+        transfer = weak_lsi_to_weak_poincare
         kw = _keys(v, stage, {}, dict.fromkeys(("delta", "delta0", "r", "sigma_cap"), _NUM))
-        return lambda prev: weak_lsi_to_weak_poincare(_load_beta(beta, prev), **kw)
-    params = v.get(f"{stage}.params", expected=(str, dict), required=False, default="auto")
-    if isinstance(params, str) and params != "auto":
-        v.fail(f"{stage}.params", f"expected 'auto' or a mapping, got {params!r}")
-    for key in params if isinstance(params, dict) else ():  # the keys are its constructor's, the values numbers
-        v.get(f"{stage}.params.{key}", expected=_NUM)
-    kw = _keys(v, stage, {}, {"budget": int})
-    if "budget" in kw and params != "auto":
-        v.fail(f"{stage}.budget", "budget applies only to params: auto")
-    return lambda prev: weak_lsi_to_poincare(_load_beta(beta, prev), _load_params(params), **kw)
+    else:
+        params = v.get(f"{stage}.params", expected=(str, dict), required=False, default="auto")
+        if isinstance(params, str) and params != "auto":
+            v.fail(f"{stage}.params", f"expected 'auto' or a mapping, got {params!r}")
+        if params != "auto":  # a log2_delta key picks the base-2 exponents of delta and delta0
+            dyadic, pre = (DyadicParams.from_pow2, "log2_") if "log2_delta" in params else (DyadicParams, "")
+            params = _keys(v, f"{stage}.params", {f"{pre}delta": _NUM, f"{pre}delta0": _NUM, "epsilon": _NUM}, {})
+        kw = _keys(v, stage, {}, {"budget": int})
+        if "budget" in kw and params != "auto":
+            v.fail(f"{stage}.budget", "budget applies only to params: auto")
+
+        def transfer(b, **kw):
+            return weak_lsi_to_poincare(b, None if params == "auto" else dyadic(**params), **kw)
+    if beta is None and prev_op not in _WEAK_LSI:  # after the stage's own keys, so a bad one is named first
+        v.fail(f"{stage}.beta", f"needs an inline beta or a weak-LSI stage before it, got {prev_op or 'no stage'}")
+    return lambda prev: transfer(prev.profile if beta is None else BetaProfile("c_log_inv_s", **beta), **kw)
 
 
 def run_transfer_pipeline(spec, base_dir=None):
     """Run the stages of ``spec``, a scenario mapping or a ``config.Validator`` of one; returns their results.
     Every stage is read first: a bad key raises a ``ConfigError`` naming it, a failed stage a ``PipelineError``."""
     v = spec if isinstance(spec, Validator) else Validator(spec, {}, None)
-    n = len(v.get("pipeline", expected=list, required=False, default=[]))
-    if not n:
+    if not (n := len(v.get("pipeline", expected=list, required=False, default=[]))):
         v.fail("pipeline", "no stages")
     ops = [v.get(f"pipeline[{i}].op", expected=str, choices=_OPS) for i in range(n)]
-    transfers = [_read_stage(v, f"pipeline[{i}]", op, base_dir) for i, op in enumerate(ops)]
+    transfers = [_read_stage(v, f"pipeline[{i}]", op, ops[i - 1] if i else None, base_dir) for i, op in enumerate(ops)]
     results = []
     for i, (op, transfer) in enumerate(zip(ops, transfers)):
-        try:  # a KeyError is a key missing inside beta, params or a tail file, which their constructors read
+        try:
             results.append(transfer(results[-1] if results else None))
-        except (KeyError, ValueError) as exc:
+        except ValueError as exc:
             raise PipelineError(f"stage {i} ({op}): {exc}") from exc
     return results
 

@@ -225,8 +225,11 @@ class TailBound:
 
     @classmethod
     def from_dict(cls, d):
-        if d.get("type") != "tail_bound":
+        if not isinstance(d, dict) or d.get("type") != "tail_bound":
             raise ProfileError("not a serialized tail bound")
+        for key in ("levels", "values"):
+            if not isinstance(d.get(key), list) or any(type(x) not in (int, float) for x in d[key]):
+                raise ProfileError(f"tail bound needs {key}, a list of numbers")
         return cls(
             levels=tuple(d["levels"]),
             values=tuple(d["values"]),

@@ -191,7 +191,8 @@ def test_transfer_chain_of_wrong_kind_is_config_error(tmp_path, capsys):
     chain = TRANSFER_YAML + "  - op: weak_lsi_to_weak_poincare\n"
     code = main(["transfer", "--config", write(tmp_path, "t.yaml", chain), "--out", str(tmp_path / "o")])
     assert code == 2
-    assert "stage 1 (weak_lsi_to_weak_poincare)" in capsys.readouterr().err
+    assert "t.yaml:6: pipeline[1].beta: " in capsys.readouterr().err
+    assert not any((tmp_path / "o").iterdir())
 
 
 def test_subcommand_flags():
@@ -434,9 +435,17 @@ def test_domain_error_names_its_scenario_file(tmp_path, capsys):
          "pipeline[0].cert.a"),
         ("transfer", OP, first_stage("tail_to_weak_lsi", "a: 0.5", "tail: {levels: [0, 1], values: [1, 0.1]}",
                                      "n_cap: abc"), 6, "pipeline[0].n_cap"),
+        # a mapping entry raised TypeError; a string and a bool were read as numbers
+        ("transfer", OP, first_stage("tail_to_weak_lsi", "a: 0.5", "tail: {levels: [0, 1, {x: 1}, 3], values: [1, 0]}"),
+         5, "pipeline[0].tail.levels[2]"),
+        ("transfer", OP, first_stage("tail_to_weak_lsi", "a: 0.5", "tail: {levels: [0, 1, '2', 3], values: [1, 0]}"),
+         5, "pipeline[0].tail.levels[2]"),
+        ("transfer", OP, first_stage("tail_to_weak_lsi", "a: 0.5", "tail: {levels: [0, 1], values: [true, 0]}"),
+         5, "pipeline[0].tail.values[0]"),
     ],
     ids=["lam", "floor", "drift_cap", "exp_square_c", "points", "coord", "time",
-         "coord_bool", "n_paths_bool", "seed_bool", "T_bool", "x0_word", "y0_entry", "cert_a", "n_cap"],
+         "coord_bool", "n_paths_bool", "seed_bool", "T_bool", "x0_word", "y0_entry", "cert_a", "n_cap",
+         "tail_level_mapping", "tail_level_string", "tail_value_bool"],
 )
 def test_non_numeric_option_names_file_and_line(tmp_path, capsys, command, old, new, line, key):
     text = {"sample": SAMPLE_YAML, "estimate": ESTIMATE_YAML, "transfer": TRANSFER_YAML}[command]
@@ -555,9 +564,18 @@ def test_bad_transfer_input_names_file_and_line(tmp_path, capsys, old, new, line
          "pipeline[0].tail.file", "a tail takes one of"),
         ("epsilon: 0.125}\n", "epsilon: 0.125}\n    budget: 1000\n", 6, "pipeline[0].budget",
          "budget applies only to params: auto"),
+        # a stray key inside beta or params was ignored, a missing one named only by its quoted name
+        ("r0: 0.5}", "r0: 0.5, R0: 3}", 4, "pipeline[0].beta.R0", "unknown key"),
+        ("C: 1.0, r0: 0.5}", "C: 1.0}", 4, "pipeline[0].beta.r0", "missing required key"),
+        ("family: c_log_inv_s", "family: tabulated", 4, "pipeline[0].beta.family",
+         "expected one of ['c_log_inv_s'], got 'tabulated'"),
+        ("epsilon: 0.125}", "epsilon: 0.125, delta: 9}", 5, "pipeline[0].params.delta", "unknown key"),
+        ("log2_delta: 0.5, log2_delta0: 4.5, epsilon: 0.125", "delta: 2.0, epsilon: 0.1", 5,
+         "pipeline[0].params.delta0", "missing required key"),
     ],
     ids=["beta_on_weighted", "params_on_weighted", "beta_on_tail", "params_on_tail", "params_on_weak_poincare",
-         "tail_levels_and_file", "budget_with_params"],
+         "tail_levels_and_file", "budget_with_params", "beta_R0", "beta_no_r0", "beta_family",
+         "params_delta_beside_log2", "params_no_delta0"],
 )
 def test_stage_key_no_reader_takes_names_file_and_line(tmp_path, capsys, old, new, line, key, message):
     cfg = write(tmp_path, "bad.yaml", TRANSFER_YAML.replace(old, new))
@@ -690,6 +708,26 @@ def test_bad_function_time_names_file_and_key(tmp_path, capsys, time, message):
     capsys.readouterr()
     assert main(["estimate", "--config", write(tmp_path, "e.yaml", estimate), "--out", out]) == 2
     assert f"e.yaml:5: functions[0].time: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "second, key, label",
+    [("{type: hermite, degree: 1, label: f}", "functions[1].label", "f"),
+     ("{type: coordinate, coord: 0}", "functions[1]", "x0(t=1.0)"),
+     ("{type: hermite, degree: 1, label: x0(t=1.0)}", "functions[1].label", "x0(t=1.0)")],
+    ids=["given", "default", "given_as_default"],
+)
+def test_duplicate_function_label_names_file_and_key(tmp_path, capsys, second, key, label):
+    # the variance result used to keep one entry per label, the last function's
+    out = tmp_path / "out"
+    assert main(["sample", "--config", write(tmp_path, "s.yaml", WIENER_4_YAML), "--out", str(out)]) == 0
+    first = "{type: coordinate, label: f}" if label == "f" else "{type: coordinate}"
+    estimate = ESTIMATE_YAML.replace("[weight_tail, exp_square_moment]",
+                                     f"[variance, rayleigh]\nfunctions:\n  - {first}\n  - {second}")
+    capsys.readouterr()
+    assert main(["estimate", "--config", write(tmp_path, "e.yaml", estimate), "--out", str(out)]) == 2
+    assert f"e.yaml:6: {key}: duplicate label {label!r}" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["bridge.pens", "sample_report.json"]
 
 
 # an absent key is named at the line of the mapping it is missing from

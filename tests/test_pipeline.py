@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pathineq import pipeline
 from pathineq.config import ConfigError
 from pathineq.pipeline import PipelineError, pipeline_report, run_transfer_pipeline
-from pathineq.profiles import BetaProfile, DomainError
+from pathineq.profiles import BetaProfile, DomainError, ProfileError
 
 
 def test_empty_pipeline_is_an_error():
@@ -70,8 +72,10 @@ def test_stage_error_names_stage():
         run_transfer_pipeline({"name": "x", "pipeline": [{"op": "bogus"}]})
 
 
-def test_beta_stage_needs_a_weak_lsi_stage():
-    # a Poincare constant or an alpha profile is not a beta profile
+def test_beta_stage_needs_a_weak_lsi_stage(monkeypatch):
+    # a Poincare constant or an alpha profile is not a beta profile, and the source is read before stage 0 runs
+    monkeypatch.setattr(pipeline, "weak_lsi_to_poincare", _ran)
+    monkeypatch.setattr(pipeline, "weighted_lsi_to_weak_lsi", _ran)
     poincare = {
         "op": "weak_lsi_to_poincare",
         "beta": {"C": 1.0, "r0": 0.5},
@@ -79,13 +83,14 @@ def test_beta_stage_needs_a_weak_lsi_stage():
     }
     weak_lsi = {"op": "weighted_lsi_to_weak_lsi", "cert": {"a": 0.5, "C_exp": 1.0}}
     weak_poincare = {"op": "weak_lsi_to_weak_poincare"}
-    for stages, got in (
-        ([poincare, weak_poincare], "poincare"),
-        ([weak_lsi, weak_poincare, weak_poincare], "weak_poincare"),
-    ):
-        named = rf"stage {len(stages) - 1} \(weak_lsi_to_weak_poincare\).* {got} result"
-        with pytest.raises(PipelineError, match=named):
+    for stages in ([poincare, weak_poincare], [weak_lsi, weak_poincare, weak_poincare]):
+        with pytest.raises(ConfigError) as exc:
             run_transfer_pipeline({"name": "x", "pipeline": stages})
+        assert exc.value.path == f"pipeline[{len(stages) - 1}].beta"
+
+
+def _ran(*args, **kwargs):
+    raise AssertionError("a transfer ran")
 
 
 def test_inline_tail_stage():
@@ -163,3 +168,52 @@ def test_bad_stage_key_is_a_config_error_naming_it(monkeypatch, stages, key):
     with pytest.raises(ConfigError) as exc:
         run_transfer_pipeline({"name": "x", "pipeline": stages})
     assert exc.value.path == key
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['[0.0, 1.0]', '{"type": "tail_bound", "levels": [0.0, 1.0]}',
+     '{"type": "tail_bound", "levels": [0.0, {"a": 1}], "values": [1.0, 0.1]}',
+     '{"type": "tail_bound", "levels": [0.0, "1"], "values": [1.0, 0.1]}',
+     '{"type": "tail_bound", "levels": [0.0, 1.0], "values": [true, 0.1]}'],
+    ids=["list", "no_values", "mapping", "string", "bool"],
+)
+def test_bad_tail_file_fails_its_stage(tmp_path, text):
+    # a list used to raise AttributeError and a mapping TypeError, program-bug classes; a missing values was
+    # reported as 'values', and "1" and true were read as numbers
+    (tmp_path / "t.json").write_text(text)
+    spec = {"name": "x", "pipeline": [{"op": "tail_to_weak_lsi", "a": 0.5, "tail": {"file": "t.json"}}]}
+    with pytest.raises(PipelineError, match=r"stage 0 \(tail_to_weak_lsi\)") as exc:
+        run_transfer_pipeline(spec, base_dir=str(tmp_path))
+    assert isinstance(exc.value.__cause__, ProfileError)
+
+
+BETA = {"C": 1.0, "r0": 0.5}
+POW2 = {"log2_delta": 0.5, "log2_delta0": 4.5, "epsilon": 0.125}
+# a valid stage of each op; per mapping it reads, the keys an extra one must not be, as a reader would take it
+STAGES = [
+    (CERT, {"": {"op", "cert", "smooth"}, "cert": {"a", "C_exp", "M"}}),
+    ({"op": "tail_to_weak_lsi", "a": 0.5, "tail": {"levels": [0.0, 1.0, 2.0], "values": [1.0, 0.5, 0.1]}},
+     {"": {"op", "a", "tail", "n_cap"}, "tail": {"levels", "values", "file", "from_ensemble", "confidence"}}),
+    ({"op": "weak_lsi_to_poincare", "beta": BETA, "params": POW2},
+     {"": {"op", "beta", "params", "budget"}, "beta": {"C", "r0", "family"}, "params": set(POW2)}),
+    ({"op": "weak_lsi_to_poincare", "beta": BETA, "params": {"delta": 2.0, "delta0": 8.0, "epsilon": 0.1}},
+     {"params": {"delta", "delta0", "epsilon", "log2_delta"}}),
+    ({"op": "weak_lsi_to_weak_poincare", "beta": BETA},
+     {"": {"op", "beta", "delta", "delta0", "r", "sigma_cap"}, "beta": {"C", "r0", "family"}}),
+]
+MAPPINGS = [(stage, sub, taken) for stage, subs in STAGES for sub, taken in subs.items()]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(MAPPINGS), st.from_regex(r"[A-Za-z_]{1,12}", fullmatch=True))
+def test_unknown_key_in_any_mapping_of_a_stage_is_refused(mapping, key):
+    stage, sub, taken = mapping
+    assume(key not in taken)
+    stage = {k: dict(x) if isinstance(x, dict) else x for k, x in stage.items()}
+    (stage[sub] if sub else stage)[key] = 1.0
+    with pytest.MonkeyPatch.context() as m, pytest.raises(ConfigError) as exc:
+        for op in pipeline._OPS:  # the error comes before any transfer runs
+            m.setattr(pipeline, op, _ran)
+        run_transfer_pipeline({"name": "x", "pipeline": [stage]})
+    assert exc.value.path == ".".join(("pipeline[0]", *filter(None, (sub, key))))

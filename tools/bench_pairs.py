@@ -116,9 +116,17 @@ def _machine():
             "numpy": numpy.__version__, "scipy": scipy.__version__}
 
 
+def _child(cmd, **kw):
+    """The finished process of ``cmd``, its output captured; a nonzero exit raises with the child's stderr."""
+    out = subprocess.run(cmd, capture_output=True, text=True, **kw)
+    if out.returncode:
+        raise RuntimeError(f"{' '.join(cmd)} exited with {out.returncode}; its stderr:\n{out.stderr}")
+    return out
+
+
 def _last_json(cmd, **kw):
     """The JSON record that ``cmd`` prints on its last line, and what it wrote to stderr."""
-    out = subprocess.run(cmd, capture_output=True, text=True, check=True, **kw)
+    out = _child(cmd, **kw)
     return json.loads(out.stdout.strip().splitlines()[-1]), out.stderr
 
 
@@ -454,7 +462,7 @@ def _outputs_once(checkout, workload, seed, work):
     result = work.parent / "result.json"
     cmd = [sys.executable, "perfbench/worker.py", "--workload", workload, "--seed", str(seed),
            "--work-dir", str(work), "--result", str(result), "--spawned-at", str(time.monotonic())]
-    subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
+    _child(cmd, cwd=checkout)
     ops = json.loads(result.read_text())["ops"]
     out = work / "out"
     files = {p.relative_to(out).as_posix(): _sha256(p) for p in sorted(out.rglob("*"))
