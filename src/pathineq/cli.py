@@ -135,25 +135,22 @@ def _run_sample_scenario(v, out_dir, seed_override=None):
     n_paths = v.get("n_paths", expected=int)
     dim = v.get("dim", expected=int)
     T = float(v.get("T", expected=_NUM))
-    v.get("grid", expected=dict)
-    n_steps = v.get("grid.n_steps", expected=int)
-    tailed = v.get("grid.tail", expected=dict, required=False) is not None
-    tail = {k: x for k in ("lam", "floor")
-            if (x := v.get(f"grid.tail.{k}", expected=_NUM, required=False)) is not None}
+    g = v.mapping("grid", {"n_steps": int}, {"tail": dict})
+    tail = v.mapping("grid.tail", {}, {"lam": _NUM, "floor": _NUM}) if "tail" in g else None
     x0, y0 = _read_point(v, "x0"), _read_point(v, "y0")
     drift_cap = v.get("drift_cap", expected=_NUM, required=False)
     write = writers[v.get("format", expected=str, required=False, default="binary", choices=writers)]
     if write is ensemble_to_csv and n_paths > CSV_MAX_PATHS:
         v.fail("format", f"CSV export is for small runs (n_paths <= {CSV_MAX_PATHS}); use the binary format")
     out_path = os.path.join(out_dir, v.get("out", expected=str))
-    v.reject_unread("", "grid", "grid.tail")
+    v.reject_unread("")
 
     seed = int(seed_override if seed_override is not None else seed)
     try:  # the grid, the config and the sampler check their arguments before any path is drawn
-        grid = (TimeGrid.with_geometric_tail(T, n_steps, **tail) if tag == "hyperbolic_bridge" or tailed
-                else TimeGrid.uniform(T, n_steps))
+        grid = (TimeGrid.uniform(T, g["n_steps"]) if tail is None and tag != "hyperbolic_bridge"  # a bridge has a tail
+                else TimeGrid.with_geometric_tail(T, g["n_steps"], **tail or {}))
         cfg = SamplerConfig(seed=seed, n_paths=n_paths, grid=grid, dim=dim, x0=x0, y0=y0,
-                            **({} if drift_cap is None else {"drift_cap": float(drift_cap)}))
+                            **({} if drift_cap is None else {"drift_cap": drift_cap}))
         ens = SAMPLERS[tag](cfg)
     except SamplerError as exc:
         if exc.key is None or exc.key == "seed" and seed_override is not None:  # no config line is at fault
@@ -166,11 +163,7 @@ def _run_sample_scenario(v, out_dir, seed_override=None):
         "seed": cfg.seed,
         "config_hash": cfg.config_hash,
         "measure_tag": ens.measure_tag,
-        "diagnostics": {
-            k: (float(v) if np.isscalar(v) or isinstance(v, float) else None)
-            for k, v in ens.diagnostics.items()
-            if not isinstance(v, np.ndarray)
-        },
+        "diagnostics": {k: x for k, x in ens.diagnostics.items() if not isinstance(x, np.ndarray)},
     }
 
 

@@ -7,7 +7,7 @@ positional CLI arguments; everything lives in the declarative file.
 
 from __future__ import annotations
 
-import math
+import sys
 
 import yaml
 
@@ -120,11 +120,24 @@ class Validator:
                 t.__name__ for t in expected
             )
             self.fail(path, f"expected {names}, got {type(cur).__name__}")
-        if isinstance(cur, float) and not math.isfinite(cur):
+        if isinstance(cur, (int, float)) and not abs(cur) <= sys.float_info.max:  # NaN, inf, an int no float holds
             self.fail(path, "expected a finite number")
         if choices is not None and cur not in choices:
             self.fail(path, f"expected one of {sorted(choices)}, got {cur!r}")
         return cur
+
+    def given(self, path, types):
+        """The keys of ``types`` that the mapping at ``path`` sets, each read by type."""
+        got = {k: self.get(f"{path}.{k}", expected=t, required=False) for k, t in types.items()}
+        return {k: x for k, x in got.items() if x is not None}
+
+    def mapping(self, path, required, optional):
+        """The mapping at ``path``: each ``required`` key and each ``optional`` one it sets, so a default lives
+        only in the signature that takes it.  A key that no read has taken is refused."""
+        self.get(path, expected=dict)
+        got = {k: self.get(f"{path}.{k}", expected=t) for k, t in required.items()} | self.given(path, optional)
+        self.reject_unread(path)
+        return got
 
     def numbers(self, path):
         """The list at ``path``, each entry read as a number."""

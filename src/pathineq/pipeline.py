@@ -41,28 +41,14 @@ class PipelineError(ValueError):
     pass
 
 
-def _set(v, path, types):
-    """The keys of ``types`` that the mapping at ``path`` sets, each read by type."""
-    return {k: x for k, t in types.items() if (x := v.get(f"{path}.{k}", expected=t, required=False)) is not None}
-
-
-def _keys(v, path, required, optional):
-    """The mapping at ``path``: each ``required`` key and each ``optional`` one it sets, so a default lives
-    only in the signature that takes it.  A key that no read has taken is refused."""
-    v.get(path, expected=dict)
-    got = {k: v.get(f"{path}.{k}", expected=t) for k, t in required.items()} | _set(v, path, optional)
-    v.reject_unread(path)
-    return got
-
-
 def _tail(v, path, base_dir):
     """The loader of one tail: inline ``levels`` and ``values``, a tail ``file``, or the sup distances of the
     ensemble ``from_ensemble`` at an optional ``confidence``."""
-    sources = _set(v, path, {"levels": list, "file": str, "from_ensemble": str})
+    sources = v.given(path, {"levels": list, "file": str, "from_ensemble": str})
     if len(sources) != 1:
         v.fail(f"{path}.{list(sources)[1]}" if sources else path, "a tail takes one of levels, file or from_ensemble")
     ((source, at),) = sources.items()
-    kw = _keys(v, path, {"values": list} if source == "levels" else {}, {"confidence": _NUM})
+    kw = v.mapping(path, {"values": list} if source == "levels" else {}, {"confidence": _NUM})
     if "confidence" in kw and source != "from_ensemble":
         v.fail(f"{path}.confidence", "confidence applies only to a tail from_ensemble")
     if "confidence" in kw and not 0 < kw["confidence"] < 1:
@@ -87,28 +73,28 @@ def _tail(v, path, base_dir):
 def _read_stage(v, stage, op, prev_op, base_dir):
     """Read the ``op`` stage's keys, ``prev_op`` the op before it; returns its transfer of the previous result."""
     if op == "weighted_lsi_to_weak_lsi":
-        cert = _keys(v, f"{stage}.cert", {"a": _NUM, "C_exp": _NUM}, {"M": _NUM})
-        kw = _keys(v, stage, {}, {"smooth": bool})
+        cert = v.mapping(f"{stage}.cert", {"a": _NUM, "C_exp": _NUM}, {"M": _NUM})
+        kw = v.mapping(stage, {}, {"smooth": bool})
         return lambda prev: weighted_lsi_to_weak_lsi(WeightedLSICertificate(**cert), **kw)
     if op == "tail_to_weak_lsi":
         tail = _tail(v, f"{stage}.tail", base_dir)
-        kw = _keys(v, stage, {"a": _NUM}, {"n_cap": int})
+        kw = v.mapping(stage, {"a": _NUM}, {"n_cap": int})
         return lambda prev: tail_to_weak_lsi(tail=tail(), **kw)
     # a beta stage takes C log(1/s) on (0, r0) inline, or the previous stage's weak-LSI profile
     if (beta := v.get(f"{stage}.beta", expected=dict, required=False)) is not None:
         v.get(f"{stage}.beta.family", expected=str, required=False, choices=("c_log_inv_s",))
-        beta = _keys(v, f"{stage}.beta", {"C": _NUM, "r0": _NUM}, {})
+        beta = v.mapping(f"{stage}.beta", {"C": _NUM, "r0": _NUM}, {})
     if op == "weak_lsi_to_weak_poincare":
         transfer = weak_lsi_to_weak_poincare
-        kw = _keys(v, stage, {}, dict.fromkeys(("delta", "delta0", "r", "sigma_cap"), _NUM))
+        kw = v.mapping(stage, {}, dict.fromkeys(("delta", "delta0", "r", "sigma_cap"), _NUM))
     else:
         params = v.get(f"{stage}.params", expected=(str, dict), required=False, default="auto")
         if isinstance(params, str) and params != "auto":
             v.fail(f"{stage}.params", f"expected 'auto' or a mapping, got {params!r}")
         if params != "auto":  # a log2_delta key picks the base-2 exponents of delta and delta0
             dyadic, pre = (DyadicParams.from_pow2, "log2_") if "log2_delta" in params else (DyadicParams, "")
-            params = _keys(v, f"{stage}.params", {f"{pre}delta": _NUM, f"{pre}delta0": _NUM, "epsilon": _NUM}, {})
-        kw = _keys(v, stage, {}, {"budget": int})
+            params = v.mapping(f"{stage}.params", {f"{pre}delta": _NUM, f"{pre}delta0": _NUM, "epsilon": _NUM}, {})
+        kw = v.mapping(stage, {}, {"budget": int})
         if "budget" in kw and params != "auto":
             v.fail(f"{stage}.budget", "budget applies only to params: auto")
 

@@ -6,16 +6,17 @@ each for s in (0, r0) with a non-increasing positive rate function.  This module
 holds the rate-function objects (``BetaProfile`` / ``AlphaProfile``), the tail
 bound object fed into the tail-to-weak-LSI transfer, and their dict (JSON) form.
 
-Profiles come in three families, and alpha profiles in a fourth:
+``BetaProfile`` takes the first three families below and ``AlphaProfile`` the
+last two, the ones the transfers make; ``tabulate`` evaluates each:
 
 * ``c_log_inv_s``  -- beta(s) = C * log(1/s), the borderline rate that still
   upgrades to a true Poincare inequality;
 * ``tabulated``    -- values on an explicit grid, evaluated as a left step
   function (conservative: a certificate at s' <= s is also one at s);
 * ``composed``     -- a closed-form construction described by parameters and
-  re-evaluated from them (scan constructions, the weak-Poincare formula).
+  re-evaluated from them (beta's scans, alpha's weak-Poincare formula).
   Keeping parameters instead of closures is what makes serialization lossless;
-* ``constant``     -- alpha(s) = value for every s, a true Poincare constant.
+* ``constant``     -- alpha(s) = value for every s > 0, a true Poincare constant.
 """
 
 from __future__ import annotations
@@ -348,21 +349,12 @@ class BetaProfile:
         return n0 + k
 
     def to_dict(self):
-        d = {"type": self._type, "family": self.family}
-        if self.family == "constant":
-            return d | {"is_constant": True, "value": self.value}
-        d["r0"] = self.r0
+        d = {"type": self._type, "family": self.family, "r0": self.r0}
         if self.family == "c_log_inv_s":
-            d["C"] = self.C
-        elif self.family == "tabulated":
-            d["s_grid"] = list(self.s_grid)
-            d["values"] = list(self.values)
-        else:
-            d["form"] = self.form
-            d["params"] = self.params
-        if isinstance(self, AlphaProfile):
-            d["is_constant"] = False
-        return d
+            return d | {"C": self.C}
+        if self.family == "tabulated":
+            return d | {"s_grid": list(self.s_grid), "values": list(self.values)}
+        return d | {"form": self.form, "params": self.params}
 
     @classmethod
     def from_dict(cls, d):
@@ -370,14 +362,13 @@ class BetaProfile:
             raise ProfileError(f"not a serialized {cls._type.replace('_', ' ')}")
         names = {f.name for f in fields(cls)} - {"family", "r0"}
         kw = {k: tuple(v) if k in ("s_grid", "values") else v for k, v in d.items() if k in names}
-        r0 = math.inf if d["family"] == "constant" else d["r0"]
-        return cls(family=d["family"], r0=r0, **kw)
+        return cls(family=d["family"], r0=d["r0"], **kw)
 
 
 @dataclass(frozen=True)
 class AlphaProfile(BetaProfile):
-    """Weak Poincare rate; family ``constant`` is a true Poincare constant ``value``.
-    The dict form's ``is_constant`` key follows from the family and is not read back."""
+    """Weak Poincare rate: a true Poincare constant ``value`` on every s > 0 (r0 is inf) or the weak-Poincare
+    formula.  The dict form's ``is_constant`` key follows from the family and is not read back."""
 
     value: float | None = None
 
@@ -385,30 +376,23 @@ class AlphaProfile(BetaProfile):
     _forms = ("weak_poincare_formula",)
 
     def __post_init__(self):
-        if self.family == "constant":
-            if self.value is None or not (self.value > 0):
-                raise ProfileError("constant alpha profile needs a positive value")
-            return
-        super().__post_init__()
+        if self.family == "composed":
+            return super().__post_init__()
+        if self.family != "constant":
+            raise ProfileError(f"unknown alpha profile family {self.family!r}")
+        if self.value is None or not (self.value > 0) or self.r0 != math.inf:
+            raise ProfileError("constant alpha profile needs a positive value and r0 = inf")
 
-    def __call__(self, s):
-        if self.family == "constant":
-            return self.value
+    def __call__(self, s):  # its own entry, so a trace tells alpha evaluations from beta ones
         return super().__call__(s)
 
     @property
     def eval_floor(self):
-        if self.family == "constant":
-            return 0.0
-        if self.family == "composed":
-            return float(self.params.get("s_lo", 0.0))
-        return super().eval_floor
+        return float(self.params.get("s_lo", 0.0)) if self.family == "composed" else 0.0
 
     def _rate(self, s):
         if self.family == "constant":
             return np.full(s.shape, float(self.value))
-        if self.family != "composed":
-            return super()._rate(s)
         # weak-Poincare formula alpha(s) = beta(C2' s L) / (C1' L), L = log(1/s)
         p = self.params
         r1 = p.get("r1")
@@ -421,27 +405,31 @@ class AlphaProfile(BetaProfile):
 
     def tabulate_monotone(self, n_points=64):
         """Tabulated, valid, non-increasing view of the profile on n_points
-        geometric points of its evaluable range.
+        geometric points of its evaluable range, which must be bounded.
 
         alpha_bar(s) = min over s' <= s of alpha(s') is again a weak-Poincare
         rate (a certificate at smaller s is also one at larger s), so the raw
         formula values may be monotonized by a running minimum.
         """
-        if self.family == "constant":
-            grid = np.array([1e-6, 1.0])
-            return grid, np.full(grid.shape, self.value)
         lo = max(self.eval_floor * 1.001, 1e-300)
         hi = self.r0 * 0.999
-        if not lo < hi:
-            raise DomainError("empty evaluable range")
+        if not lo < hi < math.inf:
+            raise DomainError("empty or unbounded evaluable range")
         grid = np.geomspace(lo, hi, n_points)
         return grid, np.minimum.accumulate(self.tabulate(grid))
 
+    def to_dict(self):
+        if self.family == "constant":
+            return {"type": self._type, "family": self.family, "is_constant": True, "value": self.value}
+        return super().to_dict() | {"is_constant": False}
+
+    @classmethod
+    def from_dict(cls, d):
+        return super().from_dict({"r0": math.inf} | d if d.get("family") == "constant" else d)
+
 
 def profile_from_dict(d):
-    t = d.get("type")
-    if t == "beta_profile":
-        return BetaProfile.from_dict(d)
-    if t == "alpha_profile":
-        return AlphaProfile.from_dict(d)
-    raise ProfileError(f"unknown serialized profile type {t!r}")
+    cls = {"beta_profile": BetaProfile, "alpha_profile": AlphaProfile}.get(d.get("type"))
+    if cls is None:
+        raise ProfileError(f"unknown serialized profile type {d.get('type')!r}")
+    return cls.from_dict(d)

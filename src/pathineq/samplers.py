@@ -195,6 +195,7 @@ class SamplerConfig:
             raise SamplerError("dim must be >= 1", key="dim")
         if not self.drift_cap > 0:
             raise SamplerError("drift_cap must be positive", key="drift_cap")
+        object.__setattr__(self, "drift_cap", float(self.drift_cap))  # 4 and 4.0 draw the same paths: one hash
         if self.x0 is not None:
             object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
         if self.y0 is not None:

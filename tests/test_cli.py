@@ -63,6 +63,7 @@ profile_grid: {points: 48}
 
 
 OP = TRANSFER_YAML[TRANSFER_YAML.index("op:"):].rstrip("\n")
+HUGE = "1" + "0" * 400  # an integer beyond float range
 
 
 def first_stage(op, *keys):
@@ -465,8 +466,19 @@ def test_non_numeric_option_names_file_and_line(tmp_path, capsys, command, old, 
         ("sample", "lam: 0.5", "lam: -.inf", 9, "grid.tail.lam"),
         ("transfer", OP, first_stage("weighted_lsi_to_weak_lsi", "cert: {a: 1.0, C_exp: .nan}"), 4,
          "pipeline[0].cert.C_exp"),
+        # an integer no float holds raised OverflowError, a traceback
+        ("sample", "T: 1.0", f"T: {HUGE}", 6, "T"),
+        ("transfer", OP, first_stage("weighted_lsi_to_weak_lsi", f"cert: {{a: {HUGE}, C_exp: 1.0}}"), 4,
+         "pipeline[0].cert.a"),
+        ("transfer", OP, first_stage("tail_to_weak_lsi", "a: 0.5", f"tail: {{levels: [0, {HUGE}], values: [1, 0]}}"),
+         5, "pipeline[0].tail.levels[1]"),
+        ("transfer", OP, first_stage("tail_to_weak_lsi", "a: 0.5", "tail: {levels: [0, 1], values: [1, 0.1]}",
+                                     f"n_cap: {HUGE}"), 6, "pipeline[0].n_cap"),
+        ("transfer", "params: {log2_delta: 0.5, log2_delta0: 4.5, epsilon: 0.125}", f"budget: -{HUGE}", 5,
+         "pipeline[0].budget"),
     ],
-    ids=["time_nan", "exp_square_c_nan", "T_inf", "lam_minus_inf", "C_exp_nan"],
+    ids=["time_nan", "exp_square_c_nan", "T_inf", "lam_minus_inf", "C_exp_nan",
+         "T_huge", "cert_a_huge", "tail_level_huge", "n_cap_huge", "budget_huge"],
 )
 def test_non_finite_number_names_file_and_line(tmp_path, capsys, command, old, new, line, key):
     text = {"sample": SAMPLE_YAML, "estimate": ESTIMATE_YAML, "transfer": TRANSFER_YAML}[command]

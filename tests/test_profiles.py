@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pathineq import jsontext
 from pathineq.profiles import (
     AlphaProfile,
     BetaProfile,
@@ -128,6 +129,80 @@ def test_constant_alpha_profile():
     d = a.to_dict()
     assert d["is_constant"] is True
     assert AlphaProfile.from_dict(d) == a
+
+
+def test_constant_alpha_is_evaluated_on_its_domain_only():
+    a = AlphaProfile(family="constant", r0=math.inf, value=42.0)
+    for s in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            a(s)
+    assert a.tabulate([1e-300, 0.5, 1e300]).tolist() == [42.0, 42.0, 42.0]
+    with pytest.raises(DomainError, match="unbounded"):
+        a.tabulate_monotone()
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        {"family": "tabulated", "r0": 1.0, "s_grid": (0.01, 0.1), "values": (2.0, 1.0)},
+        {"family": "c_log_inv_s", "r0": 0.5, "C": 1.0},
+        {"family": "constant", "r0": 0.5, "value": 42.0},
+        {"family": "constant", "r0": math.inf},
+        {"family": "composed", "r0": 0.5, "form": "tail_scan", "params": {}},
+    ],
+    ids=["tabulated", "c_log_inv_s", "constant_r0", "constant_no_value", "beta_form"],
+)
+def test_alpha_profile_takes_only_its_own_families(kw):
+    with pytest.raises(ProfileError):
+        AlphaProfile(**kw)
+    d = {"type": "alpha_profile"} | {k: list(v) if isinstance(v, tuple) else v for k, v in kw.items()}
+    with pytest.raises(ProfileError):
+        AlphaProfile.from_dict(d)
+    with pytest.raises(ProfileError):
+        profile_from_dict(d)
+    with pytest.raises(ProfileError, match="unknown serialized profile type"):
+        profile_from_dict(d | {"type": "gamma_profile"})
+
+
+def _weak_poincare_alpha():
+    from pathineq.transfer import weak_lsi_to_weak_poincare
+
+    return weak_lsi_to_weak_poincare(BetaProfile(family="c_log_inv_s", C=1.0, r0=0.5)).profile
+
+
+def _weighted_scan_beta():
+    from pathineq.transfer import WeightedLSICertificate, weighted_lsi_to_weak_lsi
+
+    return weighted_lsi_to_weak_lsi(WeightedLSICertificate(a=0.5, C_exp=1.0)).profile
+
+
+@pytest.mark.parametrize(
+    "make, text",
+    [
+        (lambda: AlphaProfile(family="constant", r0=math.inf, value=42.0),
+         '{\n "type": "alpha_profile",\n "family": "constant",\n "is_constant": true,\n "value": 42.0\n}'),
+        (_weak_poincare_alpha,
+         '{\n "type": "alpha_profile",\n "family": "composed",\n "r0": 0.008256724134343908,\n'
+         ' "form": "weak_poincare_formula",\n "params": {\n  "beta": {\n   "type": "beta_profile",\n'
+         '   "family": "c_log_inv_s",\n   "r0": 0.5,\n   "C": 1.0\n  },\n  "C1_prime": 0.00225093883178284,\n'
+         '  "C2_prime": 12.624587447960975,\n  "s_lo": 0.0,\n  "r1": 0.008256724134343908\n },\n'
+         ' "is_constant": false\n}'),
+        (lambda: BetaProfile(family="c_log_inv_s", C=1.0, r0=0.5),
+         '{\n "type": "beta_profile",\n "family": "c_log_inv_s",\n "r0": 0.5,\n "C": 1.0\n}'),
+        (lambda: BetaProfile(family="tabulated", r0=1.0, s_grid=(0.01, 0.1, 0.5), values=(30.0, 10.0, 2.0)),
+         '{\n "type": "beta_profile",\n "family": "tabulated",\n "r0": 1.0,\n "s_grid": [\n  0.01,\n  0.1,\n'
+         '  0.5\n ],\n "values": [\n  30.0,\n  10.0,\n  2.0\n ]\n}'),
+        (_weighted_scan_beta,
+         '{\n "type": "beta_profile",\n "family": "composed",\n "r0": 3.2557834587115972,\n'
+         ' "form": "weighted_lsi_scan",\n "params": {\n  "a": 0.5,\n  "C": 1.0,\n  "M": 1.0,\n  "n_min": 2\n }\n}'),
+    ],
+    ids=["constant_alpha", "composed_alpha", "c_log_inv_s", "tabulated", "composed_beta"],
+)
+def test_profile_json_text_is_pinned(make, text):
+    # the text of each kind, key order included; a dict comparison does not see the order
+    p = make()
+    assert jsontext.dumps(p.to_dict()) == text
+    assert profile_from_dict(json.loads(text)) == p
 
 
 def test_profile_json_roundtrip_lossless():

@@ -387,6 +387,15 @@ def test_drift_cap_policy_counts_events():
     assert ens.diagnostics["cap_event_fraction"] > 0.5  # tiny cap clips nearly always
 
 
+def test_int_and_float_drift_cap_give_one_config_hash():
+    # the two draw bit-identical paths; an int cap used to hash differently
+    grid = TimeGrid.with_geometric_tail(1.0, 8)
+    cap_int, cap_float, default = (SamplerConfig(seed=7, n_paths=20, grid=grid, dim=3, **kw)
+                                   for kw in ({"drift_cap": 4}, {"drift_cap": 4.0}, {}))
+    assert type(cap_int.drift_cap) is float
+    assert cap_int.config_hash == cap_float.config_hash == default.config_hash == "205de3e1a466556d"
+
+
 def continuity_diagnostic(ens: PathEnsemble):
     """max over steps of jump / sqrt(h log(1/h)): a qualitative modulus-of-
     continuity check (no hard exponent asserted)."""
