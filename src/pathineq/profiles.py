@@ -6,13 +6,11 @@ each for s in (0, r0) with a non-increasing positive rate function.  This module
 holds the rate-function objects (``BetaProfile`` / ``AlphaProfile``), the tail
 bound object fed into the tail-to-weak-LSI transfer, and their dict (JSON) form.
 
-``BetaProfile`` takes the first three families below and ``AlphaProfile`` the
+``BetaProfile`` takes the first two families below and ``AlphaProfile`` the
 last two, the ones the transfers make; ``tabulate`` evaluates each:
 
 * ``c_log_inv_s``  -- beta(s) = C * log(1/s), the borderline rate that still
   upgrades to a true Poincare inequality;
-* ``tabulated``    -- values on an explicit grid, evaluated as a left step
-  function (conservative: a certificate at s' <= s is also one at s);
 * ``composed``     -- a closed-form construction described by parameters and
   re-evaluated from them (beta's scans, alpha's weak-Poincare formula).
   Keeping parameters instead of closures is what makes serialization lossless;
@@ -37,10 +35,6 @@ class ProfileError(ValueError):
 
 class DomainError(ValueError):
     """Profile evaluated outside its stated domain."""
-
-
-def _as_float_tuple(xs):
-    return tuple(float(x) for x in xs)
 
 
 def _elementwise(f, x):
@@ -160,11 +154,18 @@ class TailBound:
     confidence: float | None = None
 
     def __post_init__(self):
-        levels, values = _tail_arrays(self.levels, self.values)
+        n, c = self.n_samples, self.confidence  # the metadata a certificate publishes with the tail
         if self.source not in ("analytic", "empirical"):
             raise ProfileError(f"unknown tail source {self.source!r}")
-        object.__setattr__(self, "levels", _as_float_tuple(levels))
-        object.__setattr__(self, "values", _as_float_tuple(values))
+        if self.source == "analytic" and (n is not None or c is not None):
+            raise ProfileError("an analytic tail takes neither n_samples nor confidence")
+        if self.source == "empirical" and (isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2):
+            raise ProfileError(f"an empirical tail needs n_samples, an int >= 2, got {n!r}")
+        if self.source == "empirical" and not (isinstance(c, float) and 0 < c < 1):
+            raise ProfileError(f"an empirical tail's confidence must lie in (0, 1), got {c!r}")
+        levels, values = _tail_arrays(self.levels, self.values)
+        object.__setattr__(self, "levels", tuple(levels.tolist()))
+        object.__setattr__(self, "values", tuple(values.tolist()))
         object.__setattr__(self, "_levels", levels)
         object.__setattr__(self, "_values", values)
 
@@ -190,8 +191,6 @@ class TailBound:
         certificate, hence the adjustment.  The grid is 0 and 64 geometric
         levels from the 0.02 quantile to 1.25 times the maximum.
         """
-        if not 0 < confidence < 1:
-            raise ProfileError(f"confidence must lie in (0, 1), got {confidence!r}")
         u = np.asarray(u, dtype=float).ravel()
         n = u.size
         if n < 2:
@@ -251,8 +250,6 @@ class BetaProfile:
     family: str
     r0: float
     C: float | None = None
-    s_grid: tuple | None = None
-    values: tuple | None = None
     form: str | None = None
     params: dict | None = None
 
@@ -267,22 +264,11 @@ class BetaProfile:
                 raise ProfileError("c_log_inv_s profile needs C > 0")
             if not (self.r0 < 1):
                 raise ProfileError("c_log_inv_s needs r0 < 1 so beta stays positive")
-        elif self.family == "tabulated":
-            g = np.asarray(self.s_grid, dtype=float)
-            v = np.asarray(self.values, dtype=float)
-            if g.ndim != 1 or g.size < 1 or v.shape != g.shape:
-                raise ProfileError("tabulated profile needs matching grids")
-            if not np.all(np.diff(g) > 0):
-                raise ProfileError("tabulated s-grid must be strictly increasing")
-            if np.any(v <= 0):
-                raise ProfileError("tabulated values must be positive")
-            if np.any(np.diff(v) > 1e-12 * np.abs(v[:-1])):
-                raise ProfileError("tabulated values must be non-increasing")
-            object.__setattr__(self, "s_grid", _as_float_tuple(g))
-            object.__setattr__(self, "values", _as_float_tuple(v))
         elif self.family == "composed":
             if self.form not in self._forms:
                 raise ProfileError(f"unknown composed form {self.form!r}")
+            if not isinstance(self.params, dict):
+                raise ProfileError("composed profile needs its params, a mapping")
         else:
             raise ProfileError(f"unknown profile family {self.family!r}")
         object.__setattr__(self, "_cache", {})  # evaluation state built from the fields
@@ -290,11 +276,7 @@ class BetaProfile:
     @property
     def eval_floor(self):
         """Smallest s at which the profile is derivable (0 when unrestricted)."""
-        if self.family == "composed" and self.params is not None:
-            return float(self.params.get("s_min", 0.0))
-        if self.family == "tabulated":
-            return float(self.s_grid[0])
-        return 0.0
+        return float(self.params.get("s_min", 0.0)) if self.family == "composed" else 0.0
 
     def __call__(self, s):
         return float(self.tabulate([float(s)])[0])
@@ -311,11 +293,6 @@ class BetaProfile:
             if np.any(s >= self.r0):
                 raise DomainError(f"s={s[s >= self.r0][0]} outside domain (0, {self.r0})")
             return self.C * _elementwise(math.log, 1.0 / s)
-        if self.family == "tabulated":
-            i = np.searchsorted(self.s_grid, s, side="right") - 1
-            if np.any(i < 0):
-                raise DomainError(f"s={s[i < 0][0]} below tabulated grid start {self.s_grid[0]}")
-            return np.asarray(self.values)[i]
         n = self._scan_level(s)
         if self.form == "weighted_lsi_smooth":
             # b(n - 1) > s >= b(n) and b decreases from n_min on, so the root
@@ -352,8 +329,6 @@ class BetaProfile:
         d = {"type": self._type, "family": self.family, "r0": self.r0}
         if self.family == "c_log_inv_s":
             return d | {"C": self.C}
-        if self.family == "tabulated":
-            return d | {"s_grid": list(self.s_grid), "values": list(self.values)}
         return d | {"form": self.form, "params": self.params}
 
     @classmethod
@@ -361,8 +336,7 @@ class BetaProfile:
         if d.get("type") != cls._type:
             raise ProfileError(f"not a serialized {cls._type.replace('_', ' ')}")
         names = {f.name for f in fields(cls)} - {"family", "r0"}
-        kw = {k: tuple(v) if k in ("s_grid", "values") else v for k, v in d.items() if k in names}
-        return cls(family=d["family"], r0=d["r0"], **kw)
+        return cls(family=d["family"], r0=d["r0"], **{k: v for k, v in d.items() if k in names})
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,7 @@ from .profiles import (LAST_WEIGHTED_LEVEL, AlphaProfile, BetaProfile, TailBound
 
 _INV_E = 1.0 / math.e
 _LOG2 = math.log(2.0)
+MAX_BUDGET = 10**6  # a screen of 84^3 points (0.6 budget), about 5 MB an array
 
 
 class TransferError(ValueError):
@@ -47,6 +48,13 @@ def _require_finite(name, x):
     if not math.isfinite(x):
         raise TransferError(f"{name} must be finite, got {x}")
     return float(x)
+
+
+def _require_size(name, x, hi, lo=2):
+    """x, a scan size, if it is an int (a bool is not) in [lo, hi]: checked before anything of that size exists."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or not lo <= x <= hi:
+        raise TransferError(f"{name} must be an integer in [{lo}, {hi}], got {x!r}")
+    return int(x)
 
 
 # ---------------------------------------------------------------------------
@@ -292,13 +300,13 @@ def tail_to_weak_lsi(a: float, tail: TailBound, n_cap: int = 1000) -> TransferRe
     smallest qualifying level n(s).  Tails that do not decay on their grid
     (no level beats the first one) are rejected outright rather than
     converted into a uselessly huge constant, and so is a gradient bound a
-    whose cut-off factor at n_cap overflows.
+    whose cut-off factor at n_cap overflows.  n_cap, the number of levels
+    scanned, is an int in [2, ``LAST_WEIGHTED_LEVEL``].
     """
     a = _require_finite("a", a)
     if not a > 0:
         raise TransferError("gradient bound a must be positive")
-    if n_cap < 2:
-        raise TransferError("n_cap must be at least 2")
+    n_cap = _require_size("n_cap", n_cap, LAST_WEIGHTED_LEVEL)
 
     # decay precondition on the supplied grid: m(s) s^2 must head to zero
     lv = np.asarray(tail.levels)
@@ -312,7 +320,7 @@ def tail_to_weak_lsi(a: float, tail: TailBound, n_cap: int = 1000) -> TransferRe
 
     params = {
         "a": a,
-        "n_cap": int(n_cap),
+        "n_cap": n_cap,
         "s_min": None,  # filled in below, keeping the key order of the serialized form
         "levels": list(tail.levels),
         "m": list(tail.values),
@@ -428,6 +436,8 @@ def optimize_dyadic_params(C: float, r0: float, budget: int = 10_000) -> DyadicP
     natural ranges: delta in (1, 4], delta0 = delta^A up to 2^20, epsilon in
     (0, 1).  A is kept >= e so the closed-form C1 genuinely bounds the
     supremum it replaces.  Raises if no feasible point exists in the box.
+    ``budget``, the number of objective evaluations, is an int in
+    [100, ``MAX_BUDGET``].
 
     The coarse grid, whose first strict minimum in loop order (ld, A, le)
     starts the descent, and each 15-point line search are one array
@@ -438,9 +448,7 @@ def optimize_dyadic_params(C: float, r0: float, budget: int = 10_000) -> DyadicP
     _require_finite("r0", r0)
     if not (C > 0 and r0 > 0):
         raise TransferError("C and r0 must be positive")
-    budget = int(budget)
-    if budget < 100:
-        raise TransferError("budget too small to search")
+    budget = _require_size("budget", budget, MAX_BUDGET, lo=100)
 
     n_side = max(4, int((0.6 * budget) ** (1.0 / 3.0)))
     axes = (

@@ -607,6 +607,41 @@ def test_nan_tail_file_is_rejected_by_its_stage(tmp_path, capsys):
     assert "stage 0 (tail_to_weak_lsi): tail levels and values must be finite" in capsys.readouterr().err
 
 
+def test_bad_tail_file_metadata_is_rejected_by_its_stage(tmp_path, capsys):
+    # the metadata used to be published as is in the tail-scan profile's params
+    (tmp_path / "tail.json").write_text(
+        '{"type": "tail_bound", "levels": [0.0, 1.0, 2.0], "values": [1.0, 0.1, 0.01], "source": "empirical",'
+        ' "n_samples": "many", "confidence": 7}'
+    )
+    stage = first_stage("tail_to_weak_lsi", "a: 0.5", "tail: {file: tail.json}")
+    code = main(["transfer", "--config", write(tmp_path, "t.yaml", TRANSFER_YAML.replace(OP, stage)),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "stage 0 (tail_to_weak_lsi): an empirical tail needs n_samples, an int >= 2, got 'many'" in (
+        capsys.readouterr().err)
+    assert not any((tmp_path / "o").iterdir())
+
+
+@pytest.mark.parametrize(
+    "stage, message",
+    [
+        (first_stage("tail_to_weak_lsi", "a: 0.5", f"tail: {{{GAUSS_TAIL}}}", "n_cap: 1000000000000000"),
+         "stage 0 (tail_to_weak_lsi): n_cap must be an integer in [2, 10000000], got 1000000000000000"),
+        (first_stage("tail_to_weak_lsi", "a: 0.5", f"tail: {{{GAUSS_TAIL}}}", "n_cap: 10000001"),
+         "stage 0 (tail_to_weak_lsi): n_cap must be an integer in [2, 10000000], got 10000001"),
+        (first_stage("weak_lsi_to_poincare", "beta: {C: 1.0, r0: 0.5}", "budget: 1000000000000000"),
+         "stage 0 (weak_lsi_to_poincare): budget must be an integer in [100, 1000000], got 1000000000000000"),
+    ],
+    ids=["n_cap_huge", "n_cap_past_last", "budget_huge"],
+)
+def test_oversize_scan_exits_2_before_it_is_allocated(tmp_path, capsys, stage, message):
+    # each was a program-bug traceback: numpy could not allocate 7.11 PiB (n_cap) or 4.26 PiB (budget)
+    cfg = write(tmp_path, "t.yaml", TRANSFER_YAML.replace(OP, stage))
+    assert main(["transfer", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+    assert not any((tmp_path / "o").iterdir())
+
+
 def test_sigma_cap_above_one_is_rejected_by_its_stage(tmp_path, capsys):
     # with sigma_cap 3 the stage used to exit 0 with negative C1' and alpha
     chain = TRANSFER_YAML + "  - " + first_stage(

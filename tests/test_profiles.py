@@ -92,6 +92,33 @@ def test_clopper_pearson_quantile_matches_scipy_stats_bit_for_bit(n, c):
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+@pytest.mark.parametrize(
+    "meta, message",
+    [
+        ({"source": "empirical", "n_samples": "many", "confidence": 7}, "n_samples"),
+        ({"source": "empirical", "n_samples": 1, "confidence": 0.99}, "n_samples"),
+        ({"source": "empirical", "n_samples": True, "confidence": 0.99}, "n_samples"),
+        ({"source": "empirical", "n_samples": 500.0, "confidence": 0.99}, "n_samples"),
+        ({"source": "empirical", "n_samples": 500}, "confidence"),
+        ({"source": "empirical", "n_samples": 500, "confidence": 7.0}, "confidence"),
+        ({"source": "empirical", "n_samples": 500, "confidence": math.nan}, "confidence"),
+        ({"source": "analytic", "n_samples": -3}, "neither"),
+        ({"confidence": 0.99}, "neither"),
+    ],
+    ids=["words", "one_sample", "bool_samples", "float_samples", "no_confidence", "confidence_7",
+         "confidence_nan", "analytic_samples", "analytic_confidence"],
+)
+def test_tail_metadata_is_checked(meta, message):
+    # each used to be published as is in a tail-scan profile's params
+    with pytest.raises(ProfileError, match=message):
+        TailBound(levels=(0.0, 1.0), values=(1.0, 0.5), **meta)
+    d = {"type": "tail_bound", "levels": [0.0, 1.0], "values": [1.0, 0.5]} | meta
+    with pytest.raises(ProfileError, match=message):
+        TailBound.from_dict(d)
+    assert TailBound(levels=(0.0, 1.0), values=(1.0, 0.5), source="empirical", n_samples=500,
+                     confidence=0.99).n_samples == 500
+
+
 def test_tail_bound_roundtrip():
     tb = TailBound.from_samples(np.random.default_rng(3).exponential(size=500))
     tb2 = TailBound.from_dict(json.loads(json.dumps(tb.to_dict())))
@@ -109,17 +136,34 @@ def test_c_log_profile():
         BetaProfile(family="c_log_inv_s", C=2.0, r0=1.5)  # beta would go negative
 
 
-def test_tabulated_profile_step_left():
-    b = BetaProfile(
-        family="tabulated", r0=1.0, s_grid=(0.01, 0.1, 0.5), values=(30.0, 10.0, 2.0)
-    )
-    assert b(0.05) == 30.0  # conservative: certificate at smaller s still applies
-    assert b(0.1) == 10.0
-    assert b(0.3) == 10.0
-    with pytest.raises(DomainError):
-        b(0.005)
+@pytest.mark.parametrize(
+    "kw",
+    [
+        {"family": "tabulated", "r0": 1.0},
+        {"family": "constant", "r0": 1.0},
+        {"family": "composed", "r0": 0.5, "form": "weak_poincare_formula", "params": {}},
+        {"family": "composed", "r0": 0.5, "form": "tail_scan"},
+    ],
+    ids=["tabulated", "constant", "alpha_form", "no_params"],
+)
+def test_beta_profile_takes_only_its_own_families(kw):
     with pytest.raises(ProfileError):
-        BetaProfile(family="tabulated", r0=1.0, s_grid=(0.01, 0.1), values=(1.0, 2.0))
+        BetaProfile(**kw)
+    with pytest.raises(ProfileError):
+        profile_from_dict({"type": "beta_profile"} | kw)
+
+
+def test_tabulated_beta_of_a_weak_poincare_result_is_a_profile_error():
+    from pathineq.transfer import TransferResult, replay_profile, weak_lsi_to_weak_poincare
+
+    d = weak_lsi_to_weak_poincare(BetaProfile(family="c_log_inv_s", C=1.0, r0=0.5)).to_dict()
+    d["profile"]["params"]["beta"] = {"type": "beta_profile", "family": "tabulated", "r0": 0.5,
+                                      "s_grid": [1e-12], "values": [5.0]}
+    result = TransferResult.from_dict(d)
+    with pytest.raises(ProfileError, match="unknown profile family 'tabulated'"):
+        replay_profile(result)
+    with pytest.raises(ProfileError, match="unknown profile family 'tabulated'"):
+        result.profile(1e-4)
 
 
 def test_constant_alpha_profile():
@@ -144,7 +188,7 @@ def test_constant_alpha_is_evaluated_on_its_domain_only():
 @pytest.mark.parametrize(
     "kw",
     [
-        {"family": "tabulated", "r0": 1.0, "s_grid": (0.01, 0.1), "values": (2.0, 1.0)},
+        {"family": "tabulated", "r0": 1.0},
         {"family": "c_log_inv_s", "r0": 0.5, "C": 1.0},
         {"family": "constant", "r0": 0.5, "value": 42.0},
         {"family": "constant", "r0": math.inf},
@@ -189,14 +233,11 @@ def _weighted_scan_beta():
          ' "is_constant": false\n}'),
         (lambda: BetaProfile(family="c_log_inv_s", C=1.0, r0=0.5),
          '{\n "type": "beta_profile",\n "family": "c_log_inv_s",\n "r0": 0.5,\n "C": 1.0\n}'),
-        (lambda: BetaProfile(family="tabulated", r0=1.0, s_grid=(0.01, 0.1, 0.5), values=(30.0, 10.0, 2.0)),
-         '{\n "type": "beta_profile",\n "family": "tabulated",\n "r0": 1.0,\n "s_grid": [\n  0.01,\n  0.1,\n'
-         '  0.5\n ],\n "values": [\n  30.0,\n  10.0,\n  2.0\n ]\n}'),
         (_weighted_scan_beta,
          '{\n "type": "beta_profile",\n "family": "composed",\n "r0": 3.2557834587115972,\n'
          ' "form": "weighted_lsi_scan",\n "params": {\n  "a": 0.5,\n  "C": 1.0,\n  "M": 1.0,\n  "n_min": 2\n }\n}'),
     ],
-    ids=["constant_alpha", "composed_alpha", "c_log_inv_s", "tabulated", "composed_beta"],
+    ids=["constant_alpha", "composed_alpha", "c_log_inv_s", "composed_beta"],
 )
 def test_profile_json_text_is_pinned(make, text):
     # the text of each kind, key order included; a dict comparison does not see the order
@@ -208,12 +249,6 @@ def test_profile_json_text_is_pinned(make, text):
 def test_profile_json_roundtrip_lossless():
     profiles = [
         BetaProfile(family="c_log_inv_s", C=1.0 / 3.0, r0=0.4999999999),
-        BetaProfile(
-            family="tabulated",
-            r0=0.9,
-            s_grid=(1e-7, 1e-3, 0.1),
-            values=(math.pi, 1.2345678901234567, 0.1),
-        ),
         BetaProfile(
             family="composed",
             r0=6.0,

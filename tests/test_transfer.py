@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pathineq import profiles, transfer
-from pathineq.profiles import BetaProfile, DomainError, TailBound, cutoff_levels
+from pathineq.profiles import BetaProfile, DomainError, TailBound, cutoff_factor, cutoff_levels
 from pathineq.transfer import (
     DyadicParams,
     TransferError,
@@ -342,6 +342,22 @@ def test_tail_no_decay_is_an_error():
         tail_to_weak_lsi(1.0, flat)
 
 
+@pytest.mark.parametrize("n_cap", [4.5, True, 1, 10**7 + 1, 10**15], ids=["float", "bool", "one", "past_last", "huge"])
+def test_tail_scan_size_is_checked_before_it_is_allocated(n_cap):
+    # 4.5 was a TypeError in range, 10**15 a 7 PiB allocation
+    tail = TailBound(levels=(0.0, 1.0, 2.0), values=(1.0, 0.1, 0.001))
+    with pytest.raises(TransferError, match=r"n_cap must be an integer in \[2, 10000000\]"):
+        tail_to_weak_lsi(0.5, tail, n_cap=n_cap)
+
+
+@pytest.mark.parametrize("budget", [2000.0, True, 99, 10**6 + 1, 10**15], ids=["float", "bool", "small", "past_max",
+                                                                              "huge"])
+def test_optimizer_budget_is_checked_before_its_screen_is_allocated(budget):
+    # 10**15 asked for an 84,343^3 screen, 4.26 PiB
+    with pytest.raises(TransferError, match=r"budget must be an integer in \[100, 1000000\]"):
+        optimize_dyadic_params(1.0, 0.5, budget=budget)
+
+
 def test_tail_empirical_scan_matches_direct_scan():
     # empirical upper-confidence tail from heavy-ish samples; oracle is a
     # direct scan of the same m over n <= 1000
@@ -438,9 +454,9 @@ def test_poincare_infeasible_params_name_constraint():
 
 
 def test_poincare_rejects_wrong_family():
-    tab = BetaProfile(family="tabulated", r0=0.5, s_grid=(0.01,), values=(3.0,))
+    scan = weighted_lsi_to_weak_lsi(WeightedLSICertificate(a=0.5, C_exp=1.0)).profile
     with pytest.raises(TransferError, match="log\\(1/s\\)"):
-        weak_lsi_to_poincare(tab, PAPER_PARAMS)
+        weak_lsi_to_poincare(scan, PAPER_PARAMS)
 
 
 def test_poincare_auto_params_dominate_paper_point():
@@ -680,24 +696,9 @@ def test_poincare_objective_of_arrays_rejects_any_infeasible_point():
 # weak LSI -> weak Poincare
 
 
-def test_weak_poincare_constant_beta_closed_form():
-    # degenerate flat beta: alpha(s) = K / (C1' log(1/s)); this sits outside
-    # the order hypothesis, so no monotonicity is claimed for the raw formula
-    K = 5.0
-    beta = BetaProfile(family="tabulated", r0=0.999, s_grid=(1e-12,), values=(K,))
-    res = weak_lsi_to_weak_poincare(beta)
-    c1p = res.audit_value("C1_prime")
-    for s in (1e-8, 1e-4, 0.01):
-        assert res.profile(s) == pytest.approx(K / (c1p * math.log(1 / s)), rel=1e-14)
-
-
 def test_weak_poincare_formula_substitution_oracle():
-    # beta(s) = log(1/s)^2 tabulated; oracle: direct substitution into the
-    # displayed formula with the audited constants
-    grid = np.geomspace(1e-14, 0.49, 4000)
-    beta = BetaProfile(
-        family="tabulated", r0=0.5, s_grid=tuple(grid), values=tuple(np.log(1 / grid) ** 2)
-    )
+    # oracle: direct substitution into the displayed formula with the audited constants
+    beta = BetaProfile(family="c_log_inv_s", C=2.0, r0=0.5)
     res = weak_lsi_to_weak_poincare(beta)
     c1p = res.audit_value("C1_prime")
     c2p = res.audit_value("C2_prime")
@@ -707,13 +708,8 @@ def test_weak_poincare_formula_substitution_oracle():
 
 
 def test_weak_poincare_monotone_coupling():
-    grid = np.geomspace(1e-14, 0.49, 500)
-    b1 = BetaProfile(
-        family="tabulated", r0=0.5, s_grid=tuple(grid), values=tuple(np.log(1 / grid))
-    )
-    b2 = BetaProfile(
-        family="tabulated", r0=0.5, s_grid=tuple(grid), values=tuple(2 * np.log(1 / grid))
-    )
+    b1 = BetaProfile(family="c_log_inv_s", C=1.0, r0=0.5)
+    b2 = BetaProfile(family="c_log_inv_s", C=2.0, r0=0.5)
     r1 = weak_lsi_to_weak_poincare(b1)
     r2 = weak_lsi_to_weak_poincare(b2)
     lo = 1e-10
@@ -753,9 +749,12 @@ def test_weak_poincare_default_r_with_floor_just_below_budget():
         "slack_levels"
     )
     r_budget = (0.9 - slack) * math.log(2.0) / (1.25 * 1.02) ** 2
-    grid = 0.985 * r_budget * np.array([1.0, 1.2, 1.5])
-    beta = BetaProfile(family="tabulated", r0=0.5, s_grid=tuple(grid), values=(30.0, 20.0, 10.0))
+    # a tail scan whose floor q(3) = cutoff_factor(a, 3) sqrt(w) is 0.985 r_budget
+    w = (0.985 * r_budget / cutoff_factor(0.01, 3)) ** 2
+    beta = tail_to_weak_lsi(0.01, TailBound((0, 1, 2), (1, 0.5, w))).profile
+    assert beta.eval_floor == pytest.approx(0.985 * r_budget, rel=1e-15)
     res = weak_lsi_to_weak_poincare(beta)
+    assert res.audit_value("r") == 0.5 * (beta.eval_floor + r_budget)
     assert beta.eval_floor < res.audit_value("r") < r_budget
     assert res.audit_value("sigma") < 0.9
     _, alpha = res.profile.tabulate_monotone(n_points=32)
