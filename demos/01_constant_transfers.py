@@ -56,7 +56,7 @@ print()
 print("=" * 72)
 print("3. optimizing (delta, delta0, epsilon)")
 print("=" * 72)
-params = optimize_dyadic_params(C=1.0, r0=0.5, budget=10_000)
+params = optimize_dyadic_params(C=1.0, r0=0.5)
 print(f"optimizer picks delta = {params.delta:.4f}, delta0 = {params.delta0:.4f}, "
       f"epsilon = {params.epsilon:.4f} (A = {params.A:.3f})")
 print(f"objective: {poincare_objective(params, 1.0):.4f}  "

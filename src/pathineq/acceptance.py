@@ -171,8 +171,8 @@ def criterion_a1(out_dir=None):
 @_criterion("A2")
 def criterion_a2(out_dir=None):
     paper_val = run_transfer_pipeline(PAPER_PIPELINE)[-1].profile.value
-    p1 = optimize_dyadic_params(1.0, 0.5, budget=10_000)
-    p2 = optimize_dyadic_params(1.0, 0.5, budget=10_000)
+    p1 = optimize_dyadic_params(1.0, 0.5)
+    p2 = optimize_dyadic_params(1.0, 0.5)
     obj = poincare_objective(p1, 1.0)
     ok = obj <= paper_val and p1 == p2
     return ok, {

@@ -35,6 +35,7 @@ EXIT_CRITERION = 1
 EXIT_CONFIG = 2
 
 _NUM = (int, float)
+MAX_GRID_POINTS = 10**5  # profile points a stage tabulates: 1.4 s on a smooth weak-Poincare chain, 2 Xeon cores
 
 # Bad input exits with EXIT_CONFIG: every domain error subclasses ValueError.
 # Anything else (TypeError, KeyError, ...) is a program bug and propagates.
@@ -81,8 +82,8 @@ def _run_transfer_scenario(v, out_dir):
 
     v.get("profile_grid", expected=dict, required=False)
     points = v.get("profile_grid.points", expected=int, required=False)
-    if points is not None and points < 1:
-        v.fail("profile_grid.points", "points must be >= 1")
+    if points is not None and not 1 <= points <= MAX_GRID_POINTS:  # before any transfer runs
+        v.fail("profile_grid.points", f"points must lie in [1, {MAX_GRID_POINTS}], got {points}")
     v.read.add("pipeline")  # the stages are run_transfer_pipeline's to read, all before any transfer runs
     v.reject_unread("", "profile_grid")
     results = run_transfer_pipeline(v, base_dir=os.path.dirname(os.path.abspath(v.file)))

@@ -70,6 +70,7 @@ class EstimatorError(ValueError):
 
 _FD_REL = 1e-6  # central-difference step, relative to max(1, |coordinate|)
 _BLOCK = 1 << 16  # paths per block of elementwise work and of exact_sum; the bits do not depend on it
+MAX_HERMITE_DEGREE = 150  # He_k(x)^2 overflows a float from about k = 170 at the largest of 1e6 unit normals
 
 
 @dataclass
@@ -149,11 +150,11 @@ def coordinate_function(time, coord=0, label=None):
 
 
 def hermite_function(degree, time, coord=0, label=None):
-    """Probabilists' Hermite polynomial He_k of one path coordinate."""
+    """Probabilists' Hermite polynomial He_k of one path coordinate, k = ``degree`` in [0, ``MAX_HERMITE_DEGREE``]."""
     from numpy.polynomial import hermite_e
 
-    if degree < 0:
-        raise EstimatorError("degree must be >= 0", key="degree")
+    if isinstance(degree, bool) or not isinstance(degree, (int, np.integer)) or not 0 <= degree <= MAX_HERMITE_DEGREE:
+        raise EstimatorError(f"degree must be an int in [0, {MAX_HERMITE_DEGREE}], got {degree!r}", key="degree")
     c = np.zeros(degree + 1)
     c[degree] = 1.0
     dc = hermite_e.hermeder(c)

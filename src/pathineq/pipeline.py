@@ -78,7 +78,7 @@ def _read_stage(v, stage, op, prev_op, base_dir):
         return lambda prev: weighted_lsi_to_weak_lsi(WeightedLSICertificate(**cert), **kw)
     if op == "tail_to_weak_lsi":
         tail = _tail(v, f"{stage}.tail", base_dir)
-        kw = v.mapping(stage, {"a": _NUM}, {"n_cap": int})
+        kw = v.mapping(stage, {"a": _NUM}, {})
         return lambda prev: tail_to_weak_lsi(tail=tail(), **kw)
     # a beta stage takes C log(1/s) on (0, r0) inline, or the previous stage's weak-LSI profile
     if (beta := v.get(f"{stage}.beta", expected=dict, required=False)) is not None:
@@ -94,12 +94,10 @@ def _read_stage(v, stage, op, prev_op, base_dir):
         if params != "auto":  # a log2_delta key picks the base-2 exponents of delta and delta0
             dyadic, pre = (DyadicParams.from_pow2, "log2_") if "log2_delta" in params else (DyadicParams, "")
             params = v.mapping(f"{stage}.params", {f"{pre}delta": _NUM, f"{pre}delta0": _NUM, "epsilon": _NUM}, {})
-        kw = v.mapping(stage, {}, {"budget": int})
-        if "budget" in kw and params != "auto":
-            v.fail(f"{stage}.budget", "budget applies only to params: auto")
+        kw = v.mapping(stage, {}, {})
 
-        def transfer(b, **kw):
-            return weak_lsi_to_poincare(b, None if params == "auto" else dyadic(**params), **kw)
+        def transfer(b):
+            return weak_lsi_to_poincare(b, None if params == "auto" else dyadic(**params))
     if beta is None and prev_op not in _WEAK_LSI:  # after the stage's own keys, so a bad one is named first
         v.fail(f"{stage}.beta", f"needs an inline beta or a weak-LSI stage before it, got {prev_op or 'no stage'}")
     return lambda prev: transfer(prev.profile if beta is None else BetaProfile("c_log_inv_s", **beta), **kw)

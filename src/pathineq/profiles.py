@@ -27,6 +27,7 @@ from scipy.special import betaincinv
 
 _CUTOFF_ADD = 1.0 / math.e + 1.0
 LAST_WEIGHTED_LEVEL = 10**7  # the last level a weighted-LSI scan reads
+TAIL_LEVELS = 1000  # the last level a tail scan reads
 
 
 class ProfileError(ValueError):
@@ -127,6 +128,13 @@ def _tail_arrays(levels, values):
     if np.any(np.diff(values) > 1e-12):
         raise ProfileError("tail values must be non-increasing")
     return levels, np.minimum(values, 1.0)
+
+
+def _known_keys(obj, d, written):
+    """obj, read from the dict d, if d holds no key but those of ``written``: a misspelled key is not dropped."""
+    if unknown := [k for k in d if k not in written]:
+        raise ProfileError(f"unknown key {unknown[0]!r} in a serialized {d['type'].replace('_', ' ')}")
+    return obj
 
 
 def _step_left(levels, values, s):
@@ -230,13 +238,14 @@ class TailBound:
         for key in ("levels", "values"):
             if not isinstance(d.get(key), list) or any(type(x) not in (int, float) for x in d[key]):
                 raise ProfileError(f"tail bound needs {key}, a list of numbers")
-        return cls(
+        tail = cls(
             levels=tuple(d["levels"]),
             values=tuple(d["values"]),
             source=d.get("source", "analytic"),
             n_samples=d.get("n_samples"),
             confidence=d.get("confidence"),
         )
+        return _known_keys(tail, d, tail.to_dict())
 
 
 # ---------------------------------------------------------------------------
@@ -306,13 +315,13 @@ class BetaProfile:
 
         That n is the first index at which the running minimum of the levels
         is <= s, a searchsorted on the negated (ascending) running minima.
-        The levels run from 1 to ``n_cap`` for a tail and from ``n_min`` to
-        ``LAST_WEIGHTED_LEVEL`` for a weighted certificate; their running
-        minimum grows by blocks that double it, as far as the smallest s asked
-        for so far needs.
+        The levels run from 1 to ``TAIL_LEVELS`` for a tail and from
+        ``n_min`` to ``LAST_WEIGHTED_LEVEL`` for a weighted certificate; their
+        running minimum grows by blocks that double it, as far as the smallest
+        s asked for so far needs.
         """
         p = self.params
-        n0, last = (1, int(p["n_cap"])) if self.form == "tail_scan" else (int(p["n_min"]), LAST_WEIGHTED_LEVEL)
+        n0, last = (1, TAIL_LEVELS) if self.form == "tail_scan" else (int(p["n_min"]), LAST_WEIGHTED_LEVEL)
         running_min = self._cache.get("min", np.empty(0))
         s_lo = s.min(initial=math.inf)
         while n0 + running_min.size <= last and (running_min.size == 0 or running_min[-1] > s_lo):
@@ -336,7 +345,8 @@ class BetaProfile:
         if d.get("type") != cls._type:
             raise ProfileError(f"not a serialized {cls._type.replace('_', ' ')}")
         names = {f.name for f in fields(cls)} - {"family", "r0"}
-        return cls(family=d["family"], r0=d["r0"], **{k: v for k, v in d.items() if k in names})
+        prof = cls(family=d["family"], r0=d["r0"], **{k: v for k, v in d.items() if k in names})
+        return _known_keys(prof, d, prof.to_dict().keys() | {"r0"})  # a constant alpha writes no r0, checked inf
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,8 @@ The chain implemented end to end:
         -> weak Poincare alpha(s) = beta(C2' s log(1/s)) / (C1' log(1/s))
 
 Infeasible parameter choices raise ``TransferError`` naming the violated
-constraint; nothing is ever clamped to fake a certificate.
+constraint; nothing is ever clamped to fake a certificate.  A tail scan reads
+``TAIL_LEVELS`` levels; the dyadic search makes ``SEARCH_EVALS`` evaluations.
 """
 
 from __future__ import annotations
@@ -32,12 +33,12 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.special import polygamma
 
-from .profiles import (LAST_WEIGHTED_LEVEL, AlphaProfile, BetaProfile, TailBound, bisect, cutoff_factor,
-                       cutoff_levels, profile_from_dict)
+from .profiles import (LAST_WEIGHTED_LEVEL, TAIL_LEVELS, AlphaProfile, BetaProfile, TailBound, bisect,
+                       cutoff_factor, cutoff_levels, profile_from_dict)
 
 _INV_E = 1.0 / math.e
 _LOG2 = math.log(2.0)
-MAX_BUDGET = 10**6  # a screen of 84^3 points (0.6 budget), about 5 MB an array
+SEARCH_EVALS = 10_000  # objective evaluations of the dyadic parameter search
 
 
 class TransferError(ValueError):
@@ -48,13 +49,6 @@ def _require_finite(name, x):
     if not math.isfinite(x):
         raise TransferError(f"{name} must be finite, got {x}")
     return float(x)
-
-
-def _require_size(name, x, hi, lo=2):
-    """x, a scan size, if it is an int (a bool is not) in [lo, hi]: checked before anything of that size exists."""
-    if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or not lo <= x <= hi:
-        raise TransferError(f"{name} must be an integer in [{lo}, {hi}], got {x!r}")
-    return int(x)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +285,7 @@ def weighted_lsi_to_weak_lsi(cert: WeightedLSICertificate, smooth=False) -> Tran
 # Tail bound -> weak LSI
 
 
-def tail_to_weak_lsi(a: float, tail: TailBound, n_cap: int = 1000) -> TransferResult:
+def tail_to_weak_lsi(a: float, tail: TailBound) -> TransferResult:
     """Weak log-Sobolev rate from a tail bound on the weight root u.
 
     The cut-off estimate consumes sqrt(mu(u > n-1)); with the survival-scale
@@ -300,13 +294,12 @@ def tail_to_weak_lsi(a: float, tail: TailBound, n_cap: int = 1000) -> TransferRe
     smallest qualifying level n(s).  Tails that do not decay on their grid
     (no level beats the first one) are rejected outright rather than
     converted into a uselessly huge constant, and so is a gradient bound a
-    whose cut-off factor at n_cap overflows.  n_cap, the number of levels
-    scanned, is an int in [2, ``LAST_WEIGHTED_LEVEL``].
+    whose cut-off factor at the last level read, ``TAIL_LEVELS`` (the params'
+    and audit's ``n_cap``), overflows.
     """
     a = _require_finite("a", a)
     if not a > 0:
         raise TransferError("gradient bound a must be positive")
-    n_cap = _require_size("n_cap", n_cap, LAST_WEIGHTED_LEVEL)
 
     # decay precondition on the supplied grid: m(s) s^2 must head to zero
     lv = np.asarray(tail.levels)
@@ -320,7 +313,7 @@ def tail_to_weak_lsi(a: float, tail: TailBound, n_cap: int = 1000) -> TransferRe
 
     params = {
         "a": a,
-        "n_cap": n_cap,
+        "n_cap": TAIL_LEVELS,
         "s_min": None,  # filled in below, keeping the key order of the serialized form
         "levels": list(tail.levels),
         "m": list(tail.values),
@@ -328,8 +321,8 @@ def tail_to_weak_lsi(a: float, tail: TailBound, n_cap: int = 1000) -> TransferRe
         "n_samples": tail.n_samples,
         "confidence": tail.confidence,
     }
-    _require_finite_levels(a, [cutoff_factor(a, float(n_cap))])  # the largest factor, before the product with sqrt(m)
-    q = cutoff_levels(params, np.arange(1.0, n_cap + 1.0))
+    _require_finite_levels(a, [cutoff_factor(a, TAIL_LEVELS)])  # the largest factor, before the product with sqrt(m)
+    q = cutoff_levels(params, np.arange(1.0, TAIL_LEVELS + 1.0))
     if not np.any(q[1:] < q[0]):
         raise TransferError(
             "no weak-LSI derivable: no level improves on the first below the cap"
@@ -337,8 +330,8 @@ def tail_to_weak_lsi(a: float, tail: TailBound, n_cap: int = 1000) -> TransferRe
     s_min = params["s_min"] = float(q.min())
 
     profile = BetaProfile(family="composed", r0=math.inf, form="tail_scan", params=params)
-    audit = [("a", a), ("n_cap", n_cap), ("s_min", s_min)]
-    n_report = min(n_cap, max(8, int(np.argmin(q)) + 4))
+    audit = [("a", a), ("n_cap", TAIL_LEVELS), ("s_min", s_min)]
+    n_report = min(TAIL_LEVELS, max(8, int(np.argmin(q)) + 4))
     for n in range(1, n_report + 1):
         audit.append((f"q({n})", float(q[n - 1])))
     return TransferResult(kind="weak_lsi", profile=profile, audit=audit)
@@ -348,9 +341,7 @@ def tail_to_weak_lsi(a: float, tail: TailBound, n_cap: int = 1000) -> TransferRe
 # Weak LSI (beta = C log 1/s) -> Poincare
 
 
-def weak_lsi_to_poincare(
-    beta: BetaProfile, params: DyadicParams | None = None, budget: int = 10_000
-) -> TransferResult:
+def weak_lsi_to_poincare(beta: BetaProfile, params: DyadicParams | None = None) -> TransferResult:
     """Poincare constant alpha = (C1 + C2) / (1 - C3) from a logarithmic rate.
 
     Requires beta(s) = C log(1/s) on (0, r0).  With ``params=None`` the free
@@ -365,7 +356,7 @@ def weak_lsi_to_poincare(
         )
     C, r0 = beta.C, beta.r0
     if params is None:
-        params = optimize_dyadic_params(C, r0, budget)
+        params = optimize_dyadic_params(C, r0)
     params.validate(r0)
 
     C1 = c1(params, C)
@@ -428,7 +419,7 @@ def _search_objective(ld, A, le, r0):
     return out
 
 
-def optimize_dyadic_params(C: float, r0: float, budget: int = 10_000) -> DyadicParams:
+def optimize_dyadic_params(C: float, r0: float) -> DyadicParams:
     """Deterministic coarse grid + coordinate descent over (delta, A, epsilon).
 
     The objective scales linearly in C, so the argmin is C-independent; the
@@ -436,8 +427,7 @@ def optimize_dyadic_params(C: float, r0: float, budget: int = 10_000) -> DyadicP
     natural ranges: delta in (1, 4], delta0 = delta^A up to 2^20, epsilon in
     (0, 1).  A is kept >= e so the closed-form C1 genuinely bounds the
     supremum it replaces.  Raises if no feasible point exists in the box.
-    ``budget``, the number of objective evaluations, is an int in
-    [100, ``MAX_BUDGET``].
+    The search makes at most ``SEARCH_EVALS`` objective evaluations.
 
     The coarse grid, whose first strict minimum in loop order (ld, A, le)
     starts the descent, and each 15-point line search are one array
@@ -448,9 +438,8 @@ def optimize_dyadic_params(C: float, r0: float, budget: int = 10_000) -> DyadicP
     _require_finite("r0", r0)
     if not (C > 0 and r0 > 0):
         raise TransferError("C and r0 must be positive")
-    budget = _require_size("budget", budget, MAX_BUDGET, lo=100)
 
-    n_side = max(4, int((0.6 * budget) ** (1.0 / 3.0)))
+    n_side = max(4, int((0.6 * SEARCH_EVALS) ** (1.0 / 3.0)))
     axes = (
         np.linspace(math.log(1.02), math.log(4.0), n_side),
         np.linspace(math.e + 0.01, 40.0, n_side),
@@ -466,9 +455,9 @@ def optimize_dyadic_params(C: float, r0: float, budget: int = 10_000) -> DyadicP
     x = [ax[i] for ax, i in zip(axes, np.unravel_index(k, (n_side,) * 3))]
     fbest = screen[k]
     widths = [0.5, 8.0, 1.5]
-    while evals + 16 <= budget and max(widths) > 1e-7:
+    while evals + 16 <= SEARCH_EVALS and max(widths) > 1e-7:
         for i in range(3):
-            if evals + 16 > budget:
+            if evals + 16 > SEARCH_EVALS:
                 break
             grid = np.linspace(x[i] - widths[i], x[i] + widths[i], 15)
             vals = _search_objective(*(grid if j == i else np.full(15, x[j]) for j in range(3)), r0)
@@ -671,7 +660,7 @@ def replay_profile(result: TransferResult):
     if result.kind == "weak_lsi":
         if result.profile.form == "tail_scan":
             tail = TailBound(tuple(p["levels"]), tuple(p["m"]), p["source"], p["n_samples"], p["confidence"])
-            return tail_to_weak_lsi(a("a"), tail, n_cap=int(a("n_cap"))).profile
+            return tail_to_weak_lsi(a("a"), tail).profile
         cert = WeightedLSICertificate(a=a("a"), C_exp=a("C"), M=a("M"))
         return weighted_lsi_to_weak_lsi(cert, smooth=(result.profile.form == "weighted_lsi_smooth")).profile
     if result.kind == "weak_poincare":

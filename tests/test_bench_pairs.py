@@ -1,4 +1,5 @@
-"""The rules by which ``tools/bench_pairs.py pairs`` judges a claimed gain and a bound.
+"""The rules by which ``tools/bench_pairs.py pairs`` judges a claimed gain and a bound, and a run of one
+``optimizer`` repeat.
 
 ``_verdict`` decides, for one end-to-end metric, whether the change's runs
 carry a claimed gain over the base's and whether the change's median is worse
@@ -6,19 +7,25 @@ than the base's by more than the metric's bound.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-BENCH_PAIRS = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
-def verdict():
-    spec = importlib.util.spec_from_file_location("bench_pairs", BENCH_PAIRS)
+def bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module._verdict
+    return module
+
+
+@pytest.fixture(scope="module")
+def verdict(bench_pairs):
+    return bench_pairs._verdict
 
 
 FLAT = [10.0] * 10
@@ -62,3 +69,15 @@ def test_worse_than_bound_is_a_share_of_the_base_median_in_the_metric_direction(
     v = verdict(FLAT, change, better, 0.25)
     assert v["worse_than_bound"] is worse
     assert v["better"] == better and v["bound"] == 0.25
+
+
+def test_optimizer_repeat_runs_on_params_auto_configs(bench_pairs, tmp_path, monkeypatch):
+    # it passed optimize_dyadic_params a third argument, the number of evaluations, which it no longer takes
+    for i, (C, r0) in enumerate([(1.0, 0.5), (3.7, 0.01)]):
+        (tmp_path / f"c{i}.yaml").write_text(f"name: c{i}\npipeline:\n  - op: weak_lsi_to_poincare\n"
+                                             f"    beta: {{C: {C}, r0: {r0}}}\n    params: auto\n")
+    monkeypatch.setattr(bench_pairs, "AGREE_CASES", 2)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the repeat puts its src first
+    out = bench_pairs.optimizer_repeat(ROOT / "src", tmp_path, agree=True)
+    assert (out["configs"], out["optimizer_calls"], out["infeasible"]) == (2, 2, 0)
+    assert [len(fields) for fields, _ in out["cases"]] == [4, 4]

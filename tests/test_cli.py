@@ -49,10 +49,8 @@ name: defaults
 pipeline:
   - op: weak_lsi_to_poincare
     beta: {family: c_log_inv_s, C: 1.0, r0: 0.5}
-    budget: 10000
   - op: tail_to_weak_lsi
     a: 0.5
-    n_cap: 1000
     tail: {from_ensemble: bridge.pens, confidence: 0.99}
   - op: weighted_lsi_to_weak_lsi
     cert: {a: 1.0, C_exp: 0.5, M: 1.0}
@@ -434,8 +432,6 @@ def test_domain_error_names_its_scenario_file(tmp_path, capsys):
         # transfer stage inputs are checked by op before any transfer runs
         ("transfer", OP, first_stage("weighted_lsi_to_weak_lsi", "cert: {a: abc, C_exp: 1.0}"), 4,
          "pipeline[0].cert.a"),
-        ("transfer", OP, first_stage("tail_to_weak_lsi", "a: 0.5", "tail: {levels: [0, 1], values: [1, 0.1]}",
-                                     "n_cap: abc"), 6, "pipeline[0].n_cap"),
         # a mapping entry raised TypeError; a string and a bool were read as numbers
         ("transfer", OP, first_stage("tail_to_weak_lsi", "a: 0.5", "tail: {levels: [0, 1, {x: 1}, 3], values: [1, 0]}"),
          5, "pipeline[0].tail.levels[2]"),
@@ -445,7 +441,7 @@ def test_domain_error_names_its_scenario_file(tmp_path, capsys):
          5, "pipeline[0].tail.values[0]"),
     ],
     ids=["lam", "floor", "drift_cap", "exp_square_c", "points", "coord", "time",
-         "coord_bool", "n_paths_bool", "seed_bool", "T_bool", "x0_word", "y0_entry", "cert_a", "n_cap",
+         "coord_bool", "n_paths_bool", "seed_bool", "T_bool", "x0_word", "y0_entry", "cert_a",
          "tail_level_mapping", "tail_level_string", "tail_value_bool"],
 )
 def test_non_numeric_option_names_file_and_line(tmp_path, capsys, command, old, new, line, key):
@@ -472,13 +468,9 @@ def test_non_numeric_option_names_file_and_line(tmp_path, capsys, command, old, 
          "pipeline[0].cert.a"),
         ("transfer", OP, first_stage("tail_to_weak_lsi", "a: 0.5", f"tail: {{levels: [0, {HUGE}], values: [1, 0]}}"),
          5, "pipeline[0].tail.levels[1]"),
-        ("transfer", OP, first_stage("tail_to_weak_lsi", "a: 0.5", "tail: {levels: [0, 1], values: [1, 0.1]}",
-                                     f"n_cap: {HUGE}"), 6, "pipeline[0].n_cap"),
-        ("transfer", "params: {log2_delta: 0.5, log2_delta0: 4.5, epsilon: 0.125}", f"budget: -{HUGE}", 5,
-         "pipeline[0].budget"),
     ],
     ids=["time_nan", "exp_square_c_nan", "T_inf", "lam_minus_inf", "C_exp_nan",
-         "T_huge", "cert_a_huge", "tail_level_huge", "n_cap_huge", "budget_huge"],
+         "T_huge", "cert_a_huge", "tail_level_huge"],
 )
 def test_non_finite_number_names_file_and_line(tmp_path, capsys, command, old, new, line, key):
     text = {"sample": SAMPLE_YAML, "estimate": ESTIMATE_YAML, "transfer": TRANSFER_YAML}[command]
@@ -530,7 +522,8 @@ def test_huge_gradient_bound_of_a_tail_exits_2_naming_a(tmp_path, capsys):
 @pytest.mark.parametrize(
     "old, new, line, key, message",
     [
-        ("epsilon: 0.125}\n", "epsilon: 0.125}\nprofile_grid: {points: 0}\n", 6, "profile_grid.points", ">= 1"),
+        ("epsilon: 0.125}\n", "epsilon: 0.125}\nprofile_grid: {points: 0}\n", 6, "profile_grid.points",
+         "must lie in [1, 100000], got 0"),
         ("epsilon: 0.125}", "epsilon: abc}", 5, "pipeline[0].params.epsilon", "expected "),
         ("params: {log2_delta: 0.5, log2_delta0: 4.5, epsilon: 0.125}", "params: manual", 5,
          "pipeline[0].params", "'auto'"),
@@ -574,8 +567,11 @@ def test_bad_transfer_input_names_file_and_line(tmp_path, capsys, old, new, line
         # the inline levels won, and the file was never opened
         (OP, first_stage("tail_to_weak_lsi", "a: 0.5", f"tail: {{{GAUSS_TAIL}, file: nonexistent.json}}"), 5,
          "pipeline[0].tail.file", "a tail takes one of"),
-        ("epsilon: 0.125}\n", "epsilon: 0.125}\n    budget: 1000\n", 6, "pipeline[0].budget",
-         "budget applies only to params: auto"),
+        # the scan and search sizes are no stage's keys
+        (OP, first_stage("tail_to_weak_lsi", "a: 0.5", f"tail: {{{GAUSS_TAIL}}}", "n_cap: 1000"), 6,
+         "pipeline[0].n_cap", "unknown key"),
+        (OP, first_stage("weak_lsi_to_poincare", "beta: {C: 1.0, r0: 0.5}", "params: auto", "budget: 10000"), 6,
+         "pipeline[0].budget", "unknown key"),
         # a stray key inside beta or params was ignored, a missing one named only by its quoted name
         ("r0: 0.5}", "r0: 0.5, R0: 3}", 4, "pipeline[0].beta.R0", "unknown key"),
         ("C: 1.0, r0: 0.5}", "C: 1.0}", 4, "pipeline[0].beta.r0", "missing required key"),
@@ -586,7 +582,7 @@ def test_bad_transfer_input_names_file_and_line(tmp_path, capsys, old, new, line
          "pipeline[0].params.delta0", "missing required key"),
     ],
     ids=["beta_on_weighted", "params_on_weighted", "beta_on_tail", "params_on_tail", "params_on_weak_poincare",
-         "tail_levels_and_file", "budget_with_params", "beta_R0", "beta_no_r0", "beta_family",
+         "tail_levels_and_file", "n_cap", "budget", "beta_R0", "beta_no_r0", "beta_family",
          "params_delta_beside_log2", "params_no_delta0"],
 )
 def test_stage_key_no_reader_takes_names_file_and_line(tmp_path, capsys, old, new, line, key, message):
@@ -622,23 +618,30 @@ def test_bad_tail_file_metadata_is_rejected_by_its_stage(tmp_path, capsys):
     assert not any((tmp_path / "o").iterdir())
 
 
-@pytest.mark.parametrize(
-    "stage, message",
-    [
-        (first_stage("tail_to_weak_lsi", "a: 0.5", f"tail: {{{GAUSS_TAIL}}}", "n_cap: 1000000000000000"),
-         "stage 0 (tail_to_weak_lsi): n_cap must be an integer in [2, 10000000], got 1000000000000000"),
-        (first_stage("tail_to_weak_lsi", "a: 0.5", f"tail: {{{GAUSS_TAIL}}}", "n_cap: 10000001"),
-         "stage 0 (tail_to_weak_lsi): n_cap must be an integer in [2, 10000000], got 10000001"),
-        (first_stage("weak_lsi_to_poincare", "beta: {C: 1.0, r0: 0.5}", "budget: 1000000000000000"),
-         "stage 0 (weak_lsi_to_poincare): budget must be an integer in [100, 1000000], got 1000000000000000"),
-    ],
-    ids=["n_cap_huge", "n_cap_past_last", "budget_huge"],
-)
-def test_oversize_scan_exits_2_before_it_is_allocated(tmp_path, capsys, stage, message):
-    # each was a program-bug traceback: numpy could not allocate 7.11 PiB (n_cap) or 4.26 PiB (budget)
-    cfg = write(tmp_path, "t.yaml", TRANSFER_YAML.replace(OP, stage))
+@pytest.mark.parametrize("points", [1000000000000000, 100001], ids=["points_huge", "points_past_max"])
+def test_oversize_scan_exits_2_before_it_is_allocated(tmp_path, capsys, monkeypatch, points):
+    # 10**15 points ran every transfer and then was a program-bug traceback: numpy could not allocate the table
+    from pathineq import pipeline
+
+    def ran(*args):
+        raise AssertionError("a transfer ran before the grid size was read")
+
+    monkeypatch.setattr(pipeline, "weak_lsi_to_poincare", ran)
+    cfg = write(tmp_path, "t.yaml", TRANSFER_YAML + f"profile_grid: {{points: {points}}}\n")
     assert main(["transfer", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert message in capsys.readouterr().err
+    assert f"t.yaml:6: profile_grid.points: points must lie in [1, 100000], got {points}" in capsys.readouterr().err
+    assert not any((tmp_path / "o").iterdir())
+
+
+def test_misspelled_key_in_a_tail_file_fails_its_stage(tmp_path, capsys):
+    # it used to be dropped, and the tail read as if the key were absent
+    (tmp_path / "tail.json").write_text('{"type": "tail_bound", "levels": [0.0, 1.0, 2.0], "values": [1.0, 0.1, 0.01]'
+                                        ', "source": "analytic", "confidense": 0.99}')
+    stage = first_stage("tail_to_weak_lsi", "a: 0.5", "tail: {file: tail.json}")
+    code = main(["transfer", "--config", write(tmp_path, "t.yaml", TRANSFER_YAML.replace(OP, stage)),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "stage 0 (tail_to_weak_lsi): unknown key 'confidense' in a serialized tail bound" in capsys.readouterr().err
     assert not any((tmp_path / "o").iterdir())
 
 
@@ -1050,7 +1053,7 @@ def test_estimate_takes_each_total_once(tmp_path, monkeypatch):
 def test_spelled_out_defaults_are_the_defaults(tmp_path):
     assert main(["sample", "--config", write(tmp_path, "s.yaml", SAMPLE_YAML), "--out", str(tmp_path)]) == 0
     bare = DEFAULTS_YAML
-    for spelled in ("    budget: 10000\n", "    n_cap: 1000\n", ", confidence: 0.99", ", M: 1.0",
+    for spelled in (", confidence: 0.99", ", M: 1.0",
                     "    smooth: false\n", "profile_grid: {points: 48}\n"):
         assert spelled in bare
         bare = bare.replace(spelled, "")
@@ -1170,8 +1173,10 @@ def test_tail_confidence_off_an_ensemble_names_its_line(tmp_path, capsys, tail):
 def test_negative_hermite_degree_names_its_key(tmp_path, capsys):
     out = str(tmp_path / "out")
     assert main(["sample", "--config", write(tmp_path, "s.yaml", WIENER_4_YAML), "--out", out]) == 0
-    estimate = ESTIMATE_YAML.replace("[weight_tail, exp_square_moment]",
-                                     "[variance]\nfunctions:\n  - {type: hermite, degree: -1}")
-    capsys.readouterr()
-    assert main(["estimate", "--config", write(tmp_path, "e.yaml", estimate), "--out", out]) == 2
-    assert "e.yaml:5: functions[0].degree: degree must be >= 0" in capsys.readouterr().err
+    for degree in (-1, 151, 1000000000000000):  # 10**15 was a program-bug traceback: numpy could not allocate
+        estimate = ESTIMATE_YAML.replace("[weight_tail, exp_square_moment]",
+                                         f"[variance]\nfunctions:\n  - {{type: hermite, degree: {degree}}}")
+        capsys.readouterr()
+        assert main(["estimate", "--config", write(tmp_path, "e.yaml", estimate), "--out", out]) == 2
+        assert f"e.yaml:5: functions[0].degree: degree must be an int in [0, 150], got {degree}" in (
+            capsys.readouterr().err)

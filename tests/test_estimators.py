@@ -611,10 +611,16 @@ def test_estimator_reduction_order_insensitive():
         (lambda: coordinate_function(1.0, coord=-1), "coord", "coord must be >= 0"),
         (lambda: exp_half_function(0.5, 1.0, coord=-1), "coord", "coord must be >= 0"),
         (lambda: hermite_function(2, 1.0, coord=-1), "coord", "coord must be >= 0"),
-        (lambda: hermite_function(-1, 1.0), "degree", "degree must be >= 0"),
+        (lambda: hermite_function(-1, 1.0), "degree", r"degree must be an int in \[0, 150\], got -1"),
+        # 10**15 was numpy's allocation error, 2.0 a TypeError
+        (lambda: hermite_function(151, 1.0), "degree", r"degree must be an int in \[0, 150\], got 151"),
+        (lambda: hermite_function(10**15, 1.0), "degree", r"degree must be an int in \[0, 150\], got 10{15}"),
+        (lambda: hermite_function(2.0, 1.0), "degree", r"degree must be an int in \[0, 150\], got 2\.0"),
+        (lambda: hermite_function(True, 1.0), "degree", r"degree must be an int in \[0, 150\], got True"),
         (lambda: coordinate_function(0.0), "times", "evaluation times must be positive"),
     ],
-    ids=["coordinate_coord", "exp_half_coord", "hermite_coord", "hermite_degree", "time_zero"],
+    ids=["coordinate_coord", "exp_half_coord", "hermite_coord", "hermite_degree", "hermite_degree_past_max",
+         "hermite_degree_huge", "hermite_degree_float", "hermite_degree_bool", "time_zero"],
 )
 def test_function_builder_names_its_bad_argument(build, key, message):
     with pytest.raises(EstimatorError, match=message) as err:

@@ -194,9 +194,9 @@ POW2 = {"log2_delta": 0.5, "log2_delta0": 4.5, "epsilon": 0.125}
 STAGES = [
     (CERT, {"": {"op", "cert", "smooth"}, "cert": {"a", "C_exp", "M"}}),
     ({"op": "tail_to_weak_lsi", "a": 0.5, "tail": {"levels": [0.0, 1.0, 2.0], "values": [1.0, 0.5, 0.1]}},
-     {"": {"op", "a", "tail", "n_cap"}, "tail": {"levels", "values", "file", "from_ensemble", "confidence"}}),
+     {"": {"op", "a", "tail"}, "tail": {"levels", "values", "file", "from_ensemble", "confidence"}}),
     ({"op": "weak_lsi_to_poincare", "beta": BETA, "params": POW2},
-     {"": {"op", "beta", "params", "budget"}, "beta": {"C", "r0", "family"}, "params": set(POW2)}),
+     {"": {"op", "beta", "params"}, "beta": {"C", "r0", "family"}, "params": set(POW2)}),
     ({"op": "weak_lsi_to_poincare", "beta": BETA, "params": {"delta": 2.0, "delta0": 8.0, "epsilon": 0.1}},
      {"params": {"delta", "delta0", "epsilon", "log2_delta"}}),
     ({"op": "weak_lsi_to_weak_poincare", "beta": BETA},

@@ -246,6 +246,26 @@ def test_profile_json_text_is_pinned(make, text):
     assert profile_from_dict(json.loads(text)) == p
 
 
+@pytest.mark.parametrize(
+    "make, key",
+    [
+        (lambda: BetaProfile(family="c_log_inv_s", C=1.0, r0=0.5), "s_grid"),
+        (_weighted_scan_beta, "C"),  # a composed beta writes no C
+        (lambda: AlphaProfile(family="constant", r0=math.inf, value=42.0), "values"),
+        (_weak_poincare_alpha, "value"),
+        (lambda: TailBound.from_samples(np.random.default_rng(3).exponential(size=500)), "confidense"),
+    ],
+    ids=["c_log_inv_s", "composed_beta", "constant_alpha", "composed_alpha", "tail_bound"],
+)
+def test_from_dict_refuses_a_key_its_to_dict_does_not_write(make, key):
+    # each used to be dropped, and the dict read as if the key were absent
+    obj = make()
+    d = json.loads(json.dumps(obj.to_dict()))
+    assert type(obj).from_dict(d) == obj  # a constant alpha's is_constant among the keys taken
+    with pytest.raises(ProfileError, match=f"unknown key '{key}' in a serialized "):
+        type(obj).from_dict(d | {key: 1.0})
+
+
 def test_profile_json_roundtrip_lossless():
     profiles = [
         BetaProfile(family="c_log_inv_s", C=1.0 / 3.0, r0=0.4999999999),

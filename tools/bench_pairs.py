@@ -272,10 +272,10 @@ def optimizer_repeat(src, cfg_dir, agree):
     from pathineq.config import load_config
     from pathineq.transfer import TransferError, optimize_dyadic_params, poincare_objective
 
-    def fields(C, r0, budget):
+    def fields(C, r0):
         """The result's fields (their reprs) and its objective at C, or the error and None."""
         try:
-            p = optimize_dyadic_params(C, r0, budget)
+            p = optimize_dyadic_params(C, r0)
         except TransferError as exc:
             return f"TransferError: {exc}", None
         return [repr(getattr(p, k)) for k in ("delta0", "delta", "epsilon", "A")], float(poincare_objective(p, C))
@@ -284,7 +284,7 @@ def optimizer_repeat(src, cfg_dir, agree):
     t = time.perf_counter()
     loaded = [load_config(p) for p in paths]
     out = {"load_config_s": time.perf_counter() - t, "configs": len(paths)}
-    calls = [(st["beta"]["C"], st["beta"]["r0"], st.get("budget", 10_000))
+    calls = [(st["beta"]["C"], st["beta"]["r0"])
              for data, _ in loaded for st in data["pipeline"] if st.get("params") == "auto"]
     for key in ("optimizer_cold_s", "optimizer_warm_s"):
         t = time.perf_counter()
@@ -296,7 +296,7 @@ def optimizer_repeat(src, cfg_dir, agree):
         rng = np.random.default_rng(20090)
         cases = zip(np.exp(rng.uniform(math.log(0.25), math.log(8.0), AGREE_CASES)),
                     np.exp(rng.uniform(math.log(1e-6), math.log(5.0), AGREE_CASES)))
-        out["cases"] = [fields(float(C), float(r0), 10_000) for C, r0 in cases]
+        out["cases"] = [fields(float(C), float(r0)) for C, r0 in cases]
         results = [f for f, _ in out["cases"]]
         out["params_sha256"] = hashlib.sha256(json.dumps(results).encode()).hexdigest()
         out["infeasible"] = sum(isinstance(r, str) for r in results)
