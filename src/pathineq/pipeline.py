@@ -37,8 +37,21 @@ _NUM = (int, float)
 _WEAK_LSI = ("weighted_lsi_to_weak_lsi", "tail_to_weak_lsi")  # the ops whose result is a beta profile
 
 
+MAX_GRID_POINTS = 10**5  # profile points a stage tabulates: 1.4 s on a smooth weak-Poincare chain, 2 Xeon cores
+
+
 class PipelineError(ValueError):
     pass
+
+
+def grid_points_error(points):
+    """Why ``points`` cannot be the size of a report's profile tables, or None: it must be an int, not a
+    bool, in [1, MAX_GRID_POINTS]."""
+    if isinstance(points, bool) or not isinstance(points, (int, np.integer)):
+        return f"points must be an int, got {points!r}"
+    if not 1 <= points <= MAX_GRID_POINTS:
+        return f"points must lie in [1, {MAX_GRID_POINTS}], got {points}"
+    return None
 
 
 def _tail(v, path, base_dir):
@@ -122,7 +135,10 @@ def run_transfer_pipeline(spec, base_dir=None):
 
 def pipeline_report(results, grid_points=48):
     """JSON-ready view of a pipeline run: kinds, profiles, audits, and a
-    tabulated (monotone, where applicable) profile per stage."""
+    tabulated (monotone, where applicable) profile per stage.  A ``grid_points`` that
+    ``grid_points_error`` refuses raises a ``PipelineError`` before any table is built."""
+    if why := grid_points_error(grid_points):
+        raise PipelineError(why)
     out = []
     for res in results:
         entry = res.to_dict()

@@ -344,6 +344,8 @@ class BetaProfile:
     def from_dict(cls, d):
         if d.get("type") != cls._type:
             raise ProfileError(f"not a serialized {cls._type.replace('_', ' ')}")
+        if missing := [k for k in ("family", "r0") if k not in d]:
+            raise ProfileError(f"a serialized {cls._type.replace('_', ' ')} needs {missing[0]!r}")
         names = {f.name for f in fields(cls)} - {"family", "r0"}
         prof = cls(family=d["family"], r0=d["r0"], **{k: v for k, v in d.items() if k in names})
         return _known_keys(prof, d, prof.to_dict().keys() | {"r0"})  # a constant alpha writes no r0, checked inf

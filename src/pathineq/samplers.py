@@ -322,6 +322,8 @@ def sample_ou(cfg: SamplerConfig) -> PathEnsemble:
 _BLOCK = 4096
 # one bridge thread per CPU this process may run on; the bits do not depend on it
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+# steps per call of the H^2 drift quadrature: about 3 MB of temporaries; the bits do not depend on it
+_DRIFT_STEPS = 8
 
 
 def sample_hyperbolic_bridge(cfg: SamplerConfig) -> PathEnsemble:
@@ -465,16 +467,20 @@ def _make_drift(params: HeatKernelParams, T, nodes):
     if params.n == 3:
         return lambda k, r: hyp.dlog_heat_kernel_dr(t_rem[k], r, params)
 
-    # n = 2: the radial derivative is a 512-node quadrature per radius, too
+    # n = 2: the radial derivative is a 60-node quadrature per radius, too
     # dear for every path and step.  Its regular part g(t', r) = d/dr log
-    # p_{t'}(r) + r/t' is tabulated at each step's own t' on a uniform r-grid
-    # and fitted by a natural cubic spline in r (g is odd, so the natural end
-    # is exact at r = 0): one tridiagonal sweep over all steps, elementwise
+    # p_{t'}(r) + r/t' (``hyp.h2_regular_dlog``) is tabulated at each step's
+    # own t' on a uniform r-grid, _DRIFT_STEPS steps per call so that the
+    # quadrature's temporaries stay small, and fitted by a natural cubic
+    # spline in r (g is odd, so the natural end is exact at r = 0): one
+    # tridiagonal sweep over all steps.  Table and spline are elementwise
     # numpy alone, so no BLAS can move the bits.  Radii past the grid take the
     # value at its end.
     r_grid = np.linspace(0.0, 6.0 * math.sqrt(T) + 4.0, 96)
     h = r_grid[1]
-    g = np.array([hyp.dlog_heat_kernel_dr(tp, r_grid, params) + r_grid / tp for tp in t_rem])
+    g = np.empty((t_rem.size, r_grid.size))
+    for k in range(0, t_rem.size, _DRIFT_STEPS):
+        g[k : k + _DRIFT_STEPS] = hyp.h2_regular_dlog(t_rem[k : k + _DRIFT_STEPS, None], r_grid)
     # second derivatives M, 0 at both ends: M_{i-1} + 4 M_i + M_{i+1} equals
     # d_{i-1} = 6 (g_{i-1} - 2 g_i + g_{i+1}) / h^2 at each inner node i
     d = (g[:, :-2] - 2.0 * g[:, 1:-1] + g[:, 2:]) * (6.0 / (h * h))

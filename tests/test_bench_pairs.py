@@ -1,5 +1,5 @@
-"""The rules by which ``tools/bench_pairs.py pairs`` judges a claimed gain and a bound, and a run of one
-``optimizer`` repeat.
+"""The rules by which ``tools/bench_pairs.py pairs`` judges a claimed gain and a bound, a run of one
+``optimizer`` repeat, and a run of one ``bridge`` repeat and of each side of its sup-distance comparison.
 
 ``_verdict`` decides, for one end-to-end metric, whether the change's runs
 carry a claimed gain over the base's and whether the change's median is worse
@@ -10,6 +10,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -81,3 +82,18 @@ def test_optimizer_repeat_runs_on_params_auto_configs(bench_pairs, tmp_path, mon
     out = bench_pairs.optimizer_repeat(ROOT / "src", tmp_path, agree=True)
     assert (out["configs"], out["optimizer_calls"], out["infeasible"]) == (2, 2, 0)
     assert [len(fields) for fields, _ in out["cases"]] == [4, 4]
+
+
+def test_bridge_repeat_and_both_sup_distance_shapes_run(bench_pairs, tmp_path, monkeypatch):
+    # the sup distances are compared at loop_h2's shape as well as loop_h3's
+    assert {shape: dims[0] for shape, dims in bench_pairs.U_SHAPES.items()} == {"h3": 3, "h2": 2}
+    small = {"h3": (3, 40, 4), "h2": (2, 40, 4)}
+    monkeypatch.setattr(bench_pairs, "BRIDGE_SHAPES", small)
+    monkeypatch.setattr(bench_pairs, "U_SHAPES", small)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # each run puts its src first
+    out = bench_pairs.bridge_repeat(ROOT / "src")
+    assert {"drift_build_n2_s", "h2.serial.wall_s", "h3.pooled.cpu_s", "h2.sha256"} <= out.keys()
+    for shape in small:
+        side = bench_pairs.bridge_u(ROOT / "src", tmp_path / f"{shape}.npy", shape)
+        assert np.load(tmp_path / f"{shape}.npy").shape == (40,)
+        assert side["sheet_residual_max"] < 1e-10 and 0.0 <= side["cap_event_fraction"] <= 1.0

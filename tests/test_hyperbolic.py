@@ -272,8 +272,11 @@ def test_grad_log_matches_finite_difference(n):
 
 
 def h2_integrals_oracle(tau, r):
-    # the n = 2 integrals (J0, J1) of hyperbolic._h2_integrals for one radius,
-    # by adaptive quad on the same two u-pieces with the same integrands
+    # the n = 2 integrals J0 and J1 = J0 d/dr log I for one radius, by adaptive
+    # quad of the textbook integrands in s(u) = arccosh(cosh r + u^2) on two
+    # u-pieces that do not shrink with tau: the kernel's bulk and its tail.
+    # It shares no piece, variable or rearranged integrand with
+    # hyperbolic._h2_integrals, whose first value is the same J0
     ch_r = math.cosh(r)
     rr4 = r * r / (4.0 * tau)
 
@@ -334,8 +337,8 @@ def test_h2_integrals_match_quad_oracle():
     [
         # t' = 2^-20, half the smallest t' (T - nodes[-2] = 2^-19) at which the
         # bridge tabulates its drift on a 64-step grid on [0, 1]
-        (9.5367431640625e-07, 2.0, -0.26865735472045525513, 1e-4),
-        (9.5367431640625e-07, 9.368421052631579, -0.44662921970428334895, 1e-4),
+        (9.5367431640625e-07, 2.0, -0.26865735472045525513, 1e-8),
+        (9.5367431640625e-07, 9.368421052631579, -0.44662921970428334895, 1e-8),
         (1e-3, 5.0, -0.40004239713779181529, 1e-10),
         (1.0, 1e-3, -0.00016196717321632983375, 1e-10),
         (1.0, 9.368421052631579, -0.44552734090488367239, 1e-10),
@@ -348,6 +351,48 @@ def test_h2_dlog_matches_reference(tp, r, g_ref, tol):
     # against mpmath's numerical d/dr of log p where t' >= 1e-3)
     g = float(hyp.dlog_heat_kernel_dr(tp, r, HeatKernelParams(n=2))) + r / tp
     assert abs(g - g_ref) < tol
+
+
+@pytest.mark.parametrize(
+    "tp,r,g_ref,J0_ref",
+    [
+        (1.9073486328125e-06, 0.0, 0.0, 0.002447878979904410701),
+        (1.9073486328125e-06, 0.001, -0.00016666664495918119189, 0.0024478787759145239776),
+        (1.9073486328125e-06, 9.368421052631579, -0.44662921863600243339, 0.000097906468121274741971),
+        (1.9073486328125e-06, 10.0, -0.4500000001538048375, 0.000073761978466750826606),
+        (0.000244140625, 0.001, -0.00016666529928207930548, 0.027694307394624141609),
+        (0.000244140625, 2.0, -0.26865591572030062955, 0.020565580808095691815),
+        (0.000244140625, 10.0, -0.44999975792132178458, 0.0008345192485118552722),
+        (0.015625, 0.0, 0.0, 0.22141268550131056657),
+        (0.015625, 2.0, -0.26856508950060927837, 0.16443974702311234743),
+        (0.015625, 9.368421052631579, -0.44661172231206354888, 0.0088598321683759203477),
+        (0.5, 0.001, -0.00016412504905958374947, 1.2282764548921605842),
+        (0.5, 10.0, -0.4495035375376263801, 0.037554781123715161165),
+        (1.0, 0.0, 0.0, 1.7043371032268297727),
+        (1.0, 2.0, -0.2634160664387957182, 1.274512771641382779),
+        (1.0, 10.0, -0.44901450171685339571, 0.052814707294079351345),
+    ],
+)
+def test_h2_regular_part_and_J0_match_mpmath(tp, r, g_ref, J0_ref):
+    # g = d/dr log p_{t'} + r/t' as the drift table reads it, and the shifted
+    # integral J0 of hyperbolic._h2_integrals (tau = t'/2), against mpmath's
+    # quadrature of the same u-integrals at 40 digits; t' from 2^-19, the
+    # smallest remaining time of a 64-step grid on [0, 1], to 1
+    g = float(hyp.h2_regular_dlog(tp, r))
+    J0, _ = hyp._h2_integrals(0.5 * tp, r)
+    assert abs(g - g_ref) < 1e-11
+    assert abs(float(J0) / J0_ref - 1.0) < 1e-12
+
+
+def test_h2_regular_part_broadcasts_and_is_refused_at_t_zero():
+    tp = np.array([[2.0**-19], [0.5]])
+    r = np.array([0.0, 2.0, 10.0])
+    g = hyp.h2_regular_dlog(tp, r)
+    assert g.shape == (2, 3)
+    for i, t in enumerate(tp[:, 0]):
+        assert g[i].tobytes() == hyp.h2_regular_dlog(t, r).tobytes()
+    with pytest.raises(hyp.GeometryError):
+        hyp.h2_regular_dlog(np.array([1.0, 0.0]), 1.0)
 
 
 def _dlogp3_dr_lap_reference(tau, r):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -121,6 +122,18 @@ def test_pipeline_report_shapes():
     assert "alpha" in report[1]["tabulated"]
     alphas = report[1]["tabulated"]["alpha"]
     assert all(b <= a * (1 + 1e-12) for a, b in zip(alphas, alphas[1:]))
+
+
+@pytest.mark.parametrize("points, why", [(10**15, "must lie in [1, 100000], got 1000000000000000"),
+                                         (0, "must lie in [1, 100000], got 0"), (2.5, "must be an int, got 2.5"),
+                                         (True, "must be an int, got True")])
+def test_pipeline_report_refuses_a_grid_size_before_it_tabulates(points, why):
+    # 10**15 points on a weighted -> weak-Poincare chain ran out of memory in the weak-LSI table
+    spec = {"name": "chain", "pipeline": [{"op": "weighted_lsi_to_weak_lsi", "cert": {"a": 0.5, "C_exp": 1.0}},
+                                          {"op": "weak_lsi_to_weak_poincare"}]}
+    results = run_transfer_pipeline(spec)
+    with pytest.raises(PipelineError, match=re.escape(f"points {why}")):
+        pipeline_report(results, grid_points=points)
 
 
 @pytest.mark.parametrize("error", [TypeError, DomainError])

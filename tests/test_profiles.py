@@ -266,6 +266,30 @@ def test_from_dict_refuses_a_key_its_to_dict_does_not_write(make, key):
         type(obj).from_dict(d | {key: 1.0})
 
 
+@pytest.mark.parametrize(
+    "make, key",
+    [
+        (lambda: BetaProfile(family="c_log_inv_s", C=1.0, r0=0.5), "r0"),
+        (lambda: BetaProfile(family="c_log_inv_s", C=1.0, r0=0.5), "family"),
+        (_weighted_scan_beta, "r0"),
+        (_weak_poincare_alpha, "r0"),
+        (_weak_poincare_alpha, "family"),
+        (lambda: AlphaProfile(family="constant", r0=math.inf, value=42.0), "family"),
+    ],
+    ids=["c_log_inv_s-r0", "c_log_inv_s-family", "composed_beta-r0", "composed_alpha-r0", "composed_alpha-family",
+         "constant_alpha-family"],
+)
+def test_from_dict_names_a_missing_key(make, key):
+    # each used to raise KeyError, a program-bug class, from the constructor call
+    obj = make()
+    d = json.loads(json.dumps(obj.to_dict()))
+    del d[key]
+    with pytest.raises(ProfileError, match=f"needs '{key}'"):
+        type(obj).from_dict(d)
+    with pytest.raises(ProfileError, match=f"needs '{key}'"):
+        profile_from_dict(d)
+
+
 def test_profile_json_roundtrip_lossless():
     profiles = [
         BetaProfile(family="c_log_inv_s", C=1.0 / 3.0, r0=0.4999999999),

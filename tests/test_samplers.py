@@ -263,7 +263,7 @@ def test_hyperbolic_bridge_n2_smoke():
     ens = sample_hyperbolic_bridge(cfg)
     assert np.max(np.abs(hyp.minkowski_dot(ens.points, ens.points) + 1.0)) < 1e-10
     assert ens.diagnostics["presnap_gap_median"] < 0.5
-    assert _digest(ens.points) == "c430e1267150724418321bf060226e479b514491bd609eae90aeb6598371025d"
+    assert _digest(ens.points) == "2f8446860759902ff69a156ff4cce03485d90efbe969090eef0913078520b412"
     assert _digest(ens.diagnostics["presnap_gap"]) == (
         "0697580dc50594bd4ef3f623a2c6e6e610d3646aadc534a474144232270ab19b"
     )
@@ -286,6 +286,21 @@ def test_h2_drift_table_reads_the_quadrature_at_every_step(n_steps):
         # past the grid the regular part keeps its value at the end
         g = dlog_dr(k, far) + far / tp
         assert g[1] == pytest.approx(g[0], abs=1e-9)
+
+
+@pytest.mark.parametrize("n_steps", [16, 64, 128])
+def test_h2_drift_table_matches_a_finer_quadrature(monkeypatch, n_steps):
+    # the table's regular part g = d/dr log p + r/t' at its own radius grid,
+    # read back through the spline, against the same integrals with 128
+    # Gauss-Legendre nodes on each of the five pieces (within 3e-13 of 512)
+    nodes = TimeGrid.with_geometric_tail(1.0, n_steps).array()
+    tp = 1.0 - nodes[:-1]
+    r_grid = np.linspace(0.0, 6.0 + 4.0, 96)
+    dlog_dr = _make_drift(HeatKernelParams(n=2), 1.0, nodes)
+    table = np.array([dlog_dr(k, r_grid) + r_grid / tp[k] for k in range(tp.size)])
+    monkeypatch.setattr(hyp, "_H2_RULE", hyp._h2_rule((128,) * 5))
+    fine = np.array([hyp.h2_regular_dlog(t, r_grid) for t in tp])  # a step at a time: small temporaries
+    assert np.max(np.abs(table - fine)) < 2e-8
 
 
 def test_h2_bridge_marginal_radial_law():

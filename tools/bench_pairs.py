@@ -21,11 +21,12 @@ any lazy import, and a second one), and the wall and process CPU times of
 pool, on ``loop_h3``'s shape (n = 3, 50k paths, 128 steps plus the geometric
 tail) and ``loop_h2``'s (n = 2, 30k paths, 64 steps plus the tail).  It records
 the SHA-256 of each side's points, so the records show whether the bits
-agree.  It then samples 100k H^3 paths of ``loop_h3``'s shape once per side,
-each in a fresh process (``bridge-u``), and compares the recorded sup
-distances u: the two-sample KS statistic and its p-value, the largest and
-the median path-by-path |u_change - u_base|, and each side's largest sheet
-residual |<y, y> + 1| and ``cap_event_fraction``.  ``optimizer`` writes
+agree.  It then samples 100k paths of ``loop_h3``'s shape and 100k of
+``loop_h2``'s once per side, each in a fresh process (``bridge-u``), and
+compares, per shape, the recorded sup distances u: the two-sample KS
+statistic and its p-value, the largest and the median path-by-path
+|u_change - u_base|, and each side's largest sheet residual |<y, y> + 1| and
+``cap_event_fraction``.  ``optimizer`` writes
 ``certify``'s 48 configs (``perfbench/workloads.py``, ``--seed``) and times,
 in a fresh process per side and repeat (``optimizer-repeat``), the side that
 runs first alternating: the ``transfer.optimize_dyadic_params`` calls of its
@@ -208,20 +209,20 @@ def bridge_repeat(src):
     return out
 
 
-U_SHAPE = (3, 100_000, 128)  # the sup-distance comparison: dim, paths, steps before the tail
+U_SHAPES = {"h3": (3, 100_000, 128), "h2": (2, 100_000, 64)}  # the sup-distance comparisons, as BRIDGE_SHAPES
 
 
-def bridge_u(src, out):
-    """One side of the ``bridge`` sup-distance comparison, with pathineq from
-    ``src``: saves u to ``out`` (.npy) and returns the sheet residual and the
-    cap-event fraction."""
+def bridge_u(src, out, shape):
+    """One side of the ``bridge`` sup-distance comparison at ``shape``, a key
+    of ``U_SHAPES``, with pathineq from ``src``: saves u to ``out`` (.npy) and
+    returns the sheet residual and the cap-event fraction."""
     import numpy as np
 
     sys.path.insert(0, str(src))
     from pathineq import hyperbolic as hyp
     from pathineq import samplers
 
-    dim, n_paths, n_steps = U_SHAPE
+    dim, n_paths, n_steps = U_SHAPES[shape]
     grid = samplers.TimeGrid.with_geometric_tail(1.0, n_steps, 0.5, 1e-6)
     ens = samplers.sample_hyperbolic_bridge(samplers.SamplerConfig(seed=20090, n_paths=n_paths, grid=grid, dim=dim))
     np.save(out, ens.diagnostics["sup_distance"])
@@ -230,7 +231,7 @@ def bridge_u(src, out):
     return {"sheet_residual_max": residual, "cap_event_fraction": ens.diagnostics["cap_event_fraction"]}
 
 
-def _compare_u(base):
+def _compare_u(base, shape):
     import numpy as np
     from scipy import stats
 
@@ -238,11 +239,11 @@ def _compare_u(base):
     with tempfile.TemporaryDirectory() as tmp:
         for side, checkout in (("base", base), ("change", ROOT)):
             path = Path(tmp) / f"{side}.npy"
-            sides[side] = _side("bridge-u", checkout, "--out", str(path))
+            sides[side] = _side("bridge-u", checkout, "--out", str(path), "--shape", shape)
             u[side] = np.load(path)
     ks = stats.ks_2samp(u["base"], u["change"])
     du = np.abs(u["change"] - u["base"])
-    return {"shape": dict(zip(("dim", "n_paths", "n_steps"), U_SHAPE)), "seed": 20090,
+    return {"shape": dict(zip(("dim", "n_paths", "n_steps"), U_SHAPES[shape])), "seed": 20090,
             "ks_statistic": float(ks.statistic), "ks_pvalue": float(ks.pvalue),
             "abs_du_max": float(du.max()), "abs_du_median": float(np.median(du)), "sides": sides}
 
@@ -256,7 +257,7 @@ def bridge(base, repeats):
     return {
         "unit": "s", "repeats": repeats, "workers_pooled": _machine()["nproc"],
         "shapes": {k: dict(zip(("dim", "n_paths", "n_steps"), v)) for k, v in BRIDGE_SHAPES.items()},
-        "sha256": digests, "results": times, "sup_distance": _compare_u(base),
+        "sha256": digests, "results": times, "sup_distance": {shape: _compare_u(base, shape) for shape in U_SHAPES},
     }
 
 
@@ -505,6 +506,7 @@ def main(argv=None):
     side_u = sub.add_parser("bridge-u", help="one side of the bridge's sup-distance comparison, printed as JSON")
     side_u.add_argument("--src", required=True, help="directory holding the pathineq package to sample with")
     side_u.add_argument("--out", required=True, help=".npy file to save the sup distances in")
+    side_u.add_argument("--shape", required=True, choices=sorted(U_SHAPES), help="the bridge shape to sample")
     opt = sub.add_parser("optimizer", help="the dyadic optimizer and load_config on certify's configs, base and this")
     opt.add_argument("--base", required=True, help="checkout of the commit to compare against")
     opt.add_argument("--seed", type=int, default=20090)
@@ -539,7 +541,7 @@ def main(argv=None):
         print(json.dumps(bridge_repeat(Path(args.src).resolve())))
         return
     if args.command == "bridge-u":
-        print(json.dumps(bridge_u(Path(args.src).resolve(), args.out)))
+        print(json.dumps(bridge_u(Path(args.src).resolve(), args.out, args.shape)))
         return
     if args.command == "optimizer-repeat":
         print(json.dumps(optimizer_repeat(Path(args.src).resolve(), args.cfg, args.agree)))
