@@ -14,9 +14,7 @@ it is evaluated as the kernel of dp/dt = Lap p at tau = t/2.  For n = 3 the kern
 is in closed form.  For n = 2 McKean's integral is evaluated over arrays of
 times and radii by a 60-node Gauss-Legendre rule, after the substitution
 u^2 = cosh s - cosh r that removes the endpoint singularity, on five pieces
-that shrink with t: the first linear in u, the others in log u.  Each node
-costs sqrt, log1p and exp, no arccosh, and the sums over nodes are
-elementwise numpy, no BLAS.  The same integrals give the regular part
+that shrink with t.  The same integrals give the regular part
 d/dr log p + r/t without cancellation (``h2_regular_dlog``), which the
 bridge tabulates for its drift; it is within 3e-13 of 40-digit mpmath
 values for t in [2^-20, 10] and r in [0, 15].
@@ -220,8 +218,8 @@ def _h2_integrals(tau, r):
     m4, hr, hA, AC = -0.25 / tau, 0.5 * r / tau, 0.5 * A / tau, A * C  # per radius, for the nodes' sums
 
     def sums(v, w):
-        # the two integrands at nodes v, summed against weights w: elementwise
-        # products and a sum over the last axis, no BLAS
+        # the two integrands at nodes v, summed against weights w: sqrt,
+        # log1p and exp per node, and elementwise sums, no BLAS
         V = v * v
         q = V * (2.0 * C + V)
         S = np.sqrt(A * A + q)

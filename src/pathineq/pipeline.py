@@ -17,6 +17,9 @@ reads its stage's keys by type before any transfer runs, the keys inside
 included, and refuses a key it does not take: a library caller gets the CLI's
 ``ConfigError`` naming the key.  A transfer that fails, or a tail file that
 ``TailBound.from_dict`` refuses, aborts with the stage index and op name.
+``pipeline_report`` tabulates each profile on an int number of points in
+[1, ``MAX_GRID_POINTS``]; ``grid_points_error`` says why another is refused,
+and the CLI asks it about ``profile_grid.points`` before any transfer runs.
 """
 
 from __future__ import annotations
