@@ -127,6 +127,7 @@ def _read_point(v, key):
 
 
 def _run_sample_scenario(v, out_dir, seed_override=None):
+    from . import samplers
     from .samplers import CSV_MAX_PATHS, SAMPLERS, SamplerConfig, SamplerError, TimeGrid, ensemble_to_csv, save_ensemble
 
     writers = {"binary": save_ensemble, "csv": ensemble_to_csv}
@@ -151,7 +152,7 @@ def _run_sample_scenario(v, out_dir, seed_override=None):
                 else TimeGrid.with_geometric_tail(T, g["n_steps"], **tail or {}))
         cfg = SamplerConfig(seed=seed, n_paths=n_paths, grid=grid, dim=dim, x0=x0, y0=y0,
                             **({} if drift_cap is None else {"drift_cap": drift_cap}))
-        ens = SAMPLERS[tag](cfg)
+        ens = getattr(samplers, f"sample_{tag}")(cfg)  # the module's, so a wrap of it is what runs
     except SamplerError as exc:
         if exc.key is None or exc.key == "seed" and seed_override is not None:  # no config line is at fault
             raise

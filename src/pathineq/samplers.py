@@ -23,16 +23,19 @@ grid is refined geometrically toward T and the last node is snapped to the
 endpoint with the pre-snap gap recorded as a diagnostic.
 
 Noise is counter-based: each (seed, stream, step) has its own Philox stream,
-so ensembles are bit-reproducible for a given config.  Ornstein-Uhlenbeck
-draws each step from its own stream.  The Wiener sampler (and the flat
-bridge built on it) draws one (paths, steps, dim) block from (seed, 0, 0),
-so its draws depend on the grid's step count.  The hyperbolic bridge draws
-each step of each block of ``_BLOCK`` paths from its own stream.  In every
-sampler path i's normals follow those of the paths before it in its stream,
-so the first paths of a run match a run with fewer paths.  Every input is
-checked before a path is drawn: a bad one raises a ``SamplerError`` whose
-``key`` names the argument (``TimeGrid``'s, ``SamplerConfig``'s field, or the
-x0 or y0 that the sampler cannot take).
+so ensembles are bit-reproducible for a given config.  The flat samplers
+share one recursion x_{k+1} = a_k x_k + s_k xi_k (``_gauss_markov``; the
+bridge pins Wiener's points) on the (paths, steps, dim) normals of
+(seed, 0, 0), read ``_BLOCK`` paths at a time, so they hold little beside
+their points and their draws depend on the grid's step count.  OU starts
+from stream 1; its bits differ from those of its old per-step streams, and
+a Wiener's off the origin by rounding (x0 now comes first).  The hyperbolic
+bridge draws each step of each block of ``_BLOCK`` paths from its own
+stream.  In every sampler path i's normals follow those of the paths before
+it in its stream, so the first paths of a run match a run with fewer paths.
+Every input is checked before a path is drawn: a bad one raises a
+``SamplerError`` whose ``key`` names the argument (``TimeGrid``'s,
+``SamplerConfig``'s field, or the x0 or y0 that the sampler cannot take).
 
 The hyperbolic bridge runs on a pool of ``_WORKERS`` threads, one per
 available CPU, for the call (the CLI's ``--threads`` only runs scenarios
@@ -41,8 +44,7 @@ whole grid, one ``_bridge_step`` call per step, with no barrier between
 steps.  The step works path by path, so the bits depend on neither the
 number of threads nor their scheduling.  The path state is kept
 coordinate-major (Fortran order), so a range's coordinates are contiguous
-columns.  It records each path's sup distance u = max over nodes of
-d(y_t, y0) from the distances it computes anyway, as ``sup_distance``.
+columns.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -136,10 +138,9 @@ class TimeGrid:
         """Dyadic refinement: insert the midpoint of every interval, halving
         the max step and the tail floor alike (for refinement studies)."""
         nodes = self.array()
-        mids = 0.5 * (nodes[:-1] + nodes[1:])
-        out = np.empty(nodes.size + mids.size)
+        out = np.empty(2 * nodes.size - 1)
         out[0::2] = nodes
-        out[1::2] = mids
+        out[1::2] = 0.5 * (nodes[:-1] + nodes[1:])
         return TimeGrid(tuple(out))
 
     def index_of(self, t):
@@ -166,8 +167,12 @@ def step_normals(seed, step, shape, stream=0, block=None, out=None):
     of counter words per normal, so a row's position in its stream depends
     on the draws before it.
     """
+    return _stream(seed, step, stream, block).standard_normal(shape, out=out)
+
+
+def _stream(seed, step, stream=0, block=None):  # the generator step_normals draws from, to read in parts
     bg = np.random.Philox(key=np.uint64(seed), counter=[0, stream, step, 0 if block is None else block + 1])
-    return np.random.Generator(bg).standard_normal(shape, out=out)
+    return np.random.Generator(bg)
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +260,9 @@ class PathEnsemble:
 # Flat samplers
 
 
+# paths per noise block: the flat samplers read their one stream a block at a time, which moves no
+# bit, but each bridge block draws from its own stream, so another size moves the bridge's bits
+_BLOCK = 4096
 _REFUSED = {"x0": "starts from its stationary law", "y0": "takes no end point"}
 
 
@@ -274,52 +282,49 @@ def _check_points(cfg, tag, takes, size, fault=lambda key, p: not np.isfinite(p)
             raise SamplerError(error, key=key)
 
 
+def _gauss_markov(cfg, x0, a, s):
+    """Points x_{k+1} = a(h_k) x_k + s(h_k) xi_k from x_0 = x0, of shape (dim,) or (paths, dim), h_k the
+    steps, xi the (paths, steps, dim) normals of ``step_normals(cfg.seed, 0, ...)`` read _BLOCK paths at a time."""
+    h = np.diff(cfg.grid.array())
+    a_h, s_h = a(h), s(h)[:, None]
+    points = np.empty((cfg.n_paths, h.size + 1, cfg.dim))
+    points[:, 0] = x0
+    noise, xi = _stream(cfg.seed, 0), np.empty((min(cfg.n_paths, _BLOCK), h.size, cfg.dim))
+    for i in range(0, cfg.n_paths, _BLOCK):
+        x, z = points[i : i + _BLOCK], noise.standard_normal(out=xi[: cfg.n_paths - i])
+        z *= s_h
+        for k, a_k in enumerate(a_h):
+            np.multiply(x[:, k], a_k, out=x[:, k + 1])
+            x[:, k + 1] += z[:, k]
+    return points
+
+
 def sample_wiener(cfg: SamplerConfig) -> PathEnsemble:
     _check_points(cfg, "wiener", ("x0",), cfg.dim)
-    nodes = cfg.grid.array()
-    dts = np.diff(nodes)
-    xi = step_normals(cfg.seed, 0, (cfg.n_paths, dts.size, cfg.dim))
-    incr = np.sqrt(dts)[None, :, None] * xi
-    points = np.zeros((cfg.n_paths, nodes.size, cfg.dim))
-    np.cumsum(incr, axis=1, out=points[:, 1:, :])
-    if cfg.x0 is not None:
-        points += np.asarray(cfg.x0)[None, None, :]
-    return PathEnsemble(config=cfg, measure_tag="wiener", points=points)
+    return PathEnsemble(cfg, "wiener", _gauss_markov(cfg, cfg.x0 or 0.0, np.ones_like, np.sqrt))
 
 
 def sample_flat_bridge(cfg: SamplerConfig) -> PathEnsemble:
     """Brownian bridge pinned at 0: B_t - (t/T) B_T, endpoint exactly zero."""
     _check_points(cfg, "flat_bridge", ("x0",), cfg.dim,
                   lambda key, p: p.any() and "flat bridge is pinned at the origin")
-    w = sample_wiener(replace(cfg, x0=None))
-    nodes = cfg.grid.array()
-    frac = (nodes / nodes[-1])[None, :, None]
-    points = w.points - frac * w.points[:, -1:, :]
-    return PathEnsemble(config=cfg, measure_tag="flat_bridge", points=points)
+    points, nodes = _gauss_markov(cfg, 0.0, np.ones_like, np.sqrt), cfg.grid.array()
+    for x in (points[i : i + _BLOCK] for i in range(0, cfg.n_paths, _BLOCK)):  # no full-size temporary
+        x -= (nodes / nodes[-1])[:, None] * x[:, -1:]
+    return PathEnsemble(cfg, "flat_bridge", points)
 
 
 def sample_ou(cfg: SamplerConfig) -> PathEnsemble:
-    """Langevin dynamics du = dW - (1/2) u dt, started from its stationary law,
-    by the exact Gaussian transition u_{t+h} = e^{-h/2} u_t + sqrt(1 - e^{-h}) xi
-    (stationary law = standard normal)."""
+    """Langevin dynamics du = dW - (1/2) u dt, started from its stationary law, the standard normal
+    (stream 1), by the exact Gaussian transition u_{t+h} = e^{-h/2} u_t + sqrt(1 - e^{-h}) xi."""
     _check_points(cfg, "ou", (), cfg.dim)
-    nodes = cfg.grid.array()
-    n_steps = nodes.size - 1
-    points = np.empty((cfg.n_paths, nodes.size, cfg.dim))
-    points[:, 0, :] = step_normals(cfg.seed, 0, (cfg.n_paths, cfg.dim), stream=1)
-    for k in range(n_steps):
-        h = nodes[k + 1] - nodes[k]
-        xi = step_normals(cfg.seed, k, (cfg.n_paths, cfg.dim))
-        points[:, k + 1, :] = math.exp(-h / 2.0) * points[:, k, :] + math.sqrt(1.0 - math.exp(-h)) * xi
-    return PathEnsemble(config=cfg, measure_tag="ou", points=points)
+    u0 = step_normals(cfg.seed, 0, (cfg.n_paths, cfg.dim), stream=1)
+    return PathEnsemble(cfg, "ou", _gauss_markov(cfg, u0, lambda h: np.exp(-h / 2.0), lambda h: np.sqrt(-np.expm1(-h))))
 
 
 # ---------------------------------------------------------------------------
 # Hyperbolic bridge
 
-# paths per noise block: part of the bridge noise's definition, not a tuning
-# knob, since each block draws from its own stream (another size moves the bits)
-_BLOCK = 4096
 # one bridge thread per CPU this process may run on; the bits do not depend on it
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 # steps per call of the H^2 drift quadrature: about 3 MB of temporaries; the bits do not depend on it
@@ -505,8 +510,7 @@ def _make_drift(params: HeatKernelParams, T, nodes):
     return dlog_dr
 
 
-SAMPLERS = {"wiener": sample_wiener, "flat_bridge": sample_flat_bridge, "ou": sample_ou,
-            "hyperbolic_bridge": sample_hyperbolic_bridge}
+SAMPLERS = ("wiener", "flat_bridge", "ou", "hyperbolic_bridge")  # the tags t of the samplers sample_t
 
 
 # ---------------------------------------------------------------------------
@@ -525,11 +529,9 @@ def save_ensemble(path, ens: PathEnsemble):
         "shape": list(ens.points.shape),
         "arrays": ["points"],
     }
-    diag_arrays = {}
     for k, v in ens.diagnostics.items():
         if isinstance(v, np.ndarray):
             header.setdefault("diag_arrays", []).append([k, list(v.shape)])
-            diag_arrays[k] = v
         else:
             header.setdefault("diag_scalars", {})[k] = v
     blob = json.dumps(header, sort_keys=True).encode()
@@ -548,7 +550,7 @@ def save_ensemble(path, ens: PathEnsemble):
             # write each array's buffer as it is: no bytes copy of a large ensemble
             fh.write(np.ascontiguousarray(ens.points, dtype="<f8").data)
             for k, _ in header.get("diag_arrays", []):
-                fh.write(np.ascontiguousarray(diag_arrays[k], dtype="<f8").data)
+                fh.write(np.ascontiguousarray(ens.diagnostics[k], dtype="<f8").data)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -560,8 +562,7 @@ def load_ensemble(path) -> PathEnsemble:
     """The ensemble in ``path``, its arrays read-only and mapped from the file,
     so a page is read only when it is used."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(MAGIC))
-        if magic != MAGIC:
+        if fh.read(len(MAGIC)) != MAGIC:
             raise SamplerError(f"{path}: not a pathineq ensemble file")
         hlen = int.from_bytes(fh.read(8), "little")
         try:
@@ -592,17 +593,15 @@ def load_ensemble(path) -> PathEnsemble:
         data[k] = np.frombuffer(buf, dtype="<f8", count=count, offset=offset).reshape(shp)
         offset += 8 * count
     points = data.pop("points")
-    diagnostics = dict(header.get("diag_scalars", {})) | data
-    return PathEnsemble(config=cfg, measure_tag=tag, points=points, diagnostics=diagnostics)
+    return PathEnsemble(cfg, tag, points, dict(header.get("diag_scalars", {})) | data)
 
 
 def ensemble_to_csv(path, ens: PathEnsemble):
     if ens.n_paths > CSV_MAX_PATHS:
         raise SamplerError(f"CSV export is for small runs (n_paths <= {CSV_MAX_PATHS}); use the binary format")
     nodes = ens.grid.array()
-    d = ens.points.shape[-1]
     with open(path, "w", newline="") as fh:
-        fh.write("path,node,t," + ",".join(f"x{j}" for j in range(d)) + "\n")
+        fh.write("path,node,t," + ",".join(f"x{j}" for j in range(ens.points.shape[-1])) + "\n")
         for i in range(ens.n_paths):
             for k, t in enumerate(nodes):
                 coords = ",".join(repr(float(v)) for v in ens.points[i, k])

@@ -1,5 +1,6 @@
 """The rules by which ``tools/bench_pairs.py pairs`` judges a claimed gain and a bound, a run of one
-``optimizer`` repeat, and a run of one ``bridge`` repeat and of each side of its sup-distance comparison.
+``optimizer`` repeat, a run of one ``bridge`` repeat and of each side of its sup-distance comparison,
+and a run of one ``flat`` repeat of each flat sampler.
 
 ``_verdict`` decides, for one end-to-end metric, whether the change's runs
 carry a claimed gain over the base's and whether the change's median is worse
@@ -97,3 +98,14 @@ def test_bridge_repeat_and_both_sup_distance_shapes_run(bench_pairs, tmp_path, m
         side = bench_pairs.bridge_u(ROOT / "src", tmp_path / f"{shape}.npy", shape)
         assert np.load(tmp_path / f"{shape}.npy").shape == (40,)
         assert side["sheet_residual_max"] < 1e-10 and 0.0 <= side["cap_event_fraction"] <= 1.0
+
+
+@pytest.mark.parametrize("sampler", ["wiener", "flat_bridge", "ou"])
+def test_flat_repeat_runs_each_flat_sampler(bench_pairs, monkeypatch, sampler):
+    assert bench_pairs.FLAT_SAMPLERS == ("wiener", "flat_bridge", "ou")
+    monkeypatch.setattr(bench_pairs, "FLAT_SHAPE", (2, 50, 4))
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the repeat puts its src first
+    out = bench_pairs.flat_repeat(ROOT / "src", sampler)
+    assert out.keys() == {"wall_s", "rss_before_mb", "peak_rss_mb", "points_mb", "sha256"}
+    assert out["points_mb"] * 2**20 == 50 * 22 * 2 * 8  # 22 nodes: 4 uniform steps and 17 in the geometric tail
+    assert 0.0 < out["rss_before_mb"] <= out["peak_rss_mb"]

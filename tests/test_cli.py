@@ -1150,7 +1150,7 @@ def test_csv_export_limit_is_checked_before_sampling(tmp_path, capsys, monkeypat
         raise AssertionError("sampled a run that CSV export refuses")
 
     with monkeypatch.context() as m:
-        m.setitem(samplers.SAMPLERS, "wiener", sample)
+        m.setattr(samplers, "sample_wiener", sample)
         cfg = write(tmp_path, "s.yaml", csv_yaml.replace("n_paths: 300", "n_paths: 10001"))
         assert main(["sample", "--config", cfg, "--out", str(out)]) == 2
     assert "s.yaml:11: format: CSV export is for small runs (n_paths <= 10000)" in capsys.readouterr().err
@@ -1158,6 +1158,22 @@ def test_csv_export_limit_is_checked_before_sampling(tmp_path, capsys, monkeypat
     cfg = write(tmp_path, "s.yaml", csv_yaml.replace("n_paths: 300", "n_paths: 10000"))
     assert main(["sample", "--config", cfg, "--out", str(out)]) == 0
     assert len((out / "w.csv").read_text().splitlines()) == 1 + 10000 * 2
+
+
+def test_sample_calls_the_sampler_the_module_holds(tmp_path, monkeypatch):
+    # the CLI looked its samplers up in a dict filled at import, so a wrapped
+    # sampler (perfbench's tracer wraps the module's) was never called
+    from pathineq import samplers
+
+    calls = []
+
+    def sample(cfg, run=samplers.sample_hyperbolic_bridge):
+        calls.append(cfg.n_paths)
+        return run(cfg)
+
+    monkeypatch.setattr(samplers, "sample_hyperbolic_bridge", sample)
+    assert main(["sample", "--config", write(tmp_path, "s.yaml", SAMPLE_YAML), "--out", str(tmp_path / "o")]) == 0
+    assert calls == [300] and (tmp_path / "o" / "bridge.pens").exists()
 
 
 @pytest.mark.parametrize("tail", [GAUSS_TAIL, "file: t.json"], ids=["levels", "file"])

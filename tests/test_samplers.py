@@ -3,6 +3,7 @@ import json
 import math
 import re
 import sys
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -16,6 +17,7 @@ from pathineq.samplers import (
     SamplerConfig,
     SamplerError,
     TimeGrid,
+    _BLOCK,
     _bridge_step,
     _make_drift,
     ensemble_to_csv,
@@ -86,7 +88,8 @@ def test_flat_and_ou_noise_bits_are_pinned():
     for sampler, want in (
         (sample_wiener, "d5035ca78d1a58085464160f0cbade540a5148dfbf558e196f704e39a479768f"),
         (sample_flat_bridge, "b8562442d667d2b7bc6dc0b53db559f1c6b6b2259395baa52f1a8205e9fa56cd"),
-        (sample_ou, "9e07381eacb1cbabcb753dfd947653ca8590b3a322c5cbb440e6c735b3235971"),
+        # re-pinned when OU moved from a stream per step to Wiener's one stream
+        (sample_ou, "abc902bc1d70966e907b5afb442c3e84cca76974bc49448a0c84ff890ec2bc1d"),
     ):
         assert _digest(sampler(cfg).points) == want, sampler.__name__
 
@@ -165,9 +168,10 @@ def ou_euler_oracle(cfg):
     """Euler-Maruyama for du = dW - (1/2) u dt on the same noise as ``sample_ou``."""
     nodes = cfg.grid.array()
     u = step_normals(cfg.seed, 0, (cfg.n_paths, cfg.dim), stream=1)
+    xi = step_normals(cfg.seed, 0, (cfg.n_paths, nodes.size - 1, cfg.dim))
     for k in range(nodes.size - 1):
         h = nodes[k + 1] - nodes[k]
-        u = u - 0.5 * h * u + math.sqrt(h) * step_normals(cfg.seed, k, (cfg.n_paths, cfg.dim))
+        u = u - 0.5 * h * u + math.sqrt(h) * xi[:, k]
     return u
 
 
@@ -179,6 +183,38 @@ def test_ou_euler_consistency():
     euler = ou_euler_oracle(cfg)
     ks = stats.ks_2samp(exact.points[:, -1, 0], euler[:, 0]).statistic
     assert ks < 0.02
+    # on the same noise the two schemes differ path by path by O(h) only
+    assert np.abs(exact.points[:, -1, 0] - euler[:, 0]).max() < 0.01
+
+
+def test_flat_samplers_read_one_stream_a_block_at_a_time():
+    # more than two blocks, the last one partial: the recursion on its blocks
+    # equals one draw of the whole (paths, steps, dim) stream bit for bit
+    m, grid = 2 * _BLOCK + 7, TimeGrid.with_geometric_tail(1.0, 4)
+    cfg = SamplerConfig(seed=31, n_paths=m, grid=grid, dim=2)
+    nodes, steps = grid.array(), grid.n_nodes - 1
+    w = np.zeros((m, steps + 1, 2))
+    np.cumsum(np.sqrt(np.diff(nodes))[None, :, None] * step_normals(31, 0, (m, steps, 2)), axis=1, out=w[:, 1:])
+    assert np.array_equal(sample_wiener(cfg).points, w)
+    bridge = w - (nodes / nodes[-1])[None, :, None] * w[:, -1:]
+    assert np.array_equal(sample_flat_bridge(cfg).points, bridge)
+    # and OU's first paths are those of a run of that many paths
+    few = SamplerConfig(seed=31, n_paths=_BLOCK + 3, grid=grid, dim=2)
+    assert np.array_equal(sample_ou(cfg).points[: _BLOCK + 3], sample_ou(few).points)
+
+
+@pytest.mark.parametrize("sampler", [sample_wiener, sample_flat_bridge, sample_ou])
+def test_flat_samplers_hold_little_beside_their_points(sampler):
+    # the Wiener sampler held its noise and increments besides its points,
+    # and the flat bridge one more full-size array: about 3x the points
+    cfg = SamplerConfig(seed=37, n_paths=20_000, grid=TimeGrid.uniform(1.0, 64), dim=2)
+    tracemalloc.start()
+    try:
+        points = sampler(cfg).points
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * points.nbytes
 
 
 def test_hyperbolic_bridge_points_on_sheet_and_snap():
@@ -555,7 +591,7 @@ def no_draws(monkeypatch):
     def draw(*args, **kwargs):
         raise AssertionError("a path was drawn before the input was checked")
 
-    monkeypatch.setattr(samplers, "step_normals", draw)
+    monkeypatch.setattr(samplers, "_stream", draw)  # step_normals draws from it too
 
 
 @pytest.mark.parametrize(

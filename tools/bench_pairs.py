@@ -9,6 +9,7 @@ Run from the repository root:
         --pairs 10 --into BENCH_exact_sum.json
     python3 tools/bench_pairs.py outputs --base ../parent --seed 20090 --into BENCH_readers.json
     python3 tools/bench_pairs.py estimators --base ../parent --repeats 5 --into BENCH_estimate.json
+    python3 tools/bench_pairs.py flat --base ../parent --repeats 5 --into BENCH_flat.json
 
 ``exact-sum`` times ``estimators.exact_sum`` against ``math.fsum`` on 1M
 standard normals and on 1M values of x^2 log x^2 (the entropy component), and
@@ -61,7 +62,15 @@ checkout without it the serial loop over ``function_estimates``, with one
 thread (``_WORKERS = 1``) and with the pool.  Each process records the wall
 time per scenario, then ``ru_maxrss`` after it, then the ``tracemalloc`` peak
 of a second, traced pass, and a digest of every estimate's fields (their
-reprs); the record says whether all digests agree.  Each command
+reprs); the record says whether all digests agree.  ``flat`` runs each flat
+sampler (Wiener, flat bridge, Ornstein-Uhlenbeck) at 100k paths of 3
+coordinates on ``with_geometric_tail(1, 128)`` (140 steps), in a fresh process
+per side, sampler and repeat (``flat-repeat``), the side that runs first
+alternating.  Each process records the call's wall time, its resident set
+size before the call and its peak (``ru_maxrss``), the bytes of ``points`` and
+their SHA-256; the record gives, per side and sampler, the peak's growth over
+the size before as a multiple of the points' bytes, and whether the digests
+agree.  Each command
 stores its record under its own key in ``--into`` (created if missing),
 together with the command line, the machine and the package versions.  A
 record that compares two checkouts is labelled by their commits as they were
@@ -415,6 +424,52 @@ def estimators(base, seed, repeats):
     }
 
 
+FLAT_SAMPLERS = ("wiener", "flat_bridge", "ou")
+FLAT_SHAPE = (3, 100_000, 128)  # dim, paths, steps before the tail, as BRIDGE_SHAPES
+
+
+def _rss_mb():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmRSS:")) / 1024.0
+
+
+def flat_repeat(src, sampler):
+    """One repeat of the ``flat`` measurements of ``sampler``, a tag of
+    ``FLAT_SAMPLERS``, with pathineq from ``src``."""
+    import resource
+
+    sys.path.insert(0, str(src))
+    from pathineq import samplers
+
+    dim, n_paths, n_steps = FLAT_SHAPE
+    grid = samplers.TimeGrid.with_geometric_tail(1.0, n_steps, 0.5, 1e-6)
+    cfg = samplers.SamplerConfig(seed=20090, n_paths=n_paths, grid=grid, dim=dim)
+    before = _rss_mb()
+    t = time.perf_counter()
+    points = getattr(samplers, f"sample_{sampler}")(cfg).points
+    wall = time.perf_counter() - t
+    return {"wall_s": wall, "rss_before_mb": before,
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+            "points_mb": points.nbytes / 2**20, "sha256": hashlib.sha256(points.data).hexdigest()}
+
+
+def flat(base, repeats):
+    out = {}
+    for sampler in FLAT_SAMPLERS:
+        runs = _alternating(base, repeats, lambda checkout, i: _side("flat-repeat", checkout, "--sampler", sampler))
+        for rs in runs.values():
+            for r in rs:
+                r["growth_over_points"] = (r["peak_rss_mb"] - r["rss_before_mb"]) / r["points_mb"]
+        digests = {side: sorted({r["sha256"] for r in rs}) for side, rs in runs.items()}
+        out[sampler] = {
+            "digests_agree": len({d for ds in digests.values() for d in ds}) == 1, "sha256": digests,
+            "results": {side: {k: _summary([r[k] for r in rs]) for k in rs[0] if k != "sha256"}
+                        for side, rs in runs.items()},
+        }
+    shape = dict(zip(("dim", "n_paths", "n_steps"), FLAT_SHAPE))
+    return {"unit": {"wall_s": "s", "mb": "MiB"}, "repeats": repeats, "seed": 20090, "shape": shape, "samplers": out}
+
+
 def _run(checkout, workload, seed, seconds):
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
@@ -524,6 +579,12 @@ def main(argv=None):
     fam_once.add_argument("--ensembles", required=True, help="directory holding estimate's ensembles")
     fam_once.add_argument("--workers", required=True, choices=("serial", "pooled"))
     fam_once.add_argument("configs", nargs="+", help="estimate's scenario configs")
+    fl = sub.add_parser("flat", help="time and memory of the flat samplers, base checkout and this one")
+    fl.add_argument("--base", required=True, help="checkout of the commit to compare against")
+    fl.add_argument("--repeats", type=int, default=5)
+    fl_once = sub.add_parser("flat-repeat", help="one repeat of the flat measurements, printed as JSON")
+    fl_once.add_argument("--src", required=True, help="directory holding the pathineq package to time")
+    fl_once.add_argument("--sampler", required=True, choices=FLAT_SAMPLERS)
     pair = sub.add_parser("pairs", help="alternating perfbench runs, base checkout and this one")
     pair.add_argument("--base", required=True, help="checkout of the commit to compare against")
     pair.add_argument("--workload", required=True)
@@ -532,7 +593,7 @@ def main(argv=None):
     outs = sub.add_parser("outputs", help="output digests of every workload, base checkout and this one")
     outs.add_argument("--base", required=True, help="checkout of the commit to compare against")
     outs.add_argument("--seed", type=int, default=20090)
-    for sp in (layer, br, opt, fam, pair, outs):
+    for sp in (layer, br, opt, fam, fl, pair, outs):
         sp.add_argument("--into", required=True, metavar="JSON", help="file to store the record in")
     argv = sys.argv[1:] if argv is None else argv
     args = p.parse_args(argv)
@@ -545,6 +606,9 @@ def main(argv=None):
         return
     if args.command == "optimizer-repeat":
         print(json.dumps(optimizer_repeat(Path(args.src).resolve(), args.cfg, args.agree)))
+        return
+    if args.command == "flat-repeat":
+        print(json.dumps(flat_repeat(Path(args.src).resolve(), args.sampler)))
         return
     if args.command == "estimators-repeat":
         print(json.dumps(estimators_repeat(Path(args.src).resolve(), args.ensembles, args.configs, args.workers)))
@@ -559,6 +623,8 @@ def main(argv=None):
         key, record = f"optimizer_seed{args.seed}", optimizer(base, args.seed, args.repeats)
     elif args.command == "estimators":
         key, record = f"estimators_seed{args.seed}", estimators(base, args.seed, args.repeats)
+    elif args.command == "flat":
+        key, record = "flat_samplers", flat(base, args.repeats)
     elif args.command == "outputs":
         key, record = f"outputs_seed{args.seed}", outputs(base, args.seed)
     else:
