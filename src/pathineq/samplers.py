@@ -23,18 +23,17 @@ grid is refined geometrically toward T and the last node is snapped to the
 endpoint with the pre-snap gap recorded as a diagnostic.
 
 Noise is counter-based: each (seed, stream, step) has its own Philox stream,
-so ensembles are bit-reproducible for a given config.  The flat samplers
-share one recursion x_{k+1} = a_k x_k + s_k xi_k (``_gauss_markov``; the
-bridge pins Wiener's points) on the (paths, steps, dim) normals of
-(seed, 0, 0), read ``_BLOCK`` paths at a time, so they hold little beside
-their points and their draws depend on the grid's step count.  OU starts
-from stream 1; its bits differ from those of its old per-step streams, and
-a Wiener's off the origin by rounding (x0 now comes first).  The hyperbolic
-bridge draws each step of each block of ``_BLOCK`` paths from its own
-stream.  In every sampler path i's normals follow those of the paths before
-it in its stream, so the first paths of a run match a run with fewer paths.
-Every input is checked before a path is drawn: a bad one raises a
-``SamplerError`` whose ``key`` names the argument (``TimeGrid``'s,
+so ensembles are bit-reproducible for a given config.  The flat samplers are
+one recursion x_{k+1} = a_k x_k + s_k xi_k (``_gauss_markov``; the bridge
+pins Wiener's points) on one stream, the (paths, steps, dim) normals from
+(seed, 0, 0) read ``_BLOCK`` paths at a time, so their draws depend on the
+grid's step count; OU starts from stream 1.  OU's bits moved when it left its
+per-step streams, and a Wiener's off the origin by rounding (x0 now comes
+first).  The hyperbolic bridge draws each step of each block of ``_BLOCK``
+paths from its own stream.  In every sampler path i's normals follow those of
+the paths before it in its stream, so the first paths of a run match a run
+with fewer paths.  Every input is checked before a path is drawn: a bad one
+raises a ``SamplerError`` whose ``key`` names the argument (``TimeGrid``'s,
 ``SamplerConfig``'s field, or the x0 or y0 that the sampler cannot take).
 
 The hyperbolic bridge runs on a pool of ``_WORKERS`` threads, one per
@@ -285,17 +284,19 @@ def _check_points(cfg, tag, takes, size, fault=lambda key, p: not np.isfinite(p)
 def _gauss_markov(cfg, x0, a, s):
     """Points x_{k+1} = a(h_k) x_k + s(h_k) xi_k from x_0 = x0, of shape (dim,) or (paths, dim), h_k the
     steps, xi the (paths, steps, dim) normals of ``step_normals(cfg.seed, 0, ...)`` read _BLOCK paths at a time."""
-    h = np.diff(cfg.grid.array())
-    a_h, s_h = a(h), s(h)[:, None]
-    points = np.empty((cfg.n_paths, h.size + 1, cfg.dim))
-    points[:, 0] = x0
-    noise, xi = _stream(cfg.seed, 0), np.empty((min(cfg.n_paths, _BLOCK), h.size, cfg.dim))
-    for i in range(0, cfg.n_paths, _BLOCK):
-        x, z = points[i : i + _BLOCK], noise.standard_normal(out=xi[: cfg.n_paths - i])
-        z *= s_h
+    h, m = np.diff(cfg.grid.array()), cfg.n_paths
+    a_h, s_h, x0 = a(h), s(h)[:, None, None], np.broadcast_to(x0, (m, cfg.dim))
+    points = np.empty((m, h.size + 1, cfg.dim))
+    noise, xi = _stream(cfg.seed, 0), np.empty((min(m, _BLOCK), h.size, cfg.dim))
+    y = np.empty((h.size + 1, len(xi), cfg.dim))  # a block step-major, so that each step is one contiguous pass
+    for i in range(0, m, _BLOCK):
+        z = noise.standard_normal(out=xi[: m - i])
+        x = y[:, : len(z)]
+        x[0] = x0[i : i + _BLOCK]
+        np.multiply(z.transpose(1, 0, 2), s_h, out=x[1:])
         for k, a_k in enumerate(a_h):
-            np.multiply(x[:, k], a_k, out=x[:, k + 1])
-            x[:, k + 1] += z[:, k]
+            x[k + 1] += x[k] * a_k
+        points[i : i + _BLOCK] = x.transpose(1, 0, 2)
     return points
 
 
