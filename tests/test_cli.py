@@ -1161,8 +1161,7 @@ def test_csv_export_limit_is_checked_before_sampling(tmp_path, capsys, monkeypat
 
 
 def test_sample_calls_the_sampler_the_module_holds(tmp_path, monkeypatch):
-    # the CLI looked its samplers up in a dict filled at import, so a wrapped
-    # sampler (perfbench's tracer wraps the module's) was never called
+    # a wrap of the module's sampler, as perfbench's tracer makes, is what the CLI must run
     from pathineq import samplers
 
     calls = []

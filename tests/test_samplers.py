@@ -88,7 +88,6 @@ def test_flat_and_ou_noise_bits_are_pinned():
     for sampler, want in (
         (sample_wiener, "d5035ca78d1a58085464160f0cbade540a5148dfbf558e196f704e39a479768f"),
         (sample_flat_bridge, "b8562442d667d2b7bc6dc0b53db559f1c6b6b2259395baa52f1a8205e9fa56cd"),
-        # re-pinned when OU moved from a stream per step to Wiener's one stream
         (sample_ou, "abc902bc1d70966e907b5afb442c3e84cca76974bc49448a0c84ff890ec2bc1d"),
     ):
         assert _digest(sampler(cfg).points) == want, sampler.__name__
@@ -205,8 +204,7 @@ def test_flat_samplers_read_one_stream_a_block_at_a_time():
 
 @pytest.mark.parametrize("sampler", [sample_wiener, sample_flat_bridge, sample_ou])
 def test_flat_samplers_hold_little_beside_their_points(sampler):
-    # the Wiener sampler held its noise and increments besides its points,
-    # and the flat bridge one more full-size array: about 3x the points
+    # full-size noise or increments besides the points would take the peak to 2-3x
     cfg = SamplerConfig(seed=37, n_paths=20_000, grid=TimeGrid.uniform(1.0, 64), dim=2)
     tracemalloc.start()
     try:
