@@ -22,6 +22,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 
@@ -130,7 +131,6 @@ def _run_sample_scenario(v, out_dir, seed_override=None):
     from . import samplers
     from .samplers import CSV_MAX_PATHS, SAMPLERS, SamplerConfig, SamplerError, TimeGrid, ensemble_to_csv, save_ensemble
 
-    writers = {"binary": save_ensemble, "csv": ensemble_to_csv}
     tag = v.get("sampler", expected=str, choices=SAMPLERS)
     seed = v.get("seed", expected=int)
     n_paths = v.get("n_paths", expected=int)
@@ -140,8 +140,8 @@ def _run_sample_scenario(v, out_dir, seed_override=None):
     tail = v.mapping("grid.tail", {}, {"lam": _NUM, "floor": _NUM}) if "tail" in g else None
     x0, y0 = _read_point(v, "x0"), _read_point(v, "y0")
     drift_cap = v.get("drift_cap", expected=_NUM, required=False)
-    write = writers[v.get("format", expected=str, required=False, default="binary", choices=writers)]
-    if write is ensemble_to_csv and n_paths > CSV_MAX_PATHS:
+    csv = v.get("format", expected=str, required=False, default="binary", choices=("binary", "csv")) == "csv"
+    if csv and n_paths > CSV_MAX_PATHS:
         v.fail("format", f"CSV export is for small runs (n_paths <= {CSV_MAX_PATHS}); use the binary format")
     out_path = os.path.join(out_dir, v.get("out", expected=str))
     v.reject_unread("")
@@ -152,13 +152,15 @@ def _run_sample_scenario(v, out_dir, seed_override=None):
                 else TimeGrid.with_geometric_tail(T, g["n_steps"], **tail or {}))
         cfg = SamplerConfig(seed=seed, n_paths=n_paths, grid=grid, dim=dim, x0=x0, y0=y0,
                             **({} if drift_cap is None else {"drift_cap": drift_cap}))
-        ens = getattr(samplers, f"sample_{tag}")(cfg)  # the module's, so a wrap of it is what runs
+        sample = partial(getattr(samplers, f"sample_{tag}"), cfg)  # the module's, so a wrap of it is what runs
+        ens = sample() if csv else save_ensemble(out_path, lambda alloc: sample(alloc=alloc))  # into the file
     except SamplerError as exc:
         if exc.key is None or exc.key == "seed" and seed_override is not None:  # no config line is at fault
             raise
         key = {"n_steps": "grid.n_steps", "lam": "grid.tail.lam", "floor": "grid.tail.floor"}.get(exc.key, exc.key)
         v.fail(key, str(exc))
-    write(out_path, ens)
+    if csv:
+        ensemble_to_csv(out_path, ens)
     return {
         "outputs": [out_path],
         "seed": cfg.seed,

@@ -44,6 +44,13 @@ steps.  The step works path by path, so the bits depend on neither the
 number of threads nor their scheduling.  The path state is kept
 coordinate-major (Fortran order), so a range's coordinates are contiguous
 columns.
+
+Every sampler calls its ``alloc=np.empty`` once, after its input checks, for
+its points; ``save_ensemble``'s maps the points region of the file it
+reserves, so points are written once.  A ``.pens`` file holds the magic line,
+the header length, the header JSON space-padded to the page where the points
+start (it is written last), the points, then the diagnostic arrays, all
+little-endian float64, path-major; files with other padding still load.
 """
 
 from __future__ import annotations
@@ -281,12 +288,13 @@ def _check_points(cfg, tag, takes, size, fault=lambda key, p: not np.isfinite(p)
             raise SamplerError(error, key=key)
 
 
-def _gauss_markov(cfg, x0, a, s):
-    """Points x_{k+1} = a(h_k) x_k + s(h_k) xi_k from x_0 = x0, of shape (dim,) or (paths, dim), h_k the
-    steps, xi the (paths, steps, dim) normals of ``step_normals(cfg.seed, 0, ...)`` read _BLOCK paths at a time."""
+def _gauss_markov(cfg, x0, a, s, alloc):
+    """Points x_{k+1} = a(h_k) x_k + s(h_k) xi_k, in the array ``alloc(shape)``, from x_0 = x0, of shape (dim,)
+    or (paths, dim), h_k the steps, xi the (paths, steps, dim) normals of ``step_normals(cfg.seed, 0, ...)`` read
+    _BLOCK paths at a time."""
     h, m = np.diff(cfg.grid.array()), cfg.n_paths
     a_h, s_h, x0 = a(h), s(h)[:, None, None], np.broadcast_to(x0, (m, cfg.dim))
-    points = np.empty((m, h.size + 1, cfg.dim))
+    points = alloc((m, h.size + 1, cfg.dim))
     noise, xi = _stream(cfg.seed, 0), np.empty((min(m, _BLOCK), h.size, cfg.dim))
     y = np.empty((h.size + 1, len(xi), cfg.dim))  # a block step-major, so that each step is one contiguous pass
     for i in range(0, m, _BLOCK):
@@ -300,27 +308,28 @@ def _gauss_markov(cfg, x0, a, s):
     return points
 
 
-def sample_wiener(cfg: SamplerConfig) -> PathEnsemble:
+def sample_wiener(cfg: SamplerConfig, alloc=np.empty) -> PathEnsemble:
     _check_points(cfg, "wiener", ("x0",), cfg.dim)
-    return PathEnsemble(cfg, "wiener", _gauss_markov(cfg, cfg.x0 or 0.0, np.ones_like, np.sqrt))
+    return PathEnsemble(cfg, "wiener", _gauss_markov(cfg, cfg.x0 or 0.0, np.ones_like, np.sqrt, alloc))
 
 
-def sample_flat_bridge(cfg: SamplerConfig) -> PathEnsemble:
+def sample_flat_bridge(cfg: SamplerConfig, alloc=np.empty) -> PathEnsemble:
     """Brownian bridge pinned at 0: B_t - (t/T) B_T, endpoint exactly zero."""
     _check_points(cfg, "flat_bridge", ("x0",), cfg.dim,
                   lambda key, p: p.any() and "flat bridge is pinned at the origin")
-    points, nodes = _gauss_markov(cfg, 0.0, np.ones_like, np.sqrt), cfg.grid.array()
+    points, nodes = _gauss_markov(cfg, 0.0, np.ones_like, np.sqrt, alloc), cfg.grid.array()
     for x in (points[i : i + _BLOCK] for i in range(0, cfg.n_paths, _BLOCK)):  # no full-size temporary
         x -= (nodes / nodes[-1])[:, None] * x[:, -1:]
     return PathEnsemble(cfg, "flat_bridge", points)
 
 
-def sample_ou(cfg: SamplerConfig) -> PathEnsemble:
+def sample_ou(cfg: SamplerConfig, alloc=np.empty) -> PathEnsemble:
     """Langevin dynamics du = dW - (1/2) u dt, started from its stationary law, the standard normal
     (stream 1), by the exact Gaussian transition u_{t+h} = e^{-h/2} u_t + sqrt(1 - e^{-h}) xi."""
     _check_points(cfg, "ou", (), cfg.dim)
     u0 = step_normals(cfg.seed, 0, (cfg.n_paths, cfg.dim), stream=1)
-    return PathEnsemble(cfg, "ou", _gauss_markov(cfg, u0, lambda h: np.exp(-h / 2.0), lambda h: np.sqrt(-np.expm1(-h))))
+    points = _gauss_markov(cfg, u0, lambda h: np.exp(-h / 2.0), lambda h: np.sqrt(-np.expm1(-h)), alloc)
+    return PathEnsemble(cfg, "ou", points)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +341,7 @@ _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else
 _DRIFT_STEPS = 8
 
 
-def sample_hyperbolic_bridge(cfg: SamplerConfig) -> PathEnsemble:
+def sample_hyperbolic_bridge(cfg: SamplerConfig, alloc=np.empty) -> PathEnsemble:
     """Geodesic Euler-Maruyama for the bridge SDE on H^n, n = cfg.dim.
 
     Per step: tangent increment sqrt(h) P(xi, 0) + h grad log p_{T-t}(y, y0),
@@ -364,7 +373,7 @@ def sample_hyperbolic_bridge(cfg: SamplerConfig) -> PathEnsemble:
     dlog_dr = _make_drift(params, T, nodes)
 
     y = np.array(np.broadcast_to(x0, (m, n + 1)), order="F")  # coordinate-major: see the module docstring
-    points = np.empty((m, nodes.size, n + 1))
+    points = alloc((m, nodes.size, n + 1))
     points[:, 0, :] = y
     sup = np.zeros(m)  # running max over nodes of d(y_t, y0); every distance is >= +0
     n_steps = nodes.size - 1
@@ -506,7 +515,7 @@ def _make_drift(params: HeatKernelParams, T, nodes):
         x = np.minimum(r, r_grid[-1]) / h
         i = np.minimum(x.astype(np.intp), a0.shape[1] - 1)
         s = x - i
-        return a0[k, i] + s * (a1[k, i] + s * (a2[k, i] + s * a3[k, i])) - r / t_rem[k]
+        return a0[k].take(i) + s * (a1[k].take(i) + s * (a2[k].take(i) + s * a3[k].take(i))) - r / t_rem[k]
 
     return dlog_dr
 
@@ -521,35 +530,53 @@ SAMPLERS = ("wiener", "flat_bridge", "ou", "hyperbolic_bridge")  # the tags t of
 CSV_MAX_PATHS = 10_000
 
 
-def save_ensemble(path, ens: PathEnsemble):
-    header = {
-        "format": "pathineq.ensemble.v1",
-        "config": ens.config.to_dict(),
-        "config_hash": ens.config.config_hash,
-        "measure_tag": ens.measure_tag,
-        "shape": list(ens.points.shape),
-        "arrays": ["points"],
-    }
-    for k, v in ens.diagnostics.items():
-        if isinstance(v, np.ndarray):
-            header.setdefault("diag_arrays", []).append([k, list(v.shape)])
-        else:
-            header.setdefault("diag_scalars", {})[k] = v
-    blob = json.dumps(header, sort_keys=True).encode()
-    # padded with spaces, which the JSON parser skips, so that the arrays
-    # start at a multiple of 64 bytes and load aligned
-    blob += b" " * (-(len(MAGIC) + 8 + len(blob)) % 64)
+def _points_offset(shape):
+    """Where the points of ``shape`` start in a file: past the magic, the header's length and room for the
+    header, at a page boundary.  Without diagnostics a header holds under 512 bytes of keys and scalars, and
+    at most 26 (a float's repr, at most 24 characters, and a separator) per grid node and per coordinate of
+    x0 and y0; 1 KiB more holds the diagnostics (a bridge's take about 160 bytes)."""
+    return -(-(len(MAGIC) + 8 + 512 + 26 * (shape[1] + 2 * shape[2]) + 1024) // 4096) * 4096
+
+
+def save_ensemble(path, ens):
+    """Write ``ens`` to ``path`` and return it: an ensemble, or a function of ``alloc`` that returns one,
+    ``lambda alloc: sample_ou(cfg, alloc=alloc)``, whose sampler's ``alloc(shape)`` reserves the file and
+    returns its points region mapped (see the module docstring)."""
     # written beside the target, then renamed over it: truncating a file in
     # place would fault the pages of any loaded ensemble still mapping it,
     # and an interrupted write would leave a truncated file at the target
-    tmp = f"{os.fspath(path)}.{os.getpid()}-{threading.get_ident()}.tmp"
+    tmp, mapped = f"{os.fspath(path)}.{os.getpid()}-{threading.get_ident()}.tmp", []
+
+    def alloc(shape):
+        start = _points_offset(shape)
+        with open(tmp, "wb+") as fh:  # reserved, not sparse: a full disk raises here, not SIGBUS mid-run
+            os.posix_fallocate(fh.fileno(), 0, start + 8 * math.prod(shape))
+            mapped.append(np.memmap(fh, dtype="<f8", mode="r+", offset=start, shape=tuple(shape)))
+        return mapped[-1]
+
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(len(blob).to_bytes(8, "little"))
-            fh.write(blob)
-            # write each array's buffer as it is: no bytes copy of a large ensemble
-            fh.write(np.ascontiguousarray(ens.points, dtype="<f8").data)
+        if callable(ens):
+            ens = ens(alloc)
+            if len(mapped) != 1 or ens.points is not mapped[0]:
+                raise RuntimeError(f"{path}: the sampler must fill the one array alloc returns")
+        cfg = ens.config
+        header = {"format": "pathineq.ensemble.v1", "config": cfg.to_dict(), "config_hash": cfg.config_hash,
+                  "measure_tag": ens.measure_tag, "shape": list(ens.points.shape), "arrays": ["points"]}
+        for k, v in ens.diagnostics.items():
+            if isinstance(v, np.ndarray):
+                header.setdefault("diag_arrays", []).append([k, list(v.shape)])
+            else:
+                header.setdefault("diag_scalars", {})[k] = v
+        start, blob = _points_offset(ens.points.shape), json.dumps(header, sort_keys=True).encode()
+        room = start - len(MAGIC) - 8
+        if len(blob) > room:
+            raise RuntimeError(f"{path}: a {len(blob)}-byte header overflows its {room} bytes")
+        with open(tmp, "rb+" if mapped else "wb") as fh:
+            fh.write(MAGIC + room.to_bytes(8, "little") + blob.ljust(room))  # spaces, which the JSON parser skips
+            if mapped:
+                fh.seek(start + 8 * ens.points.size)  # past the points the sampler wrote
+            else:  # each array's buffer as it is: no bytes copy of a large ensemble
+                fh.write(np.ascontiguousarray(ens.points, dtype="<f8").data)
             for k, _ in header.get("diag_arrays", []):
                 fh.write(np.ascontiguousarray(ens.diagnostics[k], dtype="<f8").data)
         os.replace(tmp, path)
@@ -557,6 +584,7 @@ def save_ensemble(path, ens: PathEnsemble):
         with contextlib.suppress(OSError):
             os.remove(tmp)
         raise
+    return ens
 
 
 def load_ensemble(path) -> PathEnsemble:

@@ -1166,9 +1166,9 @@ def test_sample_calls_the_sampler_the_module_holds(tmp_path, monkeypatch):
 
     calls = []
 
-    def sample(cfg, run=samplers.sample_hyperbolic_bridge):
+    def sample(cfg, run=samplers.sample_hyperbolic_bridge, **kw):
         calls.append(cfg.n_paths)
-        return run(cfg)
+        return run(cfg, **kw)
 
     monkeypatch.setattr(samplers, "sample_hyperbolic_bridge", sample)
     assert main(["sample", "--config", write(tmp_path, "s.yaml", SAMPLE_YAML), "--out", str(tmp_path / "o")]) == 0

@@ -10,6 +10,7 @@ Run from the repository root:
     python3 tools/bench_pairs.py outputs --base ../parent --seed 20090 --into BENCH_readers.json
     python3 tools/bench_pairs.py estimators --base ../parent --repeats 5 --into BENCH_estimate.json
     python3 tools/bench_pairs.py flat --base ../parent --repeats 5 --into BENCH_flat.json
+    python3 tools/bench_pairs.py sample --base ../parent --seed 20090 --repeats 10 --into BENCH_writer.json
 
 ``exact-sum`` times ``estimators.exact_sum`` against ``math.fsum`` on 1M
 standard normals and on 1M values of x^2 log x^2 (the entropy component), and
@@ -53,7 +54,10 @@ runs each workload of ``perfbench/workloads.py`` once per side, in a fresh
 ``perfbench/worker.py`` process and the same scratch directory: its set-up
 calls, its timed calls and its checks.  It records the SHA-256 of every output
 file but the ``*_report.json`` files (they hold timings) and of the list of
-check results, and lists the files whose digests differ.  ``estimators``
+check results, and lists the files whose digests differ; each ``.pens`` file
+is also digested by its header fields and array bytes, which header padding
+does not move, and the record says of each that differs whether its arrays
+are equal.  ``estimators``
 samples ``estimate``'s two ensembles once (``perfbench/workloads.py``,
 ``--seed``) and times, in a fresh process per side, mode and repeat
 (``estimators-repeat``), the side that runs first alternating, the family
@@ -70,7 +74,13 @@ alternating.  Each process records the call's wall time, its resident set
 size before the call and its peak (``ru_maxrss``), the bytes of ``points`` and
 their SHA-256; the record gives, per side and sampler, the peak's growth over
 the size before as a multiple of the points' bytes, and whether the digests
-agree.  Each command
+agree.  ``sample`` writes the bridge configs of ``loop_h3`` and ``loop_h2``
+(``perfbench/workloads.py``, ``--seed``) and runs their ``pathineq sample``
+call in a fresh process per side, workload and repeat (``sample-repeat``),
+the side that runs first alternating.  Each process records the call's wall
+time, its peak resident set size (``ru_maxrss``) and the SHA-256 of the
+loaded ``points`` and ``sup_distance`` of each ensemble; the record says
+whether the digests agree.  Each command
 stores its record under its own key in ``--into`` (created if missing),
 together with the command line, the machine and the package versions.  A
 record that compares two checkouts is labelled by their commits as they were
@@ -470,6 +480,57 @@ def flat(base, repeats):
     return {"unit": {"wall_s": "s", "mb": "MiB"}, "repeats": repeats, "seed": 20090, "shape": shape, "samplers": out}
 
 
+SAMPLE_WORKLOADS = ("loop_h3", "loop_h2")
+
+
+def sample_repeat(src, cfg_paths, out_dir):
+    """One repeat of the ``sample`` measurements: ``pathineq sample`` of ``cfg_paths`` into ``out_dir``, with
+    pathineq from ``src``."""
+    import resource
+
+    import numpy as np
+
+    sys.path.insert(0, str(src))
+    from pathineq.cli import main as cli_main
+    from pathineq.samplers import load_ensemble
+
+    argv = ["sample", *(a for p in cfg_paths for a in ("--config", str(p))), "--threads", "1", "--out", str(out_dir)]
+    t = time.perf_counter()
+    if cli_main(argv) != 0:
+        raise SystemExit(f"pathineq {' '.join(argv)} failed")
+    out = {"wall_s": time.perf_counter() - t,
+           "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}
+    for p in sorted(Path(out_dir).glob("*.pens")):
+        ens = load_ensemble(p)
+        for k, a in (("points", ens.points), ("sup_distance", ens.diagnostics["sup_distance"])):
+            out[f"{p.stem}.{k}.sha256"] = hashlib.sha256(np.ascontiguousarray(a).data).hexdigest()
+    return out
+
+
+def sample(base, seed, repeats):
+    sys.path.insert(0, str(ROOT / "src"))
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import WORKLOADS
+
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for workload in SAMPLE_WORKLOADS:
+            (_, call), *_ = WORKLOADS[workload](seed, Path(tmp) / workload).timed
+            cfg_paths = [a for prev, a in zip(call, call[1:]) if prev == "--config"]
+            runs = _alternating(base, repeats, lambda checkout, i: _side(
+                "sample-repeat", checkout, "--out", str(Path(tmp) / workload / "out"), *cfg_paths))
+            digests = {side: {k: sorted({r[k] for r in rs}) for k in rs[0] if k.endswith("sha256")}
+                       for side, rs in runs.items()}
+            out[workload] = {
+                "digests_agree": digests["base"] == digests["change"]
+                and all(len(v) == 1 for v in digests["base"].values()),
+                "sha256": digests,
+                "results": {side: {k: _summary([r[k] for r in rs]) for k in ("wall_s", "peak_rss_mb")}
+                            for side, rs in runs.items()},
+            }
+    return {"unit": {"wall_s": "s", "peak_rss_mb": "MiB"}, "seed": seed, "repeats": repeats, "workloads": out}
+
+
 def _run(checkout, workload, seed, seconds):
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
@@ -513,6 +574,16 @@ def _sha256(path):
         return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
+def _pens_sha256(path):
+    """SHA-256 of a ``.pens`` file's header fields and of the bytes after its header: header padding moves
+    neither."""
+    with open(path, "rb") as fh:
+        fh.readline()  # the magic line
+        header = json.loads(fh.read(int.from_bytes(fh.read(8), "little")))
+        digest = hashlib.sha256(json.dumps(header, sort_keys=True).encode())
+        return hashlib.file_digest(fh, lambda: digest).hexdigest()
+
+
 def _outputs_once(checkout, workload, seed, work):
     """Digests of one worker run of ``workload`` in ``checkout``, in ``work``."""
     result = work.parent / "result.json"
@@ -523,8 +594,9 @@ def _outputs_once(checkout, workload, seed, work):
     out = work / "out"
     files = {p.relative_to(out).as_posix(): _sha256(p) for p in sorted(out.rglob("*"))
              if p.is_file() and not p.name.endswith("_report.json")}
+    pens = {p.relative_to(out).as_posix(): _pens_sha256(p) for p in sorted(out.rglob("*.pens"))}
     shutil.rmtree(work)
-    return {"files": files, "checks": hashlib.sha256(json.dumps(ops).encode()).hexdigest(),
+    return {"files": files, "pens_arrays": pens, "checks": hashlib.sha256(json.dumps(ops).encode()).hexdigest(),
             "failed": [name for name, ok, _ in ops if not ok]}
 
 
@@ -538,14 +610,19 @@ def outputs(base, seed):
         for workload in WORKLOADS:
             for side, checkout in (("base", base), ("change", ROOT)):
                 digests[side][workload] = _outputs_once(checkout, workload, seed, Path(tmp) / "work")
-    differ = []
+    differ, pens = [], {}
     for workload, change in digests["change"].items():
-        base_files, files = digests["base"][workload]["files"], change["files"]
-        differ += [f"{workload}/{f}" for f in sorted(base_files.keys() | files.keys())
-                   if base_files.get(f) != files.get(f)]
-        if change["checks"] != digests["base"][workload]["checks"]:
+        base = digests["base"][workload]
+        base_files, files = base["files"], change["files"]
+        for f in sorted(base_files.keys() | files.keys()):
+            if base_files.get(f) != files.get(f):
+                differ.append(f"{workload}/{f}")
+                if f in change["pens_arrays"] and f in base.get("pens_arrays", {}):
+                    equal = base["pens_arrays"][f] == change["pens_arrays"][f]
+                    pens[f"{workload}/{f}"] = "arrays equal" if equal else "arrays differ"
+        if change["checks"] != base["checks"]:
             differ.append(f"{workload}/checks")
-    return {"seed": seed, "differ": differ, "sha256": digests}
+    return {"seed": seed, "differ": differ, "pens_differ": pens, "sha256": digests}
 
 
 def main(argv=None):
@@ -585,6 +662,14 @@ def main(argv=None):
     fl_once = sub.add_parser("flat-repeat", help="one repeat of the flat measurements, printed as JSON")
     fl_once.add_argument("--src", required=True, help="directory holding the pathineq package to time")
     fl_once.add_argument("--sampler", required=True, choices=FLAT_SAMPLERS)
+    sa = sub.add_parser("sample", help="pathineq sample of loop_h3's and loop_h2's bridges, base and this one")
+    sa.add_argument("--base", required=True, help="checkout of the commit to compare against")
+    sa.add_argument("--seed", type=int, default=20090)
+    sa.add_argument("--repeats", type=int, default=10)
+    sa_once = sub.add_parser("sample-repeat", help="one repeat of the sample measurements, printed as JSON")
+    sa_once.add_argument("--src", required=True, help="directory holding the pathineq package to time")
+    sa_once.add_argument("--out", required=True, help="directory to write the ensembles in")
+    sa_once.add_argument("configs", nargs="+", help="the bridges' sample configs")
     pair = sub.add_parser("pairs", help="alternating perfbench runs, base checkout and this one")
     pair.add_argument("--base", required=True, help="checkout of the commit to compare against")
     pair.add_argument("--workload", required=True)
@@ -593,7 +678,7 @@ def main(argv=None):
     outs = sub.add_parser("outputs", help="output digests of every workload, base checkout and this one")
     outs.add_argument("--base", required=True, help="checkout of the commit to compare against")
     outs.add_argument("--seed", type=int, default=20090)
-    for sp in (layer, br, opt, fam, fl, pair, outs):
+    for sp in (layer, br, opt, fam, fl, sa, pair, outs):
         sp.add_argument("--into", required=True, metavar="JSON", help="file to store the record in")
     argv = sys.argv[1:] if argv is None else argv
     args = p.parse_args(argv)
@@ -610,6 +695,9 @@ def main(argv=None):
     if args.command == "flat-repeat":
         print(json.dumps(flat_repeat(Path(args.src).resolve(), args.sampler)))
         return
+    if args.command == "sample-repeat":
+        print(json.dumps(sample_repeat(Path(args.src).resolve(), args.configs, args.out)))
+        return
     if args.command == "estimators-repeat":
         print(json.dumps(estimators_repeat(Path(args.src).resolve(), args.ensembles, args.configs, args.workers)))
         return
@@ -625,6 +713,8 @@ def main(argv=None):
         key, record = f"estimators_seed{args.seed}", estimators(base, args.seed, args.repeats)
     elif args.command == "flat":
         key, record = "flat_samplers", flat(base, args.repeats)
+    elif args.command == "sample":
+        key, record = f"sample_seed{args.seed}", sample(base, args.seed, args.repeats)
     elif args.command == "outputs":
         key, record = f"outputs_seed{args.seed}", outputs(base, args.seed)
     else:
