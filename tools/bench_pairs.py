@@ -10,7 +10,7 @@ Run from the repository root:
     python3 tools/bench_pairs.py outputs --base ../parent --seed 20090 --into BENCH_readers.json
     python3 tools/bench_pairs.py estimators --base ../parent --repeats 5 --into BENCH_estimate.json
     python3 tools/bench_pairs.py flat --base ../parent --repeats 5 --into BENCH_flat.json
-    python3 tools/bench_pairs.py sample --base ../parent --seed 20090 --repeats 10 --into BENCH_writer.json
+    python3 tools/bench_pairs.py sample --base ../parent --seed 20090 --repeats 10 --into BENCH_mapped.json
 
 ``exact-sum`` times ``estimators.exact_sum`` against ``math.fsum`` on 1M
 standard normals and on 1M values of x^2 log x^2 (the entropy component), and
