@@ -1,6 +1,7 @@
 """The rules by which ``tools/bench_pairs.py pairs`` judges a claimed gain and a bound, a run of one
 ``optimizer`` repeat, a run of one ``bridge`` repeat and of each side of its sup-distance comparison,
-and a run of one ``flat`` repeat of each flat sampler.
+a run of one ``flat`` repeat of each flat sampler, a run of one ``sample`` repeat, and the ``.pens``
+digest by which ``outputs`` tells a padding change from an array change.
 
 ``_verdict`` decides, for one end-to-end metric, whether the change's runs
 carry a claimed gain over the base's and whether the change's median is worse
@@ -110,3 +111,32 @@ def test_flat_repeat_runs_each_flat_sampler(bench_pairs, monkeypatch, sampler):
     assert out["points_mb"] * 2**20 == 50 * 22 * 2 * 8  # 22 nodes: 4 uniform steps and 17 in the geometric tail
     # the kernel syncs its RSS counters lazily, so at this size the peak may read a little under the RSS
     assert out["rss_before_mb"] > 0.0 and out["peak_rss_mb"] > 0.0
+
+
+def test_sample_repeat_runs_the_bridge_configs(bench_pairs, tmp_path, monkeypatch):
+    assert bench_pairs.SAMPLE_WORKLOADS == ("loop_h3", "loop_h2")
+    cfg_paths = []
+    for dim in (3, 2):
+        cfg_paths.append(tmp_path / f"h{dim}.yaml")
+        cfg_paths[-1].write_text(f"name: h{dim}\nsampler: hyperbolic_bridge\nseed: 5\nn_paths: 40\ndim: {dim}\nT: 1.0\n"
+                                 f"grid: {{n_steps: 4, tail: {{lam: 0.5, floor: 1.0e-6}}}}\nout: h{dim}.pens\n")
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the repeat puts its src first
+    out = bench_pairs.sample_repeat(ROOT / "src", cfg_paths, tmp_path / "out")
+    digests = {f"h{d}.{k}.sha256" for d in (3, 2) for k in ("points", "sup_distance")}
+    assert out.keys() == {"wall_s", "peak_rss_mb", *digests}
+    assert out["wall_s"] > 0.0 and out["peak_rss_mb"] > 0.0
+
+
+def test_pens_digest_reads_arrays_and_header_fields_not_padding(bench_pairs, tmp_path):
+    from pathineq.samplers import SamplerConfig, TimeGrid, sample_wiener, save_ensemble
+
+    p = tmp_path / "a.pens"
+    save_ensemble(p, sample_wiener(SamplerConfig(seed=3, n_paths=10, grid=TimeGrid.uniform(1.0, 4), dim=2)))
+    blob = p.read_bytes()
+    hlen = int.from_bytes(blob[10:18], "little")
+    h = blob[18 : 18 + hlen].rstrip(b" ") + b"  "
+    repadded, changed = tmp_path / "b.pens", tmp_path / "c.pens"
+    repadded.write_bytes(blob[:10] + len(h).to_bytes(8, "little") + h + blob[18 + hlen :])
+    changed.write_bytes(blob[:-1] + bytes([blob[-1] ^ 1]))
+    assert bench_pairs._sha256(repadded) != bench_pairs._sha256(p)
+    assert bench_pairs._pens_sha256(repadded) == bench_pairs._pens_sha256(p) != bench_pairs._pens_sha256(changed)

@@ -1195,3 +1195,41 @@ def test_negative_hermite_degree_names_its_key(tmp_path, capsys):
         assert main(["estimate", "--config", write(tmp_path, "e.yaml", estimate), "--out", out]) == 2
         assert f"e.yaml:5: functions[0].degree: degree must be an int in [0, 150], got {degree}" in (
             capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("tag, dim", [("wiener", 2), ("flat_bridge", 2), ("ou", 1), ("hyperbolic_bridge", 3)])
+def test_pens_file_loads_to_the_sampler_in_memory_bit_for_bit(tmp_path, tag, dim):
+    # the CLI samples straight into the file's pages; the arrays start on a page, after a space-padded header
+    import numpy as np
+
+    from pathineq import samplers
+
+    text = SAMPLE_YAML.replace("hyperbolic_bridge", tag).replace("dim: 3", f"dim: {dim}").replace("300", "4100")
+    if tag != "hyperbolic_bridge":
+        text = text.replace("y0: origin\n", "")
+    assert main(["sample", "--config", write(tmp_path, "s.yaml", text), "--out", str(tmp_path / "o")]) == 0
+    path = tmp_path / "o" / "bridge.pens"
+    blob = path.read_bytes()
+    hlen = int.from_bytes(blob[10:18], "little")
+    text_header = blob[18 : 18 + hlen].decode()
+    _, end = json.JSONDecoder().raw_decode(text_header)
+    assert (18 + hlen) % 4096 == 0 and set(text_header[end:]) == {" "}
+    grid = samplers.TimeGrid.with_geometric_tail(1.0, 16, 0.5, 1e-6)
+    want = getattr(samplers, f"sample_{tag}")(samplers.SamplerConfig(seed=99, n_paths=4100, grid=grid, dim=dim))
+    got = samplers.load_ensemble(path)
+    assert got.points.tobytes() == want.points.tobytes()
+    assert got.diagnostics.keys() == want.diagnostics.keys()
+    for k, v in want.diagnostics.items():
+        assert (got.diagnostics[k].tobytes() == v.tobytes()) if isinstance(v, np.ndarray) else got.diagnostics[k] == v
+    assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["bridge.pens", "sample_report.json"]
+
+
+def test_sampler_input_error_reserves_no_file(tmp_path, capsys, monkeypatch):
+    # the sampler checks x0 before it asks for its points, so 10**9 paths reserve nothing
+    calls = []
+    monkeypatch.setattr(os, "posix_fallocate", lambda *args: calls.append(args))
+    text = SAMPLE_YAML.replace("300", "1000000000").replace("x0: origin", "x0: [1.0, 0.0, 0.0, 1.0]")
+    out = tmp_path / "o"
+    assert main(["sample", "--config", write(tmp_path, "s.yaml", text), "--out", str(out)]) == 2
+    assert "x0: x0 must be a point on the hyperboloid sheet of H^3" in capsys.readouterr().err
+    assert calls == [] and not list(out.glob("bridge.pens*"))

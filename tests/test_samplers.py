@@ -683,3 +683,46 @@ def test_csv_export_refuses_more_paths_than_its_limit(tmp_path):
     with pytest.raises(SamplerError, match=f"n_paths <= {CSV_MAX_PATHS}"):
         ensemble_to_csv(tmp_path / "w.csv", sample_wiener(cfg))
     assert not (tmp_path / "w.csv").exists()
+
+
+def test_a_full_disk_raises_before_a_path_is_drawn_and_leaves_no_file(tmp_path, monkeypatch, no_draws):
+    # the file is reserved, not sparse, so a full disk raises OSError, not SIGBUS in a page fault mid-run
+    import errno
+    import os
+
+    def full(fd, offset, length):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(os, "posix_fallocate", full)
+    cfg = SamplerConfig(seed=5, n_paths=8, grid=TimeGrid.uniform(1.0, 4), dim=2)
+    with pytest.raises(OSError) as exc:
+        save_ensemble(tmp_path / "w.pens", lambda alloc: sample_wiener(cfg, alloc=alloc))
+    assert exc.value.errno == errno.ENOSPC
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_sampler_that_ignores_alloc_is_a_program_error(tmp_path):
+    cfg = SamplerConfig(seed=5, n_paths=8, grid=TimeGrid.uniform(1.0, 4), dim=2)
+    with pytest.raises(RuntimeError, match="alloc"):
+        save_ensemble(tmp_path / "w.pens", lambda alloc: sample_wiener(cfg))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_file_with_64_byte_padding_still_loads(tmp_path):
+    # the header was padded so that the arrays started at a multiple of 64 bytes; such files load bit for bit
+    cfg = SamplerConfig(seed=71, n_paths=16, grid=TimeGrid.with_geometric_tail(1.0, 4), dim=3)
+    ens = sample_hyperbolic_bridge(cfg)
+    p = tmp_path / "new.pens"
+    save_ensemble(p, ens)
+    blob = p.read_bytes()
+    hlen = int.from_bytes(blob[10:18], "little")
+    h = blob[18 : 18 + hlen].rstrip(b" ")
+    h += b" " * (-(18 + len(h)) % 64)
+    assert len(h) < hlen and (18 + len(h)) % 64 == 0
+    old = tmp_path / "old.pens"
+    old.write_bytes(blob[:10] + len(h).to_bytes(8, "little") + h + blob[18 + hlen :])
+    back = load_ensemble(old)
+    assert back.points.tobytes() == ens.points.tobytes() and back.config == ens.config
+    for k in ("presnap_gap", "sup_distance"):
+        assert back.diagnostics[k].tobytes() == ens.diagnostics[k].tobytes(), k
+    assert back.diagnostics["cap_event_fraction"] == ens.diagnostics["cap_event_fraction"]
