@@ -22,7 +22,6 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from functools import partial
 
 import numpy as np
 
@@ -152,8 +151,8 @@ def _run_sample_scenario(v, out_dir, seed_override=None):
                 else TimeGrid.with_geometric_tail(T, g["n_steps"], **tail or {}))
         cfg = SamplerConfig(seed=seed, n_paths=n_paths, grid=grid, dim=dim, x0=x0, y0=y0,
                             **({} if drift_cap is None else {"drift_cap": drift_cap}))
-        sample = partial(getattr(samplers, f"sample_{tag}"), cfg)  # the module's, so a wrap of it is what runs
-        ens = sample() if csv else save_ensemble(out_path, lambda alloc: sample(alloc=alloc))  # into the file
+        sample = getattr(samplers, f"sample_{tag}")  # the module's, so a wrap of it is what runs
+        ens = sample(cfg) if csv else save_ensemble(out_path, lambda alloc: sample(cfg, alloc=alloc))  # into the file
     except SamplerError as exc:
         if exc.key is None or exc.key == "seed" and seed_override is not None:  # no config line is at fault
             raise

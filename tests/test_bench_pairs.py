@@ -1,7 +1,8 @@
 """The rules by which ``tools/bench_pairs.py pairs`` judges a claimed gain and a bound, a run of one
 ``optimizer`` repeat, a run of one ``bridge`` repeat and of each side of its sup-distance comparison,
-a run of one ``flat`` repeat of each flat sampler, a run of one ``sample`` repeat, and the ``.pens``
-digest by which ``outputs`` tells a padding change from an array change.
+a run of one ``flat`` repeat of each flat sampler, a run of one ``sample`` repeat, the ``.pens``
+digest by which ``outputs`` tells a padding change from an array change, and the command line a record
+stores.
 
 ``_verdict`` decides, for one end-to-end metric, whether the change's runs
 carry a claimed gain over the base's and whether the change's median is worse
@@ -140,3 +141,9 @@ def test_pens_digest_reads_arrays_and_header_fields_not_padding(bench_pairs, tmp
     changed.write_bytes(blob[:-1] + bytes([blob[-1] ^ 1]))
     assert bench_pairs._sha256(repadded) != bench_pairs._sha256(p)
     assert bench_pairs._pens_sha256(repadded) == bench_pairs._pens_sha256(p) != bench_pairs._pens_sha256(changed)
+
+
+def test_a_record_names_its_checkout_and_file_not_where_they_lie(bench_pairs):
+    argv = ["sample", "--base", "/srv/parent", "--repeats", "2", "--into", "/srv/work/BENCH_x.json"]
+    want = "python3 tools/bench_pairs.py sample --base BASE --repeats 2 --into BENCH_x.json"
+    assert bench_pairs._command(argv) == want

@@ -252,8 +252,7 @@ def test_gaussian_coordinate_variance():
     assert est.std_error < 0.02
 
 
-@pytest.mark.parametrize("seed", [13, 1, 7, 2009, 53077])
-def test_entropy_scaling_identity(seed):
+def test_entropy_scaling_identity():
     # Ent((lam F)^2) = lam^2 Ent(F^2), and so for the plug-in value g(a, b) = b - a log a of the means a
     # of F^2 and b of F^2 log F^2, whose exact_sum totals round it by a few ulps.  The jackknifed value
     # n g(a, b) - (n - 1) mean_i g(a_i, b_i) scales exactly only in exact arithmetic.  Each g carries
@@ -262,19 +261,20 @@ def test_entropy_scaling_identity(seed):
     # rounding enters as (log a + 1) da; at most 8 u S in all.  n g and (n - 1) mean_i g multiply
     # those by n, and the two products and their difference add at most 3 n u S: each value is
     # within 19 n u S of its exact arithmetic, and the two exact values satisfy the identity.
-    ens = gaussian_ensemble(5000, seed=seed)
     lam, n, u = 1.7, 5000, 2.0**-53
     F = coordinate_function(1.0)
     Fs = CylindricalFunction(times=(1.0,), fn=lambda X: lam * X[:, 0, 0], partials=None)
-    plug_in, scale = [], []
-    for G in (F, Fs):
-        x = G.values(ens.points[:, [1], :])
-        a, b = exact_sum(x * x) / n, exact_sum(_square_log_square(x)) / n
-        plug_in.append(_ESTIMATES["entropy"][1](a, b))
-        scale.append(abs(b) + a * (abs(math.log(a)) + 1.0))
-    assert plug_in[1] == pytest.approx(lam * lam * plug_in[0], rel=1e-14)
-    e1, e2 = entropy(F, ens).value, entropy(Fs, ens).value
-    assert abs(e2 - lam * lam * e1) <= 19 * n * u * (scale[1] + lam * lam * scale[0])
+    for seed in (13, 1, 7, 2009, 53077):  # the bound holds on any draws, not only on one seed's
+        ens = gaussian_ensemble(n, seed=seed)
+        plug_in, scale = [], []
+        for G in (F, Fs):
+            x = G.values(ens.points[:, [1], :])
+            a, b = exact_sum(x * x) / n, exact_sum(_square_log_square(x)) / n
+            plug_in.append(_ESTIMATES["entropy"][1](a, b))
+            scale.append(abs(b) + a * (abs(math.log(a)) + 1.0))
+        assert plug_in[1] == pytest.approx(lam * lam * plug_in[0], rel=1e-14), seed
+        e1, e2 = entropy(F, ens).value, entropy(Fs, ens).value
+        assert abs(e2 - lam * lam * e1) <= 19 * n * u * (scale[1] + lam * lam * scale[0]), seed
 
 
 def test_entropy_sign_invariance():

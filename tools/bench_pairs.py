@@ -82,7 +82,8 @@ time, its peak resident set size (``ru_maxrss``) and the SHA-256 of the
 loaded ``points`` and ``sup_distance`` of each ensemble; the record says
 whether the digests agree.  Each command
 stores its record under its own key in ``--into`` (created if missing),
-together with the command line, the machine and the package versions.  A
+together with the command line (``--base`` shown as ``BASE``, ``--into`` by
+its file name), the machine and the package versions.  A
 record that compares two checkouts is labelled by their commits as they were
 before its first run, and, where either moved or became dirty by the end of
 its last run, by their commits then too (``commits_after``).
@@ -612,17 +613,25 @@ def outputs(base, seed):
                 digests[side][workload] = _outputs_once(checkout, workload, seed, Path(tmp) / "work")
     differ, pens = [], {}
     for workload, change in digests["change"].items():
-        base = digests["base"][workload]
-        base_files, files = base["files"], change["files"]
+        base_run = digests["base"][workload]
+        base_files, files = base_run["files"], change["files"]
         for f in sorted(base_files.keys() | files.keys()):
             if base_files.get(f) != files.get(f):
                 differ.append(f"{workload}/{f}")
-                if f in change["pens_arrays"] and f in base.get("pens_arrays", {}):
-                    equal = base["pens_arrays"][f] == change["pens_arrays"][f]
+                if f in base_run["pens_arrays"].keys() & change["pens_arrays"].keys():
+                    equal = base_run["pens_arrays"][f] == change["pens_arrays"][f]
                     pens[f"{workload}/{f}"] = "arrays equal" if equal else "arrays differ"
-        if change["checks"] != base["checks"]:
+        if change["checks"] != base_run["checks"]:
             differ.append(f"{workload}/checks")
     return {"seed": seed, "differ": differ, "pens_differ": pens, "sha256": digests}
+
+
+def _command(argv):
+    """The command line of a record: the base checkout is named by its commit and the record's file by its
+    name, not by where they lie."""
+    shown = ["BASE" if prev == "--base" else Path(a).name if prev == "--into" else a
+             for prev, a in zip([None, *argv], argv)]
+    return "python3 tools/bench_pairs.py " + " ".join(shown)
 
 
 def main(argv=None):
@@ -724,9 +733,7 @@ def main(argv=None):
     if base:  # a checkout that changed while the runs ran is recorded as it was after the last one too
         after = _commits(base)
         record = {"commits": before, **({"commits_after": after} if after != before else {}), **record}
-    # the base checkout is named by its commit, not by where it lies
-    shown = ["BASE" if prev == "--base" else a for prev, a in zip([None, *argv], argv)]
-    record = {"command": "python3 tools/bench_pairs.py " + " ".join(shown), "machine": _machine(), **record}
+    record = {"command": _command(argv), "machine": _machine(), **record}
     path = Path(args.into)
     data = json.loads(path.read_text()) if path.exists() else {}
     data[key] = record
