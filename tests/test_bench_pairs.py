@@ -1,8 +1,7 @@
-"""The rules by which ``tools/bench_pairs.py pairs`` judges a claimed gain and a bound, a run of one
-``optimizer`` repeat, a run of one ``bridge`` repeat and of each side of its sup-distance comparison,
-a run of one ``flat`` repeat of each flat sampler, a run of one ``sample`` repeat, the ``.pens``
-digest by which ``outputs`` tells a padding change from an array change, and the command line a record
-stores.
+"""The rules by which ``tools/bench_pairs.py pairs`` judges a claimed gain and a bound, a run of every
+``repeat`` case at a tiny shape and one ``repeat`` through its child processes, the ``.pens`` digest by
+which ``outputs`` tells a change of the stored bytes from a change of the loaded arrays, and the command
+line a record stores.
 
 ``_verdict`` decides, for one end-to-end metric, whether the change's runs
 carry a claimed gain over the base's and whether the change's median is worse
@@ -10,6 +9,7 @@ than the base's by more than the metric's bound.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -17,14 +17,14 @@ import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+BENCH_PAIRS = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(BENCH_PAIRS)
 
 
 @pytest.fixture(scope="module")
 def bench_pairs():
-    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return BENCH_PAIRS
 
 
 @pytest.fixture(scope="module")
@@ -75,75 +75,83 @@ def test_worse_than_bound_is_a_share_of_the_base_median_in_the_metric_direction(
     assert v["better"] == better and v["bound"] == 0.25
 
 
-def test_optimizer_repeat_runs_on_params_auto_configs(bench_pairs, tmp_path, monkeypatch):
-    # it passed optimize_dyadic_params a third argument, the number of evaluations, which it no longer takes
-    for i, (C, r0) in enumerate([(1.0, 0.5), (3.7, 0.01)]):
-        (tmp_path / f"c{i}.yaml").write_text(f"name: c{i}\npipeline:\n  - op: weak_lsi_to_poincare\n"
-                                             f"    beta: {{C: {C}, r0: {r0}}}\n    params: auto\n")
-    monkeypatch.setattr(bench_pairs, "AGREE_CASES", 2)
-    monkeypatch.setattr(sys, "path", list(sys.path))  # the repeat puts its src first
-    out = bench_pairs.optimizer_repeat(ROOT / "src", tmp_path, agree=True)
-    assert (out["configs"], out["optimizer_calls"], out["infeasible"]) == (2, 2, 0)
-    assert [len(fields) for fields, _ in out["cases"]] == [4, 4]
+# the module constants of the cases at a tiny shape, and what a record of equal runs per side holds there
+TINY = {"EXACT_SUM_N": 1000, "BRIDGE_SHAPES": {"h3": (3, 40, 4), "h2": (2, 40, 4)}, "AGREE_CASES": 2,
+        "FLAT_SHAPE": (2, 50, 4)}
+EXPECT = {"bridge": {"ks_statistic": 0.0, "abs_du_max": 0.0}, "optimizer": {"params_differ_cases": 0}}
 
 
-def test_bridge_repeat_and_both_sup_distance_shapes_run(bench_pairs, tmp_path, monkeypatch):
-    # the sup distances are compared at loop_h2's shape as well as loop_h3's
-    assert {shape: dims[0] for shape, dims in bench_pairs.U_SHAPES.items()} == {"h3": 3, "h2": 2}
-    small = {"h3": (3, 40, 4), "h2": (2, 40, 4)}
-    monkeypatch.setattr(bench_pairs, "BRIDGE_SHAPES", small)
-    monkeypatch.setattr(bench_pairs, "U_SHAPES", small)
-    monkeypatch.setattr(sys, "path", list(sys.path))  # each run puts its src first
-    out = bench_pairs.bridge_repeat(ROOT / "src")
-    assert {"drift_build_n2_s", "h2.serial.wall_s", "h3.pooled.cpu_s", "h2.sha256"} <= out.keys()
-    for shape in small:
-        side = bench_pairs.bridge_u(ROOT / "src", tmp_path / f"{shape}.npy", shape)
-        assert np.load(tmp_path / f"{shape}.npy").shape == (40,)
-        assert side["sheet_residual_max"] < 1e-10 and 0.0 <= side["cap_event_fraction"] <= 1.0
+def _tiny_variants(case, tmp):
+    """The variants of the cases whose set-up writes a workload's full-size configs, at a tiny shape."""
+    if case == "sample":
+        for dim in (3, 2):
+            (tmp / f"h{dim}.yaml").write_text(f"name: h{dim}\nsampler: hyperbolic_bridge\nseed: 5\nn_paths: 40\n"
+                                              f"dim: {dim}\nT: 1.0\ngrid: {{n_steps: 4, tail: {{lam: 0.5}}}}\n"
+                                              f"out: h{dim}.pens\n")
+        return [("loops", [tmp, "pooled", "sample", tmp / "h3.yaml", tmp / "h2.yaml"])]
+    from pathineq.samplers import SamplerConfig, TimeGrid, sample_wiener, save_ensemble
+
+    save_ensemble(tmp / "w.pens", sample_wiener(SamplerConfig(seed=5, n_paths=200, grid=TimeGrid.uniform(1.0, 2))))
+    (tmp / "e.yaml").write_text("name: e\nensemble: w.pens\nestimators: [rayleigh, variance]\n"
+                                "functions: [{type: hermite, degree: 2, label: He2}]\nout: e.json\n")
+    return [(mode, [tmp, mode, "estimate", tmp / "e.yaml"]) for mode in ("serial", "pooled")]
 
 
-@pytest.mark.parametrize("sampler", ["wiener", "flat_bridge", "ou"])
-def test_flat_repeat_runs_each_flat_sampler(bench_pairs, monkeypatch, sampler):
-    assert bench_pairs.FLAT_SAMPLERS == ("wiener", "flat_bridge", "ou")
-    monkeypatch.setattr(bench_pairs, "FLAT_SHAPE", (2, 50, 4))
-    monkeypatch.setattr(sys, "path", list(sys.path))  # the repeat puts its src first
-    out = bench_pairs.flat_repeat(ROOT / "src", sampler)
-    assert out.keys() == {"wall_s", "rss_before_mb", "peak_rss_mb", "points_mb", "sha256"}
-    assert out["points_mb"] * 2**20 == 50 * 22 * 2 * 8  # 22 nodes: 4 uniform steps and 17 in the geometric tail
-    # the kernel syncs its RSS counters lazily, so at this size the peak may read a little under the RSS
-    assert out["rss_before_mb"] > 0.0 and out["peak_rss_mb"] > 0.0
+@pytest.mark.parametrize("case", list(BENCH_PAIRS.CASES))
+def test_each_case_runs_in_process_at_a_tiny_shape(bench_pairs, tmp_path, monkeypatch, case):
+    from pathineq import samplers
+
+    for name, value in TINY.items():
+        monkeypatch.setattr(bench_pairs, name, value)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # a set-up puts src and perfbench first
+    monkeypatch.setattr(samplers, "_WORKERS", samplers._WORKERS)  # a serial run takes one thread
+    c = bench_pairs.CASES[case]
+    variants = _tiny_variants(case, tmp_path) if case in ("estimators", "sample") else c.setup(5, tmp_path)
+    assert variants
+    for _, args in variants:
+        run = c.run(*map(str, args))  # as repeat-side passes them
+        record = bench_pairs._variant({"base": [run], "change": [run]}, c.compare)
+        assert record["digests_agree"] and record["sha256"]["change"] and record["results"]["change"]
+        assert EXPECT.get(case, {}).items() <= record.items()
 
 
-def test_sample_repeat_runs_the_bridge_configs(bench_pairs, tmp_path, monkeypatch):
-    assert bench_pairs.SAMPLE_WORKLOADS == ("loop_h3", "loop_h2")
-    cfg_paths = []
-    for dim in (3, 2):
-        cfg_paths.append(tmp_path / f"h{dim}.yaml")
-        cfg_paths[-1].write_text(f"name: h{dim}\nsampler: hyperbolic_bridge\nseed: 5\nn_paths: 40\ndim: {dim}\nT: 1.0\n"
-                                 f"grid: {{n_steps: 4, tail: {{lam: 0.5, floor: 1.0e-6}}}}\nout: h{dim}.pens\n")
-    monkeypatch.setattr(sys, "path", list(sys.path))  # the repeat puts its src first
-    out = bench_pairs.sample_repeat(ROOT / "src", cfg_paths, tmp_path / "out")
-    digests = {f"h{d}.{k}.sha256" for d in (3, 2) for k in ("points", "sup_distance")}
-    assert out.keys() == {"wall_s", "peak_rss_mb", *digests}
-    assert out["wall_s"] > 0.0 and out["peak_rss_mb"] > 0.0
+def test_repeat_runs_each_side_in_a_child_and_stores_its_record(bench_pairs, tmp_path):
+    into = tmp_path / "BENCH_x.json"
+    bench_pairs.main(["repeat", "--base", str(ROOT), "--case", "exact_sum", "--repeats", "2", "--into", str(into)])
+    record = json.loads(into.read_text())["exact_sum_seed20090"]
+    assert {"machine", "loadavg", "commits", "case", "doc", "seed", "repeats", "variants"} <= record.keys()
+    assert len(record["loadavg"]["before"]) == len(record["loadavg"]["after"]) == 3
+    variant = record["variants"]["1M"]
+    assert variant["digests_agree"] is True
+    assert variant["sha256"]["base"] == variant["sha256"]["change"]
+    assert variant["sha256"]["change"].keys() == {"normals.sha256", "x2logx2.sha256"}
+    assert [len(variant["results"][side]["normals.fsum_ms"]["runs"]) for side in ("base", "change")] == [2, 2]
 
 
 def test_pens_digest_reads_arrays_and_header_fields_not_padding(bench_pairs, tmp_path):
     from pathineq.samplers import SamplerConfig, TimeGrid, sample_wiener, save_ensemble
 
+    ens = sample_wiener(SamplerConfig(seed=3, n_paths=10, grid=TimeGrid.uniform(1.0, 4), dim=2))
+    ens.diagnostics = {"presnap_gap": np.arange(10.0), "sup_distance": np.arange(10.0, 20.0)}
     p = tmp_path / "a.pens"
-    save_ensemble(p, sample_wiener(SamplerConfig(seed=3, n_paths=10, grid=TimeGrid.uniform(1.0, 4), dim=2)))
+    save_ensemble(p, ens)
     blob = p.read_bytes()
     hlen = int.from_bytes(blob[10:18], "little")
     h = blob[18 : 18 + hlen].rstrip(b" ") + b"  "
-    repadded, changed = tmp_path / "b.pens", tmp_path / "c.pens"
+    repadded, changed, swapped = tmp_path / "b.pens", tmp_path / "c.pens", tmp_path / "d.pens"
     repadded.write_bytes(blob[:10] + len(h).to_bytes(8, "little") + h + blob[18 + hlen :])
     changed.write_bytes(blob[:-1] + bytes([blob[-1] ^ 1]))
-    assert bench_pairs._sha256(repadded) != bench_pairs._sha256(p)
-    assert bench_pairs._pens_sha256(repadded) == bench_pairs._pens_sha256(p) != bench_pairs._pens_sha256(changed)
+    # the diagnostic arrays stored in the other order: the loaded arrays are equal, the bytes are not
+    header = json.loads(blob[18 : 18 + hlen])
+    header["diag_arrays"].reverse()
+    swapped.write_bytes(blob[:18] + json.dumps(header).encode().ljust(hlen) + blob[18 + hlen : -160]
+                        + blob[-80:] + blob[-160:-80])
+    assert bench_pairs._sha256(repadded) != bench_pairs._sha256(p) != bench_pairs._sha256(swapped)
+    assert bench_pairs._pens_sha256(repadded) == bench_pairs._pens_sha256(p) == bench_pairs._pens_sha256(swapped)
+    assert bench_pairs._pens_sha256(changed) != bench_pairs._pens_sha256(p)
 
 
 def test_a_record_names_its_checkout_and_file_not_where_they_lie(bench_pairs):
-    argv = ["sample", "--base", "/srv/parent", "--repeats", "2", "--into", "/srv/work/BENCH_x.json"]
-    want = "python3 tools/bench_pairs.py sample --base BASE --repeats 2 --into BENCH_x.json"
+    argv = ["repeat", "--base", "/srv/parent", "--case", "sample", "--repeats", "2", "--into", "/srv/work/BENCH_x.json"]
+    want = "python3 tools/bench_pairs.py repeat --base BASE --case sample --repeats 2 --into BENCH_x.json"
     assert bench_pairs._command(argv) == want

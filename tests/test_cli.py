@@ -257,6 +257,22 @@ def test_tail_floor_below_float_spacing_names_its_key(tmp_path, capsys):
     assert not (tmp_path / "out" / "bridge.pens").exists()
 
 
+@pytest.mark.parametrize("old, new, line, key", [("n_steps: 16", "n_steps: 100000000", 8, "grid.n_steps"),
+                                                 ("lam: 0.5", "lam: 0.999999999", 9, "grid.tail.lam")])
+def test_a_grid_too_large_exits_2_before_a_node_is_built(tmp_path, capsys, monkeypatch, old, new, line, key):
+    # each used to build every node before any check, and ran past 60 s on its way to exhausting memory
+    from pathineq.samplers import TimeGrid
+
+    built, init = [], TimeGrid.__init__
+    monkeypatch.setattr(TimeGrid, "__init__", lambda self, nodes: built.append(nodes) or init(self, nodes))
+    cfg = write(tmp_path, "big.yaml", SAMPLE_YAML.replace(old, new))
+    t = time.perf_counter()
+    assert main(["sample", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert time.perf_counter() - t < 1.0
+    assert f"big.yaml:{line}: {key}: " in capsys.readouterr().err
+    assert built == []
+
+
 # m(s) = exp(-s^2) on integer levels: a tail that certifies a weak LSI
 GAUSS_TAIL = "levels: [0, 1, 2, 3, 4, 5], values: [1.0, 0.37, 0.019, 1.3e-4, 1.2e-7, 1.4e-11]"
 

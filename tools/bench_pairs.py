@@ -1,92 +1,37 @@
 """Measurements for the BENCH_*.json files at the repository root.
 
-Run from the repository root:
+Run from the repository root, with the commit to compare against checked out in ``../parent``:
 
-    python3 tools/bench_pairs.py exact-sum --repeats 15 --into BENCH_exact_sum.json
-    python3 tools/bench_pairs.py bridge --base ../parent --repeats 5 --into BENCH_coordmajor.json
-    python3 tools/bench_pairs.py optimizer --base ../parent --repeats 10 --into BENCH_screen.json
-    python3 tools/bench_pairs.py pairs --base ../parent --workload estimate --seed 20090 \\
-        --pairs 10 --into BENCH_exact_sum.json
-    python3 tools/bench_pairs.py outputs --base ../parent --seed 20090 --into BENCH_readers.json
-    python3 tools/bench_pairs.py estimators --base ../parent --repeats 5 --into BENCH_estimate.json
-    python3 tools/bench_pairs.py flat --base ../parent --repeats 5 --into BENCH_flat.json
-    python3 tools/bench_pairs.py sample --base ../parent --seed 20090 --repeats 10 --into BENCH_mapped.json
+    python3 tools/bench_pairs.py repeat --base ../parent --case flat --repeats 5 --into BENCH_flat.json
+    python3 tools/bench_pairs.py pairs --base ../parent --workload loop_h3 --seed 20090 --pairs 10 \\
+        --into BENCH_mapped.json
+    python3 tools/bench_pairs.py outputs --base ../parent --seed 20090 --into BENCH_mapped.json
 
-``exact-sum`` times ``estimators.exact_sum`` against ``math.fsum`` on 1M
-standard normals and on 1M values of x^2 log x^2 (the entropy component), and
-checks that the two agree bit for bit.  ``bridge`` times the H^n bridge
-sampler of the ``--base`` checkout and of this one, each repeat in a fresh
-process per side (``bridge-repeat``), the side that runs first alternating:
-the n = 2 ``_make_drift`` build (the first build in the process, which pays
-any lazy import, and a second one), and the wall and process CPU times of
-``sample_hyperbolic_bridge`` with one thread (``_WORKERS = 1``) and with the
-pool, on ``loop_h3``'s shape (n = 3, 50k paths, 128 steps plus the geometric
-tail) and ``loop_h2``'s (n = 2, 30k paths, 64 steps plus the tail).  It records
-the SHA-256 of each side's points, so the records show whether the bits
-agree.  It then samples 100k paths of ``loop_h3``'s shape and 100k of
-``loop_h2``'s once per side, each in a fresh process (``bridge-u``), and
-compares, per shape, the recorded sup distances u: the two-sample KS
-statistic and its p-value, the largest and the median path-by-path
-|u_change - u_base|, and each side's largest sheet residual |<y, y> + 1| and
-``cap_event_fraction``.  ``optimizer`` writes
-``certify``'s 48 configs (``perfbench/workloads.py``, ``--seed``) and times,
-in a fresh process per side and repeat (``optimizer-repeat``), the side that
-runs first alternating: the ``transfer.optimize_dyadic_params`` calls of its
-``params: auto`` stages, a cold pass (the first in the process) and a warm
-one, and ``config.load_config`` over the 48 configs.  Once per side it also
-runs the optimizer at 200 seeded random (C, r0) and digests the fields of
-every result (their reprs, so the scalar types count) or its error, and the
-loaded configs; the record says whether the sides agree bit for bit, in how
-many cases the fields (or the error) differ, and by how much the change's
-objective ``poincare_objective`` lies at most below and at most above the
-base's in those cases, relative to the base's.
-``pairs`` runs ``perfbench/run.py --trace 0 --seconds S``, S being
-``run_seconds`` in ``BENCHMARK.json``, in the ``--base`` checkout and in this
-one, pair by pair, with the side that runs first alternating.  It records
-every run's end-to-end metrics with their medians and quartiles, the reason
-``run.py`` gave for each failed operation, listed per side, and for each
-metric, with its direction and bound from ``BENCHMARK.json``, a verdict: the
-pairs the change wins and loses (ties count for neither), whether a claimed
-gain holds (wins in at least 9 pairs of 10 and a median gain larger than the
-base's interquartile range) and whether the change's median is worse than the
-base's by more than the bound, a share of the base's median.  ``outputs``
-runs each workload of ``perfbench/workloads.py`` once per side, in a fresh
-``perfbench/worker.py`` process and the same scratch directory: its set-up
-calls, its timed calls and its checks.  It records the SHA-256 of every output
-file but the ``*_report.json`` files (they hold timings) and of the list of
-check results, and lists the files whose digests differ; each ``.pens`` file
-is also digested by its header fields and array bytes, which header padding
-does not move, and the record says of each that differs whether its arrays
-are equal.  ``estimators``
-samples ``estimate``'s two ensembles once (``perfbench/workloads.py``,
-``--seed``) and times, in a fresh process per side, mode and repeat
-(``estimators-repeat``), the side that runs first alternating, the family
-estimates of ``estimate``'s two scenarios: ``family_estimates``, or on a
-checkout without it the serial loop over ``function_estimates``, with one
-thread (``_WORKERS = 1``) and with the pool.  Each process records the wall
-time per scenario, then ``ru_maxrss`` after it, then the ``tracemalloc`` peak
-of a second, traced pass, and a digest of every estimate's fields (their
-reprs); the record says whether all digests agree.  ``flat`` runs each flat
-sampler (Wiener, flat bridge, Ornstein-Uhlenbeck) at 100k paths of 3
-coordinates on ``with_geometric_tail(1, 128)`` (140 steps), in a fresh process
-per side, sampler and repeat (``flat-repeat``), the side that runs first
-alternating.  Each process records the call's wall time, its resident set
-size before the call and its peak (``ru_maxrss``), the bytes of ``points`` and
-their SHA-256; the record gives, per side and sampler, the peak's growth over
-the size before as a multiple of the points' bytes, and whether the digests
-agree.  ``sample`` writes the bridge configs of ``loop_h3`` and ``loop_h2``
-(``perfbench/workloads.py``, ``--seed``) and runs their ``pathineq sample``
-call in a fresh process per side, workload and repeat (``sample-repeat``),
-the side that runs first alternating.  Each process records the call's wall
-time, its peak resident set size (``ru_maxrss``) and the SHA-256 of the
-loaded ``points`` and ``sup_distance`` of each ensemble; the record says
-whether the digests agree.  Each command
-stores its record under its own key in ``--into`` (created if missing),
-together with the command line (``--base`` shown as ``BASE``, ``--into`` by
-its file name), the machine and the package versions.  A
-record that compares two checkouts is labelled by their commits as they were
-before its first run, and, where either moved or became dirty by the end of
-its last run, by their commits then too (``commits_after``).
+``repeat`` runs one entry of ``CASES``.  Its ``setup(seed, tmp)`` runs here and returns the case's
+variants, each a name and the arguments of its ``run``.  For each variant and repeat, ``run`` runs in a
+fresh process per side (``repeat-side``), with pathineq from that side's checkout, the side that runs
+first alternating, and returns a flat dict: its keys ending in ``sha256`` are digests, and its other
+numbers are measurements.  The record gives, per variant, each side's digests and whether they agree
+(one value per key over the repeats, the same on both sides), each measurement's median, quartiles and
+runs per side, and the fields the case's ``compare`` draws from both sides' runs.
+
+``pairs`` runs ``perfbench/run.py --trace 0 --seconds S``, S being ``run_seconds`` in ``BENCHMARK.json``,
+in both checkouts, pair by pair, the side that runs first alternating.  It records every run's end-to-end
+metrics with their medians and quartiles, the reason ``run.py`` gave for each failed operation, and for
+each metric a verdict (``_verdict``): the pairs the change wins and loses, whether a claimed gain holds
+and whether the change's median is worse than the base's by more than the metric's bound.
+
+``outputs`` runs each workload of ``perfbench/workloads.py`` once per side, in a fresh
+``perfbench/worker.py`` process and the same scratch directory.  It records the SHA-256 of every output
+file but the ``*_report.json`` files (they hold timings) and of the list of check results, and lists the
+files whose digests differ; each ``.pens`` file that differs is also said to hold equal or different
+arrays, by its digest as ``load_ensemble`` reads it (``_pens_sha256``).
+
+Each command stores its record under its own key in ``--into`` (created if missing), with the command
+line (``--base`` shown as ``BASE``, ``--into`` by its file name), the machine, the package versions and
+the load average before the first run and after the last.  The record is labelled by both checkouts'
+commits as they were before its first run, and, where either moved or became dirty by the end of its
+last run, by their commits then too (``commits_after``).
 """
 
 from __future__ import annotations
@@ -105,6 +50,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 END_TO_END = ("wall_s", "items_per_s", "setup_s", "peak_rss_mb")
@@ -151,9 +97,10 @@ def _last_json(cmd, **kw):
     return json.loads(out.stdout.strip().splitlines()[-1]), out.stderr
 
 
-def _side(command, checkout, *args):
-    """The JSON record of this script's one-side ``command`` with pathineq from ``checkout``."""
-    cmd = [sys.executable, str(Path(__file__).resolve()), command, "--src", str(checkout / "src"), *args]
+def _side(checkout, case, *args):
+    """The dict that ``CASES[case].run(*args)`` returns in a fresh process with pathineq from ``checkout``."""
+    cmd = [sys.executable, str(Path(__file__).resolve()), "repeat-side", "--src", str(checkout / "src"),
+           "--case", case, *map(str, args)]
     return _last_json(cmd)[0]
 
 
@@ -174,127 +121,120 @@ def _summary(xs):
     return {"median": med, "q1": q1, "q3": q3, "runs": xs}
 
 
-def exact_sum_layer(repeats):
+def _workloads():
+    """perfbench's workload builders, with pathineq from this checkout."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    from workloads import WORKLOADS
+
+    return WORKLOADS
+
+
+def _config_paths(call):
+    return [a for prev, a in zip(call, call[1:]) if prev == "--config"]
+
+
+def _peak_rss_mb():
+    import resource
+
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def _array_sha256(a):
     import numpy as np
 
-    sys.path.insert(0, str(ROOT / "src"))
+    return hashlib.sha256(np.ascontiguousarray(a).data).hexdigest()
+
+
+def _arrays(ens):
+    """An ensemble's named arrays: its points and its diagnostic arrays."""
+    import numpy as np
+
+    return {"points": ens.points} | {k: v for k, v in ens.diagnostics.items() if isinstance(v, np.ndarray)}
+
+
+# ---------------------------------------------------------------------------
+# The cases of ``repeat``: each ``run`` imports pathineq, which ``repeat-side`` takes from its side's checkout
+
+
+EXACT_SUM_N = 1_000_000
+
+
+def exact_sum_run(seed):
+    import numpy as np
+
     from pathineq.estimators import exact_sum
 
-    x = np.random.default_rng(20090).standard_normal(1_000_000)
-    xx = x * x
+    x = np.random.default_rng(int(seed)).standard_normal(EXACT_SUM_N)
     out = {}
-    for name, a in (("normals_1M", x), ("x2logx2_1M", xx * np.log(xx))):
-        if struct.pack("<d", exact_sum(a)) != struct.pack("<d", math.fsum(a)):
+    for name, a in (("normals", x), ("x2logx2", x * x * np.log(x * x))):
+        sums = {}
+        for key, f in (("exact_sum", exact_sum), ("fsum", math.fsum)):
+            t = time.perf_counter()
+            sums[key] = struct.pack("<d", f(a))
+            out[f"{name}.{key}_ms"] = 1e3 * (time.perf_counter() - t)
+        if sums["exact_sum"] != sums["fsum"]:
             raise SystemExit(f"exact_sum differs from math.fsum on {name}")
-        ms = {"exact_sum": [], "math.fsum": []}
-        for _ in range(repeats):  # interleaved, so drift of the machine hits both alike
-            for key, f in (("exact_sum", exact_sum), ("math.fsum", math.fsum)):
-                t = time.perf_counter()
-                f(a)
-                ms[key].append(1e3 * (time.perf_counter() - t))
-        out[name] = {key: _summary(v) for key, v in ms.items()}
-    return {"unit": "ms", "samples": repeats, "results": out}
+        out[f"{name}.sha256"] = hashlib.sha256(sums["fsum"]).hexdigest()
+    return out
 
 
 BRIDGE_SHAPES = {"h3": (3, 50_000, 128), "h2": (2, 30_000, 64)}  # dim, paths, steps before the tail
 
 
-def bridge_repeat(src):
-    """One repeat of the ``bridge`` measurements, with pathineq from ``src``."""
-    sys.path.insert(0, str(src))
-    from pathineq import samplers
-    from pathineq.hyperbolic import HeatKernelParams
-
-    def grid(n_steps):
-        return samplers.TimeGrid.with_geometric_tail(1.0, n_steps, 0.5, 1e-6)
-
-    out = {}
-    nodes = grid(BRIDGE_SHAPES["h2"][2]).array()
-    for key in ("drift_build_n2_first_s", "drift_build_n2_s"):
-        t = time.perf_counter()
-        samplers._make_drift(HeatKernelParams(n=2), 1.0, nodes)
-        out[key] = time.perf_counter() - t
-    pooled = samplers._WORKERS
-    for shape, (dim, n_paths, n_steps) in BRIDGE_SHAPES.items():
-        cfg = samplers.SamplerConfig(seed=20090, n_paths=n_paths, grid=grid(n_steps), dim=dim)
-        for mode, workers in (("serial", 1), ("pooled", pooled)):
-            samplers._WORKERS = workers
-            t, c = time.perf_counter(), time.process_time()
-            ens = samplers.sample_hyperbolic_bridge(cfg)
-            out[f"{shape}.{mode}.wall_s"] = time.perf_counter() - t
-            out[f"{shape}.{mode}.cpu_s"] = time.process_time() - c
-        samplers._WORKERS = pooled
-        out[f"{shape}.sha256"] = hashlib.sha256(ens.points.data).hexdigest()
-        del ens
-    return out
-
-
-U_SHAPES = {"h3": (3, 100_000, 128), "h2": (2, 100_000, 64)}  # the sup-distance comparisons, as BRIDGE_SHAPES
-
-
-def bridge_u(src, out, shape):
-    """One side of the ``bridge`` sup-distance comparison at ``shape``, a key
-    of ``U_SHAPES``, with pathineq from ``src``: saves u to ``out`` (.npy) and
-    returns the sheet residual and the cap-event fraction."""
+def bridge_run(shape, seed):
     import numpy as np
 
-    sys.path.insert(0, str(src))
     from pathineq import hyperbolic as hyp
     from pathineq import samplers
 
-    dim, n_paths, n_steps = U_SHAPES[shape]
+    dim, n_paths, n_steps = BRIDGE_SHAPES[shape]
     grid = samplers.TimeGrid.with_geometric_tail(1.0, n_steps, 0.5, 1e-6)
-    ens = samplers.sample_hyperbolic_bridge(samplers.SamplerConfig(seed=20090, n_paths=n_paths, grid=grid, dim=dim))
-    np.save(out, ens.diagnostics["sup_distance"])
-    residual = max(float(np.abs(hyp.minkowski_dot(p, p) + 1.0).max())
-                   for p in np.array_split(ens.points, 20))  # 20 slabs: no full-size temporaries
-    return {"sheet_residual_max": residual, "cap_event_fraction": ens.diagnostics["cap_event_fraction"]}
+    out, pooled = {"workers_pooled": samplers._WORKERS}, samplers._WORKERS
+    for key in ("drift_build_first_s", "drift_build_s"):  # the first pays any lazy import
+        t = time.perf_counter()
+        samplers._make_drift(hyp.HeatKernelParams(n=dim), 1.0, grid.array())
+        out[key] = time.perf_counter() - t
+    cfg = samplers.SamplerConfig(seed=int(seed), n_paths=n_paths, grid=grid, dim=dim)
+    for mode, workers in (("serial", 1), ("pooled", pooled)):
+        samplers._WORKERS, ens = workers, None
+        t, c = time.perf_counter(), time.process_time()
+        ens = samplers.sample_hyperbolic_bridge(cfg)
+        out[f"{mode}.wall_s"], out[f"{mode}.cpu_s"] = time.perf_counter() - t, time.process_time() - c
+    out["sha256"] = _array_sha256(ens.points)
+    out["sheet_residual_max"] = max(float(np.abs(hyp.minkowski_dot(p, p) + 1.0).max())
+                                    for p in np.array_split(ens.points, 20))  # 20 slabs: no full-size temporaries
+    out["cap_event_fraction"] = ens.diagnostics["cap_event_fraction"]
+    out["u"] = ens.diagnostics["sup_distance"].tolist()
+    return out
 
 
-def _compare_u(base, shape):
+def bridge_compare(base, change):
+    """The sides' sup distances u: their two-sample KS and the path-by-path |u_change - u_base|."""
     import numpy as np
     from scipy import stats
 
-    sides, u = {}, {}
-    with tempfile.TemporaryDirectory() as tmp:
-        for side, checkout in (("base", base), ("change", ROOT)):
-            path = Path(tmp) / f"{side}.npy"
-            sides[side] = _side("bridge-u", checkout, "--out", str(path), "--shape", shape)
-            u[side] = np.load(path)
-    ks = stats.ks_2samp(u["base"], u["change"])
-    du = np.abs(u["change"] - u["base"])
-    return {"shape": dict(zip(("dim", "n_paths", "n_steps"), U_SHAPES[shape])), "seed": 20090,
-            "ks_statistic": float(ks.statistic), "ks_pvalue": float(ks.pvalue),
-            "abs_du_max": float(du.max()), "abs_du_median": float(np.median(du)), "sides": sides}
-
-
-def bridge(base, repeats):
-    runs = _alternating(base, repeats, lambda checkout, i: _side("bridge-repeat", checkout))
-    digests = {side: {k: sorted({r[k] for r in rs}) for k in rs[0] if k.endswith("sha256")}
-               for side, rs in runs.items()}
-    times = {side: {k: _summary([r[k] for r in rs]) for k in rs[0] if not k.endswith("sha256")}
-             for side, rs in runs.items()}
-    return {
-        "unit": "s", "repeats": repeats, "workers_pooled": _machine()["nproc"],
-        "shapes": {k: dict(zip(("dim", "n_paths", "n_steps"), v)) for k, v in BRIDGE_SHAPES.items()},
-        "sha256": digests, "results": times, "sup_distance": {shape: _compare_u(base, shape) for shape in U_SHAPES},
-    }
+    ub, uc = np.array(base[0]["u"]), np.array(change[0]["u"])
+    ks, du = stats.ks_2samp(ub, uc), np.abs(uc - ub)
+    return {"ks_statistic": float(ks.statistic), "ks_pvalue": float(ks.pvalue), "abs_du_max": float(du.max()),
+            "abs_du_median": float(np.median(du))}
 
 
 AGREE_CASES = 200  # random (C, r0) at which both sides' optimizers must agree
 
 
-def optimizer_repeat(src, cfg_dir, agree):
-    """One repeat of the ``optimizer`` measurements, with pathineq from ``src``
-    on the configs in ``cfg_dir``; with ``agree``, also the digests."""
+def optimizer_setup(seed, tmp):
+    _workloads()["certify"](seed, tmp)
+    return [("certify", [tmp / "cfg", seed])]
+
+
+def optimizer_run(cfg_dir, seed):
     import numpy as np
 
-    sys.path.insert(0, str(src))
     from pathineq.config import load_config
     from pathineq.transfer import TransferError, optimize_dyadic_params, poincare_objective
 
     def fields(C, r0):
-        """The result's fields (their reprs) and its objective at C, or the error and None."""
+        """The result's fields (their reprs, so the scalar types count) and its objective, or the error."""
         try:
             p = optimize_dyadic_params(C, r0)
         except TransferError as exc:
@@ -312,127 +252,24 @@ def optimizer_repeat(src, cfg_dir, agree):
         for call in calls:
             optimize_dyadic_params(*call)
         out[key] = time.perf_counter() - t
-    out["optimizer_calls"] = len(calls)
-    if agree:
-        rng = np.random.default_rng(20090)
-        cases = zip(np.exp(rng.uniform(math.log(0.25), math.log(8.0), AGREE_CASES)),
-                    np.exp(rng.uniform(math.log(1e-6), math.log(5.0), AGREE_CASES)))
-        out["cases"] = [fields(float(C), float(r0)) for C, r0 in cases]
-        results = [f for f, _ in out["cases"]]
-        out["params_sha256"] = hashlib.sha256(json.dumps(results).encode()).hexdigest()
-        out["infeasible"] = sum(isinstance(r, str) for r in results)
-        out["configs_sha256"] = hashlib.sha256(json.dumps(loaded).encode()).hexdigest()
+    rng = np.random.default_rng(int(seed))
+    cases = zip(np.exp(rng.uniform(math.log(0.25), math.log(8.0), AGREE_CASES)),
+                np.exp(rng.uniform(math.log(1e-6), math.log(5.0), AGREE_CASES)))
+    out["cases"] = [fields(float(C), float(r0)) for C, r0 in cases]
+    results = [f for f, _ in out["cases"]]
+    out["optimizer_calls"], out["infeasible"] = len(calls), sum(isinstance(r, str) for r in results)
+    out["params_sha256"] = hashlib.sha256(json.dumps(results).encode()).hexdigest()
+    out["configs_sha256"] = hashlib.sha256(json.dumps(loaded).encode()).hexdigest()
     return out
 
 
-def optimizer(base, seed, repeats):
-    sys.path.insert(0, str(ROOT / "src"))
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    from workloads import WORKLOADS
-
-    with tempfile.TemporaryDirectory() as tmp:
-        WORKLOADS["certify"](seed, tmp)
-        runs = _alternating(base, repeats, lambda checkout, i: _side(
-            "optimizer-repeat", checkout, "--cfg", str(Path(tmp) / "cfg"), *["--agree"] * (i == 0)))
-    digests = {side: {k: rs[0][k] for k in ("params_sha256", "configs_sha256", "infeasible")}
-               for side, rs in runs.items()}
-    # the cases whose fields differ, and by how much the change's objective lies below or above the base's
-    moved = [(b, c) for b, c in zip(runs["base"][0].pop("cases"), runs["change"][0].pop("cases")) if b[0] != c[0]]
+def optimizer_compare(base, change):
+    """The random cases whose fields differ, and by how much the change's objective lies at most below and
+    at most above the base's in them, relative to the base's."""
+    moved = [(b, c) for b, c in zip(base[0]["cases"], change[0]["cases"]) if b[0] != c[0]]
     rel = [(c[1] - b[1]) / b[1] for b, c in moved if b[1] is not None and c[1] is not None]
-    timed = ("optimizer_cold_s", "optimizer_warm_s", "load_config_s")
-    return {
-        "unit": "s", "seed": seed, "repeats": repeats, "agree_cases": AGREE_CASES,
-        "optimizer_calls": runs["change"][0]["optimizer_calls"], "configs": runs["change"][0]["configs"],
-        "params_agree": digests["base"]["params_sha256"] == digests["change"]["params_sha256"],
-        "configs_agree": digests["base"]["configs_sha256"] == digests["change"]["configs_sha256"],
-        "params_differ_cases": len(moved),
-        "objective_rel_below_base_max": max((-x for x in rel), default=0.0),
-        "objective_rel_above_base_max": max(rel, default=0.0),
-        "sha256": digests,
-        "results": {side: {k: _summary([r[k] for r in rs]) for k in timed} for side, rs in runs.items()},
-    }
-
-
-def estimators_repeat(src, out_dir, cfg_paths, workers):
-    """One repeat of the ``estimators`` measurements, with pathineq from ``src``,
-    on the estimate configs ``cfg_paths`` over the ensembles in ``out_dir``;
-    ``workers`` is ``serial`` or ``pooled``."""
-    import resource
-    import tracemalloc
-
-    import yaml
-
-    sys.path.insert(0, str(src))
-    from pathineq import estimators as est
-    from pathineq import samplers
-
-    if workers == "serial":
-        samplers._WORKERS = 1
-    run = getattr(est, "family_estimates", None) or (
-        lambda family, ens, names: [(F.label, est.function_estimates(F, ens, names)) for F in family])
-    builders = {"coordinate": est.coordinate_function, "hermite": est.hermite_function,
-                "exp_half": est.exp_half_function}
-    scenarios = []
-    for path in cfg_paths:
-        spec = yaml.safe_load(Path(path).read_text())
-        ens = samplers.load_ensemble(Path(out_dir) / spec["ensemble"])
-        family = []
-        for f in spec["functions"]:
-            args = {"hermite": (f.get("degree"),), "exp_half": (f.get("lam"),)}.get(f["type"], ())
-            at = float(f.get("time", ens.grid.T))
-            family.append(builders[f["type"]](*args, at, coord=f.get("coord", 0), label=f.get("label")))
-        names = [n for e in spec["estimators"]
-                 for n in (est.RAYLEIGH_ESTIMATES if e == "rayleigh" else (e,) if e in est._ESTIMATES else ())]
-        scenarios.append((spec["name"], ens, family, list(dict.fromkeys(names))))
-    out = {"family_estimates": hasattr(est, "family_estimates"), "workers": samplers._WORKERS}
-    for name, ens, family, names in scenarios:
-        t = time.perf_counter()
-        rows = run(family, ens, names)
-        out[f"{name}.wall_s"] = time.perf_counter() - t
-        fields = [(label, {k: repr(e) for k, e in estimates.items()}) for label, estimates in rows]
-        out[f"{name}.sha256"] = hashlib.sha256(json.dumps(fields).encode()).hexdigest()
-    out["ru_maxrss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    for name, ens, family, names in scenarios:
-        tracemalloc.start()
-        run(family, ens, names)
-        out[f"{name}.tracemalloc_peak_mb"] = tracemalloc.get_traced_memory()[1] / 2**20
-        tracemalloc.stop()
-    return out
-
-
-def estimators(base, seed, repeats):
-    sys.path.insert(0, str(ROOT / "src"))
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    from workloads import WORKLOADS
-
-    from pathineq.cli import main as cli_main
-
-    modes = ("serial", "pooled")
-    with tempfile.TemporaryDirectory() as tmp:
-        plan = WORKLOADS["estimate"](seed, tmp)
-        for call in plan.setup:
-            if cli_main(call) != 0:
-                raise SystemExit(f"setup failed: {call}")
-        (_, call), = plan.timed
-        cfg_paths = [a for prev, a in zip(call, call[1:]) if prev == "--config"]
-        by_side = _alternating(base, repeats, lambda checkout, i: {mode: _side(
-            "estimators-repeat", checkout, "--ensembles", str(Path(tmp) / "out"), "--workers", mode, *cfg_paths)
-            for mode in modes})
-    runs = {(side, mode): [r[mode] for r in rs] for side, rs in by_side.items() for mode in modes}
-    first = runs["change", "pooled"][0]
-    digest_keys = [k for k in first if k.endswith("sha256")]
-    digests = {f"{side}.{mode}": {k: sorted({r[k] for r in rs}) for k in digest_keys}
-               for (side, mode), rs in runs.items()}
-    measured = [k for k in first if k.endswith(("wall_s", "_mb"))]
-    return {
-        "unit": {"wall_s": "s", "mb": "MiB"}, "seed": seed, "repeats": repeats,
-        "workers_pooled": first["workers"],
-        "family_estimates": {side: runs[side, "pooled"][0]["family_estimates"] for side in ("base", "change")},
-        "digests_agree": len({json.dumps(d, sort_keys=True) for d in digests.values()}) == 1,
-        "sha256": digests,
-        "results": {f"{side}.{mode}": {k: _summary([r[k] for r in rs]) for k in measured}
-                    for (side, mode), rs in runs.items()},
-    }
+    return {"params_differ_cases": len(moved), "objective_rel_below_base_max": max((-x for x in rel), default=0.0),
+            "objective_rel_above_base_max": max(rel, default=0.0)}
 
 
 FLAT_SAMPLERS = ("wiener", "flat_bridge", "ou")
@@ -444,92 +281,95 @@ def _rss_mb():
         return next(int(line.split()[1]) for line in fh if line.startswith("VmRSS:")) / 1024.0
 
 
-def flat_repeat(src, sampler):
-    """One repeat of the ``flat`` measurements of ``sampler``, a tag of
-    ``FLAT_SAMPLERS``, with pathineq from ``src``."""
-    import resource
-
-    sys.path.insert(0, str(src))
+def flat_run(sampler, seed):
     from pathineq import samplers
 
     dim, n_paths, n_steps = FLAT_SHAPE
     grid = samplers.TimeGrid.with_geometric_tail(1.0, n_steps, 0.5, 1e-6)
-    cfg = samplers.SamplerConfig(seed=20090, n_paths=n_paths, grid=grid, dim=dim)
-    before = _rss_mb()
-    t = time.perf_counter()
+    cfg = samplers.SamplerConfig(seed=int(seed), n_paths=n_paths, grid=grid, dim=dim)
+    before, t = _rss_mb(), time.perf_counter()
     points = getattr(samplers, f"sample_{sampler}")(cfg).points
-    wall = time.perf_counter() - t
-    return {"wall_s": wall, "rss_before_mb": before,
-            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-            "points_mb": points.nbytes / 2**20, "sha256": hashlib.sha256(points.data).hexdigest()}
+    wall, peak, mb = time.perf_counter() - t, _peak_rss_mb(), points.nbytes / 2**20
+    return {"wall_s": wall, "rss_before_mb": before, "peak_rss_mb": peak, "points_mb": mb,
+            "growth_over_points": (peak - before) / mb, "sha256": _array_sha256(points)}
 
 
-def flat(base, repeats):
-    out = {}
-    for sampler in FLAT_SAMPLERS:
-        runs = _alternating(base, repeats, lambda checkout, i: _side("flat-repeat", checkout, "--sampler", sampler))
-        for rs in runs.values():
-            for r in rs:
-                r["growth_over_points"] = (r["peak_rss_mb"] - r["rss_before_mb"]) / r["points_mb"]
-        digests = {side: sorted({r["sha256"] for r in rs}) for side, rs in runs.items()}
-        out[sampler] = {
-            "digests_agree": len({d for ds in digests.values() for d in ds}) == 1, "sha256": digests,
-            "results": {side: {k: _summary([r[k] for r in rs]) for k in rs[0] if k != "sha256"}
-                        for side, rs in runs.items()},
-        }
-    shape = dict(zip(("dim", "n_paths", "n_steps"), FLAT_SHAPE))
-    return {"unit": {"wall_s": "s", "mb": "MiB"}, "repeats": repeats, "seed": 20090, "shape": shape, "samplers": out}
-
-
-SAMPLE_WORKLOADS = ("loop_h3", "loop_h2")
-
-
-def sample_repeat(src, cfg_paths, out_dir):
-    """One repeat of the ``sample`` measurements: ``pathineq sample`` of ``cfg_paths`` into ``out_dir``, with
-    pathineq from ``src``."""
-    import resource
-
-    import numpy as np
-
-    sys.path.insert(0, str(src))
+def estimators_setup(seed, tmp):
     from pathineq.cli import main as cli_main
-    from pathineq.samplers import load_ensemble
 
-    argv = ["sample", *(a for p in cfg_paths for a in ("--config", str(p))), "--threads", "1", "--out", str(out_dir)]
+    plan = _workloads()["estimate"](seed, tmp)
+    if any(cli_main(call) != 0 for call in plan.setup):
+        raise SystemExit(f"the set-up of estimate failed: {plan.setup}")
+    (_, call), = plan.timed
+    return [(mode, [tmp / "out", mode, "estimate", *_config_paths(call)]) for mode in ("serial", "pooled")]
+
+
+def sample_setup(seed, tmp):
+    workloads = _workloads()
+    return [(w, [tmp / w / "out", "pooled", "sample", *_config_paths(workloads[w](seed, tmp / w).timed[0][1])])
+            for w in ("loop_h3", "loop_h2")]
+
+
+def cli_run(out_dir, workers, command, *cfg_paths):
+    """``pathineq command`` on ``cfg_paths`` into ``out_dir``, the samplers' and estimators' pool taking one
+    thread (``serial``) or its own count (``pooled``), and the digests of its outputs: of each array an
+    ensemble file loads to, and of each other file but the run report."""
+    from pathineq import samplers
+    from pathineq.cli import main as cli_main
+
+    if workers == "serial":
+        samplers._WORKERS = 1
+    argv = [command, *(a for p in cfg_paths for a in ("--config", str(p))), "--out", str(out_dir)]
     t = time.perf_counter()
     if cli_main(argv) != 0:
         raise SystemExit(f"pathineq {' '.join(argv)} failed")
-    out = {"wall_s": time.perf_counter() - t,
-           "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}
-    for p in sorted(Path(out_dir).glob("*.pens")):
-        ens = load_ensemble(p)
-        for k, a in (("points", ens.points), ("sup_distance", ens.diagnostics["sup_distance"])):
-            out[f"{p.stem}.{k}.sha256"] = hashlib.sha256(np.ascontiguousarray(a).data).hexdigest()
+    out = {"wall_s": time.perf_counter() - t, "peak_rss_mb": _peak_rss_mb()}
+    for p in sorted(Path(out_dir).iterdir()):
+        if p.suffix == ".pens":
+            out |= {f"{p.stem}.{k}.sha256": _array_sha256(a) for k, a in _arrays(samplers.load_ensemble(p)).items()}
+        elif not p.name.endswith("_report.json"):
+            out[f"{p.name}.sha256"] = _sha256(p)
     return out
 
 
-def sample(base, seed, repeats):
-    sys.path.insert(0, str(ROOT / "src"))
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    from workloads import WORKLOADS
+class Case(NamedTuple):
+    doc: str
+    setup: Callable  # (seed, tmp) -> [(variant, args of run)], run here
+    run: Callable  # (*args) -> flat dict, run in a fresh process per side and repeat
+    compare: Callable | None = None  # (base runs, change runs) -> fields drawn from both sides' runs
 
-    out = {}
+
+CASES = {
+    "exact_sum": Case("estimators.exact_sum against math.fsum on 1M normals and on 1M values of x^2 log x^2",
+                      lambda seed, tmp: [("1M", [seed])], exact_sum_run),
+    "bridge": Case("the H^n bridge's drift build, serial and pooled runs, and u's KS, at BRIDGE_SHAPES",
+                   lambda seed, tmp: [(shape, [shape, seed]) for shape in BRIDGE_SHAPES], bridge_run, bridge_compare),
+    "optimizer": Case("load_config and the dyadic optimizer, cold and warm, on certify's 48 configs",
+                      optimizer_setup, optimizer_run, optimizer_compare),
+    "estimators": Case("pathineq estimate on estimate's configs, serial and pooled", estimators_setup, cli_run),
+    "flat": Case("each flat sampler at FLAT_SHAPE: wall time, and RSS growth over the points' bytes",
+                 lambda seed, tmp: [(s, [s, seed]) for s in FLAT_SAMPLERS], flat_run),
+    "sample": Case("pathineq sample of loop_h3's and loop_h2's bridges", sample_setup, cli_run),
+}
+
+
+def _variant(runs, compare):
+    """The record of one variant's runs per side: digests, measurement summaries and ``compare``'s fields."""
+    digests = {side: {k: sorted({r[k] for r in rs}) for k in rs[0] if k.endswith("sha256")}
+               for side, rs in runs.items()}
+    measured = [k for k, v in runs["change"][0].items() if not k.endswith("sha256") and isinstance(v, (int, float))]
+    agree = digests["base"] == digests["change"] and all(len(v) == 1 for v in digests["base"].values())
+    return {"digests_agree": agree, "sha256": digests,
+            "results": {side: {k: _summary([r[k] for r in rs]) for k in measured} for side, rs in runs.items()},
+            **(compare(runs["base"], runs["change"]) if compare else {})}
+
+
+def repeat(base, case, seed, repeats):
+    c = CASES[case]
     with tempfile.TemporaryDirectory() as tmp:
-        for workload in SAMPLE_WORKLOADS:
-            (_, call), *_ = WORKLOADS[workload](seed, Path(tmp) / workload).timed
-            cfg_paths = [a for prev, a in zip(call, call[1:]) if prev == "--config"]
-            runs = _alternating(base, repeats, lambda checkout, i: _side(
-                "sample-repeat", checkout, "--out", str(Path(tmp) / workload / "out"), *cfg_paths))
-            digests = {side: {k: sorted({r[k] for r in rs}) for k in rs[0] if k.endswith("sha256")}
-                       for side, rs in runs.items()}
-            out[workload] = {
-                "digests_agree": digests["base"] == digests["change"]
-                and all(len(v) == 1 for v in digests["base"].values()),
-                "sha256": digests,
-                "results": {side: {k: _summary([r[k] for r in rs]) for k in ("wall_s", "peak_rss_mb")}
-                            for side, rs in runs.items()},
-            }
-    return {"unit": {"wall_s": "s", "peak_rss_mb": "MiB"}, "seed": seed, "repeats": repeats, "workloads": out}
+        variants = {name: _variant(_alternating(base, repeats, lambda checkout, i: _side(checkout, case, *args)),
+                                   c.compare) for name, args in c.setup(seed, Path(tmp))}
+    return {"case": case, "doc": c.doc, "seed": seed, "repeats": repeats, "variants": variants}
 
 
 def _run(checkout, workload, seed, seconds):
@@ -576,13 +416,18 @@ def _sha256(path):
 
 
 def _pens_sha256(path):
-    """SHA-256 of a ``.pens`` file's header fields and of the bytes after its header: header padding moves
-    neither."""
-    with open(path, "rb") as fh:
-        fh.readline()  # the magic line
-        header = json.loads(fh.read(int.from_bytes(fh.read(8), "little")))
-        digest = hashlib.sha256(json.dumps(header, sort_keys=True).encode())
-        return hashlib.file_digest(fh, lambda: digest).hexdigest()
+    """SHA-256 of a ``.pens`` file as ``load_ensemble`` reads it: its config hash, measure tag and diagnostic
+    scalars, and each named array's shape and bytes in C order.  Neither header padding nor the order or
+    layout in which the arrays are stored moves it."""
+    from pathineq.samplers import load_ensemble
+
+    ens = load_ensemble(path)
+    arrays = _arrays(ens)
+    scalars = {k: v for k, v in ens.diagnostics.items() if k not in arrays}
+    digest = hashlib.sha256(json.dumps([ens.config.config_hash, ens.measure_tag, scalars], sort_keys=True).encode())
+    for k in sorted(arrays):
+        digest.update(f"{k}{list(arrays[k].shape)}{_array_sha256(arrays[k])}".encode())
+    return digest.hexdigest()
 
 
 def _outputs_once(checkout, workload, seed, work):
@@ -602,21 +447,18 @@ def _outputs_once(checkout, workload, seed, work):
 
 
 def outputs(base, seed):
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    from workloads import WORKLOADS
-
+    workloads = _workloads()
     digests = {"base": {}, "change": {}}
     # one scratch path for both sides, so paths written into outputs agree
     with tempfile.TemporaryDirectory() as tmp:
-        for workload in WORKLOADS:
+        for workload in workloads:
             for side, checkout in (("base", base), ("change", ROOT)):
                 digests[side][workload] = _outputs_once(checkout, workload, seed, Path(tmp) / "work")
     differ, pens = [], {}
     for workload, change in digests["change"].items():
         base_run = digests["base"][workload]
-        base_files, files = base_run["files"], change["files"]
-        for f in sorted(base_files.keys() | files.keys()):
-            if base_files.get(f) != files.get(f):
+        for f in sorted(base_run["files"].keys() | change["files"].keys()):
+            if base_run["files"].get(f) != change["files"].get(f):
                 differ.append(f"{workload}/{f}")
                 if f in base_run["pens_arrays"].keys() & change["pens_arrays"].keys():
                     equal = base_run["pens_arrays"][f] == change["pens_arrays"][f]
@@ -637,103 +479,41 @@ def _command(argv):
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = p.add_subparsers(dest="command", required=True)
-    layer = sub.add_parser("exact-sum", help="exact_sum against math.fsum on 1M values")
-    layer.add_argument("--repeats", type=int, default=15)
-    br = sub.add_parser("bridge", help="the bridge sampler and its drift build, base checkout and this one")
-    br.add_argument("--base", required=True, help="checkout of the commit to compare against")
-    br.add_argument("--repeats", type=int, default=5)
-    once = sub.add_parser("bridge-repeat", help="one repeat of the bridge measurements, printed as JSON")
-    once.add_argument("--src", required=True, help="directory holding the pathineq package to time")
-    side_u = sub.add_parser("bridge-u", help="one side of the bridge's sup-distance comparison, printed as JSON")
-    side_u.add_argument("--src", required=True, help="directory holding the pathineq package to sample with")
-    side_u.add_argument("--out", required=True, help=".npy file to save the sup distances in")
-    side_u.add_argument("--shape", required=True, choices=sorted(U_SHAPES), help="the bridge shape to sample")
-    opt = sub.add_parser("optimizer", help="the dyadic optimizer and load_config on certify's configs, base and this")
-    opt.add_argument("--base", required=True, help="checkout of the commit to compare against")
-    opt.add_argument("--seed", type=int, default=20090)
-    opt.add_argument("--repeats", type=int, default=10)
-    opt_once = sub.add_parser("optimizer-repeat", help="one repeat of the optimizer measurements, printed as JSON")
-    opt_once.add_argument("--src", required=True, help="directory holding the pathineq package to time")
-    opt_once.add_argument("--cfg", required=True, help="directory holding certify's configs")
-    opt_once.add_argument("--agree", action="store_true", help="also digest the optimizer at random (C, r0)")
-    fam = sub.add_parser("estimators", help="estimate's family estimates, serial and pooled, base and this")
-    fam.add_argument("--base", required=True, help="checkout of the commit to compare against")
-    fam.add_argument("--seed", type=int, default=20090)
-    fam.add_argument("--repeats", type=int, default=5)
-    fam_once = sub.add_parser("estimators-repeat", help="one repeat of the estimators measurements, printed as JSON")
-    fam_once.add_argument("--src", required=True, help="directory holding the pathineq package to time")
-    fam_once.add_argument("--ensembles", required=True, help="directory holding estimate's ensembles")
-    fam_once.add_argument("--workers", required=True, choices=("serial", "pooled"))
-    fam_once.add_argument("configs", nargs="+", help="estimate's scenario configs")
-    fl = sub.add_parser("flat", help="time and memory of the flat samplers, base checkout and this one")
-    fl.add_argument("--base", required=True, help="checkout of the commit to compare against")
-    fl.add_argument("--repeats", type=int, default=5)
-    fl_once = sub.add_parser("flat-repeat", help="one repeat of the flat measurements, printed as JSON")
-    fl_once.add_argument("--src", required=True, help="directory holding the pathineq package to time")
-    fl_once.add_argument("--sampler", required=True, choices=FLAT_SAMPLERS)
-    sa = sub.add_parser("sample", help="pathineq sample of loop_h3's and loop_h2's bridges, base and this one")
-    sa.add_argument("--base", required=True, help="checkout of the commit to compare against")
-    sa.add_argument("--seed", type=int, default=20090)
-    sa.add_argument("--repeats", type=int, default=10)
-    sa_once = sub.add_parser("sample-repeat", help="one repeat of the sample measurements, printed as JSON")
-    sa_once.add_argument("--src", required=True, help="directory holding the pathineq package to time")
-    sa_once.add_argument("--out", required=True, help="directory to write the ensembles in")
-    sa_once.add_argument("configs", nargs="+", help="the bridges' sample configs")
+    rep = sub.add_parser("repeat", help="one case of CASES, each run in a fresh process per side")
+    rep.add_argument("--case", required=True, choices=CASES)
+    rep.add_argument("--repeats", type=int, default=5)
+    side = sub.add_parser("repeat-side", help="one run of a case's variant, printed as JSON")
+    side.add_argument("--src", required=True, help="directory holding the pathineq package to run")
+    side.add_argument("--case", required=True, choices=CASES)
+    side.add_argument("args", nargs="*", help="the arguments of the case's run")
     pair = sub.add_parser("pairs", help="alternating perfbench runs, base checkout and this one")
-    pair.add_argument("--base", required=True, help="checkout of the commit to compare against")
     pair.add_argument("--workload", required=True)
-    pair.add_argument("--seed", type=int, default=20090)
     pair.add_argument("--pairs", type=int, default=10)
     outs = sub.add_parser("outputs", help="output digests of every workload, base checkout and this one")
-    outs.add_argument("--base", required=True, help="checkout of the commit to compare against")
-    outs.add_argument("--seed", type=int, default=20090)
-    for sp in (layer, br, opt, fam, fl, sa, pair, outs):
+    for sp in (rep, pair, outs):
+        sp.add_argument("--base", required=True, help="checkout of the commit to compare against")
+        sp.add_argument("--seed", type=int, default=20090)
         sp.add_argument("--into", required=True, metavar="JSON", help="file to store the record in")
     argv = sys.argv[1:] if argv is None else argv
     args = p.parse_args(argv)
 
-    if args.command == "bridge-repeat":
-        print(json.dumps(bridge_repeat(Path(args.src).resolve())))
+    if args.command == "repeat-side":
+        sys.path.insert(0, str(Path(args.src).resolve()))
+        print(json.dumps(CASES[args.case].run(*args.args)))
         return
-    if args.command == "bridge-u":
-        print(json.dumps(bridge_u(Path(args.src).resolve(), args.out, args.shape)))
-        return
-    if args.command == "optimizer-repeat":
-        print(json.dumps(optimizer_repeat(Path(args.src).resolve(), args.cfg, args.agree)))
-        return
-    if args.command == "flat-repeat":
-        print(json.dumps(flat_repeat(Path(args.src).resolve(), args.sampler)))
-        return
-    if args.command == "sample-repeat":
-        print(json.dumps(sample_repeat(Path(args.src).resolve(), args.configs, args.out)))
-        return
-    if args.command == "estimators-repeat":
-        print(json.dumps(estimators_repeat(Path(args.src).resolve(), args.ensembles, args.configs, args.workers)))
-        return
-    base = Path(args.base).resolve() if "base" in args else None
-    before = _commits(base) if base else None  # a record is labelled by the code its runs ran
-    if args.command == "exact-sum":
-        key, record = "exact_sum_vs_fsum", exact_sum_layer(args.repeats)
-    elif args.command == "bridge":
-        key, record = "bridge_sampler", bridge(base, args.repeats)
-    elif args.command == "optimizer":
-        key, record = f"optimizer_seed{args.seed}", optimizer(base, args.seed, args.repeats)
-    elif args.command == "estimators":
-        key, record = f"estimators_seed{args.seed}", estimators(base, args.seed, args.repeats)
-    elif args.command == "flat":
-        key, record = "flat_samplers", flat(base, args.repeats)
-    elif args.command == "sample":
-        key, record = f"sample_seed{args.seed}", sample(base, args.seed, args.repeats)
+    base = Path(args.base).resolve()
+    before, load = _commits(base), os.getloadavg()  # a record is labelled by the code its runs ran
+    if args.command == "repeat":
+        key, record = f"{args.case}_seed{args.seed}", repeat(base, args.case, args.seed, args.repeats)
     elif args.command == "outputs":
         key, record = f"outputs_seed{args.seed}", outputs(base, args.seed)
     else:
         key = f"{args.workload}_pairs_seed{args.seed}"
         bench = json.loads((ROOT / "BENCHMARK.json").read_text())
         record = pairs(base, args.workload, args.seed, args.pairs, bench["run_seconds"], bench["end_to_end"])
-    if base:  # a checkout that changed while the runs ran is recorded as it was after the last one too
-        after = _commits(base)
-        record = {"commits": before, **({"commits_after": after} if after != before else {}), **record}
-    record = {"command": _command(argv), "machine": _machine(), **record}
+    after = _commits(base)  # a checkout that changed while the runs ran is recorded as it was after the last one
+    record = {"command": _command(argv), "machine": _machine(), "loadavg": {"before": load, "after": os.getloadavg()},
+              "commits": before, **({"commits_after": after} if after != before else {}), **record}
     path = Path(args.into)
     data = json.loads(path.read_text()) if path.exists() else {}
     data[key] = record
