@@ -82,10 +82,10 @@ class SamplerError(ValueError):
 # ---------------------------------------------------------------------------
 # Time grids
 
-# a grid holds its nodes as a Python tuple, copied into every config dict and ``.pens`` header, so its
-# size is checked before a node is built: 10^5 nodes take about 30 ms and 7 MB, and lie far above the
-# 522-step grids of the refinement studies
+# checked before a node is built, as a grid's nodes are a tuple copied into each config and .pens header:
+# 10^5 nodes take about 40 ms and 7 MB, far above the 522-step grids of the refinement studies
 MAX_GRID_NODES = 100_000
+
 
 @dataclass(frozen=True)
 class TimeGrid:
