@@ -2,10 +2,10 @@
 
 Run from the repository root, with the commit to compare against checked out in ``../parent``:
 
-    python3 tools/bench_pairs.py repeat --base ../parent --case flat --repeats 5 --into BENCH_flat.json
+    python3 tools/bench_pairs.py repeat --base ../parent --case flat --repeats 3 --into BENCH_repeat.json
     python3 tools/bench_pairs.py pairs --base ../parent --workload loop_h3 --seed 20090 --pairs 10 \\
-        --into BENCH_mapped.json
-    python3 tools/bench_pairs.py outputs --base ../parent --seed 20090 --into BENCH_mapped.json
+        --into BENCH_repeat.json
+    python3 tools/bench_pairs.py outputs --base ../parent --seed 20090 --into BENCH_repeat.json
 
 ``repeat`` runs one entry of ``CASES``.  Its ``setup(seed, tmp)`` runs here and returns the case's
 variants, each a name and the arguments of its ``run``.  For each variant and repeat, ``run`` runs in a
@@ -196,7 +196,7 @@ def bridge_run(shape, seed):
         out[key] = time.perf_counter() - t
     cfg = samplers.SamplerConfig(seed=int(seed), n_paths=n_paths, grid=grid, dim=dim)
     for mode, workers in (("serial", 1), ("pooled", pooled)):
-        samplers._WORKERS, ens = workers, None
+        samplers._WORKERS, ens = workers, None  # the last run's points freed before the next is drawn
         t, c = time.perf_counter(), time.process_time()
         ens = samplers.sample_hyperbolic_bridge(cfg)
         out[f"{mode}.wall_s"], out[f"{mode}.cpu_s"] = time.perf_counter() - t, time.process_time() - c
