@@ -115,6 +115,19 @@ def test_each_case_runs_in_process_at_a_tiny_shape(bench_pairs, tmp_path, monkey
         assert EXPECT.get(case, {}).items() <= record.items()
 
 
+@pytest.mark.parametrize("sampler", ["wiener", "flat_bridge", "ou"])
+def test_flat_repeat_runs_each_flat_sampler(bench_pairs, monkeypatch, sampler):
+    assert bench_pairs.FLAT_SAMPLERS == ("wiener", "flat_bridge", "ou")
+    assert bench_pairs.CASES["flat"].setup(5, None) == [(s, [s, 5]) for s in bench_pairs.FLAT_SAMPLERS]
+    monkeypatch.setattr(bench_pairs, "FLAT_SHAPE", (2, 50, 4))
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    out = bench_pairs.CASES["flat"].run(sampler, "5")  # as repeat-side passes it
+    assert out.keys() == {"wall_s", "rss_before_mb", "peak_rss_mb", "points_mb", "growth_over_points", "sha256"}
+    assert out["points_mb"] * 2**20 == 50 * 22 * 2 * 8  # 22 nodes: 4 uniform steps and 17 in the geometric tail
+    # the kernel syncs its RSS counters lazily, so at this size the peak may read a little under the RSS
+    assert out["rss_before_mb"] > 0.0 and out["peak_rss_mb"] > 0.0
+
+
 def test_repeat_runs_each_side_in_a_child_and_stores_its_record(bench_pairs, tmp_path):
     into = tmp_path / "BENCH_x.json"
     bench_pairs.main(["repeat", "--base", str(ROOT), "--case", "exact_sum", "--repeats", "2", "--into", str(into)])
