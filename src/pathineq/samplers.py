@@ -41,16 +41,20 @@ available CPU, for the call (the CLI's ``--threads`` only runs scenarios
 side by side).  Each thread steps one contiguous range of blocks through the
 whole grid, one ``_bridge_step`` call per step, with no barrier between
 steps.  The step works path by path, so the bits depend on neither the
-number of threads nor their scheduling.  The path state is kept
-coordinate-major (Fortran order), so a range's coordinates are contiguous
-columns.
+number of threads nor their scheduling.  Each range is stepped in place in
+``points``, whose node k holds a range's coordinates as contiguous columns.
 
-Every sampler calls its ``alloc=np.empty`` once, after its input checks, for
-its points; ``save_ensemble``'s maps the points region of the file it
-reserves, so points are written once.  A ``.pens`` file holds the magic line,
-the header length, the header JSON space-padded to the page where the points
-start (it is written last), the points, then the diagnostic arrays, all
-little-endian float64, path-major; files with other padding still load.
+``points`` is stored coordinate-major: one C-order (coords, nodes, paths)
+array, read through its (paths, nodes, coords) view ``.transpose(2, 1, 0)``,
+so ``points[p, k, j]`` is coordinate j of path p at node k and only this
+module knows the layout.  Every sampler calls its ``alloc=_empty`` once,
+after its input checks, for that view; ``save_ensemble``'s maps the points
+region of the file it reserves, so points are written once.  A ``.pens`` file
+holds the magic line, the header length, the header JSON space-padded to the
+page where the points start (it is written last), the points, then the
+diagnostic arrays, all little-endian float64; the header's ``shape`` is the
+view's.  Files with other padding still load; ``PINEQENS1`` files, which
+stored the points path-major, do not, and are rebuilt from their config.
 """
 
 from __future__ import annotations
@@ -70,7 +74,7 @@ import numpy as np
 from . import hyperbolic as hyp
 from .hyperbolic import HeatKernelParams
 
-MAGIC = b"PINEQENS1\n"
+MAGIC = b"PINEQENS2\n"
 
 
 class SamplerError(ValueError):
@@ -259,6 +263,12 @@ class SamplerConfig:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
+def _empty(shape):
+    """An uninitialised array of the (paths, nodes, coords) ``shape``, stored coordinate-major: the
+    ``.transpose(2, 1, 0)`` view of a C-order array of the reversed shape."""
+    return np.empty(shape[::-1]).transpose(2, 1, 0)
+
+
 @dataclass
 class PathEnsemble:
     """A batch of discrete paths: points[path, node, coord]."""
@@ -306,29 +316,28 @@ def _check_points(cfg, tag, takes, size, fault=lambda key, p: not np.isfinite(p)
 def _gauss_markov(cfg, x0, a, s, alloc):
     """Points x_{k+1} = a(h_k) x_k + s(h_k) xi_k, in the array ``alloc(shape)``, from x_0 = x0, of shape (dim,)
     or (paths, dim), h_k the steps, xi the (paths, steps, dim) normals of ``step_normals(cfg.seed, 0, ...)`` read
-    _BLOCK paths at a time."""
+    _BLOCK paths at a time.  Each block is stepped in place on the step-major view of the points, whose
+    step k a coordinate-major ``alloc`` holds as contiguous columns."""
     h, m = np.diff(cfg.grid.array()), cfg.n_paths
     a_h, s_h, x0 = a(h), s(h)[:, None, None], np.broadcast_to(x0, (m, cfg.dim))
     points = alloc((m, h.size + 1, cfg.dim))
     noise, xi = _stream(cfg.seed, 0), np.empty((min(m, _BLOCK), h.size, cfg.dim))
-    y = np.empty((h.size + 1, len(xi), cfg.dim))  # a block step-major, so that each step is one contiguous pass
     for i in range(0, m, _BLOCK):
         z = noise.standard_normal(out=xi[: m - i])
-        x = y[:, : len(z)]
+        x = points[i : i + _BLOCK].transpose(1, 0, 2)
         x[0] = x0[i : i + _BLOCK]
         np.multiply(z.transpose(1, 0, 2), s_h, out=x[1:])
         for k, a_k in enumerate(a_h):
             x[k + 1] += x[k] * a_k
-        points[i : i + _BLOCK] = x.transpose(1, 0, 2)
     return points
 
 
-def sample_wiener(cfg: SamplerConfig, alloc=np.empty) -> PathEnsemble:
+def sample_wiener(cfg: SamplerConfig, alloc=_empty) -> PathEnsemble:
     _check_points(cfg, "wiener", ("x0",), cfg.dim)
     return PathEnsemble(cfg, "wiener", _gauss_markov(cfg, cfg.x0 or 0.0, np.ones_like, np.sqrt, alloc))
 
 
-def sample_flat_bridge(cfg: SamplerConfig, alloc=np.empty) -> PathEnsemble:
+def sample_flat_bridge(cfg: SamplerConfig, alloc=_empty) -> PathEnsemble:
     """Brownian bridge pinned at 0: B_t - (t/T) B_T, endpoint exactly zero."""
     _check_points(cfg, "flat_bridge", ("x0",), cfg.dim,
                   lambda key, p: p.any() and "flat bridge is pinned at the origin")
@@ -338,7 +347,7 @@ def sample_flat_bridge(cfg: SamplerConfig, alloc=np.empty) -> PathEnsemble:
     return PathEnsemble(cfg, "flat_bridge", points)
 
 
-def sample_ou(cfg: SamplerConfig, alloc=np.empty) -> PathEnsemble:
+def sample_ou(cfg: SamplerConfig, alloc=_empty) -> PathEnsemble:
     """Langevin dynamics du = dW - (1/2) u dt, started from its stationary law, the standard normal
     (stream 1), by the exact Gaussian transition u_{t+h} = e^{-h/2} u_t + sqrt(1 - e^{-h}) xi."""
     _check_points(cfg, "ou", (), cfg.dim)
@@ -356,7 +365,7 @@ _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else
 _DRIFT_STEPS = 8
 
 
-def sample_hyperbolic_bridge(cfg: SamplerConfig, alloc=np.empty) -> PathEnsemble:
+def sample_hyperbolic_bridge(cfg: SamplerConfig, alloc=_empty) -> PathEnsemble:
     """Geodesic Euler-Maruyama for the bridge SDE on H^n, n = cfg.dim.
 
     Per step: tangent increment sqrt(h) P(xi, 0) + h grad log p_{T-t}(y, y0),
@@ -387,24 +396,25 @@ def sample_hyperbolic_bridge(cfg: SamplerConfig, alloc=np.empty) -> PathEnsemble
     m = cfg.n_paths
     dlog_dr = _make_drift(params, T, nodes)
 
-    y = np.array(np.broadcast_to(x0, (m, n + 1)), order="F")  # coordinate-major: see the module docstring
     points = alloc((m, nodes.size, n + 1))
-    points[:, 0, :] = y
+    points[:, 0, :] = x0
     sup = np.zeros(m)  # running max over nodes of d(y_t, y0); every distance is >= +0
     n_steps = nodes.size - 1
 
     def run(first, last):
-        # blocks first..last-1 through every step, in place; returns the clip count
+        # blocks first..last-1 through every step, each stepped in place in its node's columns; returns the
+        # clip count
         rows = slice(first * _BLOCK, min(last * _BLOCK, m))
-        yr, ur, xi, clips = y[rows], sup[rows], np.empty((rows.stop - rows.start, n)), 0  # yr, ur: views
+        ur, xi, clips = sup[rows], np.empty((rows.stop - rows.start, n)), 0  # ur: a view
         for k in range(n_steps):
             for i in range(0, len(xi), _BLOCK):
                 step_normals(cfg.seed, k, None, block=first + i // _BLOCK, out=xi[i : i + _BLOCK])
+            yr = points[rows, k + 1, :]
+            yr[...] = points[rows, k, :]
             r, c, _ = _bridge_step(yr, y0, xi, nodes[k + 1] - nodes[k], T - nodes[k], cfg.drift_cap,
                                    partial(dlog_dr, k))
             clips += c
             np.maximum(ur, r, out=ur)
-            points[rows, k + 1, :] = yr
         return clips
 
     n_blocks = -(-m // _BLOCK)
@@ -540,7 +550,7 @@ SAMPLERS = ("wiener", "flat_bridge", "ou", "hyperbolic_bridge")  # the tags t of
 
 # ---------------------------------------------------------------------------
 # Serialization: columnar binary (header JSON + little-endian float64,
-# path-major) and CSV for small runs
+# points coordinate-major) and CSV for small runs
 
 CSV_MAX_PATHS = 10_000
 
@@ -566,7 +576,7 @@ def save_ensemble(path, ens):
         start = _points_offset(shape)
         with open(tmp, "wb+") as fh:  # reserved, not sparse: a full disk raises here, not SIGBUS mid-run
             os.posix_fallocate(fh.fileno(), 0, start + 8 * math.prod(shape))
-            mapped.append(np.memmap(fh, dtype="<f8", mode="r+", offset=start, shape=tuple(shape)))
+            mapped.append(np.memmap(fh, dtype="<f8", mode="r+", offset=start, shape=tuple(shape)[::-1]).T)
         return mapped[-1]
 
     try:
@@ -591,7 +601,7 @@ def save_ensemble(path, ens):
             if mapped:
                 fh.seek(start + 8 * ens.points.size)  # past the points the sampler wrote
             else:  # each array's buffer as it is: no bytes copy of a large ensemble
-                fh.write(np.ascontiguousarray(ens.points, dtype="<f8").data)
+                fh.write(np.ascontiguousarray(ens.points.T, dtype="<f8").data)
             for k, _ in header.get("diag_arrays", []):
                 fh.write(np.ascontiguousarray(ens.diagnostics[k], dtype="<f8").data)
         os.replace(tmp, path)
@@ -614,7 +624,16 @@ def load_ensemble(path) -> PathEnsemble:
             cfg = SamplerConfig.from_dict(header["config"])
             tag = header["measure_tag"]
             shape = tuple(header["shape"])
-            arrays = [("points", shape)] + [(k, tuple(shp)) for k, shp in header.get("diag_arrays", [])]
+            scalars, diag = header.get("diag_scalars", {}), header.get("diag_arrays", [])
+            if not isinstance(scalars, dict) or not all(type(v) in (int, float) for v in scalars.values()):
+                raise ValueError("diag_scalars must map names to numbers")
+            if not all(isinstance(e, list) and len(e) == 2 and isinstance(e[0], str) and isinstance(e[1], list)
+                       and all(type(d) is int and d >= 0 for d in e[1]) for e in diag):
+                raise ValueError("each diag_arrays entry must be [name, shape]")
+            names = [*scalars, *(k for k, _ in diag)]
+            if "points" in names or len(set(names)) < len(names):
+                raise ValueError("a diagnostic is named points, or two share a name")
+            arrays = [("points", shape[::-1])] + [(k, tuple(shp)) for k, shp in diag]
             nbytes = sum(8 * math.prod(shp) for _, shp in arrays)
         except (ValueError, KeyError, TypeError) as exc:
             raise SamplerError(f"{path}: malformed ensemble header: {exc}") from exc
@@ -636,8 +655,8 @@ def load_ensemble(path) -> PathEnsemble:
         count = math.prod(shp)
         data[k] = np.frombuffer(buf, dtype="<f8", count=count, offset=offset).reshape(shp)
         offset += 8 * count
-    points = data.pop("points")
-    return PathEnsemble(cfg, tag, points, dict(header.get("diag_scalars", {})) | data)
+    points = data.pop("points").T
+    return PathEnsemble(cfg, tag, points, dict(scalars) | data)
 
 
 def ensemble_to_csv(path, ens: PathEnsemble):

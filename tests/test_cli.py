@@ -1234,6 +1234,8 @@ def test_pens_file_loads_to_the_sampler_in_memory_bit_for_bit(tmp_path, tag, dim
     want = getattr(samplers, f"sample_{tag}")(samplers.SamplerConfig(seed=99, n_paths=4100, grid=grid, dim=dim))
     got = samplers.load_ensemble(path)
     assert got.points.tobytes() == want.points.tobytes()
+    # both hold the points coordinate-major: (paths, nodes, coords) views of C-order (coords, nodes, paths) arrays
+    assert want.points.transpose(2, 1, 0).flags.c_contiguous and got.points.transpose(2, 1, 0).flags.c_contiguous
     assert got.diagnostics.keys() == want.diagnostics.keys()
     for k, v in want.diagnostics.items():
         assert (got.diagnostics[k].tobytes() == v.tobytes()) if isinstance(v, np.ndarray) else got.diagnostics[k] == v

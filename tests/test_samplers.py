@@ -579,6 +579,26 @@ def test_load_rejects_garbage(tmp_path):
         config = {k: v for k, v in header["config"].items() if k != key}
         with pytest.raises(SamplerError, match=f"{key}.pens.*malformed ensemble header"):
             load_ensemble(with_header(f"{key}.pens", config=config))
+    # diagnostics: scalars map names to numbers, each array is [name, shape], and no name is points or
+    # taken twice; a diag_scalars list used to raise a TypeError, a second presnap_gap array used to load
+    # over the first, and an array named points to fail later, naming no file
+    for i, scalars in enumerate(([1, 2], {"cap_event_fraction": "0.5"}, {"cap_event_fraction": True})):
+        with pytest.raises(SamplerError, match=f"scalars{i}.pens.*malformed.*diag_scalars must map names"):
+            load_ensemble(with_header(f"scalars{i}.pens", diag_scalars=scalars))
+    for i, entry in enumerate((["sup_distance"], ["sup_distance", 5], [5, [5]], ["sup_distance", [5.0]],
+                               ["sup_distance", [-5]], "sup_distance")):
+        diag = header["diag_arrays"][:1] + [entry]
+        with pytest.raises(SamplerError, match=fr"entry{i}.pens.*malformed.*entry must be \[name, shape\]"):
+            load_ensemble(with_header(f"entry{i}.pens", diag_arrays=diag))
+    for name in ("presnap_gap", "points", "cap_event_fraction"):
+        diag = [[name if k == "sup_distance" else k, shp] for k, shp in header["diag_arrays"]]
+        with pytest.raises(SamplerError, match=f"{name}.pens.*malformed.*named points, or two share a name"):
+            load_ensemble(with_header(f"{name}.pens", diag_arrays=diag))
+    # the points used to be stored path-major under the magic PINEQENS1: such a file is refused, not misread
+    old = tmp_path / "old.pens"
+    old.write_bytes(b"PINEQENS1\n" + blob[10:])
+    with pytest.raises(SamplerError, match="old.pens: not a pathineq ensemble file"):
+        load_ensemble(old)
 
 
 @pytest.fixture
