@@ -41,20 +41,17 @@ available CPU, for the call (the CLI's ``--threads`` only runs scenarios
 side by side).  Each thread steps one contiguous range of blocks through the
 whole grid, one ``_bridge_step`` call per step, with no barrier between
 steps.  The step works path by path, so the bits depend on neither the
-number of threads nor their scheduling.  Each range is stepped in place in
-``points``, whose node k holds a range's coordinates as contiguous columns.
+number of threads nor their scheduling.  Threads step their rows in place.
 
-``points`` is stored coordinate-major: one C-order (coords, nodes, paths)
-array, read through its (paths, nodes, coords) view ``.transpose(2, 1, 0)``,
-so ``points[p, k, j]`` is coordinate j of path p at node k and only this
-module knows the layout.  Every sampler calls its ``alloc=_empty`` once,
-after its input checks, for that view; ``save_ensemble``'s maps the points
-region of the file it reserves, so points are written once.  A ``.pens`` file
-holds the magic line, the header length, the header JSON space-padded to the
-page where the points start (it is written last), the points, then the
-diagnostic arrays, all little-endian float64; the header's ``shape`` is the
-view's.  Files with other padding still load; ``PINEQENS1`` files, which
-stored the points path-major, do not, and are rebuilt from their config.
+``points`` is one C-order (coords, nodes, paths) array, coordinate-major, read
+as its (paths, nodes, coords) view ``.transpose(2, 1, 0)``; no other module
+knows the layout.  Every sampler calls its ``alloc=_empty`` once, after its
+input checks, for the view; ``save_ensemble``'s maps the points region of the
+file it reserves, so points are written once.  A ``.pens`` file holds the
+magic line, the header length, the header JSON (``shape`` is the view's)
+space-padded to the page where the points start (it is written last), the
+points, then the diagnostic arrays, all little-endian float64; files with
+other padding still load, but not path-major ``PINEQENS1`` files.
 """
 
 from __future__ import annotations
@@ -263,9 +260,7 @@ class SamplerConfig:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _empty(shape):
-    """An uninitialised array of the (paths, nodes, coords) ``shape``, stored coordinate-major: the
-    ``.transpose(2, 1, 0)`` view of a C-order array of the reversed shape."""
+def _empty(shape):  # an uninitialised (paths, nodes, coords) array, coordinate-major (see the module docstring)
     return np.empty(shape[::-1]).transpose(2, 1, 0)
 
 
@@ -314,10 +309,9 @@ def _check_points(cfg, tag, takes, size, fault=lambda key, p: not np.isfinite(p)
 
 
 def _gauss_markov(cfg, x0, a, s, alloc):
-    """Points x_{k+1} = a(h_k) x_k + s(h_k) xi_k, in the array ``alloc(shape)``, from x_0 = x0, of shape (dim,)
-    or (paths, dim), h_k the steps, xi the (paths, steps, dim) normals of ``step_normals(cfg.seed, 0, ...)`` read
-    _BLOCK paths at a time.  Each block is stepped in place on the step-major view of the points, whose
-    step k a coordinate-major ``alloc`` holds as contiguous columns."""
+    """Points x_{k+1} = a(h_k) x_k + s(h_k) xi_k, stepped in the step-major view of ``alloc(shape)``, from x_0 =
+    x0, of shape (dim,) or (paths, dim), h_k the steps, xi the (paths, steps, dim) normals of
+    ``step_normals(cfg.seed, 0, ...)`` read _BLOCK paths at a time."""
     h, m = np.diff(cfg.grid.array()), cfg.n_paths
     a_h, s_h, x0 = a(h), s(h)[:, None, None], np.broadcast_to(x0, (m, cfg.dim))
     points = alloc((m, h.size + 1, cfg.dim))
@@ -386,24 +380,21 @@ def sample_hyperbolic_bridge(cfg: SamplerConfig, alloc=_empty) -> PathEnsemble:
         return not on and f"{key} must be a point on the hyperboloid sheet of H^{n}"
 
     _check_points(cfg, "hyperbolic_bridge", ("x0", "y0"), n + 1, off_sheet)
-    params = HeatKernelParams(n=n)
     nodes = cfg.grid.array()
     T = nodes[-1]
     o = hyp.origin(n)
-    x0 = np.asarray(cfg.x0, dtype=float) if cfg.x0 is not None else o
     y0 = np.asarray(cfg.y0, dtype=float) if cfg.y0 is not None else o
 
     m = cfg.n_paths
-    dlog_dr = _make_drift(params, T, nodes)
+    dlog_dr = _make_drift(HeatKernelParams(n=n), T, nodes)
 
     points = alloc((m, nodes.size, n + 1))
-    points[:, 0, :] = x0
+    points[:, 0, :] = cfg.x0 or o
     sup = np.zeros(m)  # running max over nodes of d(y_t, y0); every distance is >= +0
     n_steps = nodes.size - 1
 
     def run(first, last):
-        # blocks first..last-1 through every step, each stepped in place in its node's columns; returns the
-        # clip count
+        # blocks first..last-1 through every step, in place in each node's columns; returns the clip count
         rows = slice(first * _BLOCK, min(last * _BLOCK, m))
         ur, xi, clips = sup[rows], np.empty((rows.stop - rows.start, n)), 0  # ur: a view
         for k in range(n_steps):
@@ -655,8 +646,7 @@ def load_ensemble(path) -> PathEnsemble:
         count = math.prod(shp)
         data[k] = np.frombuffer(buf, dtype="<f8", count=count, offset=offset).reshape(shp)
         offset += 8 * count
-    points = data.pop("points").T
-    return PathEnsemble(cfg, tag, points, dict(scalars) | data)
+    return PathEnsemble(cfg, tag, data.pop("points").T, dict(scalars) | data)
 
 
 def ensemble_to_csv(path, ens: PathEnsemble):

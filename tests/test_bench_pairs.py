@@ -164,6 +164,18 @@ def test_pens_digest_reads_arrays_and_header_fields_not_padding(bench_pairs, tmp
     assert bench_pairs._pens_sha256(changed) != bench_pairs._pens_sha256(p)
 
 
+def test_pens_side_digests_each_file_with_the_loader_of_its_checkout(bench_pairs, tmp_path):
+    # outputs reads each side's .pens files in a child with that side's pathineq, so a base whose files the
+    # change's loader refuses is still compared by its arrays
+    from pathineq.samplers import SamplerConfig, TimeGrid, sample_ou, sample_wiener, save_ensemble
+
+    grid, paths = TimeGrid.uniform(1.0, 3), [tmp_path / "w.pens", tmp_path / "o.pens"]
+    save_ensemble(paths[0], sample_wiener(SamplerConfig(seed=3, n_paths=7, grid=grid)))
+    save_ensemble(paths[1], sample_ou(SamplerConfig(seed=3, n_paths=5, grid=grid)))
+    digests = bench_pairs._in_side(ROOT, "pens-side", *paths)
+    assert digests == [bench_pairs._pens_sha256(p) for p in paths] and digests[0] != digests[1]
+
+
 def test_a_record_names_its_checkout_and_file_not_where_they_lie(bench_pairs):
     argv = ["repeat", "--base", "/srv/parent", "--case", "sample", "--repeats", "2", "--into", "/srv/work/BENCH_x.json"]
     want = "python3 tools/bench_pairs.py repeat --base BASE --case sample --repeats 2 --into BENCH_x.json"

@@ -25,7 +25,8 @@ and whether the change's median is worse than the base's by more than the metric
 ``perfbench/worker.py`` process and the same scratch directory.  It records the SHA-256 of every output
 file but the ``*_report.json`` files (they hold timings) and of the list of check results, and lists the
 files whose digests differ; each ``.pens`` file that differs is also said to hold equal or different
-arrays, by its digest as ``load_ensemble`` reads it (``_pens_sha256``).
+arrays, by its digest as its side's ``load_ensemble`` reads it (``_pens_sha256``, in the child
+``pens-side``), so a change of the file format reads "arrays equal" where no array moved.
 
 Each command stores its record under its own key in ``--into`` (created if missing), with the command
 line (``--base`` shown as ``BASE``, ``--into`` by its file name), the machine, the package versions and
@@ -97,11 +98,16 @@ def _last_json(cmd, **kw):
     return json.loads(out.stdout.strip().splitlines()[-1]), out.stderr
 
 
+def _in_side(checkout, command, *args):
+    """What the child ``command`` (``repeat-side`` or ``pens-side``) prints, run on ``args`` in a fresh process
+    with pathineq from ``checkout``."""
+    cmd = [sys.executable, str(Path(__file__).resolve()), command, "--src", str(checkout / "src"), *map(str, args)]
+    return _last_json(cmd)[0]
+
+
 def _side(checkout, case, *args):
     """The dict that ``CASES[case].run(*args)`` returns in a fresh process with pathineq from ``checkout``."""
-    cmd = [sys.executable, str(Path(__file__).resolve()), "repeat-side", "--src", str(checkout / "src"),
-           "--case", case, *map(str, args)]
-    return _last_json(cmd)[0]
+    return _in_side(checkout, "repeat-side", "--case", case, *args)
 
 
 def _alternating(base, repeats, run):
@@ -440,7 +446,8 @@ def _outputs_once(checkout, workload, seed, work):
     out = work / "out"
     files = {p.relative_to(out).as_posix(): _sha256(p) for p in sorted(out.rglob("*"))
              if p.is_file() and not p.name.endswith("_report.json")}
-    pens = {p.relative_to(out).as_posix(): _pens_sha256(p) for p in sorted(out.rglob("*.pens"))}
+    pens = sorted(out.rglob("*.pens"))  # read by the loader of the checkout that wrote them
+    pens = dict(zip((p.relative_to(out).as_posix() for p in pens), _in_side(checkout, "pens-side", *pens)))
     shutil.rmtree(work)
     return {"files": files, "pens_arrays": pens, "checks": hashlib.sha256(json.dumps(ops).encode()).hexdigest(),
             "failed": [name for name, ok, _ in ops if not ok]}
@@ -486,6 +493,9 @@ def main(argv=None):
     side.add_argument("--src", required=True, help="directory holding the pathineq package to run")
     side.add_argument("--case", required=True, choices=CASES)
     side.add_argument("args", nargs="*", help="the arguments of the case's run")
+    pens = sub.add_parser("pens-side", help="the digest of each .pens file as loaded, printed as a JSON list")
+    pens.add_argument("--src", required=True, help="directory holding the pathineq package that loads them")
+    pens.add_argument("paths", nargs="*")
     pair = sub.add_parser("pairs", help="alternating perfbench runs, base checkout and this one")
     pair.add_argument("--workload", required=True)
     pair.add_argument("--pairs", type=int, default=10)
@@ -497,9 +507,10 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     args = p.parse_args(argv)
 
-    if args.command == "repeat-side":
+    if args.command in ("repeat-side", "pens-side"):
         sys.path.insert(0, str(Path(args.src).resolve()))
-        print(json.dumps(CASES[args.case].run(*args.args)))
+        print(json.dumps(CASES[args.case].run(*args.args) if args.command == "repeat-side"
+                         else [_pens_sha256(p) for p in args.paths]))
         return
     base = Path(args.base).resolve()
     before, load = _commits(base), os.getloadavg()  # a record is labelled by the code its runs ran
