@@ -194,18 +194,16 @@ def h_gradient_energy(F: CylindricalFunction, ens: PathEnsemble):
     the pairing at the base point, and a function of one time needs none.
     """
     idx = [ens.grid.index_of(t) for t in F.times]
-    W = F.partial_values(ens.points[:, idx, :])
+    W = np.ascontiguousarray(F.partial_values(ens.points[:, idx, :]))  # the einsum adds in memory order
     metric = np.ones(W.shape[-1])
     if ens.measure_tag == "hyperbolic_bridge":
         metric[-1] = -1.0
-        P = ens.points
-        tangents = []
+        P, W = ens.points, W * metric  # a new C-order W, each time's row replaced by its carried tangent
         for a, i in enumerate(idx):
-            v = hyp.tangent_project(P[:, i, :], W[:, a, :] * metric)
+            v = hyp.tangent_project(P[:, i, :], W[:, a, :])
             for k in range(i, idx[0], -1):
                 v = hyp.parallel_transport(v, P[:, k, :], P[:, k - 1, :])
-            tangents.append(v)
-        W = np.stack(tangents, axis=1)
+            W[:, a, :] = v
     return np.einsum("ij,mic,mjc,c->m", green_gram(ens, F.times), W, W, metric)
 
 
@@ -474,7 +472,7 @@ def sup_distance(ens: PathEnsemble):
     """u(gamma) = max over grid nodes of d(gamma_t, y0), y0 the config's pole
     (the origin when it has none).  The sampler records it as the diagnostic
     array ``sup_distance``, which is returned when present; it is recomputed
-    from the points only for older files and ensembles built by hand."""
+    from the points only for hand-built ensembles; older files no longer load."""
     if ens.measure_tag != "hyperbolic_bridge":
         raise EstimatorError("sup_distance expects a hyperbolic ensemble")
     if "sup_distance" in ens.diagnostics:

@@ -224,6 +224,18 @@ def test_hyperbolic_energy_of_three_times_is_the_base_point_pairing(dim):
         assert np.max(np.abs(e - expect) / expect) <= 1e-13
 
 
+@pytest.mark.parametrize("sampler, dim", [(sample_wiener, 2), (sample_hyperbolic_bridge, 3)])
+def test_energy_does_not_depend_on_the_memory_layout_of_the_points(sampler, dim):
+    # the samplers' points are coordinate-major, a path-major copy is C-order: the einsum, which adds in its
+    # operands' memory order, used to give the two different bits on the hyperboloid
+    grid = TimeGrid.with_geometric_tail(1.0, 8)
+    ens = sampler(SamplerConfig(seed=11, n_paths=200, grid=grid, dim=dim))
+    F = CylindricalFunction(times=tuple(grid.nodes[i] for i in (2, 5, 7)),  # elementwise, so layout-blind
+                            fn=lambda X: np.sin(X[:, 0, 0]) * X[:, 1, -1] + X[:, 2, 0] ** 2)
+    path_major = PathEnsemble(ens.config, ens.measure_tag, np.ascontiguousarray(ens.points), ens.diagnostics)
+    assert np.array_equal(h_gradient_energy(F, ens), h_gradient_energy(F, path_major))
+
+
 def test_flat_energy_of_three_times_is_the_euclidean_pairing_bit_for_bit():
     ens = sample_wiener(SamplerConfig(seed=13, n_paths=500, grid=TimeGrid.uniform(1.0, 4), dim=2))
     F = _three_time_function((0.25, 0.5, 1.0), np.random.default_rng(14).standard_normal((3, 2)))
