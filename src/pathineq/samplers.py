@@ -380,13 +380,14 @@ def sample_hyperbolic_bridge(cfg: SamplerConfig, alloc=_empty) -> PathEnsemble:
         return not on and f"{key} must be a point on the hyperboloid sheet of H^{n}"
 
     _check_points(cfg, "hyperbolic_bridge", ("x0", "y0"), n + 1, off_sheet)
+    params = HeatKernelParams(n=n)
     nodes = cfg.grid.array()
     T = nodes[-1]
     o = hyp.origin(n)
     y0 = np.asarray(cfg.y0, dtype=float) if cfg.y0 is not None else o
 
     m = cfg.n_paths
-    dlog_dr = _make_drift(HeatKernelParams(n=n), T, nodes)
+    dlog_dr = _make_drift(params, T, nodes)
 
     points = alloc((m, nodes.size, n + 1))
     points[:, 0, :] = cfg.x0 or o

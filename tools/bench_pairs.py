@@ -446,10 +446,11 @@ def _outputs_once(checkout, workload, seed, work):
     out = work / "out"
     files = {p.relative_to(out).as_posix(): _sha256(p) for p in sorted(out.rglob("*"))
              if p.is_file() and not p.name.endswith("_report.json")}
-    pens = sorted(out.rglob("*.pens"))  # read by the loader of the checkout that wrote them
-    pens = dict(zip((p.relative_to(out).as_posix() for p in pens), _in_side(checkout, "pens-side", *pens)))
+    pens = sorted(out.rglob("*.pens"))
+    arrays = _in_side(checkout, "pens-side", *pens)  # read by the loader of the checkout that wrote them
     shutil.rmtree(work)
-    return {"files": files, "pens_arrays": pens, "checks": hashlib.sha256(json.dumps(ops).encode()).hexdigest(),
+    return {"files": files, "pens_arrays": {p.relative_to(out).as_posix(): a for p, a in zip(pens, arrays)},
+            "checks": hashlib.sha256(json.dumps(ops).encode()).hexdigest(),
             "failed": [name for name, ok, _ in ops if not ok]}
 
 
